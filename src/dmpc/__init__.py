@@ -2,15 +2,14 @@
 
 from .graph import InfoGraph, path_graph
 from .dynamics import LtiAgent, double_integrator_3d, prediction_matrices, rollout, step
-from .problem import (LocalIndexMap, LocalProblem, ZLayout, augment_with_admm_terms,
-                      build_local_problems, condense, global_cost)
-from .qp import (BoxQp, QpSolution, enumerate_box_qp, solve_box_qp,
-                 solve_centralized, solve_equality_qp)
+from .problem import (LocalIndexMap, LocalProblem, ZLayout, build_local_problems,
+                      global_cost)
+from .qp import BoxQp, QpSolution, enumerate_box_qp, solve_box_qp, solve_equality_qp
 from .admm import (AdmmEngine, AdmmState, SolverFailure, dual_update, residuals,
-                   run_admm, run_dual_decomposition, x_update, z_update)
+                   run_admm, run_dual_decomposition, z_update)
 from .simulation import (SimConfig, SimLog, closed_loop_cost, draw_initial_states,
                          draw_noise, iteration_sweep, performance_ratio,
-                         run_closed_loop)
+                         run_closed_loop, solve_centralized)
 from .config import ConfigError, ScenarioConfig, parse_config
 
 __version__ = "0.1.0"

@@ -8,19 +8,26 @@ by agent index so parallel runs reproduce serial results bitwise.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor
 
-from .problem import (augment_with_admm_terms, condense, condensed_bounds,
-                      condensed_maps, copy_counts)
+from .problem import (condensed_bounds, condensed_hessian, condensed_maps, copy_counts,
+                      predictions)
 from .qp import BoxQp, power_iteration_lmax, solve_box_qp
 
 
 class SolverFailure(RuntimeError):
+    """A QP of a controller step ended other than optimal.
+
+    `agent` and `iteration` are None for the centralized QP.
+    """
+
     def __init__(self, agent, iteration, detail):
-        super().__init__(f"subproblem of agent {agent} failed at iteration {iteration}: {detail}")
+        where = ("centralized QP" if agent is None
+                 else f"subproblem of agent {agent} failed at iteration {iteration}")
+        super().__init__(f"{where}: {detail}")
         self.agent = agent
         self.iteration = iteration
 
@@ -44,16 +51,6 @@ class AdmmResult:
     converged: bool
     solve_times: list = field(default_factory=list)
     max_dual_avg_violation: float = 0.0
-
-
-def x_update(i, state, problem, map_, qp_tol=1e-6, qp_max_iter=20000, warm=None):
-    """Augmented local minimization for agent i (direct, uncached path)."""
-    aug = augment_with_admm_terms(problem, state.z, state.lam[i - 1], state.rho, map_)
-    qp, exp = condense(aug)
-    sol = solve_box_qp(qp, tol=qp_tol, max_iter=qp_max_iter, x0=warm)
-    if sol.status != "optimal":
-        raise SolverFailure(i, state.k, f"{sol.status}: {sol.message}")
-    return exp.expand(sol.x_star)
 
 
 def z_update(state, maps, counts=None):
@@ -90,50 +87,42 @@ class _AgentCache:
 
     Everything that depends only on topology, horizon, and rho is
     factorized once; rebinding measured states refreshes only the affine
-    offset and the static part of the gradient.
+    offset and the static part of the gradient. `solve` is the x-update.
     """
 
-    def __init__(self, problem, rho, qp_tol):
+    def __init__(self, problem, pred, rho, qp_tol):
         self.problem = problem
+        self.pred = pred
         self.rho = rho
         self.qp_tol = qp_tol
-        M, c = condensed_maps(problem)
+        M, _ = condensed_maps(problem, pred)
         self.M = M
         self.Mt = M.T
-        self.HM = problem.H @ M
-        P = M.T @ self.HM + rho * (M.T @ M)
+        P = M.T @ (problem.H @ M) + rho * (M.T @ M)
         self.P = 0.5 * (P + P.T)
         self.cho = cho_factor(self.P)
         self.lipschitz = power_iteration_lmax(self.P)
         self.lo, self.hi = condensed_bounds(problem)
         self.warm = None
-        self._bind(c)
-
-    def _bind(self, c):
-        self.c = c
-        # q = M'((H + rho I)c + g + lam - rho z_loc); the first two terms are static
-        self.q_static = self.Mt @ (self.problem.H @ c + self.problem.g) \
-            + self.rho * (self.Mt @ c)
-        self.Hc = self.problem.H @ c
+        self.rebind_states(problem.x0)
 
     def rebind_states(self, x0_per_member):
-        from dataclasses import replace
         self.problem = replace(self.problem, x0=tuple(np.asarray(v, float) for v in x0_per_member))
-        _, c = condensed_maps(self.problem)
-        self._bind(c)
+        _, self.c = condensed_maps(self.problem, self.pred, self.M)
+        # q = M'((H + rho I)c + g + lam - rho z_loc); the first two terms are static
+        self.q_static = self.Mt @ (self.problem.H @ self.c + self.problem.g) \
+            + self.rho * (self.Mt @ self.c)
 
-    def solve(self, lam, z_loc, qp_max_iter=20000):
+    def solve(self, lam, z_loc, k, qp_max_iter=20000):
+        """Minimize the local cost plus lam'(x - E z) + (rho/2)||x - E z||^2 at iteration k."""
         q = self.q_static + self.Mt @ (lam - self.rho * z_loc)
         qp = BoxQp(self.P, q, self.lo, self.hi)
         sol = solve_box_qp(qp, tol=self.qp_tol, max_iter=qp_max_iter,
                            x0=self.warm, lipschitz=self.lipschitz, cho=self.cho)
         if sol.status != "optimal":
-            raise RuntimeError(f"{sol.status}: {sol.message}")
+            raise SolverFailure(self.problem.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
         return self.M @ sol.x_star + self.c
-
-    def cost(self, x):
-        return self.problem.cost(x)
 
 
 class AdmmEngine:
@@ -147,12 +136,13 @@ class AdmmEngine:
         self.rho = rho
         self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
         self.counts = copy_counts(self.maps, self.z_dim)
-        self.caches = [_AgentCache(p, rho, qp_tol) for p in self.problems]
+        pred = predictions(self.problems)
+        self.caches = [_AgentCache(p, pred, rho, qp_tol) for p in self.problems]
         self.pool = ThreadPoolExecutor(max_workers=len(problems)) if parallel else None
 
     def rebind_states(self, initial_states):
-        for prob, cache in zip(self.problems, self.caches):
-            cache.rebind_states([initial_states[j - 1] for j in prob.members])
+        for cache in self.caches:
+            cache.rebind_states([initial_states[j - 1] for j in cache.problem.members])
         self.problems = [c.problem for c in self.caches]
 
     def reset_warm_starts(self):
@@ -160,8 +150,7 @@ class AdmmEngine:
             c.warm = None
 
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
-            track_dual_average=False, record_times=False):
-        N = len(self.problems)
+            track_dual_average=False):
         if init is None:
             state = AdmmState(
                 x=[np.zeros(p.dim) for p in self.problems],
@@ -175,29 +164,18 @@ class AdmmEngine:
         converged = False
         for k in range(1, max_iter + 1):
             if self.pool is not None:
-                futures = [
-                    self.pool.submit(self.caches[i].solve,
-                                     state.lam[i], state.z[self.maps[i].global_idx])
-                    for i in range(N)]
-                for i, fut in enumerate(futures):
-                    try:
-                        state.x[i] = fut.result()
-                    except RuntimeError as exc:
-                        raise SolverFailure(i + 1, k, str(exc))
+                futures = [self.pool.submit(c.solve, lam, state.z[m.global_idx], k)
+                           for c, m, lam in zip(self.caches, self.maps, state.lam)]
+                state.x[:] = [fut.result() for fut in futures]
             else:
-                for i in range(N):
-                    t0 = time.perf_counter() if record_times else 0.0
-                    try:
-                        state.x[i] = self.caches[i].solve(
-                            state.lam[i], state.z[self.maps[i].global_idx])
-                    except RuntimeError as exc:
-                        raise SolverFailure(i + 1, k, str(exc))
-                    if record_times:
-                        solve_times.append(time.perf_counter() - t0)
+                for i, (c, m, lam) in enumerate(zip(self.caches, self.maps, state.lam)):
+                    t0 = time.perf_counter()
+                    state.x[i] = c.solve(lam, state.z[m.global_idx], k)
+                    solve_times.append(time.perf_counter() - t0)
             z_prev = state.z
             state.z = z_update(state, self.maps, self.counts)
-            for i in range(N):
-                state.lam[i] = dual_update(i + 1, state, self.maps[i])
+            for i, m in enumerate(self.maps):
+                state.lam[i] = dual_update(i + 1, state, m)
             if track_dual_average:
                 acc = np.zeros(self.z_dim)
                 for m, lam in zip(self.maps, state.lam):
@@ -206,7 +184,7 @@ class AdmmEngine:
             rp, rd = residuals(state, self.maps, z_prev, self.counts)
             state.k = k
             state.history.append((rp, rd))
-            obj = sum(c.cost(x) for c, x in zip(self.caches, state.x))
+            obj = sum(c.problem.cost(x) for c, x in zip(self.caches, state.x))
             history.append((k, rp, rd, obj))
             if rp <= eps_primal and rd <= eps_dual:
                 converged = True
@@ -226,14 +204,6 @@ def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
     finally:
         if engine.pool is not None:
             engine.pool.shutdown()
-
-
-def history_csv_rows(history):
-    """Rows (iter, r_primal, r_dual, objective) formatted for CSV export."""
-    lines = ["iter,r_primal,r_dual,objective"]
-    for k, rp, rd, obj in history:
-        lines.append(f"{k},{rp:.17g},{rd:.17g},{obj:.17g}")
-    return lines
 
 
 # --- dual decomposition baseline -------------------------------------------
@@ -279,17 +249,14 @@ def run_dual_decomposition(problems, maps, alpha_schedule, max_iter,
     lams = [np.zeros(_member_block(problems[ip], kp).stop
                      - _member_block(problems[ip], kp).start)
             for ip, kp, _, _ in pairs]
-    caches = []
+    pred = predictions(problems)
+    expansions, qps = [], []
     for p in problems:
-        M, c = condensed_maps(p)
-        P = M.T @ p.H @ M
-        P = 0.5 * (P + P.T)
-        lo, hi = condensed_bounds(p)
-        caches.append({
-            "M": M, "Mt": M.T, "c": c, "P": P, "lo": lo, "hi": hi,
-            "q0": M.T @ (p.H @ c + p.g),
-            "L": power_iteration_lmax(P), "warm": None,
-        })
+        M, c = condensed_maps(p, pred)
+        expansions.append((M, c))
+        qps.append(BoxQp(condensed_hessian(p, M), M.T @ (p.H @ c + p.g), *condensed_bounds(p)))
+    lipschitz = [power_iteration_lmax(qp.P) for qp in qps]
+    warm = [None] * len(problems)
 
     x = [np.zeros(p.dim) for p in problems]
     history = []
@@ -300,15 +267,13 @@ def run_dual_decomposition(problems, maps, alpha_schedule, max_iter,
         for (ip, kp, jp, op), lam in zip(pairs, lams):
             lin[ip][_member_block(problems[ip], kp)] += lam
             lin[jp][_member_block(problems[jp], op)] -= lam
-        for i, (p, cc) in enumerate(zip(problems, caches)):
-            q = cc["q0"] + cc["Mt"] @ lin[i]
-            sol = solve_box_qp(BoxQp(cc["P"], q, cc["lo"], cc["hi"]),
-                               tol=qp_tol, max_iter=qp_max_iter,
-                               x0=cc["warm"], lipschitz=cc["L"])
+        for i, (p, qp, (M, c)) in enumerate(zip(problems, qps, expansions)):
+            sol = solve_box_qp(replace(qp, q=qp.q + M.T @ lin[i]), tol=qp_tol,
+                               max_iter=qp_max_iter, x0=warm[i], lipschitz=lipschitz[i])
             if sol.status != "optimal":
                 raise SolverFailure(p.owner, k, f"{sol.status}: {sol.message}")
-            cc["warm"] = sol.x_star
-            x[i] = cc["M"] @ sol.x_star + cc["c"]
+            warm[i] = sol.x_star
+            x[i] = M @ sol.x_star + c
         ak = alpha(k)
         dis2 = 0.0
         for idx, (ip, kp, jp, op) in enumerate(pairs):

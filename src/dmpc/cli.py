@@ -29,14 +29,9 @@ def _load(config_path, args):
         raise SystemExit(f"error: cannot read config: {exc}")
     except ConfigError as exc:
         raise SystemExit(f"error: {config_path}: {exc}")
-    sim = cfg.sim
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, rng_seed=args.seed)
-    if getattr(args, "solver", None) is not None:
-        sim = replace(sim, solver_kind=args.solver)
-    if getattr(args, "iters", None) is not None:
-        sim = replace(sim, admm_iterations=args.iters)
-    cfg.sim = sim
+    for arg, name in (("seed", "rng_seed"), ("solver", "solver_kind"), ("iters", "admm_iterations")):
+        if getattr(args, arg, None) is not None:
+            cfg.sim = replace(cfg.sim, **{name: getattr(args, arg)})
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     g = cfg.graph()
@@ -80,6 +75,7 @@ def _write_summary_json(path, cfg, log):
         "total_cost": log.total_cost,
         "num_steps_completed": int(log.inputs.shape[0]),
         "aborted_at": log.aborted_at,
+        "abort_reason": log.abort_reason,
         "subproblem_solve_time": _timing_summary(log.solve_times),
         "step_wall_time": _timing_summary(np.asarray(wall)),
         "max_dual_avg_violation": log.max_dual_avg_violation,
@@ -98,8 +94,8 @@ def cmd_simulate(args):
     if "json" in cfg.formats:
         _write_summary_json(os.path.join(cfg.out_dir, "summary.json"), cfg, log)
     if log.aborted_at is not None:
-        print(f"error: solver failure at step {log.aborted_at}; partial log written",
-              file=sys.stderr)
+        print(f"error: solver failure at step {log.aborted_at}: {log.abort_reason}; "
+              "partial log written", file=sys.stderr)
         return 1
     print(f"simulated {log.inputs.shape[0]} steps, total cost {log.total_cost:.6g}, "
           f"output in {cfg.out_dir}/")

@@ -135,88 +135,53 @@ def parse_config(text):
 
 
 def _dispatch(section, key, args, line_no, values, edges, edge_seen, agent_overrides):
-    if section == "graph":
-        if key == "n":
-            values["graph"]["n"] = _pos_int(_want(args, 1, line_no, key)[0], "n")
-        elif key == "edge":
-            if len(args) not in (2, 3):
-                raise ConfigError(line_no, "'edge' expects: edge i j [weight]")
-            i, j = int(args[0]), int(args[1])
-            if i == j:
-                raise ConfigError(line_no, f"self-loop on vertex {i}")
-            w = float(args[2]) if len(args) == 3 else 1.0
-            if w <= 0:
-                raise ConfigError(line_no, f"edge weight must be positive, got {w}")
-            pair = (min(i, j), max(i, j))
-            if pair in edge_seen:
-                raise ConfigError(line_no, f"duplicate edge {pair}")
-            edge_seen.add(pair)
-            edges.append((pair[0], pair[1], w))
-        else:
-            raise ConfigError(line_no, f"unknown key '{key}' in [graph]")
-    elif section == "agents":
-        if key == "ts":
-            values["agents"]["ts"] = _pos_float(_want(args, 1, line_no, key)[0], "ts")
-        elif key == "mass":
-            values["agents"]["mass"] = _pos_float(_want(args, 1, line_no, key)[0], "mass")
-        elif key == "u_max":
-            values["agents"]["u_max"] = _pos_float(_want(args, 1, line_no, key)[0], "u_max")
-        elif key == "agent":
-            _want(args, 3, line_no, key)
-            i = int(args[0])
-            if i in agent_overrides:
-                raise ConfigError(line_no, f"duplicate agent override for agent {i}")
-            agent_overrides[i] = (_pos_float(args[1], "mass"), _pos_float(args[2], "u_max"))
-        else:
-            raise ConfigError(line_no, f"unknown key '{key}' in [agents]")
-    elif section == "mpc":
-        if key in ("horizon", "t"):
-            values["mpc"]["horizon"] = _pos_int(_want(args, 1, line_no, key)[0], "horizon")
-        elif key == "rho":
-            values["mpc"]["rho"] = _pos_float(_want(args, 1, line_no, key)[0], "rho")
-        elif key == "admm_iters":
-            values["mpc"]["admm_iters"] = _pos_int(_want(args, 1, line_no, key)[0], "admm_iters")
-        elif key == "warm_start":
-            v = _want(args, 1, line_no, key)[0].lower()
-            if v not in _BOOL:
-                raise ConfigError(line_no, f"warm_start must be boolean, got {v!r}")
-            values["mpc"]["warm_start"] = _BOOL[v]
-        elif key == "solver":
-            v = _want(args, 1, line_no, key)[0].lower()
-            if v not in SOLVER_KINDS:
-                raise ConfigError(line_no, f"solver must be one of {SOLVER_KINDS}, got {v!r}")
-            values["mpc"]["solver"] = v
-        else:
-            raise ConfigError(line_no, f"unknown key '{key}' in [mpc]")
-    elif section == "sim":
-        if key == "steps":
-            values["sim"]["steps"] = _pos_int(_want(args, 1, line_no, key)[0], "steps")
-        elif key == "noise_variance":
-            v = float(_want(args, 1, line_no, key)[0])
-            if v < 0:
-                raise ConfigError(line_no, "noise_variance must be nonnegative")
-            values["sim"]["noise_variance"] = v
-        elif key == "seed":
-            values["sim"]["seed"] = int(_want(args, 1, line_no, key)[0])
-        elif key in ("pos_range", "vel_range"):
-            _want(args, 2, line_no, key)
-            lo, hi = float(args[0]), float(args[1])
-            if lo > hi:
-                raise ConfigError(line_no, f"{key} lower bound exceeds upper")
-            values["sim"][key] = (lo, hi)
-        else:
-            raise ConfigError(line_no, f"unknown key '{key}' in [sim]")
-    elif section == "output":
-        if key == "dir":
-            values["output"]["dir"] = _want(args, 1, line_no, key)[0]
-        elif key == "formats":
-            fmts = tuple(f.lower() for a in args for f in a.split(","))
-            bad = [f for f in fmts if f not in ("csv", "json")]
-            if bad:
-                raise ConfigError(line_no, f"unknown output format(s) {bad}")
-            values["output"]["formats"] = fmts
-        else:
-            raise ConfigError(line_no, f"unknown key '{key}' in [output]")
+    if key in _SCALARS[section]:
+        name, parse = _SCALARS[section][key]
+        values[section][name] = parse(_want(args, 1, line_no, key)[0], name)
+    elif (section, key) == ("graph", "edge"):
+        if len(args) not in (2, 3):
+            raise ConfigError(line_no, "'edge' expects: edge i j [weight]")
+        i, j = int(args[0]), int(args[1])
+        if i == j:
+            raise ConfigError(line_no, f"self-loop on vertex {i}")
+        w = float(args[2]) if len(args) == 3 else 1.0
+        if w <= 0:
+            raise ConfigError(line_no, f"edge weight must be positive, got {w}")
+        pair = (min(i, j), max(i, j))
+        if pair in edge_seen:
+            raise ConfigError(line_no, f"duplicate edge {pair}")
+        edge_seen.add(pair)
+        edges.append((pair[0], pair[1], w))
+    elif (section, key) == ("agents", "agent"):
+        _want(args, 3, line_no, key)
+        i = int(args[0])
+        if i in agent_overrides:
+            raise ConfigError(line_no, f"duplicate agent override for agent {i}")
+        agent_overrides[i] = (_pos_float(args[1], "mass"), _pos_float(args[2], "u_max"))
+    elif (section, key) == ("mpc", "warm_start"):
+        v = _want(args, 1, line_no, key)[0].lower()
+        if v not in _BOOL:
+            raise ConfigError(line_no, f"warm_start must be boolean, got {v!r}")
+        values["mpc"]["warm_start"] = _BOOL[v]
+    elif (section, key) == ("mpc", "solver"):
+        v = _want(args, 1, line_no, key)[0].lower()
+        if v not in SOLVER_KINDS:
+            raise ConfigError(line_no, f"solver must be one of {SOLVER_KINDS}, got {v!r}")
+        values["mpc"]["solver"] = v
+    elif section == "sim" and key in ("pos_range", "vel_range"):
+        _want(args, 2, line_no, key)
+        lo, hi = float(args[0]), float(args[1])
+        if lo > hi:
+            raise ConfigError(line_no, f"{key} lower bound exceeds upper")
+        values["sim"][key] = (lo, hi)
+    elif (section, key) == ("output", "formats"):
+        fmts = tuple(f.lower() for a in args for f in a.split(","))
+        bad = [f for f in fmts if f not in ("csv", "json")]
+        if bad:
+            raise ConfigError(line_no, f"unknown output format(s) {bad}")
+        values["output"]["formats"] = fmts
+    else:
+        raise ConfigError(line_no, f"unknown key '{key}' in [{section}]")
 
 
 def _pos_int(tok, name):
@@ -231,3 +196,22 @@ def _pos_float(tok, name):
     if v <= 0:
         raise ValueError(f"{name} must be positive, got {v}")
     return v
+
+
+def _nonneg_float(tok, name):
+    v = float(tok)
+    if v < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return v
+
+
+# single-value keys: section -> key -> (stored name, parse(token, name))
+_SCALARS = {
+    "graph": {"n": ("n", _pos_int)},
+    "agents": {k: (k, _pos_float) for k in ("ts", "mass", "u_max")},
+    "mpc": {"horizon": ("horizon", _pos_int), "t": ("horizon", _pos_int),
+            "rho": ("rho", _pos_float), "admm_iters": ("admm_iters", _pos_int)},
+    "sim": {"steps": ("steps", _pos_int), "noise_variance": ("noise_variance", _nonneg_float),
+            "seed": ("seed", lambda tok, _: int(tok))},
+    "output": {"dir": ("dir", lambda tok, _: tok)},
+}

@@ -34,10 +34,6 @@ class InfoGraph:
             canonical[key] = float(w)
         object.__setattr__(self, "weights", canonical)
 
-    @property
-    def edges(self):
-        return sorted(self.weights)
-
     def weight(self, i, j):
         return self.weights[(min(i, j), max(i, j))]
 

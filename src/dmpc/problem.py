@@ -3,22 +3,21 @@
 Each agent owns a stacked variable holding copies of its own and its
 neighbors' state/input trajectories over the horizon. Selector maps tie
 every copy to an entry of the global consensus vector z, whose layout is
-agent-major: for each agent, states t=0..T then inputs t=0..T-1.
+agent-major: for each agent, states t=0..T then inputs t=0..T-1. A block
+whose members are all agents has exactly the layout of z: it is the
+centralized problem, condensed by the same routines as the local ones.
 """
 
-from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import prediction_matrices
-from .qp import BoxQp
-
-Tag = namedtuple("Tag", ["agent", "kind", "t", "comp"])  # kind: "state" | "input"
 
 
 class ZLayout:
-    """Index arithmetic for the global consensus vector."""
+    """Index arithmetic for the global consensus vector, or for any vector
+    stacking agents' trajectories member by member."""
 
     def __init__(self, agents, T):
         self.T = T
@@ -48,15 +47,6 @@ class ZLayout:
             inputs.append(z[u0:u0 + self.T * m].reshape(self.T, m))
         return states, inputs
 
-    def tags(self):
-        out = []
-        for j, (n, m) in enumerate(self.dims, start=1):
-            for t in range(self.T + 1):
-                out.extend(Tag(j, "state", t, c) for c in range(n))
-            for t in range(self.T):
-                out.extend(Tag(j, "input", t, c) for c in range(m))
-        return out
-
 
 @dataclass(frozen=True)
 class LocalIndexMap:
@@ -64,11 +54,6 @@ class LocalIndexMap:
 
     owner: int
     global_idx: np.ndarray  # local offset -> z offset
-    tags: tuple
-
-    @property
-    def entries(self):
-        return [(k, int(self.global_idx[k]), self.tags[k]) for k in range(len(self.tags))]
 
 
 @dataclass(frozen=True)
@@ -78,7 +63,8 @@ class LocalProblem:
     Layout of the local vector: for each member (owner and neighbors, in
     ascending index order) the states t=0..T then the inputs t=0..T-1.
     Cost is 0.5 x'Hx + g'x; dynamics and measured initial states enter as
-    equality constraints, input boxes as bounds.
+    equality constraints, input boxes as bounds. The centralized problem
+    is the block with every agent a member and `owner` None.
     """
 
     owner: int
@@ -95,12 +81,7 @@ class LocalProblem:
 
     def member_offsets(self):
         """Start offset of each member's block in the local vector."""
-        offs = []
-        off = 0
-        for mdl in self.models:
-            offs.append(off)
-            off += mdl.n * (self.T + 1) + mdl.m * self.T
-        return offs
+        return ZLayout(self.models, self.T).starts
 
     def state_slice(self, member_pos, t):
         mdl = self.models[member_pos]
@@ -135,15 +116,37 @@ class LocalProblem:
         return A_eq, b_eq
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """Affine map from condensed inputs back to the full local vector."""
+def _block(owner, T, members, agents, states, edges, input_owners):
+    """Problem over `members` with cost stamped into H in the order given.
 
-    M: np.ndarray
-    c: np.ndarray
-
-    def expand(self, u):
-        return self.M @ u + self.c
+    Each edge (a, b, w) adds (w/2)||x_a(t) - x_b(t)||^2 at every t, and
+    each input owner its input energy u'u.
+    """
+    models = tuple(agents[j - 1] for j in members)
+    dim = sum(m.n * (T + 1) + m.m * T for m in models)
+    p = LocalProblem(owner=owner, T=T, members=members, models=models,
+                     x0=tuple(states[j - 1] for j in members),
+                     H=np.zeros((dim, dim)), g=np.zeros(dim))
+    H = p.H
+    pos = {j: k for k, j in enumerate(members)}
+    for a, b, w in edges:
+        pa, pb = pos[a], pos[b]
+        if models[pa].n != models[pb].n:
+            raise ValueError("edge coupling requires matching state dimensions")
+        for t in range(T + 1):
+            sa, sb = p.state_slice(pa, t), p.state_slice(pb, t)
+            idx_a = np.arange(sa.start, sa.stop)
+            idx_b = np.arange(sb.start, sb.stop)
+            H[idx_a, idx_a] += w
+            H[idx_b, idx_b] += w
+            H[idx_a, idx_b] -= w
+            H[idx_b, idx_a] -= w
+    for j in input_owners:
+        for t in range(T):
+            su = p.input_slice(pos[j], t)
+            idx = np.arange(su.start, su.stop)
+            H[idx, idx] += 2.0  # u'u == 0.5 x'(2I)x on the owner's inputs
+    return p
 
 
 def build_local_problems(g, agents, T, initial_states):
@@ -165,62 +168,39 @@ def build_local_problems(g, agents, T, initial_states):
             raise ValueError(f"initial state of agent {j} has shape {x.shape}, expected ({a.n},)")
 
     layout = ZLayout(agents, T)
-    all_tags = layout.tags()
     problems, maps = [], []
     for i in range(1, N + 1):
         members = tuple(sorted(g.neighbors(i) | {i}))
-        models = tuple(agents[j - 1] for j in members)
-        x0 = tuple(initial_states[j - 1] for j in members)
-        prob = LocalProblem(owner=i, T=T, members=members, models=models, x0=x0,
-                            H=np.zeros((0, 0)), g=np.zeros(0))
-        dim = sum(m.n * (T + 1) + m.m * T for m in models)
-        prob = replace(prob, H=np.zeros((dim, dim)), g=np.zeros(dim))
-        pos = {j: k for k, j in enumerate(members)}
-
-        H = prob.H
-        own = pos[i]
-        for j in g.neighbors(i):
-            # (a_ij/2)||x_i - x_j||^2 at each endpoint; with the 0.5 x'Hx
-            # convention the block pattern carries the full weight a_ij
-            w = g.weight(i, j)
-            pj = pos[j]
-            nj = models[pj].n
-            if nj != models[own].n:
-                raise ValueError("edge coupling requires matching state dimensions")
-            for t in range(T + 1):
-                so, sj = prob.state_slice(own, t), prob.state_slice(pj, t)
-                idx_o = np.arange(so.start, so.stop)
-                idx_j = np.arange(sj.start, sj.stop)
-                H[idx_o, idx_o] += w
-                H[idx_j, idx_j] += w
-                H[idx_o, idx_j] -= w
-                H[idx_j, idx_o] -= w
-        for t in range(T):
-            su = prob.input_slice(own, t)
-            idx = np.arange(su.start, su.stop)
-            H[idx, idx] += 2.0  # u'u == 0.5 x'(2I)x on the owner's inputs
-
-        gidx = np.empty(dim, dtype=np.int64)
-        tags = []
-        for k, j in enumerate(members):
-            mdl = models[k]
-            for t in range(T + 1):
-                sl = prob.state_slice(k, t)
-                gidx[sl] = layout.state_offset(j, t) + np.arange(mdl.n)
-            for t in range(T):
-                sl = prob.input_slice(k, t)
-                gidx[sl] = layout.input_offset(j, t) + np.arange(mdl.m)
-        tags = tuple(all_tags[c] for c in gidx)
+        prob = _block(i, T, members, agents, initial_states,
+                      [(i, j, g.weight(i, j)) for j in g.neighbors(i)], [i])
+        # a member's block of the local vector is its block of z
+        gidx = np.concatenate([layout.starts[j - 1] + np.arange(m.n * (T + 1) + m.m * T)
+                               for j, m in zip(members, prob.models)])
         problems.append(prob)
-        maps.append(LocalIndexMap(owner=i, global_idx=gidx, tags=tags))
+        maps.append(LocalIndexMap(owner=i, global_idx=gidx))
     return problems, maps, layout.dim
+
+
+def build_centralized_qp(g, agents, T, initial_states):
+    """Whole-network problem condensed over all agents' stacked inputs.
+
+    Every agent is a member of the block, so its vector is laid out as z;
+    each edge is stamped once at weight 2w, the sum of its two local
+    halves. Returns (block, pred, M, P); the gradient M'(H c) depends on
+    the measured states and is formed per solve.
+    """
+    members = tuple(range(1, g.num_agents + 1))
+    block = _block(None, T, members, agents,
+                   [np.asarray(x, dtype=float) for x in initial_states],
+                   [(i, j, 2.0 * w) for (i, j), w in g.weights.items()], members)
+    pred = predictions([block])
+    M, _ = condensed_maps(block, pred)
+    return block, pred, M, condensed_hessian(block, M)
 
 
 def copy_counts(maps, z_dim):
     """How many local copies map to each z component."""
-    counts = np.zeros(z_dim, dtype=np.int64)
-    for m in maps:
-        np.add.at(counts, m.global_idx, 1)
+    counts = np.bincount(np.concatenate([m.global_idx for m in maps]), minlength=z_dim)
     if np.any(counts == 0):
         raise RuntimeError("z component with no mapped copies: construction bug")
     return counts
@@ -253,36 +233,45 @@ def global_cost(g, state_traj, input_traj):
     return total
 
 
-def condense(p):
-    """Eliminate states through the dynamics; returns (BoxQp, Expansion).
+def predictions(problems):
+    """Prediction matrices (Phi, Gam) per member agent, computed once each."""
+    pred = {}
+    for p in problems:
+        for j, mdl in zip(p.members, p.models):
+            if j not in pred:
+                pred[j] = prediction_matrices(mdl, p.T)
+    return pred
+
+
+def condensed_maps(p, pred, M=None):
+    """Affine map local_vector = M @ stacked_inputs + c.
 
     The condensed variable stacks each member's inputs in member order;
-    box bounds come from the members' u_max.
+    `pred` holds each member's prediction matrices. A given M is returned
+    as it is, so rebinding measured states forms only c = Phi x0.
     """
-    M, c = condensed_maps(p)
-    P = M.T @ p.H @ M
-    P = 0.5 * (P + P.T)
-    q = M.T @ (p.H @ c + p.g)
-    lo, hi = condensed_bounds(p)
-    return BoxQp(P, q, lo, hi), Expansion(M, c)
-
-
-def condensed_maps(p):
-    """Affine map local_vector = M @ stacked_inputs + c."""
     T = p.T
-    udim = sum(m.m * T for m in p.models)
-    M = np.zeros((p.dim, udim))
+    fill = M is None
+    if fill:
+        M = np.zeros((p.dim, sum(m.m * T for m in p.models)))
     c = np.zeros(p.dim)
     ucol = 0
-    for pos, mdl in enumerate(p.models):
-        Phi, Gam = prediction_matrices(mdl, T)
-        srows = slice(p.state_slice(pos, 0).start, p.state_slice(pos, T).stop)
-        M[srows, ucol:ucol + mdl.m * T] = Gam
-        c[srows] = Phi @ p.x0[pos]
-        urows = slice(p.input_slice(pos, 0).start, p.input_slice(pos, T - 1).stop)
-        M[urows, ucol:ucol + mdl.m * T] = np.eye(mdl.m * T)
+    for off, j, mdl, x0 in zip(p.member_offsets(), p.members, p.models, p.x0):
+        Phi, Gam = pred[j]
+        srows = slice(off, off + (T + 1) * mdl.n)
+        c[srows] = Phi @ x0
+        if fill:
+            ucols = slice(ucol, ucol + mdl.m * T)
+            M[srows, ucols] = Gam
+            M[srows.stop:srows.stop + mdl.m * T, ucols] = np.eye(mdl.m * T)
         ucol += mdl.m * T
     return M, c
+
+
+def condensed_hessian(p, M):
+    """Symmetrized Hessian M'HM of the condensed cost."""
+    P = M.T @ p.H @ M
+    return 0.5 * (P + P.T)
 
 
 def condensed_bounds(p):
@@ -291,61 +280,3 @@ def condensed_bounds(p):
         lo.append(np.full(mdl.m * p.T, -mdl.u_max))
         hi.append(np.full(mdl.m * p.T, mdl.u_max))
     return np.concatenate(lo), np.concatenate(hi)
-
-
-def augment_with_admm_terms(p, z, lam, rho, map_):
-    """Add the consensus penalty lam'(x - E z) + (rho/2)||x - E z||^2."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (p.dim,):
-        raise ValueError(f"dual has shape {lam.shape}, expected ({p.dim},)")
-    z_loc = z[map_.global_idx]
-    H = p.H.copy()
-    H[np.diag_indices_from(H)] += rho
-    g = p.g + lam - rho * z_loc
-    return replace(p, H=H, g=g)
-
-
-def build_centralized_qp(g, agents, T, initial_states):
-    """Whole-network condensed box QP over all agents' stacked inputs.
-
-    Returns (BoxQp, Expansion to the global trajectory vector, Hessian of
-    the trajectory cost) so callers can evaluate the objective exactly.
-    """
-    N = g.num_agents
-    layout = ZLayout(agents, T)
-    H = np.zeros((layout.dim, layout.dim))
-    for (i, j), w in g.weights.items():
-        ni = agents[i - 1].n
-        if agents[j - 1].n != ni:
-            raise ValueError("edge coupling requires matching state dimensions")
-        for t in range(T + 1):
-            oi = layout.state_offset(i, t) + np.arange(ni)
-            oj = layout.state_offset(j, t) + np.arange(ni)
-            H[oi, oi] += 2.0 * w
-            H[oj, oj] += 2.0 * w
-            H[oi, oj] -= 2.0 * w
-            H[oj, oi] -= 2.0 * w
-    for j in range(1, N + 1):
-        mj = agents[j - 1].m
-        for t in range(T):
-            oj = layout.input_offset(j, t) + np.arange(mj)
-            H[oj, oj] += 2.0
-
-    udim = sum(a.m * T for a in agents)
-    M = np.zeros((layout.dim, udim))
-    c = np.zeros(layout.dim)
-    ucol = 0
-    for j, a in enumerate(agents, start=1):
-        Phi, Gam = prediction_matrices(a, T)
-        s0 = layout.state_offset(j, 0)
-        M[s0:s0 + (T + 1) * a.n, ucol:ucol + a.m * T] = Gam
-        c[s0:s0 + (T + 1) * a.n] = Phi @ np.asarray(initial_states[j - 1], dtype=float)
-        u0 = layout.input_offset(j, 0)
-        M[u0:u0 + a.m * T, ucol:ucol + a.m * T] = np.eye(a.m * T)
-        ucol += a.m * T
-    P = M.T @ H @ M
-    P = 0.5 * (P + P.T)
-    q = M.T @ (H @ c)
-    lo = np.concatenate([np.full(a.m * T, -a.u_max) for a in agents])
-    hi = np.concatenate([np.full(a.m * T, a.u_max) for a in agents])
-    return BoxQp(P, q, lo, hi), Expansion(M, c), H

@@ -159,8 +159,6 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
         start = qp.project(xu) if x0 is None else qp.project(np.asarray(x0, dtype=float))
     else:
         start = qp.project(np.zeros(n)) if x0 is None else qp.project(np.asarray(x0, dtype=float))
-    if x0 is not None:
-        start = qp.project(np.asarray(x0, dtype=float))
 
     if lipschitz is None:
         lipschitz = power_iteration_lmax(qp.P)
@@ -304,24 +302,3 @@ def enumerate_box_qp(qp, max_dim=8):
     if best_x is None:
         raise ValueError("no feasible active-set candidate found")
     return best_x, best_f
-
-
-def solve_centralized(g, agents, T, initial_states, tol=1e-8, max_iter=20000):
-    """Solve the full finite-horizon problem as one condensed box QP.
-
-    Returns (input sequences per agent as (T, m_i) arrays, optimal cost).
-    """
-    from .problem import build_centralized_qp
-
-    qp, expand, hess = build_centralized_qp(g, agents, T, initial_states)
-    sol = solve_box_qp(qp, tol=tol, max_iter=max_iter)
-    if sol.status != "optimal":
-        raise RuntimeError(f"centralized solve failed: {sol.status} ({sol.message})")
-    v = expand.expand(sol.x_star)
-    cost = 0.5 * v @ hess @ v
-    plans = []
-    off = 0
-    for a in agents:
-        plans.append(sol.x_star[off:off + T * a.m].reshape(T, a.m))
-        off += T * a.m
-    return plans, float(cost)

@@ -2,15 +2,16 @@
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor
 
-from .admm import AdmmEngine, run_dual_decomposition
+from .admm import AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
-from .problem import ZLayout, build_local_problems, global_cost
-from .qp import solve_box_qp
-from .problem import build_centralized_qp
+from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
+                      condensed_maps, global_cost)
+from .qp import BoxQp, power_iteration_lmax, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
 
@@ -30,19 +31,27 @@ class SimConfig:
     mass: float = 1.0
     pos_range: tuple = (-5.0, 5.0)
     vel_range: tuple = (-1.0, 1.0)
-    apply_consensus_input: bool = False  # apply z-averaged first input instead of own copy
     qp_tol: float = 1e-6
     parallel_agents: bool = False
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
         if self.solver_kind == "admm" and self.admm_iterations < 1:
             raise ValueError("admm_iterations must be >= 1")
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
+        if not self.qp_tol > 0:
+            raise ValueError("qp_tol must be positive")
+        for name in ("pos_range", "vel_range"):
+            if getattr(self, name)[0] > getattr(self, name)[1]:
+                raise ValueError(f"{name} lower bound exceeds upper")
 
 
 @dataclass
@@ -57,6 +66,7 @@ class SimLog:
     config: SimConfig
     max_dual_avg_violation: float = 0.0
     aborted_at: int = None    # step index if a solver failure cut the run short
+    abort_reason: str = None  # the SolverFailure message of that step
 
 
 def default_agents(g, cfg):
@@ -86,49 +96,121 @@ def _stage_cost(g, states_now, inputs_now):
     return global_cost(g, [x[None, :] for x in states_now], [u[None, :] for u in inputs_now])
 
 
-class _CentralizedCache:
-    """Factorized whole-network QP; only the gradient changes per step."""
+class _Controller:
+    """A solver kind of the closed loop, built before its first step; plan(measured)
+    returns (first_inputs, stats), stats as in SimLog.solver_stats."""
 
-    def __init__(self, g, agents, T, initial_states, qp_tol):
-        from scipy.linalg import cho_factor
-        from .qp import power_iteration_lmax
+    solve_times = ()
+    max_dual_avg_violation = 0.0
 
-        self.g = g
-        self.agents = agents
-        self.T = T
-        self.qp_tol = qp_tol
-        qp, exp, H = build_centralized_qp(g, agents, T, initial_states)
-        self.H = H
-        self.M = exp.M
-        self.P = qp.P
-        self.lo, self.hi = qp.lower, qp.upper
+    def close(self):
+        pass
+
+
+def _first_inputs(problems, plans):
+    """Each owner's first planned input, read from its own local copy."""
+    return [plan[p.input_slice(p.members.index(p.owner), 0)] for p, plan in zip(problems, plans)]
+
+
+class _CentralizedCache(_Controller):
+    """The centralized controller: the whole-network QP, factorized once;
+    each step forms only c = Phi x0 and the gradient from the measured states."""
+
+    def __init__(self, g, agents, T, initial_states, qp_tol, max_iter=50000):
+        self.block, self.pred, self.M, self.P = build_centralized_qp(g, agents, T, initial_states)
+        self.lo, self.hi = condensed_bounds(self.block)
         self.cho = cho_factor(self.P)
         self.lipschitz = power_iteration_lmax(self.P)
-        self.layout = ZLayout(agents, T)
+        self.qp_tol = qp_tol
+        self.max_iter = max_iter
         self.warm = None
 
     def solve(self, initial_states):
-        from .qp import BoxQp
-
-        c = np.zeros(self.layout.dim)
-        for j, a in enumerate(self.agents, start=1):
-            from .dynamics import prediction_matrices
-            Phi, _ = prediction_matrices(a, self.T)
-            s0 = self.layout.state_offset(j, 0)
-            c[s0:s0 + (self.T + 1) * a.n] = Phi @ np.asarray(initial_states[j - 1], float)
-        q = self.M.T @ (self.H @ c)
+        """Input plans, one (T, m) array per agent, from the measured states."""
+        self.block = replace(self.block, x0=tuple(np.asarray(x, float) for x in initial_states))
+        _, self.c = condensed_maps(self.block, self.pred, self.M)
+        q = self.M.T @ (self.block.H @ self.c)
         sol = solve_box_qp(BoxQp(self.P, q, self.lo, self.hi), tol=self.qp_tol,
-                           max_iter=50000, x0=self.warm,
+                           max_iter=self.max_iter, x0=self.warm,
                            lipschitz=self.lipschitz, cho=self.cho)
         if sol.status != "optimal":
-            raise RuntimeError(f"centralized step failed: {sol.status} ({sol.message})")
+            raise SolverFailure(None, None, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
-        plans = []
-        off = 0
-        for a in self.agents:
-            plans.append(sol.x_star[off:off + self.T * a.m].reshape(self.T, a.m))
-            off += self.T * a.m
-        return plans
+        T = self.block.T
+        offs = np.cumsum([0] + [T * a.m for a in self.block.models])
+        return [sol.x_star[o:o + T * a.m].reshape(T, a.m)
+                for o, a in zip(offs, self.block.models)]
+
+    def plan(self, measured):
+        t0 = time.perf_counter()
+        plans = self.solve(measured)
+        return [p[0] for p in plans], {"iterations": 1, "r_primal": 0.0, "r_dual": 0.0,
+                                       "wall_time": time.perf_counter() - t0}
+
+
+class _AdmmController(_Controller):
+    """ADMM on the local problems, rebound to each measured state, warm-started by a shift."""
+
+    def __init__(self, g, agents, cfg, initial_states, track_dual_average):
+        problems, maps, z_dim = build_local_problems(g, agents, cfg.horizon, initial_states)
+        self.engine = AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim,
+                                 qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
+        self.layout = ZLayout(agents, cfg.horizon)
+        self.cfg = cfg
+        self.track_dual_average = track_dual_average
+        self.warm_state = None
+        self.solve_times = []
+
+    def plan(self, measured):
+        t0 = time.perf_counter()
+        engine = self.engine
+        engine.rebind_states(measured)
+        if not self.cfg.warm_start:
+            engine.reset_warm_starts()
+        result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
+                            track_dual_average=self.track_dual_average)
+        self.solve_times.extend(result.solve_times)
+        self.max_dual_avg_violation = max(self.max_dual_avg_violation,
+                                          result.max_dual_avg_violation)
+        first_inputs = _first_inputs(engine.problems, result.plans)
+        _, rp, rd, _ = result.history[-1]
+        stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
+                 "wall_time": time.perf_counter() - t0}
+        if self.cfg.warm_start:
+            self.warm_state = _shift_warm_state(engine, result, self.layout)
+        return first_inputs, stats
+
+    def close(self):
+        if self.engine.pool is not None:
+            self.engine.pool.shutdown()
+
+
+class _DualDecompController(_Controller):
+    """Dual ascent with steps 1/k on problems built afresh from each measured state."""
+
+    def __init__(self, g, agents, cfg):
+        self.g, self.agents, self.cfg = g, agents, cfg
+
+    def plan(self, measured):
+        t0 = time.perf_counter()
+        problems, maps, _ = build_local_problems(self.g, self.agents, self.cfg.horizon, measured)
+        plans, history = run_dual_decomposition(
+            problems, maps, lambda k: 1.0 / k, self.cfg.admm_iterations)
+        return _first_inputs(problems, plans), {
+            "iterations": len(history), "r_primal": history[-1][1], "r_dual": np.nan,
+            "wall_time": time.perf_counter() - t0}
+
+
+def _shift_blocks(v, layout):
+    """Copy of a vector laid out by `layout` with each agent's states and
+    inputs moved one step earlier; the last entry of each stays."""
+    out = v.copy()
+    T = layout.T
+    for off, (n, m) in zip(layout.starts, layout.dims):
+        u0 = off + (T + 1) * n
+        out[off:off + T * n] = v[off + n:u0]
+        out[u0:u0 + (T - 1) * m] = v[u0 + m:u0 + T * m]
+    return out
 
 
 def _shift_warm_state(engine, result, layout):
@@ -136,32 +218,12 @@ def _shift_warm_state(engine, result, layout):
 
     The final horizon entry is duplicated to fill the freed slot.
     """
-    from .admm import AdmmState
-
     x_new, lam_new = [], []
     for prob, x, lam in zip(engine.problems, result.plans, result.state.lam):
-        xs = x.copy()
-        ls = lam.copy()
-        for pos, mdl in enumerate(prob.models):
-            for t in range(prob.T):
-                xs[prob.state_slice(pos, t)] = x[prob.state_slice(pos, t + 1)]
-                ls[prob.state_slice(pos, t)] = lam[prob.state_slice(pos, t + 1)]
-            for t in range(prob.T - 1):
-                xs[prob.input_slice(pos, t)] = x[prob.input_slice(pos, t + 1)]
-                ls[prob.input_slice(pos, t)] = lam[prob.input_slice(pos, t + 1)]
-        x_new.append(xs)
-        lam_new.append(ls)
-    z = result.z.copy()
-    T = layout.T
-    for j, (n, m) in enumerate(layout.dims, start=1):
-        s0 = layout.state_offset(j, 0)
-        zs = z[s0:s0 + (T + 1) * n].reshape(T + 1, n)
-        zs[:-1] = zs[1:].copy()
-        u0 = layout.input_offset(j, 0)
-        zu = z[u0:u0 + T * m].reshape(T, m)
-        if T > 1:
-            zu[:-1] = zu[1:].copy()
-    return AdmmState(x=x_new, lam=lam_new, z=z, rho=engine.rho)
+        local = ZLayout(prob.models, prob.T)
+        x_new.append(_shift_blocks(x, local))
+        lam_new.append(_shift_blocks(lam, local))
+    return AdmmState(x=x_new, lam=lam_new, z=_shift_blocks(result.z, layout), rho=engine.rho)
 
 
 def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
@@ -169,7 +231,9 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     """Simulate the receding-horizon loop for cfg.num_steps plant updates.
 
     Pre-drawn `initial_states` / `noise` override the seeded generator so
-    paired comparisons consume byte-identical randomness.
+    paired comparisons consume byte-identical randomness. A SolverFailure
+    ends the run early with `aborted_at` and `abort_reason` set; any other
+    exception propagates.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if agents is None:
@@ -181,91 +245,55 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
         noise = draw_noise(g, cfg, rng)
     N = g.num_agents
     n, m = agents[0].n, agents[0].m
-    T = cfg.horizon
 
     states = np.zeros((cfg.num_steps + 1, N, n))
     inputs = np.zeros((cfg.num_steps, N, m))
     stage_costs = np.zeros(cfg.num_steps)
     solver_stats = []
-    solve_times = []
-    max_viol = 0.0
-    aborted_at = None
+    aborted_at = abort_reason = None
     for j, x in enumerate(initial_states):
         states[0, j] = x
 
     if cfg.solver_kind == "centralized":
-        central = _CentralizedCache(g, agents, T, initial_states, cfg.qp_tol)
-        engine = None
+        controller = _CentralizedCache(g, agents, cfg.horizon, initial_states, cfg.qp_tol)
+    elif cfg.solver_kind == "admm":
+        controller = _AdmmController(g, agents, cfg, initial_states, track_dual_average)
     else:
-        problems, maps, z_dim = build_local_problems(g, agents, T, initial_states)
-        engine = AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim,
-                            qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
-        central = None
-    layout = ZLayout(agents, T)
-    warm_state = None
+        controller = _DualDecompController(g, agents, cfg)
 
     try:
         for t in range(cfg.num_steps):
-            measured = [states[t, j].copy() for j in range(N)]
-            t0 = time.perf_counter()
-            if cfg.solver_kind == "centralized":
-                plans = central.solve(measured)
-                first_inputs = [plans[j][0] for j in range(N)]
-                solver_stats.append({"iterations": 1, "r_primal": 0.0, "r_dual": 0.0,
-                                     "wall_time": time.perf_counter() - t0})
-            elif cfg.solver_kind == "admm":
-                engine.rebind_states(measured)
-                if not cfg.warm_start:
-                    engine.reset_warm_starts()
-                    warm_state = None
-                result = engine.run(cfg.admm_iterations, init=warm_state,
-                                    track_dual_average=track_dual_average,
-                                    record_times=True)
-                solve_times.extend(result.solve_times)
-                max_viol = max(max_viol, result.max_dual_avg_violation)
-                if cfg.apply_consensus_input:
-                    _, zin = layout.decode(result.z)
-                    first_inputs = [zin[j][0] for j in range(N)]
-                else:
-                    first_inputs = []
-                    for prob, plan in zip(engine.problems, result.plans):
-                        pos = prob.members.index(prob.owner)
-                        first_inputs.append(plan[prob.input_slice(pos, 0)])
-                rp, rd = result.history[-1][1], result.history[-1][2]
-                solver_stats.append({"iterations": len(result.history), "r_primal": rp,
-                                     "r_dual": rd, "wall_time": time.perf_counter() - t0})
-                warm_state = _shift_warm_state(engine, result, layout) if cfg.warm_start else None
-            else:  # dual_decomp
-                problems, maps, _ = build_local_problems(g, agents, T, measured)
-                plans, history = run_dual_decomposition(
-                    problems, maps, lambda k: 1.0 / k, cfg.admm_iterations)
-                first_inputs = []
-                for prob, plan in zip(problems, plans):
-                    pos = prob.members.index(prob.owner)
-                    first_inputs.append(plan[prob.input_slice(pos, 0)])
-                solver_stats.append({"iterations": len(history),
-                                     "r_primal": history[-1][1], "r_dual": np.nan,
-                                     "wall_time": time.perf_counter() - t0})
-
+            try:
+                first_inputs, stats = controller.plan([states[t, j].copy() for j in range(N)])
+            except SolverFailure as exc:
+                aborted_at, abort_reason = t, str(exc)
+                states, inputs, stage_costs = states[:t + 1], inputs[:t], stage_costs[:t]
+                break
+            solver_stats.append(stats)
             for j in range(N):
                 u = np.clip(first_inputs[j], -agents[j].u_max, agents[j].u_max)
                 inputs[t, j] = u
                 states[t + 1, j] = step(agents[j], states[t, j], u, noise[t, j])
             stage_costs[t] = _stage_cost(g, [states[t, j] for j in range(N)],
                                          [inputs[t, j] for j in range(N)])
-    except RuntimeError:
-        aborted_at = t
-        states = states[:t + 1]
-        inputs = inputs[:t]
-        stage_costs = stage_costs[:t]
     finally:
-        if engine is not None and engine.pool is not None:
-            engine.pool.shutdown()
+        controller.close()
 
     return SimLog(states=states, inputs=inputs, stage_costs=stage_costs,
                   total_cost=float(np.sum(stage_costs)), solver_stats=solver_stats,
-                  solve_times=np.asarray(solve_times), noise_draws=noise,
-                  config=cfg, max_dual_avg_violation=max_viol, aborted_at=aborted_at)
+                  solve_times=np.asarray(controller.solve_times), noise_draws=noise,
+                  config=cfg, max_dual_avg_violation=controller.max_dual_avg_violation,
+                  aborted_at=aborted_at, abort_reason=abort_reason)
+
+
+def solve_centralized(g, agents, T, initial_states, tol=1e-8, max_iter=20000):
+    """Solve the full finite-horizon problem as one condensed box QP.
+
+    Returns (input sequences per agent as (T, m_i) arrays, optimal cost).
+    """
+    central = _CentralizedCache(g, agents, T, initial_states, tol, max_iter)
+    plans = central.solve(initial_states)
+    return plans, float(central.block.cost(central.M @ central.warm + central.c))
 
 
 def closed_loop_cost(log):
@@ -274,6 +302,8 @@ def closed_loop_cost(log):
 
 def performance_ratio(admm_log, central_log):
     """Excess closed-loop cost of a run over its centralized pairing, in %."""
+    if admm_log.aborted_at is not None or central_log.aborted_at is not None:
+        raise ValueError("an aborted run cannot be paired: its cost covers fewer steps")
     if not np.array_equal(admm_log.noise_draws, central_log.noise_draws):
         raise ValueError("paired runs must share the same noise sequence")
     if not np.array_equal(admm_log.states[0], central_log.states[0]):

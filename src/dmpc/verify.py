@@ -6,9 +6,10 @@ from .dynamics import double_integrator_3d, rollout
 from .graph import InfoGraph, path_graph
 from .problem import (ZLayout, build_local_problems, consistent_local_vector,
                       global_cost)
-from .qp import BoxQp, enumerate_box_qp, solve_box_qp, solve_centralized
+from .qp import BoxQp, enumerate_box_qp, solve_box_qp
 from .admm import run_admm
-from .simulation import SimConfig, iteration_sweep, run_closed_loop
+from .simulation import (SimConfig, draw_initial_states, iteration_sweep, run_closed_loop,
+                         solve_centralized)
 
 
 def random_connected_graph(rng, n_max=4):
@@ -28,13 +29,7 @@ def random_scenario(rng, n_max=4, t_max=5):
     g = random_connected_graph(rng, n_max)
     T = int(rng.integers(1, t_max + 1))
     agents = [double_integrator_3d(0.1, 1.0, u_max=1.0) for _ in range(g.num_agents)]
-    x0 = []
-    for _ in range(g.num_agents):
-        x = np.empty(6)
-        x[0::2] = rng.uniform(-2, 2, size=3)
-        x[1::2] = rng.uniform(-1, 1, size=3)
-        x0.append(x)
-    return g, agents, T, x0
+    return g, agents, T, draw_initial_states(g, SimConfig(pos_range=(-2.0, 2.0)), rng)
 
 
 def qp_audit(num_instances=100, seed=7):

@@ -4,9 +4,9 @@ import pytest
 from dmpc import (InfoGraph, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized, solve_equality_qp,
-                  x_update, z_update, dual_update, residuals)
-from dmpc.admm import AdmmState
-from dmpc.problem import ZLayout, augment_with_admm_terms, copy_counts
+                  z_update, dual_update, residuals)
+from dmpc.admm import AdmmState, _AgentCache
+from dmpc.problem import ZLayout, copy_counts, predictions
 
 
 def make_scenario(seed=0, n=3, T=3, u_max=1.0):
@@ -35,11 +35,14 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     s = fresh_state(probs, z_dim, rho=1.3)
     s.z = 0.1 * rng.standard_normal(z_dim)
     s.lam = [0.1 * rng.standard_normal(p.dim) for p in probs]
-    for i, (p, m) in enumerate(zip(probs, maps), start=1):
-        x_new = x_update(i, s, p, m, qp_tol=1e-9)
-        aug = augment_with_admm_terms(p, s.z, s.lam[i - 1], s.rho, m)
+    pred = predictions(probs)
+    for p, m, lam in zip(probs, maps, s.lam):
+        z_loc = s.z[m.global_idx]
+        x_new = _AgentCache(p, pred, s.rho, qp_tol=1e-9).solve(lam, z_loc, 1)
+        # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(aug.H, aug.g, A_eq, b_eq)
+        x_ref = solve_equality_qp(p.H + s.rho * np.eye(p.dim), p.g + lam - s.rho * z_loc,
+                                  A_eq, b_eq)
         assert np.max(np.abs(x_new - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_new - b_eq)) <= 1e-10
 
@@ -50,9 +53,10 @@ def test_x_update_fixed_point_at_convergence():
                    eps_primal=1e-10, eps_dual=1e-10, qp_tol=1e-9)
     assert res.converged
     s = res.state
-    for i, (p, m) in enumerate(zip(probs, maps), start=1):
-        x_new = x_update(i, s, p, m, qp_tol=1e-9)
-        assert np.max(np.abs(x_new - s.x[i - 1])) <= 1e-6
+    pred = predictions(probs)
+    for p, m, lam, x in zip(probs, maps, s.lam, s.x):
+        x_new = _AgentCache(p, pred, s.rho, qp_tol=1e-9).solve(lam, s.z[m.global_idx], s.k + 1)
+        assert np.max(np.abs(x_new - x)) <= 1e-6
 
 
 def test_z_update_averages_copies():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dmpc import ConfigError, parse_config
@@ -129,6 +130,19 @@ def test_simulate_solver_and_seed_overrides(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["solver"] == "centralized"
     assert summary["config"]["sim"]["seed"] == 123
+
+
+def test_simulate_reports_why_it_aborted(tmp_path, capsys, monkeypatch):
+    from dmpc import QpSolution, admm
+
+    monkeypatch.setattr(admm, "solve_box_qp", lambda qp, **kw: QpSolution(
+        np.zeros(qp.dim), "max_iterations", 0.5, 3, message="stalled"))
+    out = tmp_path / "cut"
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "step 0" in err and "agent 1" in err and "stalled" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted_at"] == 0 and "stalled" in summary["abort_reason"]
 
 
 def test_simulate_missing_config_errors():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dmpc import (InfoGraph, augment_with_admm_terms, build_local_problems,
-                  condense, double_integrator_3d, global_cost, path_graph,
-                  solve_box_qp, solve_equality_qp)
-from dmpc.problem import ZLayout, consistent_local_vector, copy_counts
+from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
+                  global_cost, path_graph, solve_box_qp, solve_equality_qp)
+from dmpc.admm import _AgentCache
+from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
+                          condensed_maps, consistent_local_vector, copy_counts, predictions)
+from dmpc.verify import random_connected_graph
 
 
 def make_agents(n, u_max=1.0):
@@ -135,11 +137,18 @@ def test_global_cost_dimension_mismatch():
                     [np.zeros((2, 3)), np.zeros((2, 3))])
 
 
+def condensed_qp(p):
+    """Condensed box QP of `p` from the core routines, and its (M, c)."""
+    M, c = condensed_maps(p, predictions([p]))
+    qp = BoxQp(condensed_hessian(p, M), M.T @ (p.H @ c + p.g), *condensed_bounds(p))
+    return qp, (M, c)
+
+
 def test_condense_single_agent_one_step():
     g = InfoGraph(1)
     a = double_integrator_3d(0.1, 1.0)
     probs, _, _ = build_local_problems(g, [a], 1, [np.zeros(6)])
-    qp, exp = condense(probs[0])
+    qp, _ = condensed_qp(probs[0])
     assert qp.dim == 3
     # no coupling: only the input energy survives, P = 2 I
     assert np.allclose(qp.P, 2.0 * np.eye(3))
@@ -150,7 +159,7 @@ def test_condense_consensus_start_needs_no_input():
     g = InfoGraph(2, {(1, 2): 1.0})
     probs, _, _ = build_local_problems(g, make_agents(2), 3,
                                        [np.zeros(6), np.zeros(6)])
-    qp, exp = condense(probs[0])
+    qp, _ = condensed_qp(probs[0])
     sol = solve_box_qp(qp, tol=1e-10, max_iter=10000)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.x_star)) <= 1e-8
@@ -162,27 +171,18 @@ def test_condense_matches_equality_qp_oracle():
     agents = make_agents(2, u_max=np.inf)
     probs, _, _ = build_local_problems(g, agents, 2, random_states(rng, 2))
     for p in probs:
-        qp, exp = condense(p)
+        qp, (M, c) = condensed_qp(p)
         sol = solve_box_qp(qp, tol=1e-10, max_iter=20000)
         assert sol.status == "optimal"
-        x_cond = exp.expand(sol.x_star)
+        x_cond = M @ sol.x_star + c
         A_eq, b_eq = p.dynamics_equalities()
         x_ref = solve_equality_qp(p.H, p.g, A_eq, b_eq)
         assert np.max(np.abs(x_cond - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_cond - b_eq)) <= 1e-10
 
 
-def test_augment_identity_when_disabled():
-    rng = np.random.default_rng(2)
-    g = InfoGraph(2, {(1, 2): 1.0})
-    probs, maps, z_dim = build_local_problems(g, make_agents(2), 2, random_states(rng, 2))
-    p = probs[0]
-    aug = augment_with_admm_terms(p, np.zeros(z_dim), np.zeros(p.dim), 0.0, maps[0])
-    x = rng.standard_normal(p.dim)
-    assert aug.cost(x) == pytest.approx(p.cost(x))
-
-
 def test_augment_value_matches_term_by_term():
+    # the x-update's condensed QP is the augmented local cost over x = M u + c
     rng = np.random.default_rng(3)
     g = InfoGraph(2, {(1, 2): 1.0})
     probs, maps, z_dim = build_local_problems(g, make_agents(2), 2, random_states(rng, 2))
@@ -190,52 +190,34 @@ def test_augment_value_matches_term_by_term():
     z = rng.standard_normal(z_dim)
     lam = rng.standard_normal(p.dim)
     rho = 1.7
-    aug = augment_with_admm_terms(p, z, lam, rho, m)
-    for _ in range(5):
-        x = rng.standard_normal(p.dim)
+    cache = _AgentCache(p, predictions(probs), rho, qp_tol=1e-9)
+    q = cache.q_static + cache.M.T @ (lam - rho * z[m.global_idx])
+
+    def augmented(x):
         d = x - z[m.global_idx]
-        expected = p.cost(x) + lam @ d + 0.5 * rho * (d @ d)
-        # constant terms -lam' Ez + (rho/2)||Ez||^2 are dropped from the
-        # stored quadratic; compare differences against a reference point
-        x_ref = np.zeros(p.dim)
-        d_ref = x_ref - z[m.global_idx]
-        expected_ref = p.cost(x_ref) + lam @ d_ref + 0.5 * rho * (d_ref @ d_ref)
-        assert (aug.cost(x) - aug.cost(x_ref)) == pytest.approx(
-            expected - expected_ref, rel=1e-9, abs=1e-9)
+        return p.cost(x) + lam @ d + 0.5 * rho * (d @ d)
+
+    # constant terms are dropped from the condensed quadratic; compare
+    # differences against a reference point
+    u_ref = np.zeros(cache.M.shape[1])
+    for _ in range(5):
+        u = rng.standard_normal(cache.M.shape[1])
+        got = 0.5 * u @ cache.P @ u + q @ u
+        expected = augmented(cache.M @ u + cache.c) - augmented(cache.M @ u_ref + cache.c)
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_augment_pure_proximal_minimizer():
-    # f == 0: minimizer of the augmented cost is E z - lam / rho
-    rng = np.random.default_rng(4)
-    g = InfoGraph(2, {(1, 2): 1.0})
-    probs, maps, z_dim = build_local_problems(g, make_agents(2), 2,
-                                              [np.zeros(6), np.zeros(6)])
-    from dataclasses import replace
-    p = replace(probs[0], H=np.zeros((probs[0].dim,) * 2), g=np.zeros(probs[0].dim))
-    m = maps[0]
-    z = rng.standard_normal(z_dim)
-    lam = rng.standard_normal(p.dim)
-    rho = 2.5
-    aug = augment_with_admm_terms(p, z, lam, rho, m)
-    x_star = solve_equality_qp(aug.H, aug.g)
-    assert np.max(np.abs(x_star - (z[m.global_idx] - lam / rho))) <= 1e-10
-
-
-def test_augment_dimension_mismatch():
-    g = InfoGraph(2, {(1, 2): 1.0})
-    probs, maps, z_dim = build_local_problems(g, make_agents(2), 2,
-                                              [np.zeros(6), np.zeros(6)])
-    with pytest.raises(ValueError):
-        augment_with_admm_terms(probs[0], np.zeros(z_dim), np.zeros(3), 1.0, maps[0])
-
-
-def test_index_map_entries_expose_tags():
-    g = InfoGraph(2, {(1, 2): 1.0})
-    _, maps, _ = build_local_problems(g, make_agents(2), 1,
-                                      [np.zeros(6), np.zeros(6)])
-    entries = maps[0].entries
-    assert len(entries) == 30
-    local_offsets = [e[0] for e in entries]
-    assert local_offsets == sorted(set(local_offsets))
-    first_tag = entries[0][2]
-    assert first_tag.agent == 1 and first_tag.kind == "state" and first_tag.t == 0
+def test_centralized_hessian_is_sum_of_local_hessians():
+    # cost decomposition: H = sum_i E_i' H_i E_i, on non-unit edge weights
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        g = random_connected_graph(rng, n_max=6)
+        T = int(rng.integers(1, 5))
+        agents = make_agents(g.num_agents)
+        x0 = random_states(rng, g.num_agents)
+        probs, maps, z_dim = build_local_problems(g, agents, T, x0)
+        total = np.zeros((z_dim, z_dim))
+        for p, m in zip(probs, maps):
+            total[np.ix_(m.global_idx, m.global_idx)] += p.H
+        block = build_centralized_qp(g, agents, T, x0)[0]
+        assert np.max(np.abs(block.H - total)) <= 1e-12

@@ -4,6 +4,7 @@ import pytest
 from dmpc import (BoxQp, InfoGraph, double_integrator_3d, enumerate_box_qp,
                   global_cost, path_graph, rollout, solve_box_qp,
                   solve_centralized, solve_equality_qp)
+from dmpc.problem import ZLayout, build_centralized_qp
 
 
 def random_psd_qp(rng, n):
@@ -142,10 +143,14 @@ def test_centralized_matches_equality_oracle_unconstrained():
     agents = [double_integrator_3d(0.1, 1.0, u_max=np.inf) for _ in range(2)]
     x0 = [rng.standard_normal(6) for _ in range(2)]
     plans, cost = solve_centralized(g, agents, 1, x0, tol=1e-10)
-    from dmpc.problem import build_centralized_qp
-    qp, exp, H = build_centralized_qp(g, agents, 1, x0)
-    u_ref = solve_equality_qp(qp.P, qp.q)
-    assert np.max(np.abs(np.concatenate([p.ravel() for p in plans]) - u_ref)) <= 1e-8
+    # KKT oracle over the whole-network trajectory, dynamics as equalities
+    block = build_centralized_qp(g, agents, 1, x0)[0]
+    A_eq, b_eq = block.dynamics_equalities()
+    v_ref = solve_equality_qp(block.H, block.g, A_eq, b_eq)
+    _, u_ref = ZLayout(agents, 1).decode(v_ref)
+    for u, r in zip(plans, u_ref):
+        assert np.max(np.abs(u - r)) <= 1e-8
+    assert cost == pytest.approx(block.cost(v_ref), rel=1e-9)
 
 
 def test_centralized_beats_zero_input_plan():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dmpc import (SimConfig, closed_loop_cost, draw_initial_states, draw_noise,
+from dmpc import (QpSolution, SimConfig, closed_loop_cost, draw_initial_states, draw_noise,
                   iteration_sweep, path_graph, performance_ratio,
                   run_closed_loop)
+from dmpc import admm, simulation
 from dmpc.simulation import default_agents
 
 
@@ -23,6 +26,14 @@ def test_config_validation():
         SimConfig(admm_iterations=0)
     with pytest.raises(ValueError):
         SimConfig(noise_variance=-0.1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("horizon", 0), ("rho", 0.0), ("rho", -1.0), ("qp_tol", 0.0), ("qp_tol", -1.0),
+    ("pos_range", (3.0, 1.0)), ("vel_range", (0.5, -0.5))])
+def test_config_rejects_bad_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: value})
 
 
 def test_draw_initial_states_within_ranges():
@@ -168,3 +179,42 @@ def test_iteration_sweep_rows_and_ordering():
     assert abs(rows[1][1]) <= 0.1
     with pytest.raises(ValueError):
         iteration_sweep(g, cfg, [1], num_trials=0)
+
+
+def stalled_qp(qp, **kwargs):
+    return QpSolution(np.zeros(qp.dim), "max_iterations", 0.5, 3, message="stalled")
+
+
+@pytest.mark.parametrize("module, kind, fragments", [
+    (admm, "admm", ("agent 1", "iteration 1", "max_iterations", "stalled")),
+    (simulation, "centralized", ("centralized QP", "max_iterations", "stalled"))])
+def test_solver_failure_aborts_with_its_reason(monkeypatch, module, kind, fragments):
+    monkeypatch.setattr(module, "solve_box_qp", stalled_qp)
+    log = run_closed_loop(path_graph(3), small_cfg(solver_kind=kind))
+    assert log.aborted_at == 0
+    assert all(f in log.abort_reason for f in fragments), log.abort_reason
+    assert log.states.shape[0] == 1 and log.inputs.shape[0] == 0
+
+
+def test_other_runtime_errors_propagate(monkeypatch):
+    def broken(qp, **kwargs):
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(admm, "solve_box_qp", broken)
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        run_closed_loop(path_graph(3), small_cfg())
+
+
+def test_performance_ratio_rejects_aborted_runs():
+    g = path_graph(3)
+    cfg = small_cfg(noise_variance=0.1)
+    full = run_closed_loop(g, cfg)
+    central = run_closed_loop(g, replace(cfg, solver_kind="centralized"))
+    # a run cut at step 3 sums fewer stage costs: it must not read as cheaper
+    cut = replace(full, states=full.states[:4], inputs=full.inputs[:3],
+                  stage_costs=full.stage_costs[:3], aborted_at=3,
+                  abort_reason="subproblem of agent 2 failed at iteration 4: stalled")
+    performance_ratio(full, central)
+    for pair in ((cut, central), (central, cut)):
+        with pytest.raises(ValueError, match="aborted"):
+            performance_ratio(*pair)
