@@ -6,6 +6,7 @@ averaging, then every agent takes a dual step. Reduction order is fixed
 by agent index so parallel runs reproduce serial results bitwise.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor
 
-from .problem import (condensed_bounds, condensed_hessian, condensed_maps, copy_counts,
-                      predictions)
+from .problem import (check_finite_states, condensed_bounds, condensed_hessian, condensed_maps,
+                      copy_counts, predictions)
 from .qp import BoxQp, power_iteration_lmax, solve_box_qp
 
 
@@ -47,46 +48,41 @@ class AdmmResult:
     plans: list        # final per-agent local vectors
     z: np.ndarray
     state: AdmmState
-    history: list      # rows (k, r_primal, r_dual, objective)
+    history: list      # rows (k, r_primal, r_dual)
     converged: bool
+    objective: float   # sum of the local costs at the final iterate
     solve_times: list = field(default_factory=list)
     max_dual_avg_violation: float = 0.0
 
 
-def z_update(state, maps, counts=None):
-    """Componentwise average of every local copy mapping to each z entry."""
-    z_dim = state.z.shape[0]
-    if counts is None:
-        counts = copy_counts(maps, z_dim)
-    acc = np.zeros(z_dim)
-    for m, x in zip(maps, state.x):
-        np.add.at(acc, m.global_idx, x)
-    return acc / counts
+def z_update(x_cat, E, counts):
+    """Componentwise average of every local copy mapping to each z entry.
+
+    `x_cat` stacks the agents' local vectors and `E` their z indices in the
+    same order. bincount adds the copies in that order, so the sums equal
+    those of a per-agent np.add.at loop bit for bit.
+    """
+    return np.bincount(E, weights=x_cat, minlength=counts.shape[0]) / counts
 
 
-def dual_update(i, state, map_):
-    """lam_i <- lam_i + rho (x_i - E_i z), with x and z at the new iterate."""
-    return state.lam[i - 1] + state.rho * (state.x[i - 1] - state.z[map_.global_idx])
+def dual_update(lam_cat, x_cat, zE, rho):
+    """lam <- lam + rho (x - E z) for every agent at once, with x and z at
+    the new iterate and zE = z[E]. Returns the new duals and x - E z."""
+    diff = x_cat - zE
+    return lam_cat + rho * diff, diff
 
 
-def residuals(state, maps, z_prev, counts=None):
-    """Primal: copy disagreement with z. Dual: scaled z motion."""
-    rp2 = 0.0
-    for m, x in zip(maps, state.x):
-        d = x - state.z[m.global_idx]
-        rp2 += float(d @ d)
-    if counts is None:
-        counts = copy_counts(maps, state.z.shape[0])
-    dz = state.z - z_prev
-    rd = state.rho * float(np.sqrt(np.sum(counts * dz * dz)))
-    return float(np.sqrt(rp2)), rd
+def residuals(diff, dz, counts, rho):
+    """Primal: copy disagreement ||x - E z||, from diff = x - E z.
+    Dual: scaled z motion rho ||E dz||, from dz = z - z_prev."""
+    return float(np.sqrt(diff @ diff)), rho * float(np.sqrt(np.sum(counts * dz * dz)))
 
 
 class _AgentCache:
     """Per-agent condensed structure reused across iterations and MPC steps.
 
-    Everything that depends only on topology, horizon, and rho is
-    factorized once; rebinding measured states refreshes only the affine
+    Everything that depends only on topology, horizon, and rho is validated
+    and factorized once; rebinding measured states refreshes only the affine
     offset and the static part of the gradient. `solve` is the x-update.
     """
 
@@ -99,10 +95,11 @@ class _AgentCache:
         self.M = M
         self.Mt = M.T
         P = M.T @ (problem.H @ M) + rho * (M.T @ M)
-        self.P = 0.5 * (P + P.T)
-        self.cho = cho_factor(self.P)
-        self.lipschitz = power_iteration_lmax(self.P)
-        self.lo, self.hi = condensed_bounds(problem)
+        P = 0.5 * (P + P.T)
+        self.cho = cho_factor(P)
+        self.lipschitz = power_iteration_lmax(P)
+        lo, hi = condensed_bounds(problem)
+        self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
         self.warm = None
         self.rebind_states(problem.x0)
 
@@ -116,8 +113,7 @@ class _AgentCache:
     def solve(self, lam, z_loc, k, qp_max_iter=20000):
         """Minimize the local cost plus lam'(x - E z) + (rho/2)||x - E z||^2 at iteration k."""
         q = self.q_static + self.Mt @ (lam - self.rho * z_loc)
-        qp = BoxQp(self.P, q, self.lo, self.hi)
-        sol = solve_box_qp(qp, tol=self.qp_tol, max_iter=qp_max_iter,
+        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, max_iter=qp_max_iter,
                            x0=self.warm, lipschitz=self.lipschitz, cho=self.cho)
         if sol.status != "optimal":
             raise SolverFailure(self.problem.owner, k, f"{sol.status}: {sol.message}")
@@ -125,8 +121,20 @@ class _AgentCache:
         return self.M @ sol.x_star + self.c
 
 
+def _timed_solve(cache, lam, z_loc, k):
+    """The x-update of one agent and its wall time, measured where it runs."""
+    t0 = time.perf_counter()
+    x = cache.solve(lam, z_loc, k)
+    return x, time.perf_counter() - t0
+
+
 class AdmmEngine:
-    """Runs Algorithm-style ADMM sweeps over a fixed set of subproblems."""
+    """Runs Algorithm-style ADMM sweeps over a fixed set of subproblems.
+
+    The iteration works on stacked vectors: x_cat and lam_cat concatenate
+    the agents' local vectors in agent order and E = concat(global_idx)
+    maps each entry to its z component.
+    """
 
     def __init__(self, problems, maps, rho, z_dim=None, qp_tol=1e-6, parallel=False):
         if rho <= 0:
@@ -136,11 +144,16 @@ class AdmmEngine:
         self.rho = rho
         self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
         self.counts = copy_counts(self.maps, self.z_dim)
+        self.E = np.concatenate([m.global_idx for m in self.maps])
+        ends = np.cumsum([p.dim for p in self.problems])
+        self.slices = [slice(e - p.dim, e) for p, e in zip(self.problems, ends)]
         pred = predictions(self.problems)
         self.caches = [_AgentCache(p, pred, rho, qp_tol) for p in self.problems]
-        self.pool = ThreadPoolExecutor(max_workers=len(problems)) if parallel else None
+        workers = min(len(self.problems), os.cpu_count() or 1)
+        self.pool = ThreadPoolExecutor(max_workers=workers) if parallel else None
 
     def rebind_states(self, initial_states):
+        check_finite_states(initial_states)
         for cache in self.caches:
             cache.rebind_states([initial_states[j - 1] for j in cache.problem.members])
         self.problems = [c.problem for c in self.caches]
@@ -158,39 +171,41 @@ class AdmmEngine:
                 z=np.zeros(self.z_dim), rho=self.rho)
         else:
             state = init
+        E, counts, rho = self.E, self.counts, self.rho
+        xs = list(state.x)
+        lam_cat = np.concatenate(state.lam)
+        z = state.z
+        zE = z[E]
+        solve_all = map if self.pool is None else self.pool.map
         history = []
         solve_times = []
         max_viol = 0.0
         converged = False
         for k in range(1, max_iter + 1):
-            if self.pool is not None:
-                futures = [self.pool.submit(c.solve, lam, state.z[m.global_idx], k)
-                           for c, m, lam in zip(self.caches, self.maps, state.lam)]
-                state.x[:] = [fut.result() for fut in futures]
-            else:
-                for i, (c, m, lam) in enumerate(zip(self.caches, self.maps, state.lam)):
-                    t0 = time.perf_counter()
-                    state.x[i] = c.solve(lam, state.z[m.global_idx], k)
-                    solve_times.append(time.perf_counter() - t0)
-            z_prev = state.z
-            state.z = z_update(state, self.maps, self.counts)
-            for i, m in enumerate(self.maps):
-                state.lam[i] = dual_update(i + 1, state, m)
+            xs = []
+            for x, dt in solve_all(_timed_solve, self.caches, [lam_cat[s] for s in self.slices],
+                                   [zE[s] for s in self.slices], [k] * len(self.caches)):
+                xs.append(x)
+                solve_times.append(dt)
+            x_cat = np.concatenate(xs)
+            z_prev = z
+            z = z_update(x_cat, E, counts)
+            zE = z[E]
+            lam_cat, diff = dual_update(lam_cat, x_cat, zE, rho)
             if track_dual_average:
-                acc = np.zeros(self.z_dim)
-                for m, lam in zip(self.maps, state.lam):
-                    np.add.at(acc, m.global_idx, lam)
-                max_viol = max(max_viol, float(np.max(np.abs(acc), initial=0.0)))
-            rp, rd = residuals(state, self.maps, z_prev, self.counts)
+                lam_sum = np.bincount(E, weights=lam_cat, minlength=self.z_dim)
+                max_viol = max(max_viol, float(np.max(np.abs(lam_sum), initial=0.0)))
+            rp, rd = residuals(diff, z - z_prev, counts, rho)
             state.k = k
             state.history.append((rp, rd))
-            obj = sum(c.problem.cost(x) for c, x in zip(self.caches, state.x))
-            history.append((k, rp, rd, obj))
+            history.append((k, rp, rd))
             if rp <= eps_primal and rd <= eps_dual:
                 converged = True
                 break
-        return AdmmResult(plans=list(state.x), z=state.z, state=state,
-                          history=history, converged=converged,
+        state.x, state.lam, state.z = xs, [lam_cat[s] for s in self.slices], z
+        objective = sum(c.problem.cost(x) for c, x in zip(self.caches, xs))
+        return AdmmResult(plans=list(xs), z=z, state=state, history=history,
+                          converged=converged, objective=objective,
                           solve_times=solve_times, max_dual_avg_violation=max_viol)
 
 
@@ -268,7 +283,7 @@ def run_dual_decomposition(problems, maps, alpha_schedule, max_iter,
             lin[ip][_member_block(problems[ip], kp)] += lam
             lin[jp][_member_block(problems[jp], op)] -= lam
         for i, (p, qp, (M, c)) in enumerate(zip(problems, qps, expansions)):
-            sol = solve_box_qp(replace(qp, q=qp.q + M.T @ lin[i]), tol=qp_tol,
+            sol = solve_box_qp(qp.with_q(qp.q + M.T @ lin[i]), tol=qp_tol,
                                max_iter=qp_max_iter, x0=warm[i], lipschitz=lipschitz[i])
             if sol.status != "optimal":
                 raise SolverFailure(p.owner, k, f"{sol.status}: {sol.message}")

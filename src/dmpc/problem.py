@@ -149,6 +149,13 @@ def _block(owner, T, members, agents, states, edges, input_owners):
     return p
 
 
+def check_finite_states(states):
+    """Raise ValueError naming the first agent whose measured state is not finite."""
+    for j, x in enumerate(states, start=1):
+        if not np.isfinite(x).all():
+            raise ValueError(f"measured state of agent {j} is not finite")
+
+
 def build_local_problems(g, agents, T, initial_states):
     """Construct every agent's subproblem, its selector map, and dim(z).
 
@@ -166,6 +173,7 @@ def build_local_problems(g, agents, T, initial_states):
     for j, (a, x) in enumerate(zip(agents, initial_states), start=1):
         if x.shape != (a.n,):
             raise ValueError(f"initial state of agent {j} has shape {x.shape}, expected ({a.n},)")
+    check_finite_states(initial_states)
 
     layout = ZLayout(agents, T)
     problems, maps = [], []

@@ -4,7 +4,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,15 @@ class BoxQp:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    def with_q(self, q):
+        """The same P and box with linear term q; only q's shape is checked."""
+        q = np.asarray(q, dtype=float)
+        if q.shape != self.q.shape:
+            raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
+        new = object.__new__(BoxQp)
+        new.__dict__.update(self.__dict__, q=q)
+        return new
+
     @property
     def dim(self):
         return self.q.shape[0]
@@ -41,13 +51,13 @@ class BoxQp:
         return 0.5 * x @ self.P @ x + self.q @ x
 
     def project(self, x):
-        return np.clip(x, self.lower, self.upper)
+        return x.clip(self.lower, self.upper)
 
     def kkt_residual(self, x, grad=None):
         """Projected-gradient optimality measure, zero at a KKT point."""
         if grad is None:
             grad = self.P @ x + self.q
-        return np.max(np.abs(x - self.project(x - grad)), initial=0.0)
+        return np.abs(x - self.project(x - grad)).max(initial=0.0)
 
 
 @dataclass
@@ -131,12 +141,12 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
     """Monotone accelerated projected gradient with restart.
 
     A cached Cholesky factor of P may be supplied (`cho`, as returned by
-    scipy's cho_factor); when the unconstrained minimizer it yields is
-    feasible the solve finishes without iterating. `lipschitz` short-cuts
-    the power-iteration step bound.
+    scipy's cho_factor, used as it is); when the unconstrained minimizer it
+    yields is feasible the solve finishes without iterating. A non-finite q
+    raises ValueError. `lipschitz` short-cuts the power-iteration step bound.
     """
     n = qp.dim
-    if np.any(qp.lower > qp.upper):
+    if (qp.lower > qp.upper).any():
         return QpSolution(np.full(n, np.nan), "infeasible_bounds", np.inf, 0,
                           message="lower bound exceeds upper bound")
     if n == 0:
@@ -150,12 +160,17 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
         except np.linalg.LinAlgError:
             cho = False
     if cho is not False:
-        xu = cho_solve(cho, -qp.q)
-        if np.all(xu >= qp.lower - 1e-12) and np.all(xu <= qp.upper + 1e-12):
+        if not np.isfinite(qp.q).all():
+            raise ValueError("q must contain only finite values")
+        xu, info = dpotrs(cho[0], -qp.q, lower=cho[1], overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+        if (xu >= qp.lower - 1e-12).all() and (xu <= qp.upper + 1e-12).all():
             x = qp.project(xu)
-            res = qp.kkt_residual(x)
+            grad = qp.P @ x + qp.q
+            res = qp.kkt_residual(x, grad)
             if res <= tol:
-                return QpSolution(x, "optimal", res, 0, qp.objective(x))
+                return QpSolution(x, "optimal", res, 0, 0.5 * x @ (grad + qp.q))
         start = qp.project(xu) if x0 is None else qp.project(np.asarray(x0, dtype=float))
     else:
         start = qp.project(np.zeros(n)) if x0 is None else qp.project(np.asarray(x0, dtype=float))

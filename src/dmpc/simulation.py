@@ -113,24 +113,28 @@ def _first_inputs(problems, plans):
 
 
 class _CentralizedCache(_Controller):
-    """The centralized controller: the whole-network QP, factorized once;
-    each step forms only c = Phi x0 and the gradient from the measured states."""
+    """The centralized controller: the whole-network QP, validated and
+    factorized once. The gradient M'H c is linear in the measured states,
+    c = C x0 stacking each agent's Phi x0, so G = M'H C is formed once and
+    each step's gradient is G x0."""
 
     def __init__(self, g, agents, T, initial_states, qp_tol, max_iter=50000):
-        self.block, self.pred, self.M, self.P = build_centralized_qp(g, agents, T, initial_states)
-        self.lo, self.hi = condensed_bounds(self.block)
-        self.cho = cho_factor(self.P)
-        self.lipschitz = power_iteration_lmax(self.P)
+        self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
+        self.qp = BoxQp(P, np.zeros(P.shape[0]), *condensed_bounds(self.block))
+        H, phis = self.block.H, [self.pred[j][0] for j in self.block.members]
+        HC = np.hstack([H[:, off:off + Phi.shape[0]] @ Phi
+                        for off, Phi in zip(self.block.member_offsets(), phis)])
+        self.G = self.M.T @ HC
+        self.cho = cho_factor(P)
+        self.lipschitz = power_iteration_lmax(P)
         self.qp_tol = qp_tol
         self.max_iter = max_iter
         self.warm = None
 
     def solve(self, initial_states):
         """Input plans, one (T, m) array per agent, from the measured states."""
-        self.block = replace(self.block, x0=tuple(np.asarray(x, float) for x in initial_states))
-        _, self.c = condensed_maps(self.block, self.pred, self.M)
-        q = self.M.T @ (self.block.H @ self.c)
-        sol = solve_box_qp(BoxQp(self.P, q, self.lo, self.hi), tol=self.qp_tol,
+        q = self.G @ np.concatenate(initial_states)
+        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol,
                            max_iter=self.max_iter, x0=self.warm,
                            lipschitz=self.lipschitz, cho=self.cho)
         if sol.status != "optimal":
@@ -173,7 +177,7 @@ class _AdmmController(_Controller):
         self.max_dual_avg_violation = max(self.max_dual_avg_violation,
                                           result.max_dual_avg_violation)
         first_inputs = _first_inputs(engine.problems, result.plans)
-        _, rp, rd, _ = result.history[-1]
+        _, rp, rd = result.history[-1]
         stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
                  "wall_time": time.perf_counter() - t0}
         if self.cfg.warm_start:
@@ -293,7 +297,8 @@ def solve_centralized(g, agents, T, initial_states, tol=1e-8, max_iter=20000):
     """
     central = _CentralizedCache(g, agents, T, initial_states, tol, max_iter)
     plans = central.solve(initial_states)
-    return plans, float(central.block.cost(central.M @ central.warm + central.c))
+    _, c = condensed_maps(central.block, central.pred, central.M)
+    return plans, float(central.block.cost(central.M @ central.warm + c))
 
 
 def closed_loop_cost(log):

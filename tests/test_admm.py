@@ -59,27 +59,31 @@ def test_x_update_fixed_point_at_convergence():
         assert np.max(np.abs(x_new - x)) <= 1e-6
 
 
+def stacked(maps, vectors):
+    """Per-agent vectors as the engine stacks them, with the index map E."""
+    return np.concatenate(vectors), np.concatenate([m.global_idx for m in maps])
+
+
 def test_z_update_averages_copies():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=4, n=2, T=1)
-    s = fresh_state(probs, z_dim)
+    counts = copy_counts(maps, z_dim)
     # all copies equal a constant -> z equals it
-    s.x = [np.full(p.dim, 3.25) for p in probs]
-    assert np.allclose(z_update(s, maps), 3.25)
+    x_cat, E = stacked(maps, [np.full(p.dim, 3.25) for p in probs])
+    assert np.allclose(z_update(x_cat, E, counts), 3.25)
     # copies 0 and 1 of the same component -> 0.5
-    s.x = [np.zeros(probs[0].dim), np.ones(probs[1].dim)]
-    z = z_update(s, maps)
+    x_cat, E = stacked(maps, [np.zeros(probs[0].dim), np.ones(probs[1].dim)])
+    z = z_update(x_cat, E, counts)
     assert np.allclose(z, 0.5)
 
 
 def test_z_update_matches_second_pass():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=5)
     rng = np.random.default_rng(6)
-    s = fresh_state(probs, z_dim)
-    s.x = [rng.standard_normal(p.dim) for p in probs]
-    z = z_update(s, maps)
+    xs = [rng.standard_normal(p.dim) for p in probs]
+    z = z_update(*stacked(maps, xs), copy_counts(maps, z_dim))
     # brute-force recomputation per component
     for c in rng.integers(0, z_dim, size=40):
-        copies = [x[np.flatnonzero(m.global_idx == c)] for m, x in zip(maps, s.x)]
+        copies = [x[np.flatnonzero(m.global_idx == c)] for m, x in zip(maps, xs)]
         vals = np.concatenate(copies)
         assert z[c] == pytest.approx(np.mean(vals), rel=1e-12, abs=1e-12)
 
@@ -87,14 +91,17 @@ def test_z_update_matches_second_pass():
 def test_dual_update_rules():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=7, n=2, T=1)
     s = fresh_state(probs, z_dim, rho=2.0)
-    m = maps[0]
-    s.x[0] = s.z[m.global_idx].copy()
-    assert np.array_equal(dual_update(1, s, m), s.lam[0])
-    s.x[0] = s.z[m.global_idx].copy()
+    s.x = [s.z[m.global_idx].copy() for m in maps]
+    x_cat, E = stacked(maps, s.x)
+    lam_cat = np.concatenate(s.lam)
+    lam, diff = dual_update(lam_cat, x_cat, s.z[E], s.rho)
+    assert np.array_equal(lam, lam_cat) and not diff.any()
     s.x[0][0] += 1.0
-    lam = dual_update(1, s, m)
+    x_cat, _ = stacked(maps, s.x)
+    lam, diff = dual_update(lam_cat, x_cat, s.z[E], s.rho)
     assert lam[0] == pytest.approx(2.0)
     assert np.allclose(lam[1:], 0.0)
+    assert np.array_equal(diff, x_cat - s.z[E])
 
 
 def test_dual_average_is_zero_after_each_iteration():
@@ -106,23 +113,25 @@ def test_dual_average_is_zero_after_each_iteration():
 def test_residuals_examples():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=9, n=2, T=1)
     counts = copy_counts(maps, z_dim)
-    s = fresh_state(probs, z_dim, rho=1.5)
-    z_prev = s.z.copy()
-    s.x = [s.z[m.global_idx].copy() for m in maps]
-    assert residuals(s, maps, z_prev) == (0.0, 0.0)
-    s.x[0][3] += 0.25
-    rp, rd = residuals(s, maps, z_prev)
+    E = np.concatenate([m.global_idx for m in maps])
+    rho = 1.5
+    z = np.zeros(z_dim)
+    z_prev = z.copy()
+    xs = [z[m.global_idx].copy() for m in maps]
+    assert residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho) == (0.0, 0.0)
+    xs[0][3] += 0.25
+    rp, rd = residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho)
     assert rp == pytest.approx(0.25)
     assert rd == 0.0
     # random state vs brute force
     rng = np.random.default_rng(10)
-    s.x = [rng.standard_normal(p.dim) for p in probs]
-    s.z = rng.standard_normal(z_dim)
+    xs = [rng.standard_normal(p.dim) for p in probs]
+    z = rng.standard_normal(z_dim)
     z_prev = rng.standard_normal(z_dim)
-    rp, rd = residuals(s, maps, z_prev)
-    rp_ref = np.sqrt(sum(np.sum((x - s.z[m.global_idx]) ** 2)
-                         for x, m in zip(s.x, maps)))
-    rd_ref = s.rho * np.sqrt(np.sum(counts * (s.z - z_prev) ** 2))
+    rp, rd = residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho)
+    rp_ref = np.sqrt(sum(np.sum((x - z[m.global_idx]) ** 2)
+                         for x, m in zip(xs, maps)))
+    rd_ref = rho * np.sqrt(np.sum(counts * (z - z_prev) ** 2))
     assert rp == pytest.approx(rp_ref, rel=1e-12)
     assert rd == pytest.approx(rd_ref, rel=1e-12)
 
@@ -234,3 +243,37 @@ def test_solver_failure_carries_agent_context():
     err = SolverFailure(2, 5, "boom")
     assert err.agent == 2 and err.iteration == 5
     assert "agent 2" in str(err)
+
+
+def test_run_builds_no_new_box_qp(monkeypatch):
+    # P and the box are validated once per engine; every x-update only swaps q
+    from dmpc.admm import AdmmEngine
+    from dmpc.qp import BoxQp
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=18)
+    engine = AdmmEngine(probs, maps, rho=1.0, z_dim=z_dim)
+    calls = []
+    orig = BoxQp.__post_init__
+    monkeypatch.setattr(BoxQp, "__post_init__", lambda self: calls.append(1) or orig(self))
+    res = engine.run(6)
+    assert len(res.solve_times) == len(probs) * 6
+    assert calls == []
+
+
+def test_result_objective_is_the_final_local_cost():
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=19)
+    res = run_admm(probs, maps, rho=1.0, max_iter=5)
+    assert all(len(row) == 3 for row in res.history)
+    assert res.objective == sum(p.cost(x) for p, x in zip(probs, res.plans))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_measured_state_is_rejected(bad):
+    from dmpc.admm import AdmmEngine
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=20)
+    x_bad = [x.copy() for x in x0]
+    x_bad[1][4] = bad
+    with pytest.raises(ValueError, match="agent 2"):
+        build_local_problems(g, agents, T, x_bad)
+    engine = AdmmEngine(probs, maps, rho=1.0, z_dim=z_dim)
+    with pytest.raises(ValueError, match="agent 2"):
+        engine.rebind_states(x_bad)

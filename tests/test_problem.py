@@ -202,7 +202,7 @@ def test_augment_value_matches_term_by_term():
     u_ref = np.zeros(cache.M.shape[1])
     for _ in range(5):
         u = rng.standard_normal(cache.M.shape[1])
-        got = 0.5 * u @ cache.P @ u + q @ u
+        got = 0.5 * u @ cache.qp.P @ u + q @ u
         expected = augmented(cache.M @ u + cache.c) - augmented(cache.M @ u_ref + cache.c)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 

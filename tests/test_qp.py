@@ -168,3 +168,38 @@ def test_centralized_beats_zero_input_plan():
     zero_states = [rollout(a, x, np.zeros((T, 3))) for a, x in zip(agents, x0)]
     zero_cost = global_cost(g, zero_states, [np.zeros((T, 3))] * 5)
     assert cost <= zero_cost + 1e-9
+
+
+def test_with_q_swaps_only_the_linear_term():
+    rng = np.random.default_rng(31)
+    qp = random_psd_qp(rng, 4)
+    q_before = qp.q.copy()
+    q = rng.standard_normal(4)
+    new = qp.with_q(q)
+    assert new.P is qp.P and new.lower is qp.lower and new.upper is qp.upper
+    assert np.array_equal(new.q, q) and np.array_equal(qp.q, q_before)
+    for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            qp.with_q(bad)
+
+
+def test_closed_form_solution_fields():
+    from scipy.linalg import cho_factor
+    rng = np.random.default_rng(32)
+    G = rng.standard_normal((6, 6))
+    P = G @ G.T + 6 * np.eye(6)
+    qp = BoxQp(P, 0.1 * rng.standard_normal(6), -10 * np.ones(6), 10 * np.ones(6))
+    for cho in (None, cho_factor(P)):
+        sol = solve_box_qp(qp, tol=1e-9, cho=cho)
+        # the closed-form path: no iteration and no objective history
+        assert sol.status == "optimal" and sol.iterations == 0 and sol.objective_history == []
+        assert np.allclose(P @ sol.x_star, -qp.q, atol=1e-12)
+        assert sol.objective == pytest.approx(qp.objective(sol.x_star), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factored_solve_rejects_nonfinite_q(bad):
+    from scipy.linalg import cho_factor
+    qp = BoxQp(2.0 * np.eye(3), np.array([0.5, bad, 0.0]), -np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        solve_box_qp(qp, cho=cho_factor(qp.P))

@@ -218,3 +218,12 @@ def test_performance_ratio_rejects_aborted_runs():
     for pair in ((cut, central), (central, cut)):
         with pytest.raises(ValueError, match="aborted"):
             performance_ratio(*pair)
+
+
+def test_parallel_loop_records_every_solve_time():
+    g = path_graph(3)
+    cfg = small_cfg(num_steps=3, admm_iterations=4, parallel_agents=True)
+    log = run_closed_loop(g, cfg)
+    assert log.aborted_at is None
+    assert log.solve_times.size == g.num_agents * cfg.admm_iterations * cfg.num_steps
+    assert np.all(log.solve_times > 0)
