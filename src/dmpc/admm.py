@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor
 
-from .problem import (check_finite_states, condensed_bounds, condensed_hessian, condensed_maps,
-                      copy_counts, predictions)
+from .problem import (check_finite_states, condensed_bounds, condensed_maps, copy_counts,
+                      predictions)
 from .qp import BoxQp, power_iteration_lmax, solve_box_qp
 
 
@@ -35,19 +35,15 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class AdmmState:
-    x: list            # per-agent local vectors
-    lam: list          # per-agent duals, same shapes
+    lam: np.ndarray    # stacked duals a run starts from, in the order of E
     z: np.ndarray
-    rho: float
-    k: int = 0
-    history: list = field(default_factory=list)  # (r_primal, r_dual) per iteration
 
 
 @dataclass
 class AdmmResult:
     plans: list        # final per-agent local vectors
     z: np.ndarray
-    state: AdmmState
+    lam: np.ndarray    # final stacked duals
     history: list      # rows (k, r_primal, r_dual)
     converged: bool
     objective: float   # sum of the local costs at the final iterate
@@ -78,12 +74,20 @@ def residuals(diff, dz, counts, rho):
     return float(np.sqrt(diff @ diff)), rho * float(np.sqrt(np.sum(counts * dz * dz)))
 
 
+def _stacking(problems, maps):
+    """E = concat(global_idx) and each agent's slice of a stacked vector."""
+    E = np.concatenate([m.global_idx for m in maps])
+    ends = np.cumsum([p.dim for p in problems])
+    return E, [slice(e - p.dim, e) for p, e in zip(problems, ends)]
+
+
 class _AgentCache:
     """Per-agent condensed structure reused across iterations and MPC steps.
 
     Everything that depends only on topology, horizon, and rho is validated
     and factorized once; rebinding measured states refreshes only the affine
-    offset and the static part of the gradient. `solve` is the x-update.
+    offset and the static part of the gradient. `solve` is the x-update of
+    ADMM and, at rho = 0, of dual decomposition.
     """
 
     def __init__(self, problem, pred, rho, qp_tol):
@@ -96,7 +100,10 @@ class _AgentCache:
         self.Mt = M.T
         P = M.T @ (problem.H @ M) + rho * (M.T @ M)
         P = 0.5 * (P + P.T)
-        self.cho = cho_factor(P)
+        try:
+            self.cho = cho_factor(P)
+        except np.linalg.LinAlgError:  # singular P (rho = 0): projected gradient only
+            self.cho = False
         self.lipschitz = power_iteration_lmax(P)
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
@@ -106,13 +113,14 @@ class _AgentCache:
     def rebind_states(self, x0_per_member):
         self.problem = replace(self.problem, x0=tuple(np.asarray(v, float) for v in x0_per_member))
         _, self.c = condensed_maps(self.problem, self.pred, self.M)
-        # q = M'((H + rho I)c + g + lam - rho z_loc); the first two terms are static
+        # q = M'((H + rho I)c + g + v); the first two terms are static
         self.q_static = self.Mt @ (self.problem.H @ self.c + self.problem.g) \
             + self.rho * (self.Mt @ self.c)
 
-    def solve(self, lam, z_loc, k, qp_max_iter=20000):
-        """Minimize the local cost plus lam'(x - E z) + (rho/2)||x - E z||^2 at iteration k."""
-        q = self.q_static + self.Mt @ (lam - self.rho * z_loc)
+    def solve(self, v, k, qp_max_iter=20000):
+        """Minimize the local cost plus v'x + (rho/2)||x||^2 at iteration k. ADMM
+        passes v = lam - rho E z; dual decomposition its multipliers' term."""
+        q = self.q_static + self.Mt @ v
         sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, max_iter=qp_max_iter,
                            x0=self.warm, lipschitz=self.lipschitz, cho=self.cho)
         if sol.status != "optimal":
@@ -121,10 +129,10 @@ class _AgentCache:
         return self.M @ sol.x_star + self.c
 
 
-def _timed_solve(cache, lam, z_loc, k):
+def _timed_solve(cache, v, k):
     """The x-update of one agent and its wall time, measured where it runs."""
     t0 = time.perf_counter()
-    x = cache.solve(lam, z_loc, k)
+    x = cache.solve(v, k)
     return x, time.perf_counter() - t0
 
 
@@ -144,9 +152,7 @@ class AdmmEngine:
         self.rho = rho
         self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
         self.counts = copy_counts(self.maps, self.z_dim)
-        self.E = np.concatenate([m.global_idx for m in self.maps])
-        ends = np.cumsum([p.dim for p in self.problems])
-        self.slices = [slice(e - p.dim, e) for p, e in zip(self.problems, ends)]
+        self.E, self.slices = _stacking(self.problems, self.maps)
         pred = predictions(self.problems)
         self.caches = [_AgentCache(p, pred, rho, qp_tol) for p in self.problems]
         workers = min(len(self.problems), os.cpu_count() or 1)
@@ -158,33 +164,26 @@ class AdmmEngine:
             cache.rebind_states([initial_states[j - 1] for j in cache.problem.members])
         self.problems = [c.problem for c in self.caches]
 
-    def reset_warm_starts(self):
-        for c in self.caches:
-            c.warm = None
-
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
             track_dual_average=False):
+        """Up to max_iter iterations from `init` (lam = 0, z = 0 if None);
+        a run of zero iterations returns the copies of z as its plans."""
         if init is None:
-            state = AdmmState(
-                x=[np.zeros(p.dim) for p in self.problems],
-                lam=[np.zeros(p.dim) for p in self.problems],
-                z=np.zeros(self.z_dim), rho=self.rho)
-        else:
-            state = init
+            init = AdmmState(lam=np.zeros(self.E.size), z=np.zeros(self.z_dim))
         E, counts, rho = self.E, self.counts, self.rho
-        xs = list(state.x)
-        lam_cat = np.concatenate(state.lam)
-        z = state.z
+        lam_cat, z = init.lam, init.z
         zE = z[E]
+        xs = [zE[s] for s in self.slices]
         solve_all = map if self.pool is None else self.pool.map
         history = []
         solve_times = []
         max_viol = 0.0
         converged = False
         for k in range(1, max_iter + 1):
+            v = lam_cat - rho * zE
             xs = []
-            for x, dt in solve_all(_timed_solve, self.caches, [lam_cat[s] for s in self.slices],
-                                   [zE[s] for s in self.slices], [k] * len(self.caches)):
+            for x, dt in solve_all(_timed_solve, self.caches, [v[s] for s in self.slices],
+                                   [k] * len(self.caches)):
                 xs.append(x)
                 solve_times.append(dt)
             x_cat = np.concatenate(xs)
@@ -196,15 +195,12 @@ class AdmmEngine:
                 lam_sum = np.bincount(E, weights=lam_cat, minlength=self.z_dim)
                 max_viol = max(max_viol, float(np.max(np.abs(lam_sum), initial=0.0)))
             rp, rd = residuals(diff, z - z_prev, counts, rho)
-            state.k = k
-            state.history.append((rp, rd))
             history.append((k, rp, rd))
             if rp <= eps_primal and rd <= eps_dual:
                 converged = True
                 break
-        state.x, state.lam, state.z = xs, [lam_cat[s] for s in self.slices], z
         objective = sum(c.problem.cost(x) for c, x in zip(self.caches, xs))
-        return AdmmResult(plans=list(xs), z=z, state=state, history=history,
+        return AdmmResult(plans=xs, z=z, lam=lam_cat, history=history,
                           converged=converged, objective=objective,
                           solve_times=solve_times, max_dual_avg_violation=max_viol)
 
@@ -223,83 +219,52 @@ def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
 
 # --- dual decomposition baseline -------------------------------------------
 
-def _consistency_pairs(problems):
-    """Constraints: each copy of a neighbor's block equals that neighbor's own block.
-
-    Returned as (copy_owner_pos, member_pos_in_owner, var_owner_pos,
-    own_pos_in_var_owner) index tuples over the problems list.
-    """
-    pairs = []
-    for ip, p in enumerate(problems):
-        for kp, j in enumerate(p.members):
-            if j == p.owner:
-                continue
-            jp = j - 1
-            own_pos = problems[jp].members.index(j)
-            pairs.append((ip, kp, jp, own_pos))
-    return pairs
+def _copy_pairs(problems, E, slices):
+    """Stacked positions of each copy of a neighbor's block, in agent and
+    member order, and of the neighbor's own copy of the same entry."""
+    own = np.zeros(E.size, bool)
+    for p, s in zip(problems, slices):
+        k = p.members.index(p.owner)
+        own[s.start + p.state_slice(k, 0).start:s.start + p.input_slice(k, p.T - 1).stop] = True
+    own_pos = np.empty(E.max() + 1, dtype=np.intp)
+    own_pos[E[own]] = np.flatnonzero(own)
+    copies = np.flatnonzero(~own)
+    return copies, own_pos[E[copies]]
 
 
-def _member_block(p, pos):
-    start = p.member_offsets()[pos]
-    mdl = p.models[pos]
-    return slice(start, start + mdl.n * (p.T + 1) + mdl.m * p.T)
-
-
-def run_dual_decomposition(problems, maps, alpha_schedule, max_iter,
+def run_dual_decomposition(problems, maps, alpha, max_iter,
                            qp_tol=1e-8, qp_max_iter=50000):
     """Unaugmented dual ascent on the copy-consistency constraints.
 
-    `alpha_schedule` maps iteration k (1-based) to a positive step size.
-    History records the disagreement norm per iteration; runs abort if it
-    blows up by 1e6 over its initial value.
+    Each copy of a neighbor's block must equal the neighbor's own copy,
+    with one multiplier per copied entry; the x-update is ADMM's at
+    rho = 0. `alpha` maps iteration k (1-based) to a step size. History
+    records the disagreement norm per iteration; runs abort if it blows
+    up by 1e6 over its initial value.
     """
-    if callable(alpha_schedule):
-        alpha = alpha_schedule
-    else:
-        seq = list(alpha_schedule)
-        alpha = lambda k: seq[min(k - 1, len(seq) - 1)]
-
-    pairs = _consistency_pairs(problems)
-    lams = [np.zeros(_member_block(problems[ip], kp).stop
-                     - _member_block(problems[ip], kp).start)
-            for ip, kp, _, _ in pairs]
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    E, slices = _stacking(problems, maps)
+    copies, owners = _copy_pairs(problems, E, slices)
     pred = predictions(problems)
-    expansions, qps = [], []
-    for p in problems:
-        M, c = condensed_maps(p, pred)
-        expansions.append((M, c))
-        qps.append(BoxQp(condensed_hessian(p, M), M.T @ (p.H @ c + p.g), *condensed_bounds(p)))
-    lipschitz = [power_iteration_lmax(qp.P) for qp in qps]
-    warm = [None] * len(problems)
-
-    x = [np.zeros(p.dim) for p in problems]
+    caches = [_AgentCache(p, pred, 0.0, qp_tol) for p in problems]
+    nu = np.zeros(copies.size)
     history = []
     initial_norm = None
     for k in range(1, max_iter + 1):
-        # linear dual term on each agent's local vector
-        lin = [np.zeros(p.dim) for p in problems]
-        for (ip, kp, jp, op), lam in zip(pairs, lams):
-            lin[ip][_member_block(problems[ip], kp)] += lam
-            lin[jp][_member_block(problems[jp], op)] -= lam
-        for i, (p, qp, (M, c)) in enumerate(zip(problems, qps, expansions)):
-            sol = solve_box_qp(qp.with_q(qp.q + M.T @ lin[i]), tol=qp_tol,
-                               max_iter=qp_max_iter, x0=warm[i], lipschitz=lipschitz[i])
-            if sol.status != "optimal":
-                raise SolverFailure(p.owner, k, f"{sol.status}: {sol.message}")
-            warm[i] = sol.x_star
-            x[i] = M @ sol.x_star + c
-        ak = alpha(k)
-        dis2 = 0.0
-        for idx, (ip, kp, jp, op) in enumerate(pairs):
-            r = x[ip][_member_block(problems[ip], kp)] - x[jp][_member_block(problems[jp], op)]
-            lams[idx] = lams[idx] + ak * r
-            dis2 += float(r @ r)
-        dis = float(np.sqrt(dis2))
+        # linear dual term on the stacked copies: +nu on a copy, -nu on the owner's
+        lin = np.zeros(E.size)
+        lin[copies] = nu
+        lin -= np.bincount(owners, weights=nu, minlength=E.size)
+        x_cat = np.concatenate([c.solve(lin[s], k, qp_max_iter)
+                                for c, s in zip(caches, slices)])
+        r = x_cat[copies] - x_cat[owners]
+        nu = nu + alpha(k) * r
+        dis = float(np.sqrt(r @ r))
         history.append((k, dis))
         if initial_norm is None:
             initial_norm = max(dis, 1e-12)
         if dis > 1e6 * initial_norm:
             raise RuntimeError(f"dual decomposition diverging: disagreement {dis:.3e} "
                                f"vs initial {initial_norm:.3e}")
-    return x, history
+    return [x_cat[s] for s in slices], history

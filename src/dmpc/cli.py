@@ -31,7 +31,10 @@ def _load(config_path, args):
         raise SystemExit(f"error: {config_path}: {exc}")
     for arg, name in (("seed", "rng_seed"), ("solver", "solver_kind"), ("iters", "admm_iterations")):
         if getattr(args, arg, None) is not None:
-            cfg.sim = replace(cfg.sim, **{name: getattr(args, arg)})
+            try:
+                cfg.sim = replace(cfg.sim, **{name: getattr(args, arg)})
+            except ValueError as exc:
+                raise SystemExit(f"error: --{arg}: {exc}")
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     g = cfg.graph()
@@ -110,6 +113,8 @@ def cmd_sweep(args):
         raise SystemExit(f"error: bad --k-list {args.k_list!r}")
     if not k_values or any(k < 1 for k in k_values):
         raise SystemExit("error: --k-list needs positive integers")
+    if args.trials < 1:
+        raise SystemExit("error: --trials must be >= 1")
     rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
                            n_jobs=args.jobs)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -41,7 +41,7 @@ class SimConfig:
             raise ValueError("horizon must be >= 1")
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-        if self.solver_kind == "admm" and self.admm_iterations < 1:
+        if self.solver_kind != "centralized" and self.admm_iterations < 1:
             raise ValueError("admm_iterations must be >= 1")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
@@ -159,7 +159,7 @@ class _AdmmController(_Controller):
         problems, maps, z_dim = build_local_problems(g, agents, cfg.horizon, initial_states)
         self.engine = AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim,
                                  qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
-        self.layout = ZLayout(agents, cfg.horizon)
+        self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
         self.cfg = cfg
         self.track_dual_average = track_dual_average
         self.warm_state = None
@@ -170,7 +170,8 @@ class _AdmmController(_Controller):
         engine = self.engine
         engine.rebind_states(measured)
         if not self.cfg.warm_start:
-            engine.reset_warm_starts()
+            for cache in engine.caches:
+                cache.warm = None
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
         self.solve_times.extend(result.solve_times)
@@ -181,7 +182,7 @@ class _AdmmController(_Controller):
         stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
                  "wall_time": time.perf_counter() - t0}
         if self.cfg.warm_start:
-            self.warm_state = _shift_warm_state(engine, result, self.layout)
+            self.warm_state = _shift_warm_state(result, *self.shift)
         return first_inputs, stats
 
     def close(self):
@@ -205,29 +206,26 @@ class _DualDecompController(_Controller):
             "wall_time": time.perf_counter() - t0}
 
 
-def _shift_blocks(v, layout):
-    """Copy of a vector laid out by `layout` with each agent's states and
-    inputs moved one step earlier; the last entry of each stays."""
-    out = v.copy()
+def _shift_indices(layout, E):
+    """Gather indices that move each agent's states and inputs one step
+    earlier, for z (zi) and for the stacked copies (li); the last entry of
+    each stays. A member's block of a local vector is its block of z, so a
+    copy moves by the same offset as the z entry it maps to."""
+    zi = np.arange(layout.dim)
     T = layout.T
     for off, (n, m) in zip(layout.starts, layout.dims):
         u0 = off + (T + 1) * n
-        out[off:off + T * n] = v[off + n:u0]
-        out[u0:u0 + (T - 1) * m] = v[u0 + m:u0 + T * m]
-    return out
+        zi[off:off + T * n] += n
+        zi[u0:u0 + (T - 1) * m] += m
+    return zi, np.arange(E.size) + (zi[E] - E)
 
 
-def _shift_warm_state(engine, result, layout):
-    """Receding-horizon warm start: shift plans, duals, and z one step forward.
+def _shift_warm_state(result, zi, li):
+    """Receding-horizon warm start: shift the duals and z one step forward.
 
     The final horizon entry is duplicated to fill the freed slot.
     """
-    x_new, lam_new = [], []
-    for prob, x, lam in zip(engine.problems, result.plans, result.state.lam):
-        local = ZLayout(prob.models, prob.T)
-        x_new.append(_shift_blocks(x, local))
-        lam_new.append(_shift_blocks(lam, local))
-    return AdmmState(x=x_new, lam=lam_new, z=_shift_blocks(result.z, layout), rho=engine.rho)
+    return AdmmState(lam=result.lam[li], z=result.z[zi])
 
 
 def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dmpc import (InfoGraph, build_local_problems, double_integrator_3d,
+from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized, solve_equality_qp,
                   z_update, dual_update, residuals)
-from dmpc.admm import AdmmState, _AgentCache
+from dmpc.admm import _AgentCache
 from dmpc.problem import ZLayout, copy_counts, predictions
 
 
@@ -23,25 +23,24 @@ def make_scenario(seed=0, n=3, T=3, u_max=1.0):
     return g, agents, T, x0, probs, maps, z_dim
 
 
-def fresh_state(probs, z_dim, rho=1.0):
-    return AdmmState(x=[np.zeros(p.dim) for p in probs],
-                     lam=[np.zeros(p.dim) for p in probs],
-                     z=np.zeros(z_dim), rho=rho)
+def per_agent(probs, v):
+    """A stacked vector split back into the agents' local vectors."""
+    return np.split(v, np.cumsum([p.dim for p in probs])[:-1])
 
 
 def test_x_update_matches_kkt_when_boxes_inactive():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=1, u_max=np.inf)
     rng = np.random.default_rng(2)
-    s = fresh_state(probs, z_dim, rho=1.3)
-    s.z = 0.1 * rng.standard_normal(z_dim)
-    s.lam = [0.1 * rng.standard_normal(p.dim) for p in probs]
+    rho = 1.3
+    z = 0.1 * rng.standard_normal(z_dim)
+    lams = [0.1 * rng.standard_normal(p.dim) for p in probs]
     pred = predictions(probs)
-    for p, m, lam in zip(probs, maps, s.lam):
-        z_loc = s.z[m.global_idx]
-        x_new = _AgentCache(p, pred, s.rho, qp_tol=1e-9).solve(lam, z_loc, 1)
+    for p, m, lam in zip(probs, maps, lams):
+        z_loc = z[m.global_idx]
+        x_new = _AgentCache(p, pred, rho, qp_tol=1e-9).solve(lam - rho * z_loc, 1)
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H + s.rho * np.eye(p.dim), p.g + lam - s.rho * z_loc,
+        x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), p.g + lam - rho * z_loc,
                                   A_eq, b_eq)
         assert np.max(np.abs(x_new - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_new - b_eq)) <= 1e-10
@@ -52,10 +51,10 @@ def test_x_update_fixed_point_at_convergence():
     res = run_admm(probs, maps, rho=1.0, max_iter=3000,
                    eps_primal=1e-10, eps_dual=1e-10, qp_tol=1e-9)
     assert res.converged
-    s = res.state
     pred = predictions(probs)
-    for p, m, lam, x in zip(probs, maps, s.lam, s.x):
-        x_new = _AgentCache(p, pred, s.rho, qp_tol=1e-9).solve(lam, s.z[m.global_idx], s.k + 1)
+    for p, m, lam, x in zip(probs, maps, per_agent(probs, res.lam), res.plans):
+        v = lam - 1.0 * res.z[m.global_idx]
+        x_new = _AgentCache(p, pred, 1.0, qp_tol=1e-9).solve(v, len(res.history) + 1)
         assert np.max(np.abs(x_new - x)) <= 1e-6
 
 
@@ -90,18 +89,19 @@ def test_z_update_matches_second_pass():
 
 def test_dual_update_rules():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=7, n=2, T=1)
-    s = fresh_state(probs, z_dim, rho=2.0)
-    s.x = [s.z[m.global_idx].copy() for m in maps]
-    x_cat, E = stacked(maps, s.x)
-    lam_cat = np.concatenate(s.lam)
-    lam, diff = dual_update(lam_cat, x_cat, s.z[E], s.rho)
+    rho = 2.0
+    z = np.zeros(z_dim)
+    xs = [z[m.global_idx].copy() for m in maps]
+    x_cat, E = stacked(maps, xs)
+    lam_cat = np.zeros(x_cat.size)
+    lam, diff = dual_update(lam_cat, x_cat, z[E], rho)
     assert np.array_equal(lam, lam_cat) and not diff.any()
-    s.x[0][0] += 1.0
-    x_cat, _ = stacked(maps, s.x)
-    lam, diff = dual_update(lam_cat, x_cat, s.z[E], s.rho)
+    xs[0][0] += 1.0
+    x_cat, _ = stacked(maps, xs)
+    lam, diff = dual_update(lam_cat, x_cat, z[E], rho)
     assert lam[0] == pytest.approx(2.0)
     assert np.allclose(lam[1:], 0.0)
-    assert np.array_equal(diff, x_cat - s.z[E])
+    assert np.array_equal(diff, x_cat - z[E])
 
 
 def test_dual_average_is_zero_after_each_iteration():
@@ -220,8 +220,7 @@ def test_run_admm_is_deterministic_and_parallel_safe():
 def test_residual_history_length_matches_iterations():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=15)
     res = run_admm(probs, maps, rho=1.0, max_iter=7)
-    assert len(res.history) == 7
-    assert len(res.state.history) == res.state.k
+    assert [row[0] for row in res.history] == list(range(1, 8))
 
 
 def test_dual_decomposition_zero_step_freezes_multipliers():
@@ -230,6 +229,25 @@ def test_dual_decomposition_zero_step_freezes_multipliers():
     # with alpha = 0 the multipliers never move, so the disagreement repeats
     assert hist1[0][1] == pytest.approx(hist1[1][1], rel=1e-12)
     assert hist1[1][1] == pytest.approx(hist1[2][1], rel=1e-12)
+
+
+def test_dual_decomposition_needs_an_iteration():
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=16, n=2, T=2)
+    with pytest.raises(ValueError, match="max_iter"):
+        run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 0)
+
+
+def test_dual_decomposition_runs_on_singular_subproblems():
+    # the two inputs act alike, so a neighbour's inputs leave P = M'HM singular
+    # at rho = 0 and the x-updates fall back to projected gradient
+    A = np.array([[1.0, 0.1], [0.0, 1.0]])
+    agents = [LtiAgent(A, np.array([[0.0, 0.0], [0.1, 0.1]]), u_max=1.0) for _ in range(2)]
+    x0 = [np.array([1.0, 0.0]), np.array([-1.0, 0.5])]
+    probs, maps, _ = build_local_problems(path_graph(2), agents, 2, x0)
+    assert all(_AgentCache(p, predictions(probs), 0.0, 1e-8).cho is False for p in probs)
+    plans, hist = run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 20)
+    assert all(np.all(np.isfinite(x)) for x in plans)
+    assert hist[-1][1] < hist[0][1]
 
 
 def test_dual_decomposition_diminishing_steps_converge():

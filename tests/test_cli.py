@@ -145,6 +145,12 @@ def test_simulate_reports_why_it_aborted(tmp_path, capsys, monkeypatch):
     assert summary["aborted_at"] == 0 and "stalled" in summary["abort_reason"]
 
 
+def test_simulate_rejects_bad_override(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_config(tmp_path), "--iters", "0"])
+    assert str(exc.value).startswith("error: ") and "admm_iterations" in str(exc.value)
+
+
 def test_simulate_missing_config_errors():
     with pytest.raises(SystemExit):
         main(["simulate", "--config", "/nonexistent/path.cfg"])
@@ -177,6 +183,12 @@ def test_sweep_rejects_bad_k_list(tmp_path):
         main(["sweep", "--config", cfg_path, "--k-list", "1,zero"])
     with pytest.raises(SystemExit):
         main(["sweep", "--config", cfg_path, "--k-list", "0,5"])
+
+
+def test_sweep_rejects_bad_trials(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", write_config(tmp_path), "--trials", "0"])
+    assert str(exc.value).startswith("error: ") and "--trials" in str(exc.value)
 
 
 def test_verify_rejects_unknown_level():

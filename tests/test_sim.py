@@ -28,12 +28,21 @@ def test_config_validation():
         SimConfig(noise_variance=-0.1)
 
 
-@pytest.mark.parametrize("name, value", [
+BAD_FIELDS = [
     ("horizon", 0), ("rho", 0.0), ("rho", -1.0), ("qp_tol", 0.0), ("qp_tol", -1.0),
-    ("pos_range", (3.0, 1.0)), ("vel_range", (0.5, -0.5))])
+    ("pos_range", (3.0, 1.0)), ("vel_range", (0.5, -0.5)), ("admm_iterations", 0)]
+
+
+@pytest.mark.parametrize("name, value", BAD_FIELDS)
 def test_config_rejects_bad_fields(name, value):
     with pytest.raises(ValueError, match=name):
         SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", BAD_FIELDS)
+def test_dual_decomp_config_rejects_bad_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(solver_kind="dual_decomp", **{name: value})
 
 
 def test_draw_initial_states_within_ranges():

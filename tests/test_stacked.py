@@ -1,5 +1,9 @@
-"""The stacked ADMM bookkeeping against per-agent reference loops, on random
-connected graphs with agents that are not all alike."""
+"""The stacked ADMM and dual-decomposition bookkeeping against per-agent and
+per-pair reference loops, on random connected graphs with agents that are
+not all alike."""
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dmpc import InfoGraph, build_local_problems, double_integrator_3d  # noqa: E402
-from dmpc.admm import dual_update, residuals, z_update  # noqa: E402
-from dmpc.problem import copy_counts  # noqa: E402
+from dmpc import (InfoGraph, build_local_problems, double_integrator_3d,  # noqa: E402
+                  run_dual_decomposition, solve_equality_qp)
+from dmpc.admm import AdmmResult, _AgentCache, dual_update, residuals, z_update  # noqa: E402
+from dmpc.problem import ZLayout, copy_counts  # noqa: E402
+from dmpc.simulation import _shift_indices, _shift_warm_state  # noqa: E402
 
 
 @st.composite
@@ -61,3 +67,115 @@ def test_stacked_updates_equal_per_agent_loops(scenario):
     rd_ref = rho * np.sqrt(np.sum(counts * (z - z_prev) ** 2))
     assert rp == pytest.approx(rp_ref, rel=1e-12)
     assert rd == pytest.approx(rd_ref, rel=1e-12)
+
+
+def member_block(p, pos):
+    mdl = p.models[pos]
+    start = p.member_offsets()[pos]
+    return slice(start, start + mdl.n * (p.T + 1) + mdl.m * p.T)
+
+
+def consistency_pairs(probs):
+    """(agent, its copy of a neighbor's block, neighbor, the neighbor's own
+    block) for every copied neighbor, in agent and member order."""
+    pairs = []
+    for ip, p in enumerate(probs):
+        for kp, j in enumerate(p.members):
+            if j != p.owner:
+                own = probs[j - 1]
+                pairs.append((ip, member_block(p, kp), j - 1,
+                              member_block(own, own.members.index(j))))
+    return pairs
+
+
+def recorded_dual_decomposition(probs, maps, alpha, max_iter):
+    """run_dual_decomposition with every x-update's (k, v, x) recorded."""
+    calls = []
+    solve = _AgentCache.solve
+
+    def spy(cache, v, k, *args):
+        x = solve(cache, v, k, *args)
+        calls.append((k, v.copy(), x))
+        return x
+
+    with mock.patch.object(_AgentCache, "solve", spy):
+        plans, history = run_dual_decomposition(probs, maps, alpha, max_iter)
+    return plans, history, calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios(), st.floats(0.05, 2.0))
+def test_dual_decomposition_terms_equal_per_pair_loops(scenario, step):
+    g, agents, T, _, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, _ = build_local_problems(g, agents, T, x0)
+    plans, history, calls = recorded_dual_decomposition(probs, maps, lambda k: step / k, 3)
+    N = len(probs)
+    assert len(calls) == 3 * N
+    pairs = consistency_pairs(probs)
+    lams = [np.zeros(b.stop - b.start) for _, b, _, _ in pairs]
+    for k in range(1, 4):
+        rows = calls[(k - 1) * N:k * N]
+        assert [row[0] for row in rows] == [k] * N
+        lin = [np.zeros(p.dim) for p in probs]
+        for (ip, b, jp, ob), lam in zip(pairs, lams):
+            lin[ip][b] += lam
+            lin[jp][ob] -= lam
+        assert np.concatenate([row[1] for row in rows]).tobytes() == np.concatenate(lin).tobytes()
+        xs = [row[2] for row in rows]
+        dis2 = 0.0
+        for idx, (ip, b, jp, ob) in enumerate(pairs):
+            r = xs[ip][b] - xs[jp][ob]
+            lams[idx] = lams[idx] + (step / k) * r
+            dis2 += float(r @ r)
+        assert history[k - 1][0] == k
+        assert history[k - 1][1] == pytest.approx(np.sqrt(dis2), rel=1e-12)
+    assert all(x.tobytes() == plan.tobytes() for x, plan in zip(xs, plans))
+
+
+def reference_shift(v, layout):
+    """v with each member's states and inputs moved one step earlier, block by block."""
+    out = v.copy()
+    T = layout.T
+    for off, (n, m) in zip(layout.starts, layout.dims):
+        u0 = off + (T + 1) * n
+        for t in range(T):
+            out[off + t * n:off + (t + 1) * n] = v[off + (t + 1) * n:off + (t + 2) * n]
+        for t in range(T - 1):
+            out[u0 + t * m:u0 + (t + 1) * m] = v[u0 + (t + 1) * m:u0 + (t + 2) * m]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_warm_shift_gathers_equal_per_block_shift(scenario):
+    g, agents, T, _, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, z_dim = build_local_problems(g, agents, T, x0)
+    E = np.concatenate([m.global_idx for m in maps])
+    z, lam = rng.standard_normal(z_dim), rng.standard_normal(E.size)
+    result = AdmmResult(plans=[], z=z, lam=lam, history=[], converged=False, objective=0.0)
+    state = _shift_warm_state(result, *_shift_indices(ZLayout(agents, T), E))
+    assert state.z.tobytes() == reference_shift(z, ZLayout(agents, T)).tobytes()
+    lams = np.split(lam, np.cumsum([p.dim for p in probs])[:-1])
+    ref = [reference_shift(v, ZLayout(p.models, T)) for p, v in zip(probs, lams)]
+    assert state.lam.tobytes() == np.concatenate(ref).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_dual_decomposition_first_iterate_is_the_local_optimum(scenario):
+    # with alpha = 0 and no input box, each agent minimizes its own cost
+    # under its dynamics: the equality-constrained KKT solution
+    g, agents, T, _, seed = scenario
+    agents = [replace(a, u_max=np.inf) for a in agents]
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, _ = build_local_problems(g, agents, T, x0)
+    plans, _ = run_dual_decomposition(probs, maps, lambda k: 0.0, 1)
+    for p, x in zip(probs, plans):
+        A_eq, b_eq = p.dynamics_equalities()
+        x_ref = solve_equality_qp(p.H, p.g, A_eq, b_eq)
+        assert np.max(np.abs(x - x_ref)) <= 1e-6
