@@ -109,21 +109,24 @@ def parse_config(text):
         notes.append(f"{section_name}.{key} defaulted to {default}")
         return default
 
-    sim = SimConfig(
-        num_steps=pick("sim", "steps", 250),
-        horizon=pick("mpc", "horizon", 10),
-        admm_iterations=pick("mpc", "admm_iters", 30),
-        rho=pick("mpc", "rho", 1.0),
-        noise_variance=pick("sim", "noise_variance", 0.1),
-        rng_seed=pick("sim", "seed", 0),
-        solver_kind=pick("mpc", "solver", "admm"),
-        warm_start=pick("mpc", "warm_start", True),
-        ts=pick("agents", "ts", 0.1),
-        u_max=pick("agents", "u_max", 1.0),
-        mass=pick("agents", "mass", 1.0),
-        pos_range=pick("sim", "pos_range", (-5.0, 5.0)),
-        vel_range=pick("sim", "vel_range", (-1.0, 1.0)),
-    )
+    try:
+        sim = SimConfig(
+            num_steps=pick("sim", "steps", 250),
+            horizon=pick("mpc", "horizon", 10),
+            admm_iterations=pick("mpc", "admm_iters", 30),
+            rho=pick("mpc", "rho", 1.0),
+            noise_variance=pick("sim", "noise_variance", 0.1),
+            rng_seed=pick("sim", "seed", 0),
+            solver_kind=pick("mpc", "solver", "admm"),
+            warm_start=pick("mpc", "warm_start", True),
+            ts=pick("agents", "ts", 0.1),
+            u_max=pick("agents", "u_max", 1.0),
+            mass=pick("agents", "mass", 1.0),
+            pos_range=pick("sim", "pos_range", (-5.0, 5.0)),
+            vel_range=pick("sim", "vel_range", (-1.0, 1.0)),
+        )
+    except ValueError as exc:  # a value no SimConfig accepts
+        raise ConfigError(0, str(exc))
     cfg = ScenarioConfig(
         num_agents=n, edges=edges, sim=sim, agent_overrides=agent_overrides,
         out_dir=pick("output", "dir", "out"),

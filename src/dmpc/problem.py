@@ -9,6 +9,7 @@ centralized problem, condensed by the same routines as the local ones.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,11 @@ class LocalProblem:
 
     def member_offsets(self):
         """Start offset of each member's block in the local vector."""
-        return ZLayout(self.models, self.T).starts
+        return self._member_offsets
+
+    @cached_property
+    def _member_offsets(self):
+        return tuple(ZLayout(self.models, self.T).starts)
 
     def state_slice(self, member_pos, t):
         mdl = self.models[member_pos]

@@ -5,17 +5,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dposv, dpotrs
+
+
+def diagonal_blocks(P):
+    """The connected components of P's nonzero pattern, grouped by size.
+
+    Returns a tuple of (idx, Pb) pairs, one per block size s: idx (nb, s)
+    holds each block's indices in ascending order and Pb the stacked
+    (nb, s, s) blocks P[idx_b, idx_b]. Every entry of P outside the blocks
+    is zero. Components are found by min-label propagation with pointer
+    jumping: each pass gives every index the smallest label among its
+    neighbours, then follows its label's own label once.
+    """
+    n = P.shape[0]
+    if n == 0:
+        return ()
+    nz = P != 0
+    nz |= nz.T
+    nz[np.diag_indices(n)] = True
+    flat = np.flatnonzero(nz)
+    cols = flat % n
+    starts = np.searchsorted(flat, n * np.arange(n))
+    labels = np.arange(n)
+    while True:
+        new = np.minimum.reduceat(labels[cols], starts)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    sizes = np.unique(labels, return_counts=True)[1]
+    size_at = np.repeat(sizes, sizes)
+    groups = []
+    for s in np.unique(sizes):
+        idx = order[size_at == s].reshape(-1, s)
+        groups.append((idx, P[idx[:, :, None], idx[:, None, :]]))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
 class BoxQp:
-    """minimize 0.5 x'Px + q'x subject to lower <= x <= upper."""
+    """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
+
+    `blocks` is P split into its independent diagonal blocks
+    (`diagonal_blocks`), found once when the problem is built.
+    """
 
     P: np.ndarray
     q: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -33,9 +74,10 @@ class BoxQp:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "blocks", diagonal_blocks(P))
 
     def with_q(self, q):
-        """The same P and box with linear term q; only q's shape is checked."""
+        """The same P, blocks and box with linear term q; only q's shape is checked."""
         q = np.asarray(q, dtype=float)
         if q.shape != self.q.shape:
             raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
@@ -90,12 +132,39 @@ def power_iteration_lmax(P, iters=60, seed=0):
     return float(lam)
 
 
-def _active_set_polish(qp, x, fx, rounds=None):
+def _solve_free(qp, cand, active):
+    """Minimize over the free entries of `cand` with the active ones held.
+
+    Block by block: free rows keep P_b and active rows and columns become
+    identity ones; the right-hand side is -q - P_b x_active on free rows
+    and the held value on active rows. A masked SPD P_b is SPD, so LAPACK
+    dposv solves it; otherwise a least-squares solve takes over.
+    """
+    for idx, Pb in qp.blocks:
+        act = active[idx]
+        held = np.where(act, cand[idx], 0.0)
+        rhs = np.where(act, held, -qp.q[idx] - np.matmul(Pb, held[..., None])[..., 0])
+        free = ~act
+        A = np.where(free[:, :, None] & free[:, None, :], Pb, 0.0)
+        diag = np.arange(idx.shape[1])
+        A[:, diag, diag] += act
+        for i, a, b, f in zip(idx, A, rhs, free):
+            if not f.any():
+                continue
+            _, x, info = dposv(a, b)
+            if info != 0:
+                x, *_ = np.linalg.lstsq(a, b, rcond=None)
+            cand[i] = x
+
+
+def _active_set_polish(qp, x, fx, grad, rounds=None):
     """Projected-Newton refinement from the current iterate.
 
     Repeatedly pins variables sitting at a bound with an inward-pointing
-    gradient, solves the free block exactly, and re-projects. Returns the
-    best candidate found, or None if nothing beat the incoming objective.
+    gradient, solves the free entries exactly (`_solve_free`), and
+    re-projects. `x` lies in the box with objective fx and gradient
+    grad = P x + q. Returns the best candidate found with its objective and
+    gradient, or (None, fx, None) if nothing beat the incoming objective.
     """
     n = qp.dim
     if rounds is None:
@@ -103,38 +172,26 @@ def _active_set_polish(qp, x, fx, rounds=None):
     span = np.where(np.isfinite(qp.upper) & np.isfinite(qp.lower),
                     np.maximum(qp.upper - qp.lower, 1.0), 1.0)
     band = 1e-9 * span
-    xc = qp.project(x.copy())
-    best_x, best_f = None, fx
+    best, best_f = None, fx
     prev_active = None
     for _ in range(rounds):
-        grad = qp.P @ xc + qp.q
-        at_lo = np.isfinite(qp.lower) & (xc - qp.lower <= band) & (grad >= 0)
-        at_hi = np.isfinite(qp.upper) & (qp.upper - xc <= band) & (grad <= 0)
-        active = at_lo | at_hi
+        at_lo = np.isfinite(qp.lower) & (x - qp.lower <= band) & (grad >= 0)
+        at_hi = np.isfinite(qp.upper) & (qp.upper - x <= band) & (grad <= 0)
         key = (at_lo.tobytes(), at_hi.tobytes())
         if key == prev_active:
             break
         prev_active = key
-        cand = np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, xc))
-        F = np.flatnonzero(~active)
-        if F.size:
-            A = np.flatnonzero(active)
-            rhs = -qp.q[F]
-            if A.size:
-                rhs = rhs - qp.P[np.ix_(F, A)] @ cand[A]
-            try:
-                xf = np.linalg.solve(qp.P[np.ix_(F, F)], rhs)
-            except np.linalg.LinAlgError:
-                xf, *_ = np.linalg.lstsq(qp.P[np.ix_(F, F)], rhs, rcond=None)
-            cand[F] = xf
+        cand = np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x))
+        _solve_free(qp, cand, at_lo | at_hi)
         cand = qp.project(cand)
-        fc = qp.objective(cand)
+        gc = qp.P @ cand + qp.q
+        fc = 0.5 * cand @ (gc + qp.q)
         if fc <= best_f + 1e-12 * max(1.0, abs(best_f)):
-            best_x, best_f = cand, min(fc, best_f)
-        xc = cand
-    if best_x is None:
-        return None, fx
-    return best_x, qp.objective(best_x)
+            best, best_f = (cand, fc, gc), min(fc, best_f)
+        x, grad = cand, gc
+    if best is None:
+        return None, fx, None
+    return best
 
 
 def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None):
@@ -179,31 +236,35 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
         lipschitz = power_iteration_lmax(qp.P)
     L = max(lipschitz * 1.02, 1e-12)
 
+    # every point's gradient is formed once and serves its objective
+    # 0.5 x'(grad + q) and its KKT residual
     x = start
-    fx = qp.objective(x)
+    grad = qp.P @ x + qp.q
+    fx = 0.5 * x @ (grad + qp.q)
     y = x.copy()
     t = 1.0
     x_prev = x.copy()
     history = [fx]
-    kkt = qp.kkt_residual(x)
+    kkt = qp.kkt_residual(x, grad)
     if kkt <= tol:
         return QpSolution(x, "optimal", kkt, 0, fx, objective_history=history)
-    cand, fc = _active_set_polish(qp, x, fx)
+    cand, fc, gc = _active_set_polish(qp, x, fx, grad)
     if cand is not None:
-        res = qp.kkt_residual(cand)
+        res = qp.kkt_residual(cand, gc)
         if res <= tol:
             history.append(fc)
             return QpSolution(cand, "optimal", res, 0, fc, objective_history=history)
         if fc <= fx:
-            x, fx = cand, fc
+            x, fx, grad = cand, fc, gc
             y = x.copy()
 
     for k in range(1, max_iter + 1):
         grad_y = qp.P @ y + qp.q
         z = qp.project(y - grad_y / L)
-        fz = qp.objective(z)
+        gz = qp.P @ z + qp.q
+        fz = 0.5 * z @ (gz + qp.q)
         if fz <= fx:
-            x_prev, x, fx = x, z, fz
+            x_prev, x, fx, grad = x, z, fz, gz
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = z + ((t - 1.0) / t_new) * (z - x_prev)
             t = t_new
@@ -213,13 +274,13 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
             y = x.copy()
             t = 1.0
         if k % 25 == 0:
-            cand, fc = _active_set_polish(qp, x, fx)
+            cand, fc, gc = _active_set_polish(qp, x, fx, grad)
             if cand is not None and fc <= fx:
-                x_prev, x, fx = x, cand, fc
+                x_prev, x, fx, grad = x, cand, fc, gc
                 y = x.copy()
                 t = 1.0
         history.append(fx)
-        kkt = qp.kkt_residual(x)
+        kkt = qp.kkt_residual(x, grad)
         if kkt <= tol:
             return QpSolution(x, "optimal", kkt, k, fx, objective_history=history)
         if fx < -1e18 or np.max(np.abs(x)) > 1e12:

@@ -49,6 +49,8 @@ class SimConfig:
             raise ValueError("noise_variance must be nonnegative")
         if not self.qp_tol > 0:
             raise ValueError("qp_tol must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
         for name in ("pos_range", "vel_range"):
             if getattr(self, name)[0] > getattr(self, name)[1]:
                 raise ValueError(f"{name} lower bound exceeds upper")
@@ -116,15 +118,21 @@ class _CentralizedCache(_Controller):
     """The centralized controller: the whole-network QP, validated and
     factorized once. The gradient M'H c is linear in the measured states,
     c = C x0 stacking each agent's Phi x0, so G = M'H C is formed once and
-    each step's gradient is G x0."""
+    each step's gradient is G x0. M holds per member one Gam block on its
+    state rows and an identity on its input rows, so each member's rows of
+    G are Gam' HC[state rows] + HC[input rows]."""
 
     def __init__(self, g, agents, T, initial_states, qp_tol, max_iter=50000):
         self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
         self.qp = BoxQp(P, np.zeros(P.shape[0]), *condensed_bounds(self.block))
-        H, phis = self.block.H, [self.pred[j][0] for j in self.block.members]
-        HC = np.hstack([H[:, off:off + Phi.shape[0]] @ Phi
-                        for off, Phi in zip(self.block.member_offsets(), phis)])
-        self.G = self.M.T @ HC
+        H, offs = self.block.H, self.block.member_offsets()
+        pred = [self.pred[j] for j in self.block.members]
+        HC = np.hstack([H[:, off:off + Phi.shape[0]] @ Phi for off, (Phi, _) in zip(offs, pred)])
+        G = []
+        for off, (_, Gam) in zip(offs, pred):
+            u0 = off + Gam.shape[0]  # the member's inputs follow its states
+            G.append(Gam.T @ HC[off:u0] + HC[u0:u0 + Gam.shape[1]])
+        self.G = np.vstack(G)
         self.cho = cho_factor(P)
         self.lipschitz = power_iteration_lmax(P)
         self.qp_tol = qp_tol

@@ -151,6 +151,21 @@ def test_simulate_rejects_bad_override(tmp_path):
     assert str(exc.value).startswith("error: ") and "admm_iterations" in str(exc.value)
 
 
+def test_simulate_rejects_negative_seed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_config(tmp_path), "--seed", "-1"])
+    assert str(exc.value).startswith("error: --seed: ") and "rng_seed" in str(exc.value)
+
+
+def test_config_with_negative_seed_is_a_config_error(tmp_path):
+    text = GOOD.replace("seed 7", "seed -1")
+    with pytest.raises(ConfigError, match="rng_seed"):
+        parse_config(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_config(tmp_path, text)])
+    assert str(exc.value).startswith("error: ") and "rng_seed" in str(exc.value)
+
+
 def test_simulate_missing_config_errors():
     with pytest.raises(SystemExit):
         main(["simulate", "--config", "/nonexistent/path.cfg"])

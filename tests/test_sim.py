@@ -30,7 +30,8 @@ def test_config_validation():
 
 BAD_FIELDS = [
     ("horizon", 0), ("rho", 0.0), ("rho", -1.0), ("qp_tol", 0.0), ("qp_tol", -1.0),
-    ("pos_range", (3.0, 1.0)), ("vel_range", (0.5, -0.5)), ("admm_iterations", 0)]
+    ("pos_range", (3.0, 1.0)), ("vel_range", (0.5, -0.5)), ("admm_iterations", 0),
+    ("rng_seed", -1)]
 
 
 @pytest.mark.parametrize("name, value", BAD_FIELDS)
