@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .simulation import iteration_sweep, run_closed_loop
+from .simulation import SweepTrialAborted, iteration_sweep, run_closed_loop
 from . import verify as verify_mod
 
 
@@ -105,6 +105,11 @@ def cmd_simulate(args):
     return 0
 
 
+def _check_jobs(args):
+    if args.jobs < 1:
+        raise SystemExit("error: --jobs must be >= 1")
+
+
 def cmd_sweep(args):
     cfg = _load(args.config, args)
     try:
@@ -115,8 +120,12 @@ def cmd_sweep(args):
         raise SystemExit("error: --k-list needs positive integers")
     if args.trials < 1:
         raise SystemExit("error: --trials must be >= 1")
-    rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
-                           n_jobs=args.jobs)
+    _check_jobs(args)
+    try:
+        rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
+                               n_jobs=args.jobs)
+    except SweepTrialAborted as exc:
+        raise SystemExit(f"error: {exc}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -131,6 +140,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    _check_jobs(args)
     all_ok = True
     for name, ok, detail in verify_mod.run_suites(args.level, n_jobs=args.jobs):
         status = "PASS" if ok else "FAIL"

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .dynamics import prediction_matrices
 
@@ -73,7 +74,7 @@ class LocalProblem:
     members: tuple          # sorted agent indices, owner included
     models: tuple           # LtiAgent per member
     x0: tuple               # measured initial state per member
-    H: np.ndarray
+    H: sparse.csr_array     # symmetric, PSD
     g: np.ndarray
 
     @property
@@ -99,7 +100,7 @@ class LocalProblem:
         return slice(start, start + mdl.m)
 
     def cost(self, x):
-        return 0.5 * x @ self.H @ x + self.g @ x
+        return 0.5 * x @ (self.H @ x) + self.g @ x
 
     def dynamics_equalities(self):
         """Dense (A_eq, b_eq): x(0) pinned to measurements, rollout equalities."""
@@ -122,36 +123,43 @@ class LocalProblem:
 
 
 def _block(owner, T, members, agents, states, edges, input_owners):
-    """Problem over `members` with cost stamped into H in the order given.
+    """Problem over `members` with a sparse H built from (row, col, value) triplets.
 
     Each edge (a, b, w) adds (w/2)||x_a(t) - x_b(t)||^2 at every t, and
-    each input owner its input energy u'u.
+    each input owner its input energy u'u. A member's states t=0..T are one
+    contiguous range of the local vector, so an edge couples two ranges
+    entry by entry: +w on both diagonals, -w between them. The diagonal is
+    summed in the order the edges are given.
     """
     models = tuple(agents[j - 1] for j in members)
-    dim = sum(m.n * (T + 1) + m.m * T for m in models)
-    p = LocalProblem(owner=owner, T=T, members=members, models=models,
-                     x0=tuple(states[j - 1] for j in members),
-                     H=np.zeros((dim, dim)), g=np.zeros(dim))
-    H = p.H
+    layout = ZLayout(models, T)
     pos = {j: k for k, j in enumerate(members)}
+    diag = np.zeros(layout.dim)
+    rows, cols, vals = [], [], []
     for a, b, w in edges:
         pa, pb = pos[a], pos[b]
-        if models[pa].n != models[pb].n:
+        n = models[pa].n
+        if n != models[pb].n:
             raise ValueError("edge coupling requires matching state dimensions")
-        for t in range(T + 1):
-            sa, sb = p.state_slice(pa, t), p.state_slice(pb, t)
-            idx_a = np.arange(sa.start, sa.stop)
-            idx_b = np.arange(sb.start, sb.stop)
-            H[idx_a, idx_a] += w
-            H[idx_b, idx_b] += w
-            H[idx_a, idx_b] -= w
-            H[idx_b, idx_a] -= w
+        ia = layout.starts[pa] + np.arange(n * (T + 1))
+        ib = layout.starts[pb] + np.arange(n * (T + 1))
+        diag[ia] += w
+        diag[ib] += w
+        rows += [ia, ib]
+        cols += [ib, ia]
+        vals.append(np.full(2 * ia.size, -w))
     for j in input_owners:
-        for t in range(T):
-            su = p.input_slice(pos[j], t)
-            idx = np.arange(su.start, su.stop)
-            H[idx, idx] += 2.0  # u'u == 0.5 x'(2I)x on the owner's inputs
-    return p
+        u0 = layout.input_offset(pos[j] + 1, 0)  # layout members count from 1
+        diag[u0:u0 + models[pos[j]].m * T] += 2.0  # u'u == 0.5 x'(2I)x
+    nz = np.flatnonzero(diag)
+    rows.append(nz)
+    cols.append(nz)
+    vals.append(diag[nz])
+    H = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(layout.dim, layout.dim))
+    return LocalProblem(owner=owner, T=T, members=members, models=models,
+                        x0=tuple(states[j - 1] for j in members),
+                        H=H, g=np.zeros(layout.dim))
 
 
 def check_finite_states(states):
@@ -282,8 +290,9 @@ def condensed_maps(p, pred, M=None):
 
 
 def condensed_hessian(p, M):
-    """Symmetrized Hessian M'HM of the condensed cost."""
-    P = M.T @ p.H @ M
+    """Symmetrized Hessian M'HM of the condensed cost, as (HM)'M with the
+    sparse product first (H is symmetric)."""
+    P = (p.H @ M).T @ M
     return 0.5 * (P + P.T)
 
 

@@ -1,5 +1,6 @@
 """Receding-horizon closed-loop simulation and iteration-budget sweeps."""
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -118,14 +119,15 @@ class _CentralizedCache(_Controller):
     """The centralized controller: the whole-network QP, validated and
     factorized once. The gradient M'H c is linear in the measured states,
     c = C x0 stacking each agent's Phi x0, so G = M'H C is formed once and
-    each step's gradient is G x0. M holds per member one Gam block on its
-    state rows and an identity on its input rows, so each member's rows of
-    G are Gam' HC[state rows] + HC[input rows]."""
+    each step's gradient is G x0. HC is formed from H's sparse column
+    blocks, one per member. M holds per member one Gam block on its state
+    rows and an identity on its input rows, so each member's rows of G are
+    Gam' HC[state rows] + HC[input rows]."""
 
     def __init__(self, g, agents, T, initial_states, qp_tol, max_iter=50000):
         self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
         self.qp = BoxQp(P, np.zeros(P.shape[0]), *condensed_bounds(self.block))
-        H, offs = self.block.H, self.block.member_offsets()
+        H, offs = self.block.H.tocsc(), self.block.member_offsets()
         pred = [self.pred[j] for j in self.block.members]
         HC = np.hstack([H[:, off:off + Phi.shape[0]] @ Phi for off, (Phi, _) in zip(offs, pred)])
         G = []
@@ -325,36 +327,57 @@ def performance_ratio(admm_log, central_log):
     return 100.0 * (closed_loop_cost(admm_log) - cc) / cc
 
 
+class SweepTrialAborted(RuntimeError):
+    """A closed loop of an iteration-sweep trial aborted on a SolverFailure.
+
+    `K` is None for the trial's centralized reference loop.
+    """
+
+    def __init__(self, seed, K, step, reason):
+        loop = "centralized reference" if K is None else f"K={K}"
+        super().__init__(f"sweep trial seed {seed}, {loop}: aborted at step {step}: {reason}")
+        self.seed, self.K, self.step, self.reason = seed, K, step, reason
+
+    def __reduce__(self):  # raised in sweep worker processes
+        return type(self), (self.seed, self.K, self.step, self.reason)
+
+
 def _sweep_trial(args):
     g, cfg, k_values, seed = args
     rng = np.random.default_rng(seed)
     agents = default_agents(g, cfg)
     x0 = draw_initial_states(g, cfg, rng)
     noise = draw_noise(g, cfg, rng)
-    central_cfg = replace(cfg, solver_kind="centralized", rng_seed=seed)
-    central_log = run_closed_loop(g, central_cfg, agents=agents,
-                                  initial_states=x0, noise=noise)
-    row = []
-    for K in k_values:
-        admm_cfg = replace(cfg, solver_kind="admm", admm_iterations=K, rng_seed=seed)
-        admm_log = run_closed_loop(g, admm_cfg, agents=agents,
-                                   initial_states=x0, noise=noise)
-        row.append(performance_ratio(admm_log, central_log))
-    return row
+
+    def loop(K):
+        run_cfg = (replace(cfg, solver_kind="centralized", rng_seed=seed) if K is None else
+                   replace(cfg, solver_kind="admm", admm_iterations=K, rng_seed=seed))
+        log = run_closed_loop(g, run_cfg, agents=agents, initial_states=x0, noise=noise)
+        if log.aborted_at is not None:
+            raise SweepTrialAborted(seed, K, log.aborted_at, log.abort_reason)
+        return log
+
+    central_log = loop(None)
+    return [performance_ratio(loop(K), central_log) for K in k_values]
 
 
 def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
     """Paired ADMM-vs-centralized closed loops per trial, aggregated per K.
 
     Returns rows (K, mean excess %, std %, num_trials). Each trial reuses
-    one centralized reference run across every K value.
+    one centralized reference run across every K value. Trials run in at
+    most min(n_jobs, num_trials, CPUs) worker processes. A loop that aborts
+    raises SweepTrialAborted naming its trial.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     seed0 = cfg.rng_seed if base_seed is None else base_seed
     jobs = [(g, cfg, list(k_values), seed0 + trial) for trial in range(num_trials)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+    workers = min(n_jobs, num_trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             ratios = list(ex.map(_sweep_trial, jobs))
     else:
         ratios = [_sweep_trial(j) for j in jobs]

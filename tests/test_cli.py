@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dmpc import ConfigError, parse_config
+from dmpc import ConfigError, SolverFailure, parse_config, simulation
 from dmpc.cli import main
 
 
@@ -204,6 +204,29 @@ def test_sweep_rejects_bad_trials(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", write_config(tmp_path), "--trials", "0"])
     assert str(exc.value).startswith("error: ") and "--trials" in str(exc.value)
+
+
+def test_sweep_and_verify_reject_bad_jobs(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
+    assert str(exc.value) == "error: --jobs must be >= 1"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", "-2"])
+    assert str(exc.value) == "error: --jobs must be >= 1"
+
+
+def test_sweep_reports_an_aborted_trial(tmp_path, monkeypatch):
+    def failing(self, measured):
+        raise SolverFailure(3, 1, "max_iterations: injected")
+
+    monkeypatch.setattr(simulation._AdmmController, "plan", failing)
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+              "--k-list", "2", "--trials", "1"])
+    assert str(exc.value) == ("error: sweep trial seed 7, K=2: aborted at step 0: subproblem "
+                              "of agent 3 failed at iteration 1: max_iterations: injected")
+    assert not out.exists()
 
 
 def test_verify_rejects_unknown_level():

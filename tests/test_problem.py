@@ -68,8 +68,9 @@ def test_local_hessians_are_psd():
     g = path_graph(4)
     probs, _, _ = build_local_problems(g, make_agents(4), 3, random_states(rng, 4))
     for p in probs:
-        assert np.max(np.abs(p.H - p.H.T)) <= 1e-12
-        assert np.linalg.eigvalsh(p.H).min() >= -1e-9
+        H = p.H.toarray()
+        assert np.max(np.abs(H - H.T)) <= 1e-12
+        assert np.linalg.eigvalsh(H).min() >= -1e-9
 
 
 def test_map_copy_counts():
@@ -176,7 +177,7 @@ def test_condense_matches_equality_qp_oracle():
         assert sol.status == "optimal"
         x_cond = M @ sol.x_star + c
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H, p.g, A_eq, b_eq)
+        x_ref = solve_equality_qp(p.H.toarray(), p.g, A_eq, b_eq)
         assert np.max(np.abs(x_cond - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_cond - b_eq)) <= 1e-10
 

@@ -1,13 +1,15 @@
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dmpc import (QpSolution, SimConfig, closed_loop_cost, draw_initial_states, draw_noise,
-                  iteration_sweep, path_graph, performance_ratio,
-                  run_closed_loop)
+from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, closed_loop_cost,
+                  draw_initial_states, draw_noise, iteration_sweep, path_graph,
+                  performance_ratio, run_closed_loop)
 from dmpc import admm, simulation
-from dmpc.simulation import default_agents
+from dmpc.simulation import _CentralizedCache, default_agents
 
 
 def small_cfg(**overrides):
@@ -189,6 +191,77 @@ def test_iteration_sweep_rows_and_ordering():
     assert abs(rows[1][1]) <= 0.1
     with pytest.raises(ValueError):
         iteration_sweep(g, cfg, [1], num_trials=0)
+    with pytest.raises(ValueError):
+        iteration_sweep(g, cfg, [1], num_trials=1, n_jobs=0)
+
+
+def test_iteration_sweep_names_the_aborted_trial(monkeypatch):
+    # the K=2 loop of the trial with seed 12 fails at its step 2
+    plan = simulation._AdmmController.plan
+
+    def failing(self, measured):
+        self.steps_planned = getattr(self, "steps_planned", 0) + 1
+        if (self.cfg.admm_iterations, self.cfg.rng_seed, self.steps_planned) == (2, 12, 3):
+            raise admm.SolverFailure(2, 5, "max_iterations: injected")
+        return plan(self, measured)
+
+    monkeypatch.setattr(simulation._AdmmController, "plan", failing)
+    with pytest.raises(SweepTrialAborted) as exc:
+        iteration_sweep(path_graph(3), small_cfg(num_steps=4), [1, 2, 3], num_trials=3,
+                        base_seed=11)
+    err = exc.value
+    assert (err.seed, err.K, err.step) == (12, 2, 2)
+    assert err.reason == "subproblem of agent 2 failed at iteration 5: max_iterations: injected"
+    assert str(err) == f"sweep trial seed 12, K=2: aborted at step 2: {err.reason}"
+    # a worker process hands the error back pickled
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.seed, back.K, back.step, back.reason, str(back)) == \
+        (err.seed, err.K, err.step, err.reason, str(err))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_iteration_sweep_caps_its_process_pool(monkeypatch):
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    g, cfg = path_graph(2), small_cfg(num_steps=1, horizon=2)
+    for n_jobs, trials in ((10**6, 2), (10**6, 5), (2, 5), (1, 5), (10**6, 1)):
+        rows = iteration_sweep(g, cfg, [1], num_trials=trials, n_jobs=n_jobs)
+        assert rows[0][3] == trials
+    assert RecordingPool.sizes == [2, 3, 2]
+
+
+def test_centralized_setup_memory_on_a_grid():
+    # 4x5 grid, T = 10: a dense 1920 x 1920 trajectory Hessian alone is 29.5 MB
+    g = InfoGraph(20, {**{(v, v + 1): 1.0 for v in range(1, 21) if v % 5},
+                       **{(v, v + 5): 1.0 for v in range(1, 16)}})
+    cfg = SimConfig()
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def stalled_qp(qp, **kwargs):

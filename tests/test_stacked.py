@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -14,8 +15,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from dmpc import (InfoGraph, build_local_problems, double_integrator_3d,  # noqa: E402
                   run_dual_decomposition, solve_equality_qp)
 from dmpc.admm import AdmmResult, _AgentCache, dual_update, residuals, z_update  # noqa: E402
-from dmpc.problem import ZLayout, copy_counts  # noqa: E402
-from dmpc.simulation import _shift_indices, _shift_warm_state  # noqa: E402
+from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
+                          predictions)
+from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
 
 
 @st.composite
@@ -177,5 +179,80 @@ def test_dual_decomposition_first_iterate_is_the_local_optimum(scenario):
     plans, _ = run_dual_decomposition(probs, maps, lambda k: 0.0, 1)
     for p, x in zip(probs, plans):
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H, p.g, A_eq, b_eq)
+        x_ref = solve_equality_qp(p.H.toarray(), p.g, A_eq, b_eq)
         assert np.max(np.abs(x - x_ref)) <= 1e-6
+
+
+def stamped_hessian(p, edges, input_owners):
+    """Dense H of `p` stamped one time step at a time: (w/2)||x_a(t) - x_b(t)||^2
+    per edge (a, b, w) and u'u per input owner."""
+    H = np.zeros((p.dim, p.dim))
+    pos = {j: k for k, j in enumerate(p.members)}
+    for a, b, w in edges:
+        for t in range(p.T + 1):
+            sa, sb = p.state_slice(pos[a], t), p.state_slice(pos[b], t)
+            ia, ib = np.arange(sa.start, sa.stop), np.arange(sb.start, sb.stop)
+            H[ia, ia] += w
+            H[ib, ib] += w
+            H[ia, ib] -= w
+            H[ib, ia] -= w
+    for j in input_owners:
+        for t in range(p.T):
+            su = p.input_slice(pos[j], t)
+            iu = np.arange(su.start, su.stop)
+            H[iu, iu] += 2.0
+    return H
+
+
+def close(got, ref, rel):
+    return np.max(np.abs(got - ref), initial=0.0) <= rel * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_sparse_hessians_equal_dense_stamping(scenario):
+    g, agents, T, _, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, z_dim = build_local_problems(g, agents, T, x0)
+    for p in probs:
+        edges = [(p.owner, j, g.weight(p.owner, j)) for j in g.neighbors(p.owner)]
+        assert sparse.issparse(p.H)
+        assert np.array_equal(p.H.toarray(), stamped_hessian(p, edges, [p.owner]))
+    block = build_centralized_qp(g, agents, T, x0)[0]
+    edges = [(i, j, 2.0 * w) for (i, j), w in g.weights.items()]
+    assert sparse.issparse(block.H)
+    assert np.array_equal(block.H.toarray(), stamped_hessian(block, edges, block.members))
+    # criterion 6, cost decomposition: sum_i E_i' H_i E_i = H
+    total = np.zeros((z_dim, z_dim))
+    for p, m in zip(probs, maps):
+        total[np.ix_(m.global_idx, m.global_idx)] += p.H.toarray()
+    assert close(total, block.H.toarray(), 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_condensed_terms_equal_dense_hessian_formulas(scenario):
+    g, agents, T, rho, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, _, _ = build_local_problems(g, agents, T, x0)
+    pred = predictions(probs)
+    for p in probs:
+        cache = _AgentCache(p, pred, rho, qp_tol=1e-8)
+        H, M, c = p.H.toarray(), cache.M, cache.c
+        P = M.T @ H @ M + rho * (M.T @ M)
+        assert close(cache.qp.P, 0.5 * (P + P.T), 1e-12)
+        assert close(cache.q_static, M.T @ (H @ c + p.g) + rho * (M.T @ c), 1e-12)
+    central = _CentralizedCache(g, agents, T, x0, qp_tol=1e-8)
+    H, M = central.block.H.toarray(), central.M
+    P = M.T @ H @ M
+    assert close(central.qp.P, 0.5 * (P + P.T), 1e-12)
+    # G maps the stacked measured states to the gradient M'H c, c = C x0
+    C = np.zeros((central.block.dim, sum(a.n for a in agents)))
+    col = 0
+    for off, j, a in zip(central.block.member_offsets(), central.block.members, agents):
+        Phi = central.pred[j][0]
+        C[off:off + Phi.shape[0], col:col + a.n] = Phi
+        col += a.n
+    assert close(central.G, M.T @ H @ C, 1e-12)
