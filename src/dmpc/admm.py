@@ -12,11 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .problem import (check_finite_states, condensed_bounds, condensed_maps, copy_counts,
                       predictions)
-from .qp import BoxQp, power_iteration_lmax, solve_box_qp
+from .qp import BoxQp, solve_box_qp
 
 
 class SolverFailure(RuntimeError):
@@ -100,11 +99,6 @@ class _AgentCache:
         self.Mt = M.T
         P = M.T @ (problem.H @ M) + rho * (M.T @ M)
         P = 0.5 * (P + P.T)
-        try:
-            self.cho = cho_factor(P)
-        except np.linalg.LinAlgError:  # singular P (rho = 0): projected gradient only
-            self.cho = False
-        self.lipschitz = power_iteration_lmax(P)
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
         self.warm = None
@@ -117,12 +111,11 @@ class _AgentCache:
         self.q_static = self.Mt @ (self.problem.H @ self.c + self.problem.g) \
             + self.rho * (self.Mt @ self.c)
 
-    def solve(self, v, k, qp_max_iter=20000):
+    def solve(self, v, k):
         """Minimize the local cost plus v'x + (rho/2)||x||^2 at iteration k. ADMM
         passes v = lam - rho E z; dual decomposition its multipliers' term."""
         q = self.q_static + self.Mt @ v
-        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, max_iter=qp_max_iter,
-                           x0=self.warm, lipschitz=self.lipschitz, cho=self.cho)
+        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
         if sol.status != "optimal":
             raise SolverFailure(self.problem.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
@@ -232,8 +225,7 @@ def _copy_pairs(problems, E, slices):
     return copies, own_pos[E[copies]]
 
 
-def run_dual_decomposition(problems, maps, alpha, max_iter,
-                           qp_tol=1e-8, qp_max_iter=50000):
+def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8):
     """Unaugmented dual ascent on the copy-consistency constraints.
 
     Each copy of a neighbor's block must equal the neighbor's own copy,
@@ -256,8 +248,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter,
         lin = np.zeros(E.size)
         lin[copies] = nu
         lin -= np.bincount(owners, weights=nu, minlength=E.size)
-        x_cat = np.concatenate([c.solve(lin[s], k, qp_max_iter)
-                                for c, s in zip(caches, slices)])
+        x_cat = np.concatenate([c.solve(lin[s], k) for c, s in zip(caches, slices)])
         r = x_cat[copies] - x_cat[owners]
         nu = nu + alpha(k) * r
         dis = float(np.sqrt(r @ r))

@@ -1,4 +1,5 @@
-"""Convex QP solvers: box-constrained (projected gradient) plus dense oracles."""
+"""Convex QP solvers: box-constrained (closed form, then projected Newton)
+plus dense oracles."""
 
 import itertools
 from dataclasses import dataclass, field
@@ -48,8 +49,10 @@ def diagonal_blocks(P):
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
-    `blocks` is P split into its independent diagonal blocks
-    (`diagonal_blocks`), found once when the problem is built.
+    Found once when the problem is built: `blocks`, P split into its
+    independent diagonal blocks (`diagonal_blocks`), and `cho`, P's
+    Cholesky factor as scipy's cho_factor returns it, or None unless P is
+    positive definite and not `_near_singular`.
     """
 
     P: np.ndarray
@@ -57,6 +60,7 @@ class BoxQp:
     lower: np.ndarray
     upper: np.ndarray
     blocks: tuple = field(init=False, repr=False, compare=False)
+    cho: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -75,9 +79,14 @@ class BoxQp:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "blocks", diagonal_blocks(P))
+        try:
+            cho = cho_factor(P) if n else None
+        except np.linalg.LinAlgError:
+            cho = None
+        object.__setattr__(self, "cho", None if cho is None or _near_singular(cho[0], P) else cho)
 
     def with_q(self, q):
-        """The same P, blocks and box with linear term q; only q's shape is checked."""
+        """The same P, blocks, factor and box with linear term q; only q's shape is checked."""
         q = np.asarray(q, dtype=float)
         if q.shape != self.q.shape:
             raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
@@ -105,7 +114,7 @@ class BoxQp:
 @dataclass
 class QpSolution:
     x_star: np.ndarray
-    status: str  # optimal | max_iterations | infeasible_bounds
+    status: str  # optimal | max_iterations | stalled | infeasible_bounds
     kkt_residual: float
     iterations: int
     objective: float = np.nan
@@ -113,23 +122,9 @@ class QpSolution:
     objective_history: list = field(default_factory=list)
 
 
-def power_iteration_lmax(P, iters=60, seed=0):
-    """Largest eigenvalue estimate for the gradient step bound."""
-    n = P.shape[0]
-    if n == 0:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = P @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 1.0
-        lam = nw
-        v = w / nw
-    return float(lam)
+def _near_singular(c, a):
+    """Whether a squared pivot of c, a's Cholesky factor, is below 1e-12 max(diag a)."""
+    return c.diagonal().min() ** 2 <= 1e-12 * a.diagonal().max()
 
 
 def _solve_free(qp, cand, active):
@@ -138,7 +133,12 @@ def _solve_free(qp, cand, active):
     Block by block: free rows keep P_b and active rows and columns become
     identity ones; the right-hand side is -q - P_b x_active on free rows
     and the held value on active rows. A masked SPD P_b is SPD, so LAPACK
-    dposv solves it; otherwise a least-squares solve takes over.
+    dposv solves it. A singular one, or a `_near_singular` one when P has
+    no factor (a masked block's pivots are no smaller than P's), gets the
+    minimum-norm least-squares solution; where that leaves a residual r (in
+    the null space: the free rows have no minimum), the solution moves by
+    r / (1e-8 d), d the largest diagonal entry, so the box stops the
+    descent that r gives.
     """
     for idx, Pb in qp.blocks:
         act = active[idx]
@@ -151,56 +151,26 @@ def _solve_free(qp, cand, active):
         for i, a, b, f in zip(idx, A, rhs, free):
             if not f.any():
                 continue
-            _, x, info = dposv(a, b)
-            if info != 0:
+            c, x, info = dposv(a, b)
+            if info != 0 or qp.cho is None and _near_singular(c, a):
                 x, *_ = np.linalg.lstsq(a, b, rcond=None)
+                r = b - a @ x  # in the null space of a: nonzero where f has no minimum
+                if np.abs(r).max() > 1e-10 * np.abs(b).max():
+                    x += r / (1e-8 * (a.diagonal().max() or 1.0))
             cand[i] = x
 
 
-def _active_set_polish(qp, x, fx, grad, rounds=None):
-    """Projected-Newton refinement from the current iterate.
+def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
+    """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
-    Repeatedly pins variables sitting at a bound with an inward-pointing
-    gradient, solves the free entries exactly (`_solve_free`), and
-    re-projects. `x` lies in the box with objective fx and gradient
-    grad = P x + q. Returns the best candidate found with its objective and
-    gradient, or (None, fx, None) if nothing beat the incoming objective.
-    """
-    n = qp.dim
-    if rounds is None:
-        rounds = n + 2
-    span = np.where(np.isfinite(qp.upper) & np.isfinite(qp.lower),
-                    np.maximum(qp.upper - qp.lower, 1.0), 1.0)
-    band = 1e-9 * span
-    best, best_f = None, fx
-    prev_active = None
-    for _ in range(rounds):
-        at_lo = np.isfinite(qp.lower) & (x - qp.lower <= band) & (grad >= 0)
-        at_hi = np.isfinite(qp.upper) & (qp.upper - x <= band) & (grad <= 0)
-        key = (at_lo.tobytes(), at_hi.tobytes())
-        if key == prev_active:
-            break
-        prev_active = key
-        cand = np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x))
-        _solve_free(qp, cand, at_lo | at_hi)
-        cand = qp.project(cand)
-        gc = qp.P @ cand + qp.q
-        fc = 0.5 * cand @ (gc + qp.q)
-        if fc <= best_f + 1e-12 * max(1.0, abs(best_f)):
-            best, best_f = (cand, fc, gc), min(fc, best_f)
-        x, grad = cand, gc
-    if best is None:
-        return None, fx, None
-    return best
-
-
-def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None):
-    """Monotone accelerated projected gradient with restart.
-
-    A cached Cholesky factor of P may be supplied (`cho`, as returned by
-    scipy's cho_factor, used as it is); when the unconstrained minimizer it
-    yields is feasible the solve finishes without iterating. A non-finite q
-    raises ValueError. `lipschitz` short-cuts the power-iteration step bound.
+    The closed form (from `qp.cho`) has `iterations` 0 and no objective
+    history. Newton starts from project(x0), else the projected closed
+    form, else 0; each iteration pins the entries within 1e-9 span of a
+    bound whose gradient points out of the box, solves the free entries
+    (`_solve_free`) and takes an Armijo step along the projection arc. Even
+    an optimal start takes one step, onto its face. `objective_history`
+    holds the start objective and one entry per iteration; `iterations`
+    counts those after the first. A non-finite q raises ValueError.
     """
     n = qp.dim
     if (qp.lower > qp.upper).any():
@@ -208,87 +178,56 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, lipschitz=None, cho=None)
                           message="lower bound exceeds upper bound")
     if n == 0:
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
+    if not np.isfinite(qp.q).all():
+        raise ValueError("q must contain only finite values")
 
-    # Unconstrained shortcut: valid whenever P is positive definite and the
-    # global minimizer already satisfies the box.
-    if cho is None:
-        try:
-            cho = cho_factor(qp.P)
-        except np.linalg.LinAlgError:
-            cho = False
-    if cho is not False:
-        if not np.isfinite(qp.q).all():
-            raise ValueError("q must contain only finite values")
-        xu, info = dpotrs(cho[0], -qp.q, lower=cho[1], overwrite_b=True)
+    x = np.zeros(n)
+    if qp.cho is not None:
+        x, info = dpotrs(qp.cho[0], -qp.q, lower=qp.cho[1], overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-        if (xu >= qp.lower - 1e-12).all() and (xu <= qp.upper + 1e-12).all():
-            x = qp.project(xu)
+        if (x >= qp.lower - 1e-12).all() and (x <= qp.upper + 1e-12).all():
+            x = qp.project(x)
             grad = qp.P @ x + qp.q
             res = qp.kkt_residual(x, grad)
             if res <= tol:
                 return QpSolution(x, "optimal", res, 0, 0.5 * x @ (grad + qp.q))
-        start = qp.project(xu) if x0 is None else qp.project(np.asarray(x0, dtype=float))
-    else:
-        start = qp.project(np.zeros(n)) if x0 is None else qp.project(np.asarray(x0, dtype=float))
-
-    if lipschitz is None:
-        lipschitz = power_iteration_lmax(qp.P)
-    L = max(lipschitz * 1.02, 1e-12)
+    x = qp.project(x if x0 is None else np.asarray(x0, dtype=float))
 
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
-    x = start
     grad = qp.P @ x + qp.q
     fx = 0.5 * x @ (grad + qp.q)
-    y = x.copy()
-    t = 1.0
-    x_prev = x.copy()
     history = [fx]
-    kkt = qp.kkt_residual(x, grad)
-    if kkt <= tol:
-        return QpSolution(x, "optimal", kkt, 0, fx, objective_history=history)
-    cand, fc, gc = _active_set_polish(qp, x, fx, grad)
-    if cand is not None:
-        res = qp.kkt_residual(cand, gc)
-        if res <= tol:
-            history.append(fc)
-            return QpSolution(cand, "optimal", res, 0, fc, objective_history=history)
-        if fc <= fx:
-            x, fx, grad = cand, fc, gc
-            y = x.copy()
-
-    for k in range(1, max_iter + 1):
-        grad_y = qp.P @ y + qp.q
-        z = qp.project(y - grad_y / L)
-        gz = qp.P @ z + qp.q
-        fz = 0.5 * z @ (gz + qp.q)
-        if fz <= fx:
-            x_prev, x, fx, grad = x, z, fz, gz
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = z + ((t - 1.0) / t_new) * (z - x_prev)
-            t = t_new
-        else:
-            # restart momentum at the best point so the record stays monotone
-            x_prev = x
-            y = x.copy()
-            t = 1.0
-        if k % 25 == 0:
-            cand, fc, gc = _active_set_polish(qp, x, fx, grad)
-            if cand is not None and fc <= fx:
-                x_prev, x, fx, grad = x, cand, fc, gc
-                y = x.copy()
-                t = 1.0
+    lo_set, hi_set = np.isfinite(qp.lower), np.isfinite(qp.upper)
+    band = 1e-9 * np.where(lo_set & hi_set, np.maximum(qp.upper - qp.lower, 1.0), 1.0)
+    status, why = "max_iterations", f"{max_iter} iterations"
+    for _ in range(max_iter):
+        at_lo = lo_set & (x - qp.lower <= band) & (grad >= 0)
+        at_hi = hi_set & (qp.upper - x <= band) & (grad <= 0)
+        newton = np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x))
+        _solve_free(qp, newton, at_lo | at_hi)
+        for k in range(53):  # Armijo steps 1, 1/2, ... with a rounding slack
+            xa = qp.project(x + 0.5 ** k * (newton - x) if k else newton)
+            ga = qp.P @ xa + qp.q
+            fa = 0.5 * xa @ (ga + qp.q)
+            if fa <= fx + 1e-4 * (grad @ (xa - x)) + 1e-15 * abs(fx):
+                break
+        else:  # no descent step: stay
+            xa, ga, fa = x, grad, fx
+        moved = fa < fx or not np.array_equal(xa, x)
+        x, grad, fx = xa, ga, fa
         history.append(fx)
         kkt = qp.kkt_residual(x, grad)
         if kkt <= tol:
-            return QpSolution(x, "optimal", kkt, k, fx, objective_history=history)
-        if fx < -1e18 or np.max(np.abs(x)) > 1e12:
-            return QpSolution(x, "max_iterations", kkt, k, fx,
-                              message="objective appears unbounded below",
+            return QpSolution(x, "optimal", kkt, len(history) - 2, fx,
                               objective_history=history)
-    return QpSolution(x, "max_iterations", kkt, max_iter, fx,
-                      message=f"kkt residual {kkt:.3e} above tol {tol:.3e}",
+        if not moved:
+            status, why = "stalled", "no descent step"
+            break
+    kkt = qp.kkt_residual(x, grad)
+    return QpSolution(x, status, kkt, max(len(history) - 2, 0), fx,
+                      message=f"{why}; kkt residual {kkt:.3e} above tol {tol:.3e}",
                       objective_history=history)
 
 

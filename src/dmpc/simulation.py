@@ -6,13 +6,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .admm import AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
 from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
                       condensed_maps, global_cost)
-from .qp import BoxQp, power_iteration_lmax, solve_box_qp
+from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
 
@@ -124,7 +123,7 @@ class _CentralizedCache(_Controller):
     rows and an identity on its input rows, so each member's rows of G are
     Gam' HC[state rows] + HC[input rows]."""
 
-    def __init__(self, g, agents, T, initial_states, qp_tol, max_iter=50000):
+    def __init__(self, g, agents, T, initial_states, qp_tol):
         self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
         self.qp = BoxQp(P, np.zeros(P.shape[0]), *condensed_bounds(self.block))
         H, offs = self.block.H.tocsc(), self.block.member_offsets()
@@ -135,18 +134,13 @@ class _CentralizedCache(_Controller):
             u0 = off + Gam.shape[0]  # the member's inputs follow its states
             G.append(Gam.T @ HC[off:u0] + HC[u0:u0 + Gam.shape[1]])
         self.G = np.vstack(G)
-        self.cho = cho_factor(P)
-        self.lipschitz = power_iteration_lmax(P)
         self.qp_tol = qp_tol
-        self.max_iter = max_iter
         self.warm = None
 
     def solve(self, initial_states):
         """Input plans, one (T, m) array per agent, from the measured states."""
         q = self.G @ np.concatenate(initial_states)
-        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol,
-                           max_iter=self.max_iter, x0=self.warm,
-                           lipschitz=self.lipschitz, cho=self.cho)
+        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
         if sol.status != "optimal":
             raise SolverFailure(None, None, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
@@ -298,12 +292,12 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
                   aborted_at=aborted_at, abort_reason=abort_reason)
 
 
-def solve_centralized(g, agents, T, initial_states, tol=1e-8, max_iter=20000):
+def solve_centralized(g, agents, T, initial_states, tol=1e-8):
     """Solve the full finite-horizon problem as one condensed box QP.
 
     Returns (input sequences per agent as (T, m_i) arrays, optimal cost).
     """
-    central = _CentralizedCache(g, agents, T, initial_states, tol, max_iter)
+    central = _CentralizedCache(g, agents, T, initial_states, tol)
     plans = central.solve(initial_states)
     _, c = condensed_maps(central.block, central.pred, central.M)
     return plans, float(central.block.cost(central.M @ central.warm + c))

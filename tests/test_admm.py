@@ -239,12 +239,12 @@ def test_dual_decomposition_needs_an_iteration():
 
 def test_dual_decomposition_runs_on_singular_subproblems():
     # the two inputs act alike, so a neighbour's inputs leave P = M'HM singular
-    # at rho = 0 and the x-updates fall back to projected gradient
+    # at rho = 0 and the x-updates never take the closed form
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     agents = [LtiAgent(A, np.array([[0.0, 0.0], [0.1, 0.1]]), u_max=1.0) for _ in range(2)]
     x0 = [np.array([1.0, 0.0]), np.array([-1.0, 0.5])]
     probs, maps, _ = build_local_problems(path_graph(2), agents, 2, x0)
-    assert all(_AgentCache(p, predictions(probs), 0.0, 1e-8).cho is False for p in probs)
+    assert all(_AgentCache(p, predictions(probs), 0.0, 1e-8).qp.cho is None for p in probs)
     plans, hist = run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 20)
     assert all(np.all(np.isfinite(x)) for x in plans)
     assert hist[-1][1] < hist[0][1]

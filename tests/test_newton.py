@@ -1,0 +1,100 @@
+"""The projected-Newton box QP: against the enumeration oracle on hard cases,
+what its solution fields report, and an x-update that the accelerated
+projected gradient it replaced could not finish."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_blocks import kkt  # noqa: E402
+
+from dmpc import (AdmmEngine, BoxQp, SimConfig, build_local_problems,  # noqa: E402
+                  draw_initial_states, enumerate_box_qp, path_graph, solve_box_qp)
+from dmpc import admm  # noqa: E402
+from dmpc.simulation import default_agents  # noqa: E402
+
+
+@st.composite
+def hard_box_qps(draw):
+    """(qp, x0): a box QP with n <= 8 of one of three hard kinds.
+
+    - degenerate: q = s - P x* for a chosen x* with entries at either bound
+      or inside; s is zero inside and, on about half the bound entries, zero
+      at the bound too, so x* is a KKT point whose multipliers vanish there;
+    - semidefinite: P = G G' with rank(G) < n (P = 0 included);
+    - start: P positive definite, started inside or outside the box.
+    The first two kinds start from nothing, inside or outside the box.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("degenerate", "semidefinite", "start")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, draw(st.integers(0, n - 1)) if kind == "semidefinite" else n))
+    P = G @ G.T + (0.0 if kind == "semidefinite" else 1e-3) * np.eye(n)
+    lo = -rng.uniform(0.1, 1.5, n)
+    hi = lo + rng.uniform(0.2, 3.0, n)
+    q = 2.0 * rng.standard_normal(n)
+    if kind == "degenerate":
+        where = rng.integers(0, 3, n)  # 0: lower bound, 1: upper bound, 2: inside
+        x_star = np.where(where == 0, lo, np.where(where == 1, hi, rng.uniform(lo, hi)))
+        slope = np.where(where == 0, 1.0, -1.0) * rng.uniform(0.0, 1.0, n)
+        slope[(where == 2) | (rng.random(n) < 0.5)] = 0.0
+        q = slope - P @ x_star
+    starts = ("inside", "outside") if kind == "start" else (None, "inside", "outside")
+    start = draw(st.sampled_from(starts))
+    x0 = None
+    if start is not None:
+        pad = 0.0 if start == "inside" else 2.0
+        x0 = rng.uniform(lo - pad, hi + pad)
+    return BoxQp(P, q, lo, hi), x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(hard_box_qps())
+def test_newton_matches_enumeration_on_hard_cases(case):
+    qp, x0 = case
+    tol = 1e-10
+    sol = solve_box_qp(qp, tol=tol, x0=x0)
+    _, f_ref = enumerate_box_qp(qp)
+    assert sol.status == "optimal", sol.message
+    assert abs(sol.objective - f_ref) <= 1e-9 * max(1.0, abs(f_ref))
+    assert kkt(qp, sol.x_star) <= tol
+    assert np.all(sol.x_star >= qp.lower) and np.all(sol.x_star <= qp.upper)
+    assert np.all(np.diff(sol.objective_history) <= 1e-12 * max(1.0, abs(f_ref)))
+
+
+def test_solution_fields_count_newton_iterations():
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((6, 6))
+    qp = BoxQp(G @ G.T + 0.1 * np.eye(6), 5.0 * rng.standard_normal(6),
+               -0.2 * np.ones(6), 0.2 * np.ones(6))
+    cold = solve_box_qp(qp, tol=1e-12)
+    assert cold.status == "optimal"
+    # the start objective plus one entry per iteration; iterations after the first
+    assert len(cold.objective_history) == cold.iterations + 2
+    # a start that is already optimal still takes one step onto its face
+    warm = solve_box_qp(qp, tol=1e-12, x0=cold.x_star)
+    assert warm.status == "optimal"
+    assert warm.iterations == 0 and len(warm.objective_history) == 2
+    assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-12
+
+
+def test_tight_qp_tol_cold_admm_completes(monkeypatch):
+    # with qp_tol = 1e-9 the accelerated projected gradient ended agent 3's
+    # x-update at iteration 54 after 20,000 iterations at KKT residual 4.8e-9
+    g = path_graph(5)
+    cfg = SimConfig()
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(2))
+    probs, maps, z_dim = build_local_problems(g, default_agents(g, cfg), 10, x0)
+    seen = []
+    solve = admm.solve_box_qp
+
+    def spy(qp, **kw):
+        sol = solve(qp, **kw)
+        seen.append((sol.status, kkt(qp, sol.x_star)))
+        return sol
+
+    monkeypatch.setattr(admm, "solve_box_qp", spy)
+    res = AdmmEngine(probs, maps, 1.0, z_dim=z_dim, qp_tol=1e-9).run(60)
+    assert len(res.history) == 60 and len(seen) == 5 * 60
+    assert all(status == "optimal" and r <= 1e-9 for status, r in seen)

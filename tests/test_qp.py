@@ -184,22 +184,19 @@ def test_with_q_swaps_only_the_linear_term():
 
 
 def test_closed_form_solution_fields():
-    from scipy.linalg import cho_factor
     rng = np.random.default_rng(32)
     G = rng.standard_normal((6, 6))
     P = G @ G.T + 6 * np.eye(6)
     qp = BoxQp(P, 0.1 * rng.standard_normal(6), -10 * np.ones(6), 10 * np.ones(6))
-    for cho in (None, cho_factor(P)):
-        sol = solve_box_qp(qp, tol=1e-9, cho=cho)
-        # the closed-form path: no iteration and no objective history
-        assert sol.status == "optimal" and sol.iterations == 0 and sol.objective_history == []
-        assert np.allclose(P @ sol.x_star, -qp.q, atol=1e-12)
-        assert sol.objective == pytest.approx(qp.objective(sol.x_star), rel=1e-12)
+    sol = solve_box_qp(qp, tol=1e-9)
+    # the closed-form path: no iteration and no objective history
+    assert sol.status == "optimal" and sol.iterations == 0 and sol.objective_history == []
+    assert np.allclose(P @ sol.x_star, -qp.q, atol=1e-12)
+    assert sol.objective == pytest.approx(qp.objective(sol.x_star), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_factored_solve_rejects_nonfinite_q(bad):
-    from scipy.linalg import cho_factor
     qp = BoxQp(2.0 * np.eye(3), np.array([0.5, bad, 0.0]), -np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="finite"):
-        solve_box_qp(qp, cho=cho_factor(qp.P))
+        solve_box_qp(qp)
