@@ -84,7 +84,7 @@ class _AgentCache:
     """Per-agent condensed structure reused across iterations and MPC steps.
 
     Everything that depends only on topology, horizon, and rho is validated
-    and factorized once; rebinding measured states refreshes only the affine
+    and inverted once; rebinding measured states refreshes only the affine
     offset and the static part of the gradient. `solve` is the x-update of
     ADMM and, at rho = 0, of dual decomposition.
     """

@@ -1,12 +1,19 @@
 """Convex QP solvers: box-constrained (closed form, then projected Newton)
-plus dense oracles."""
+plus dense oracles.
+
+`BoxQp` inverts P once, when it is built, block by block over P's
+independent diagonal blocks: S = P^-1 (`BoxQp.inv`). The closed form is then
+one matvec, x_unc = -S q. A Newton step that holds the active entries A at
+h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]), a solve of size |A|
+that reuses x_unc; when more than half the entries are held, or P has no
+inverse, it solves the free rows P_FF x_F = -q_F - P_FA h instead.
+"""
 
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dposv, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotri
 
 
 def diagonal_blocks(P):
@@ -45,14 +52,40 @@ def diagonal_blocks(P):
     return tuple(groups)
 
 
+def _near_singular(c, d):
+    """Whether a squared pivot of the Cholesky factor c is at most 1e-12 d,
+    d the largest diagonal entry of the factored matrix."""
+    return c.diagonal().min() ** 2 <= 1e-12 * d
+
+
+def _block_inverse(P, groups):
+    """P^-1 from each diagonal block's Cholesky factor (LAPACK dpotrf, dpotri),
+    or None unless every block is positive definite and no pivot is
+    `_near_singular` against P's largest diagonal entry."""
+    n = P.shape[0]
+    S = np.zeros((n, n))
+    d = P.diagonal().max(initial=0.0)
+    for idx, Pb in groups:
+        for i, b in zip(idx, Pb):
+            c, info = dpotrf(b)
+            if info != 0 or _near_singular(c, d):
+                return None
+            Sb, _ = dpotri(c)  # the upper triangle of b^-1; c has no zero pivot
+            S[i[:, None], i] = Sb + np.triu(Sb, 1).T
+    return S
+
+
 @dataclass(frozen=True)
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
-    Found once when the problem is built: `blocks`, P split into its
-    independent diagonal blocks (`diagonal_blocks`), and `cho`, P's
-    Cholesky factor as scipy's cho_factor returns it, or None unless P is
-    positive definite and not `_near_singular`.
+    Found once when the problem is built: `blocks`, the index arrays of P's
+    independent diagonal blocks (`diagonal_blocks`), one (nb, s) array per
+    block size; `inv`, P^-1, or None unless P is positive definite and no
+    Cholesky pivot is `_near_singular`; and the box's constants
+    `infeasible` (some lower bound exceeds its upper bound), `lo_set` and
+    `hi_set` (the finite bounds) and `band`, the distance within which
+    Newton pins an entry to a bound: 1e-9 of the box width, at least 1e-9.
     """
 
     P: np.ndarray
@@ -60,7 +93,11 @@ class BoxQp:
     lower: np.ndarray
     upper: np.ndarray
     blocks: tuple = field(init=False, repr=False, compare=False)
-    cho: tuple = field(init=False, repr=False, compare=False)
+    inv: np.ndarray = field(init=False, repr=False, compare=False)
+    infeasible: bool = field(init=False, repr=False, compare=False)
+    lo_set: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_set: np.ndarray = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -74,19 +111,18 @@ class BoxQp:
             raise ValueError("bound vectors must match q in length")
         if np.max(np.abs(P - P.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(P), initial=0.0)):
             raise ValueError("P must be symmetric")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "blocks", diagonal_blocks(P))
-        try:
-            cho = cho_factor(P) if n else None
-        except np.linalg.LinAlgError:
-            cho = None
-        object.__setattr__(self, "cho", None if cho is None or _near_singular(cho[0], P) else cho)
+        groups = diagonal_blocks(P)
+        lo_set, hi_set = np.isfinite(lo), np.isfinite(hi)
+        band = 1e-9 * np.where(lo_set & hi_set, np.maximum(hi - lo, 1.0), 1.0)
+        for name, value in (("P", P), ("q", q), ("lower", lo), ("upper", hi),
+                            ("blocks", tuple(idx for idx, _ in groups)),
+                            ("inv", _block_inverse(P, groups)),
+                            ("infeasible", bool((lo > hi).any())),
+                            ("lo_set", lo_set), ("hi_set", hi_set), ("band", band)):
+            object.__setattr__(self, name, value)
 
     def with_q(self, q):
-        """The same P, blocks, factor and box with linear term q; only q's shape is checked."""
+        """The same P, blocks, inverse and box with linear term q; only q's shape is checked."""
         q = np.asarray(q, dtype=float)
         if q.shape != self.q.shape:
             raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
@@ -122,58 +158,61 @@ class QpSolution:
     objective_history: list = field(default_factory=list)
 
 
-def _near_singular(c, a):
-    """Whether a squared pivot of c, a's Cholesky factor, is below 1e-12 max(diag a)."""
-    return c.diagonal().min() ** 2 <= 1e-12 * a.diagonal().max()
+def _newton_point(qp, x_unc, active, cand):
+    """The minimizer with the active entries held at their values in `cand`.
 
-
-def _solve_free(qp, cand, active):
-    """Minimize over the free entries of `cand` with the active ones held.
-
-    Block by block: free rows keep P_b and active rows and columns become
-    identity ones; the right-hand side is -q - P_b x_active on free rows
-    and the held value on active rows. A masked SPD P_b is SPD, so LAPACK
-    dposv solves it. A singular one, or a `_near_singular` one when P has
-    no factor (a masked block's pivots are no smaller than P's), gets the
-    minimum-norm least-squares solution; where that leaves a residual r (in
-    the null space: the free rows have no minimum), the solution moves by
-    r / (1e-8 d), d the largest diagonal entry, so the box stops the
-    descent that r gives.
+    With P^-1 = S and at most half the entries held, it is x_unc + S[:, A] y,
+    S_AA y = cand_A - x_unc[A], a solve of size |A| (x_unc = -S q, the
+    unconstrained minimizer). Otherwise it solves the free rows,
+    P_FF x_F = -q_F - P_FA cand_A, by LAPACK dposv. A singular P_FF, or a
+    `_near_singular` one when P has no inverse, gets the minimum-norm
+    least-squares solution; where that leaves a residual r (in the null
+    space: the free rows have no minimum), the solution moves by
+    r / (1e-8 d), d the largest diagonal entry, so the box stops the descent
+    that r gives.
     """
-    for idx, Pb in qp.blocks:
-        act = active[idx]
-        held = np.where(act, cand[idx], 0.0)
-        rhs = np.where(act, held, -qp.q[idx] - np.matmul(Pb, held[..., None])[..., 0])
-        free = ~act
-        A = np.where(free[:, :, None] & free[:, None, :], Pb, 0.0)
-        diag = np.arange(idx.shape[1])
-        A[:, diag, diag] += act
-        for i, a, b, f in zip(idx, A, rhs, free):
-            if not f.any():
-                continue
-            c, x, info = dposv(a, b)
-            if info != 0 or qp.cho is None and _near_singular(c, a):
-                x, *_ = np.linalg.lstsq(a, b, rcond=None)
-                r = b - a @ x  # in the null space of a: nonzero where f has no minimum
-                if np.abs(r).max() > 1e-10 * np.abs(b).max():
-                    x += r / (1e-8 * (a.diagonal().max() or 1.0))
-            cand[i] = x
+    A = np.flatnonzero(active)
+    if qp.inv is not None and 2 * A.size <= qp.dim:
+        if not A.size:
+            return x_unc.copy()
+        held = cand[A]
+        SA = qp.inv[A]  # = S[:, A]' as S is symmetric
+        _, y, info = dposv(SA[:, A], held - x_unc[A])
+        if info == 0:
+            x = x_unc + y @ SA
+            x[A] = held
+            return x
+    x = np.where(active, cand, 0.0)
+    F = np.flatnonzero(~active)
+    if not F.size:
+        return x
+    PF = qp.P[F]
+    a, b = PF[:, F], -qp.q[F] - PF @ x
+    c, xf, info = dposv(a, b)
+    if info != 0 or qp.inv is None and _near_singular(c, a.diagonal().max()):
+        xf, *_ = np.linalg.lstsq(a, b, rcond=None)
+        r = b - a @ xf  # in the null space of a: nonzero where the free rows have no minimum
+        if np.abs(r).max() > 1e-10 * np.abs(b).max():
+            xf += r / (1e-8 * (a.diagonal().max() or 1.0))
+    x[F] = xf
+    return x
 
 
 def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
-    The closed form (from `qp.cho`) has `iterations` 0 and no objective
-    history. Newton starts from project(x0), else the projected closed
-    form, else 0; each iteration pins the entries within 1e-9 span of a
-    bound whose gradient points out of the box, solves the free entries
-    (`_solve_free`) and takes an Armijo step along the projection arc. Even
-    an optimal start takes one step, onto its face. `objective_history`
-    holds the start objective and one entry per iteration; `iterations`
-    counts those after the first. A non-finite q raises ValueError.
+    The closed form (x_unc = -`qp.inv` q) has `iterations` 0 and no
+    objective history. Newton starts from project(x0), else the projected
+    closed form, else 0; each iteration pins the entries within `qp.band`
+    of a bound whose gradient points out of the box, minimizes over the
+    free entries (`_newton_point`) and takes an Armijo step along the
+    projection arc. Even an optimal start takes one step, onto its face.
+    `objective_history` holds the start objective and one entry per
+    iteration; `iterations` counts those after the first. A non-finite q
+    raises ValueError.
     """
     n = qp.dim
-    if (qp.lower > qp.upper).any():
+    if qp.infeasible:
         return QpSolution(np.full(n, np.nan), "infeasible_bounds", np.inf, 0,
                           message="lower bound exceeds upper bound")
     if n == 0:
@@ -181,32 +220,28 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     if not np.isfinite(qp.q).all():
         raise ValueError("q must contain only finite values")
 
-    x = np.zeros(n)
-    if qp.cho is not None:
-        x, info = dpotrs(qp.cho[0], -qp.q, lower=qp.cho[1], overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-        if (x >= qp.lower - 1e-12).all() and (x <= qp.upper + 1e-12).all():
-            x = qp.project(x)
+    x_unc = np.zeros(n)
+    if qp.inv is not None:
+        x_unc = -(qp.inv @ qp.q)
+        if (x_unc >= qp.lower - 1e-12).all() and (x_unc <= qp.upper + 1e-12).all():
+            x = qp.project(x_unc)
             grad = qp.P @ x + qp.q
             res = qp.kkt_residual(x, grad)
             if res <= tol:
                 return QpSolution(x, "optimal", res, 0, 0.5 * x @ (grad + qp.q))
-    x = qp.project(x if x0 is None else np.asarray(x0, dtype=float))
+    x = qp.project(x_unc if x0 is None else np.asarray(x0, dtype=float))
 
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
     grad = qp.P @ x + qp.q
     fx = 0.5 * x @ (grad + qp.q)
     history = [fx]
-    lo_set, hi_set = np.isfinite(qp.lower), np.isfinite(qp.upper)
-    band = 1e-9 * np.where(lo_set & hi_set, np.maximum(qp.upper - qp.lower, 1.0), 1.0)
     status, why = "max_iterations", f"{max_iter} iterations"
     for _ in range(max_iter):
-        at_lo = lo_set & (x - qp.lower <= band) & (grad >= 0)
-        at_hi = hi_set & (qp.upper - x <= band) & (grad <= 0)
-        newton = np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x))
-        _solve_free(qp, newton, at_lo | at_hi)
+        at_lo = qp.lo_set & (x - qp.lower <= qp.band) & (grad >= 0)
+        at_hi = qp.hi_set & (qp.upper - x <= qp.band) & (grad <= 0)
+        newton = _newton_point(qp, x_unc, at_lo | at_hi,
+                               np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x)))
         for k in range(53):  # Armijo steps 1, 1/2, ... with a rounding slack
             xa = qp.project(x + 0.5 ** k * (newton - x) if k else newton)
             ga = qp.P @ xa + qp.q

@@ -116,7 +116,7 @@ def _first_inputs(problems, plans):
 
 class _CentralizedCache(_Controller):
     """The centralized controller: the whole-network QP, validated and
-    factorized once. The gradient M'H c is linear in the measured states,
+    inverted once. The gradient M'H c is linear in the measured states,
     c = C x0 stacking each agent's Phi x0, so G = M'H C is formed once and
     each step's gradient is G x0. HC is formed from H's sparse column
     blocks, one per member. M holds per member one Gam block on its state

@@ -1,5 +1,5 @@
 """The box QP's block split: detection of P's independent diagonal blocks,
-the block-by-block polish against oracles, and the x-updates of closed loops
+box QPs on block-diagonal P against oracles, and the x-updates of closed loops
 whose local P split by axis or, with axis-coupling inputs, do not split."""
 
 import numpy as np
@@ -134,7 +134,7 @@ def test_closed_loop_x_updates_on_unlike_agents_are_kkt(monkeypatch):
 
     def spy(qp, **kw):
         sol = solve(qp, **kw)
-        seen.append((len(qp.blocks[0][0]), sol, kkt(qp, sol.x_star)))
+        seen.append((len(qp.blocks[0]), sol, kkt(qp, sol.x_star)))
         return sol
 
     monkeypatch.setattr(admm, "solve_box_qp", spy)
@@ -144,7 +144,7 @@ def test_closed_loop_x_updates_on_unlike_agents_are_kkt(monkeypatch):
     assert all(nb == 3 for nb, _, _ in seen)  # each local P splits by axis
     assert all(sol.status == "optimal" and r <= cfg.qp_tol for _, sol, r in seen)
     polished = [sol for _, sol, _ in seen if sol.iterations == 0 and len(sol.objective_history) == 2]
-    assert polished  # the block-by-block polish ran
+    assert polished  # one-step Newton solves ran
 
 
 def test_axis_coupling_agent_gives_one_block_and_matches_centralized():
@@ -173,7 +173,7 @@ def triangle_with_axis_coupling_matches_centralized(seed):
     probs, maps, _ = build_local_problems(g, agents, T, x0)
     pred = predictions(probs)
     for p in probs:  # every agent holds a copy of agent 2's inputs
-        (idx, _), = _AgentCache(p, pred, 1.0, 1e-8).qp.blocks
+        idx, = _AgentCache(p, pred, 1.0, 1e-8).qp.blocks
         assert idx.shape == (1, 3 * 3 * T)
     res = run_admm(probs, maps, rho=1.0, max_iter=5000, eps_primal=1e-8, eps_dual=1e-8,
                    qp_tol=1e-8)

@@ -1,18 +1,75 @@
-"""The projected-Newton box QP: against the enumeration oracle on hard cases,
-what its solution fields report, and an x-update that the accelerated
-projected gradient it replaced could not finish."""
+"""The projected-Newton box QP: P's inverse and the Newton point formed from
+it, against the enumeration oracle on hard cases, what its solution fields
+report, a large singular QP, and an x-update that the accelerated projected
+gradient it replaced could not finish."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from test_blocks import kkt  # noqa: E402
+from test_blocks import block_diagonal, kkt  # noqa: E402
 
 from dmpc import (AdmmEngine, BoxQp, SimConfig, build_local_problems,  # noqa: E402
                   draw_initial_states, enumerate_box_qp, path_graph, solve_box_qp)
 from dmpc import admm  # noqa: E402
+from dmpc.qp import _newton_point  # noqa: E402
 from dmpc.simulation import default_agents  # noqa: E402
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_inverse_is_p_inverse_and_with_q_keeps_it(sizes, seed):
+    P, _ = block_diagonal(np.random.default_rng(seed), sizes)
+    n = P.shape[0]
+    qp = BoxQp(P, np.zeros(n), -np.ones(n), np.ones(n))
+    ref = np.linalg.inv(P)
+    assert np.max(np.abs(qp.inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert qp.with_q(np.ones(n)).inv is qp.inv
+
+
+def test_no_inverse_for_semidefinite_or_near_singular_p():
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((6, 4))
+    near = np.diag([1.0, 2.0, 1e-13])  # positive definite; squared pivot 1e-13 <= 1e-12 * 2
+    for P in (G @ G.T, np.zeros((3, 3)), near):
+        n = P.shape[0]
+        qp = BoxQp(P, np.ones(n), -np.ones(n), np.ones(n))
+        assert qp.inv is None and qp.with_q(np.zeros(n)).inv is None
+        assert solve_box_qp(qp).status == "optimal"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_newton_point_solves_the_free_rows(n, few_held, seed):
+    # a <= n - a takes the solve with S_AA, a > n - a the free rows' own system
+    rng = np.random.default_rng(seed)
+    P, _ = block_diagonal(rng, list(rng.integers(1, 5, n)))
+    P = P[:n, :n]
+    qp = BoxQp(P, 2.0 * rng.standard_normal(n), -np.ones(n), np.ones(n))
+    a = rng.integers(0, n // 2 + 1) if few_held else rng.integers(n // 2 + 1, n + 1)
+    active = np.zeros(n, dtype=bool)
+    active[rng.choice(n, a, replace=False)] = True
+    cand = rng.uniform(-1.0, 1.0, n)
+    x = _newton_point(qp, -(qp.inv @ qp.q), active, cand)
+    ref = cand.copy()
+    F = ~active
+    if F.any():
+        ref[F] = np.linalg.solve(P[np.ix_(F, F)], -qp.q[F] - P[np.ix_(F, active)] @ cand[active])
+    assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    assert np.array_equal(x[active], cand[active])
+
+
+def test_singular_qp_of_size_60_reaches_tol():
+    # rank 40: every free system of more than 40 entries is singular; the
+    # solve takes 19 Newton iterations and ends with 22 entries at a bound
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((60, 40))
+    qp = BoxQp(G @ G.T, 3.0 * rng.standard_normal(60), -np.ones(60), np.ones(60))
+    assert qp.inv is None
+    sol = solve_box_qp(qp, tol=1e-10)
+    assert sol.status == "optimal" and kkt(qp, sol.x_star) <= 1e-10
+    assert sol.iterations == 19
 
 
 @st.composite
