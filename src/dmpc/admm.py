@@ -4,6 +4,14 @@ The iteration is bulk-synchronous: all agents minimize their augmented
 local costs in parallel, the consensus vector is refreshed by component
 averaging, then every agent takes a dual step. Reduction order is fixed
 by agent index so parallel runs reproduce serial results bitwise.
+
+The x-update works on the whole network at once through one network map
+(`_NetworkMap`): every agent's sparse condensing map stacked
+block-diagonally. One sparse product per iteration gives every agent's
+condensed gradient q, each agent then solves only its own box QP
+(`_AgentCache.solve`), and one more product turns the stacked minimizers
+into the stacked local vectors. The per-agent solve times that runs report
+time those QPs alone.
 """
 
 import os
@@ -12,9 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
-from .problem import (check_finite_states, condensed_bounds, condensed_maps, copy_counts,
-                      predictions)
+from .problem import (check_finite_states, condensed_bounds, condensed_hessian, condensed_maps,
+                      copy_counts, predictions)
 from .qp import BoxQp, solve_box_qp
 
 
@@ -46,7 +55,7 @@ class AdmmResult:
     history: list      # rows (k, r_primal, r_dual)
     converged: bool
     objective: float   # sum of the local costs at the final iterate
-    solve_times: list = field(default_factory=list)
+    solve_times: list = field(default_factory=list)  # per agent x-update: its QP alone, s
     max_dual_avg_violation: float = 0.0
 
 
@@ -80,53 +89,99 @@ def _stacking(problems, maps):
     return E, [slice(e - p.dim, e) for p, e in zip(problems, ends)]
 
 
+def _block_diagonal(blocks):
+    """CSR arrays stacked block-diagonally, from their index arrays."""
+    cols = np.cumsum([0] + [b.shape[1] for b in blocks])
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    return sparse.csr_array(
+        (np.concatenate([b.data for b in blocks]),
+         np.concatenate([b.indices + c for b, c in zip(blocks, cols)]),
+         np.concatenate([[0]] + [b.indptr[1:] + n for b, n in zip(blocks, nnz)])),
+        shape=(sum(b.shape[0] for b in blocks), cols[-1]))
+
+
 class _AgentCache:
-    """Per-agent condensed structure reused across iterations and MPC steps.
+    """One agent's x-update QP: its condensed box QP, validated and inverted
+    once, and the warm start of its next solve. The condensing maps that
+    turn the agent's linear term into q and its minimizer into a local
+    vector live in the network map (`_NetworkMap`)."""
 
-    Everything that depends only on topology, horizon, and rho is validated
-    and inverted once; rebinding measured states refreshes only the affine
-    offset and the static part of the gradient. `solve` is the x-update of
-    ADMM and, at rho = 0, of dual decomposition.
-    """
-
-    def __init__(self, problem, pred, rho, qp_tol):
+    def __init__(self, problem, P, qp_tol):
         self.problem = problem
-        self.pred = pred
-        self.rho = rho
         self.qp_tol = qp_tol
-        M, _ = condensed_maps(problem, pred)
-        self.M = M
-        self.Mt = M.T
-        P = M.T @ (problem.H @ M) + rho * (M.T @ M)
-        P = 0.5 * (P + P.T)
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
         self.warm = None
-        self.rebind_states(problem.x0)
 
-    def rebind_states(self, x0_per_member):
-        self.problem = replace(self.problem, x0=tuple(np.asarray(v, float) for v in x0_per_member))
-        _, self.c = condensed_maps(self.problem, self.pred, self.M)
-        # q = M'((H + rho I)c + g + v); the first two terms are static
-        self.q_static = self.Mt @ (self.problem.H @ self.c + self.problem.g) \
-            + self.rho * (self.Mt @ self.c)
-
-    def solve(self, v, k):
-        """Minimize the local cost plus v'x + (rho/2)||x||^2 at iteration k. ADMM
-        passes v = lam - rho E z; dual decomposition its multipliers' term."""
-        q = self.q_static + self.Mt @ v
+    def solve(self, q, k):
+        """The condensed minimizer for linear term q at iteration k."""
         sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
         if sol.status != "optimal":
             raise SolverFailure(self.problem.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
-        return self.M @ sol.x_star + self.c
+        return sol.x_star
 
 
-def _timed_solve(cache, v, k):
-    """The x-update of one agent and its wall time, measured where it runs."""
+def _timed_solve(cache, q, k):
+    """The QP of one agent's x-update and its wall time, measured where it runs."""
     t0 = time.perf_counter()
-    x = cache.solve(v, k)
-    return x, time.perf_counter() - t0
+    u = cache.solve(q, k)
+    return u, time.perf_counter() - t0
+
+
+class _NetworkMap:
+    """Every agent's condensing map stacked into one block-diagonal map.
+
+    Agent i's local vector is x_i = M_i u_i + c_i over its condensed inputs
+    u_i, so the stacked local vectors are x = M u + c with M = diag(M_i),
+    built once from the agents' CSR arrays. The x-update of ADMM (and, at
+    rho = 0, of dual decomposition) minimizes each local cost plus
+    v_i'x_i + (rho/2)||x_i||^2: its condensed linear term is
+    q = M'((H + rho I)c + g + v) with H = diag(H_i), so every agent's q is
+    one sparse product with M' per iteration, and its static part, once per
+    step, one more with H + rho I (`H_rho`). Each agent's
+    P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
+    densified at set-up.
+    """
+
+    def __init__(self, problems, rho, qp_tol):
+        self.pred = predictions(problems)
+        local = [condensed_maps(p, self.pred) for p in problems]
+        self.agent_maps = [M for M, _ in local]
+        self.M = _block_diagonal(self.agent_maps)
+        self.Mt = self.M.T.tocsr()
+        self.H_rho = _block_diagonal([p.H for p in problems]) \
+            + rho * sparse.eye_array(self.M.shape[0], format="csr")
+        self.g = np.concatenate([p.g for p in problems])
+        ends = np.cumsum([M.shape[1] for M in self.agent_maps])
+        self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(self.agent_maps, ends)]
+        P = condensed_hessian(self.H_rho, self.M, ends)
+        self.caches = [_AgentCache(p, P_i, qp_tol) for p, P_i in zip(problems, P)]
+        self._bind([c for _, c in local])
+
+    def _bind(self, cs):
+        self.c = np.concatenate(cs)
+        self.q_static = self.Mt @ (self.H_rho @ self.c + self.g)
+
+    def rebind_states(self, initial_states):
+        """Refresh c and the static part of q for new measured states."""
+        cs = []
+        for cache, M in zip(self.caches, self.agent_maps):
+            cache.problem = replace(cache.problem, x0=tuple(
+                np.asarray(initial_states[j - 1], float) for j in cache.problem.members))
+            cs.append(condensed_maps(cache.problem, self.pred, M)[1])
+        self._bind(cs)
+
+    def x_update(self, v, k, solve_all=map):
+        """Every agent's x-update at iteration k for the stacked linear term v:
+        the stacked local vectors and each agent's QP wall time."""
+        q = self.q_static + self.Mt @ v
+        us, times = [], []
+        for u, dt in solve_all(_timed_solve, self.caches, [q[s] for s in self.u_slices],
+                               [k] * len(self.caches)):
+            us.append(u)
+            times.append(dt)
+        return self.M @ np.concatenate(us) + self.c, times
 
 
 class AdmmEngine:
@@ -146,16 +201,14 @@ class AdmmEngine:
         self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
         self.counts = copy_counts(self.maps, self.z_dim)
         self.E, self.slices = _stacking(self.problems, self.maps)
-        pred = predictions(self.problems)
-        self.caches = [_AgentCache(p, pred, rho, qp_tol) for p in self.problems]
+        self.net = _NetworkMap(self.problems, rho, qp_tol)
         workers = min(len(self.problems), os.cpu_count() or 1)
         self.pool = ThreadPoolExecutor(max_workers=workers) if parallel else None
 
     def rebind_states(self, initial_states):
         check_finite_states(initial_states)
-        for cache in self.caches:
-            cache.rebind_states([initial_states[j - 1] for j in cache.problem.members])
-        self.problems = [c.problem for c in self.caches]
+        self.net.rebind_states(initial_states)
+        self.problems = [c.problem for c in self.net.caches]
 
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
             track_dual_average=False):
@@ -165,21 +218,15 @@ class AdmmEngine:
             init = AdmmState(lam=np.zeros(self.E.size), z=np.zeros(self.z_dim))
         E, counts, rho = self.E, self.counts, self.rho
         lam_cat, z = init.lam, init.z
-        zE = z[E]
-        xs = [zE[s] for s in self.slices]
+        x_cat = zE = z[E]
         solve_all = map if self.pool is None else self.pool.map
         history = []
         solve_times = []
         max_viol = 0.0
         converged = False
         for k in range(1, max_iter + 1):
-            v = lam_cat - rho * zE
-            xs = []
-            for x, dt in solve_all(_timed_solve, self.caches, [v[s] for s in self.slices],
-                                   [k] * len(self.caches)):
-                xs.append(x)
-                solve_times.append(dt)
-            x_cat = np.concatenate(xs)
+            x_cat, times = self.net.x_update(lam_cat - rho * zE, k, solve_all)
+            solve_times.extend(times)
             z_prev = z
             z = z_update(x_cat, E, counts)
             zE = z[E]
@@ -192,7 +239,8 @@ class AdmmEngine:
             if rp <= eps_primal and rd <= eps_dual:
                 converged = True
                 break
-        objective = sum(c.problem.cost(x) for c, x in zip(self.caches, xs))
+        xs = [x_cat[s] for s in self.slices]
+        objective = sum(p.cost(x) for p, x in zip(self.problems, xs))
         return AdmmResult(plans=xs, z=z, lam=lam_cat, history=history,
                           converged=converged, objective=objective,
                           solve_times=solve_times, max_dual_avg_violation=max_viol)
@@ -238,8 +286,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8):
         raise ValueError("max_iter must be >= 1")
     E, slices = _stacking(problems, maps)
     copies, owners = _copy_pairs(problems, E, slices)
-    pred = predictions(problems)
-    caches = [_AgentCache(p, pred, 0.0, qp_tol) for p in problems]
+    net = _NetworkMap(problems, 0.0, qp_tol)
     nu = np.zeros(copies.size)
     history = []
     initial_norm = None
@@ -248,7 +295,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8):
         lin = np.zeros(E.size)
         lin[copies] = nu
         lin -= np.bincount(owners, weights=nu, minlength=E.size)
-        x_cat = np.concatenate([c.solve(lin[s], k) for c, s in zip(caches, slices)])
+        x_cat, _ = net.x_update(lin, k)
         r = x_cat[copies] - x_cat[owners]
         nu = nu + alpha(k) * r
         dis = float(np.sqrt(r @ r))

@@ -207,8 +207,8 @@ def build_centralized_qp(g, agents, T, initial_states):
 
     Every agent is a member of the block, so its vector is laid out as z;
     each edge is stamped once at weight 2w, the sum of its two local
-    halves. Returns (block, pred, M, P); the gradient M'(H c) depends on
-    the measured states and is formed per solve.
+    halves. Returns (block, pred, M, P) with M sparse and P dense; the
+    gradient M'(H c) depends on the measured states and is formed per solve.
     """
     members = tuple(range(1, g.num_agents + 1))
     block = _block(None, T, members, agents,
@@ -216,7 +216,7 @@ def build_centralized_qp(g, agents, T, initial_states):
                    [(i, j, 2.0 * w) for (i, j), w in g.weights.items()], members)
     pred = predictions([block])
     M, _ = condensed_maps(block, pred)
-    return block, pred, M, condensed_hessian(block, M)
+    return block, pred, M, condensed_hessian(block.H, M, [M.shape[1]])[0]
 
 
 def copy_counts(maps, z_dim):
@@ -268,32 +268,49 @@ def condensed_maps(p, pred, M=None):
     """Affine map local_vector = M @ stacked_inputs + c.
 
     The condensed variable stacks each member's inputs in member order;
-    `pred` holds each member's prediction matrices. A given M is returned
-    as it is, so rebinding measured states forms only c = Phi x0.
+    `pred` holds each member's prediction matrices. M is a CSR array built
+    row by row: per member, the nonzeros of Gam on its state rows and an
+    identity on its input rows. A given M is returned as it is, so
+    rebinding measured states forms only c = Phi x0.
     """
     T = p.T
-    fill = M is None
-    if fill:
-        M = np.zeros((p.dim, sum(m.m * T for m in p.models)))
     c = np.zeros(p.dim)
+    counts, indices, data = [], [], []
     ucol = 0
     for off, j, mdl, x0 in zip(p.member_offsets(), p.members, p.models, p.x0):
         Phi, Gam = pred[j]
-        srows = slice(off, off + (T + 1) * mdl.n)
-        c[srows] = Phi @ x0
-        if fill:
-            ucols = slice(ucol, ucol + mdl.m * T)
-            M[srows, ucols] = Gam
-            M[srows.stop:srows.stop + mdl.m * T, ucols] = np.eye(mdl.m * T)
+        c[off:off + Phi.shape[0]] = Phi @ x0
+        if M is None:  # a member's input rows follow its state rows
+            rows, cols = np.nonzero(Gam)
+            eye = np.arange(mdl.m * T)
+            counts += [np.count_nonzero(Gam, axis=1), np.ones(eye.size, int)]
+            indices += [ucol + cols, ucol + eye]
+            data += [Gam[rows, cols], np.ones(eye.size)]
         ucol += mdl.m * T
+    if M is None:
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        M = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                             shape=(p.dim, ucol))
     return M, c
 
 
-def condensed_hessian(p, M):
-    """Symmetrized Hessian M'HM of the condensed cost, as (HM)'M with the
-    sparse product first (H is symmetric)."""
-    P = (p.H @ M).T @ M
-    return 0.5 * (P + P.T)
+def condensed_hessian(H, M, ends):
+    """Dense, symmetrized diagonal blocks of the condensed Hessian M'HM.
+
+    M'(HM) is one sparse product; only its diagonal blocks, the column
+    ranges of M that end at `ends`, are densified. A block-diagonal M (every
+    agent's map stacked) has no nonzeros outside them; the centralized M is
+    one block.
+    """
+    P = (M.T @ (H @ M)).tocsr()
+    rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+    blocks = []
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        a, b = P.indptr[lo], P.indptr[hi]
+        B = np.zeros((hi - lo, hi - lo))
+        B[rows[a:b] - lo, P.indices[a:b] - lo] = P.data[a:b]
+        blocks.append(0.5 * (B + B.T))
+    return blocks
 
 
 def condensed_bounds(p):

@@ -63,7 +63,7 @@ class SimLog:
     stage_costs: np.ndarray   # (num_steps,)
     total_cost: float
     solver_stats: list        # per step: dict(iterations, r_primal, r_dual, wall_time)
-    solve_times: np.ndarray   # all per-subproblem solve times, seconds
+    solve_times: np.ndarray   # per agent x-update, its local QP alone, seconds
     noise_draws: np.ndarray   # (num_steps, N, noise_dim), for paired-run audits
     config: SimConfig
     max_dual_avg_violation: float = 0.0
@@ -174,7 +174,7 @@ class _AdmmController(_Controller):
         engine = self.engine
         engine.rebind_states(measured)
         if not self.cfg.warm_start:
-            for cache in engine.caches:
+            for cache in engine.net.caches:
                 cache.warm = None
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)

@@ -5,8 +5,8 @@ from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized, solve_equality_qp,
                   z_update, dual_update, residuals)
-from dmpc.admm import _AgentCache
-from dmpc.problem import ZLayout, copy_counts, predictions
+from dmpc.admm import _NetworkMap
+from dmpc.problem import ZLayout, copy_counts
 
 
 def make_scenario(seed=0, n=3, T=3, u_max=1.0):
@@ -34,10 +34,10 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     rho = 1.3
     z = 0.1 * rng.standard_normal(z_dim)
     lams = [0.1 * rng.standard_normal(p.dim) for p in probs]
-    pred = predictions(probs)
-    for p, m, lam in zip(probs, maps, lams):
+    v = np.concatenate([lam - rho * z[m.global_idx] for m, lam in zip(maps, lams)])
+    x_cat, _ = _NetworkMap(probs, rho, qp_tol=1e-9).x_update(v, 1)
+    for p, m, lam, x_new in zip(probs, maps, lams, per_agent(probs, x_cat)):
         z_loc = z[m.global_idx]
-        x_new = _AgentCache(p, pred, rho, qp_tol=1e-9).solve(lam - rho * z_loc, 1)
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
         A_eq, b_eq = p.dynamics_equalities()
         x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), p.g + lam - rho * z_loc,
@@ -51,10 +51,10 @@ def test_x_update_fixed_point_at_convergence():
     res = run_admm(probs, maps, rho=1.0, max_iter=3000,
                    eps_primal=1e-10, eps_dual=1e-10, qp_tol=1e-9)
     assert res.converged
-    pred = predictions(probs)
-    for p, m, lam, x in zip(probs, maps, per_agent(probs, res.lam), res.plans):
-        v = lam - 1.0 * res.z[m.global_idx]
-        x_new = _AgentCache(p, pred, 1.0, qp_tol=1e-9).solve(v, len(res.history) + 1)
+    E = np.concatenate([m.global_idx for m in maps])
+    x_cat, _ = _NetworkMap(probs, 1.0, qp_tol=1e-9).x_update(res.lam - 1.0 * res.z[E],
+                                                             len(res.history) + 1)
+    for x_new, x in zip(per_agent(probs, x_cat), res.plans):
         assert np.max(np.abs(x_new - x)) <= 1e-6
 
 
@@ -248,7 +248,7 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
     agents = [LtiAgent(A, np.array([[0.0, 0.0], [0.1, 0.1]]), u_max=1.0) for _ in range(2)]
     x0 = [np.array([1.0, 0.0]), np.array([-1.0, 0.5])]
     probs, maps, _ = build_local_problems(path_graph(2), agents, 2, x0)
-    assert all(_AgentCache(p, predictions(probs), 0.0, 1e-8).qp.inv is None for p in probs)
+    assert all(c.qp.inv is None for c in _NetworkMap(probs, 0.0, 1e-8).caches)
     solves, singular = [], []
     solve, newton_point = admm.solve_box_qp, qp_module._newton_point
 

@@ -3,7 +3,7 @@ import pytest
 
 from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, solve_box_qp, solve_equality_qp)
-from dmpc.admm import _AgentCache
+from dmpc.admm import _NetworkMap
 from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
                           condensed_maps, consistent_local_vector, copy_counts, predictions)
 from dmpc.verify import random_connected_graph
@@ -141,7 +141,8 @@ def test_global_cost_dimension_mismatch():
 def condensed_qp(p):
     """Condensed box QP of `p` from the core routines, and its (M, c)."""
     M, c = condensed_maps(p, predictions([p]))
-    qp = BoxQp(condensed_hessian(p, M), M.T @ (p.H @ c + p.g), *condensed_bounds(p))
+    qp = BoxQp(condensed_hessian(p.H, M, [M.shape[1]])[0], M.T @ (p.H @ c + p.g),
+               *condensed_bounds(p))
     return qp, (M, c)
 
 
@@ -191,8 +192,11 @@ def test_augment_value_matches_term_by_term():
     z = rng.standard_normal(z_dim)
     lam = rng.standard_normal(p.dim)
     rho = 1.7
-    cache = _AgentCache(p, predictions(probs), rho, qp_tol=1e-9)
-    q = cache.q_static + cache.M.T @ (lam - rho * z[m.global_idx])
+    # agent 0's q from the network map, with a zero linear term for agent 1
+    net = _NetworkMap(probs, rho, qp_tol=1e-9)
+    v = np.concatenate([lam - rho * z[m.global_idx], np.zeros(probs[1].dim)])
+    q = (net.q_static + net.Mt @ v)[net.u_slices[0]]
+    M, c, P = net.agent_maps[0], net.c[:p.dim], net.caches[0].qp.P
 
     def augmented(x):
         d = x - z[m.global_idx]
@@ -200,11 +204,11 @@ def test_augment_value_matches_term_by_term():
 
     # constant terms are dropped from the condensed quadratic; compare
     # differences against a reference point
-    u_ref = np.zeros(cache.M.shape[1])
+    u_ref = np.zeros(M.shape[1])
     for _ in range(5):
-        u = rng.standard_normal(cache.M.shape[1])
-        got = 0.5 * u @ cache.qp.P @ u + q @ u
-        expected = augmented(cache.M @ u + cache.c) - augmented(cache.M @ u_ref + cache.c)
+        u = rng.standard_normal(M.shape[1])
+        got = 0.5 * u @ P @ u + q @ u
+        expected = augmented(M @ u + c) - augmented(M @ u_ref + c)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 

@@ -12,9 +12,10 @@ from scipy import sparse
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dmpc import (InfoGraph, build_local_problems, double_integrator_3d,  # noqa: E402
-                  run_dual_decomposition, solve_equality_qp)
-from dmpc.admm import AdmmResult, _AgentCache, dual_update, residuals, z_update  # noqa: E402
+from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
+                  double_integrator_3d, run_dual_decomposition, solve_equality_qp)
+from dmpc.admm import (AdmmResult, _AgentCache, _NetworkMap, dual_update,  # noqa: E402
+                       residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
                           predictions)
 from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
@@ -40,6 +41,12 @@ def reference_z(xs, maps, z_dim):
     for m, x in zip(maps, xs):
         np.add.at(acc, m.global_idx, x)
     return acc / copy_counts(maps, z_dim)
+
+
+def agent_slices(probs):
+    """Each agent's slice of a stacked vector of local vectors."""
+    ends = np.cumsum([p.dim for p in probs])
+    return [slice(e - p.dim, e) for p, e in zip(probs, ends)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,17 +98,26 @@ def consistency_pairs(probs):
 
 
 def recorded_dual_decomposition(probs, maps, alpha, max_iter):
-    """run_dual_decomposition with every x-update's (k, v, x) recorded."""
-    calls = []
-    solve = _AgentCache.solve
+    """run_dual_decomposition with every agent x-update's (k, v, x) recorded:
+    k from the agent's QP solve, its linear term v and local vector x from
+    its slices of the network map's stacked x-update of iteration k."""
+    ks, updates = [], []
+    solve, x_update = _AgentCache.solve, _NetworkMap.x_update
 
-    def spy(cache, v, k, *args):
-        x = solve(cache, v, k, *args)
-        calls.append((k, v.copy(), x))
-        return x
+    def solve_spy(cache, q, k):
+        ks.append(k)
+        return solve(cache, q, k)
 
-    with mock.patch.object(_AgentCache, "solve", spy):
+    def x_update_spy(net, v, k, *args):
+        x_cat, times = x_update(net, v, k, *args)
+        updates.append((v.copy(), x_cat))
+        return x_cat, times
+
+    with mock.patch.object(_AgentCache, "solve", solve_spy), \
+            mock.patch.object(_NetworkMap, "x_update", x_update_spy):
         plans, history = run_dual_decomposition(probs, maps, alpha, max_iter)
+    agent = agent_slices(probs) * max_iter  # the i-th solve is agent i mod N's
+    calls = [(k, updates[k - 1][0][s], updates[k - 1][1][s]) for k, s in zip(ks, agent)]
     return plans, history, calls
 
 
@@ -237,15 +253,15 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, _, _ = build_local_problems(g, agents, T, x0)
-    pred = predictions(probs)
-    for p in probs:
-        cache = _AgentCache(p, pred, rho, qp_tol=1e-8)
-        H, M, c = p.H.toarray(), cache.M, cache.c
+    net = _NetworkMap(probs, rho, qp_tol=1e-8)
+    for p, s, cache, M, us in zip(probs, agent_slices(probs), net.caches, net.agent_maps,
+                                  net.u_slices):
+        H, M, c = p.H.toarray(), M.toarray(), net.c[s]
         P = M.T @ H @ M + rho * (M.T @ M)
         assert close(cache.qp.P, 0.5 * (P + P.T), 1e-12)
-        assert close(cache.q_static, M.T @ (H @ c + p.g) + rho * (M.T @ c), 1e-12)
+        assert close(net.q_static[us], M.T @ (H @ c + p.g) + rho * (M.T @ c), 1e-12)
     central = _CentralizedCache(g, agents, T, x0, qp_tol=1e-8)
-    H, M = central.block.H.toarray(), central.M
+    H, M = central.block.H.toarray(), central.M.toarray()
     P = M.T @ H @ M
     assert close(central.qp.P, 0.5 * (P + P.T), 1e-12)
     # G maps the stacked measured states to the gradient M'H c, c = C x0
@@ -256,3 +272,72 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
         C[off:off + Phi.shape[0], col:col + a.n] = Phi
         col += a.n
     assert close(central.G, M.T @ H @ C, 1e-12)
+
+
+def dense_map(p, pred):
+    """Agent p's condensing map built dense, member by member: [Gam; I] on
+    the member's state and input rows and its own input columns."""
+    M = np.zeros((p.dim, sum(mdl.m for mdl in p.models) * p.T))
+    col = 0
+    for pos, j in enumerate(p.members):
+        Gam, m = pred[j][1], p.models[pos].m * p.T
+        s0, u0 = p.state_slice(pos, 0).start, p.input_slice(pos, 0).start
+        M[s0:s0 + Gam.shape[0], col:col + m] = Gam
+        M[u0:u0 + m, col:col + m] = np.eye(m)
+        col += m
+    return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_network_map_equals_per_agent_dense_maps(scenario):
+    g, agents, T, rho, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, z_dim = build_local_problems(g, agents, T, x0)
+    pred = predictions(probs)
+    net = _NetworkMap(probs, rho, qp_tol=1e-8)
+    dense = [dense_map(p, pred) for p in probs]
+    # each agent's block is its dense map, and there is nothing outside the blocks
+    ref = np.zeros(net.M.shape)
+    for s, us, D in zip(agent_slices(probs), net.u_slices, dense):
+        ref[s, us] = D
+    assert np.array_equal(net.M.toarray(), ref)
+
+    # one x-update: q and x against the per-agent dense formulas
+    x1 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    net.rebind_states(x1)
+    v = rng.standard_normal(sum(p.dim for p in probs))
+    solved = []
+    solve = _AgentCache.solve
+
+    def spy(cache, q, k):
+        u = solve(cache, q, k)
+        solved.append((q.copy(), u))
+        return u
+
+    with mock.patch.object(_AgentCache, "solve", spy):
+        x_cat, _ = net.x_update(v, 1)
+    for p, s, D, (q, u) in zip(probs, agent_slices(probs), dense, solved):
+        c = np.zeros(p.dim)
+        for pos, j in enumerate(p.members):
+            c[p.state_slice(pos, 0).start:p.input_slice(pos, 0).start] = pred[j][0] @ x1[j - 1]
+        H = p.H.toarray()
+        q_static = D.T @ (H @ c + p.g) + rho * (D.T @ c)
+        assert close(q, q_static + D.T @ v[s], 1e-12)
+        assert close(x_cat[s], D @ u + c, 1e-12)
+
+    # serial and thread-parallel engines agree bitwise
+    results = []
+    for parallel in (False, True):
+        engine = AdmmEngine(probs, maps, rho, z_dim=z_dim, qp_tol=1e-8, parallel=parallel)
+        try:
+            engine.rebind_states(x1)
+            results.append(engine.run(4))
+        finally:
+            if engine.pool is not None:
+                engine.pool.shutdown()
+    serial, threaded = results
+    assert serial.z.tobytes() == threaded.z.tobytes()
+    assert serial.lam.tobytes() == threaded.lam.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(serial.plans, threaded.plans))
