@@ -11,7 +11,8 @@ block-diagonally. One sparse product per iteration gives every agent's
 condensed gradient q, each agent then solves only its own box QP
 (`_AgentCache.solve`), and one more product turns the stacked minimizers
 into the stacked local vectors. The per-agent solve times that runs report
-time those QPs alone.
+time those QPs alone. The agents' QPs share one class table, so a
+diagonal block of P that several agents hold is checked and inverted once.
 """
 
 import os
@@ -101,16 +102,16 @@ def _block_diagonal(blocks):
 
 
 class _AgentCache:
-    """One agent's x-update QP: its condensed box QP, validated and inverted
-    once, and the warm start of its next solve. The condensing maps that
-    turn the agent's linear term into q and its minimizer into a local
-    vector live in the network map (`_NetworkMap`)."""
+    """One agent's x-update QP: its condensed box QP, its P's blocks joined
+    to the network's class table, and the warm start of its next solve. The
+    condensing maps that turn the agent's linear term into q and its
+    minimizer into a local vector live in the network map (`_NetworkMap`)."""
 
-    def __init__(self, problem, P, qp_tol):
+    def __init__(self, problem, P, qp_tol, table):
         self.problem = problem
         self.qp_tol = qp_tol
         lo, hi = condensed_bounds(problem)
-        self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
+        self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi, table)
         self.warm = None
 
     def solve(self, q, k):
@@ -141,7 +142,7 @@ class _NetworkMap:
     one sparse product with M' per iteration, and its static part, once per
     step, one more with H + rho I (`H_rho`). Each agent's
     P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
-    densified at set-up.
+    of which only the diagonal blocks of each P_i are densified.
     """
 
     def __init__(self, problems, rho, qp_tol):
@@ -155,8 +156,8 @@ class _NetworkMap:
         self.g = np.concatenate([p.g for p in problems])
         ends = np.cumsum([M.shape[1] for M in self.agent_maps])
         self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(self.agent_maps, ends)]
-        P = condensed_hessian(self.H_rho, self.M, ends)
-        self.caches = [_AgentCache(p, P_i, qp_tol) for p, P_i in zip(problems, P)]
+        P, table = condensed_hessian(self.H_rho, self.M, ends), {}
+        self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(problems, P)]
         self._bind([c for _, c in local])
 
     def _bind(self, cs):

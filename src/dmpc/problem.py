@@ -15,6 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import prediction_matrices
+from .qp import diagonal_blocks
 
 
 class ZLayout:
@@ -207,8 +208,8 @@ def build_centralized_qp(g, agents, T, initial_states):
 
     Every agent is a member of the block, so its vector is laid out as z;
     each edge is stamped once at weight 2w, the sum of its two local
-    halves. Returns (block, pred, M, P) with M sparse and P dense; the
-    gradient M'(H c) depends on the measured states and is formed per solve.
+    halves. Returns (block, pred, M, P), M sparse and P the blocks
+    `condensed_hessian` gives; the gradient M'(H c) is formed per solve.
     """
     members = tuple(range(1, g.num_agents + 1))
     block = _block(None, T, members, agents,
@@ -255,67 +256,76 @@ def global_cost(g, state_traj, input_traj):
 
 
 def predictions(problems):
-    """Prediction matrices (Phi, Gam) per member agent, computed once each."""
+    """Per member agent, computed once each: Phi, Gam and Gam's nonzeros as
+    (count per row, column, value), row by row."""
     pred = {}
     for p in problems:
         for j, mdl in zip(p.members, p.models):
             if j not in pred:
-                pred[j] = prediction_matrices(mdl, p.T)
+                Phi, Gam = prediction_matrices(mdl, p.T)
+                rows, cols = np.nonzero(Gam)
+                pred[j] = Phi, Gam, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
     return pred
 
 
-def condensed_maps(p, pred, M=None):
-    """Affine map local_vector = M @ stacked_inputs + c.
+def input_columns(p):
+    """Each member's (T, m) columns of the condensed variable, which holds
+    input component 0 of every member (t = 0..T-1, member by member), then
+    component 1, and so on: the 3-D double integrator's condensed Hessian
+    splits into one contiguous block per axis."""
+    ms = [mdl.m for mdl in p.models]
+    has = np.arange(max(ms))[:, None] < ms  # (component, member)
+    slot = (np.cumsum(has) - 1).reshape(has.shape)  # numbered component by component
+    return [slot[:m, k] * p.T + np.arange(p.T)[:, None] for k, m in enumerate(ms)]
 
-    The condensed variable stacks each member's inputs in member order;
-    `pred` holds each member's prediction matrices. M is a CSR array built
-    row by row: per member, the nonzeros of Gam on its state rows and an
-    identity on its input rows. A given M is returned as it is, so
-    rebinding measured states forms only c = Phi x0.
+
+def condensed_maps(p, pred, M=None):
+    """Affine map local_vector = M @ condensed_inputs + c.
+
+    The condensed variable holds the members' inputs in the order of
+    `input_columns`; `pred` holds each member's prediction matrices. M is a
+    CSR array built row by row: per member, the nonzeros of Gam on its state
+    rows and an identity on its input rows. A given M is returned as it is,
+    so rebinding measured states forms only c = Phi x0.
     """
-    T = p.T
     c = np.zeros(p.dim)
-    counts, indices, data = [], [], []
-    ucol = 0
-    for off, j, mdl, x0 in zip(p.member_offsets(), p.members, p.models, p.x0):
-        Phi, Gam = pred[j]
+    for off, j, x0 in zip(p.member_offsets(), p.members, p.x0):
+        Phi = pred[j][0]
         c[off:off + Phi.shape[0]] = Phi @ x0
-        if M is None:  # a member's input rows follow its state rows
-            rows, cols = np.nonzero(Gam)
-            eye = np.arange(mdl.m * T)
-            counts += [np.count_nonzero(Gam, axis=1), np.ones(eye.size, int)]
-            indices += [ucol + cols, ucol + eye]
-            data += [Gam[rows, cols], np.ones(eye.size)]
-        ucol += mdl.m * T
-    if M is None:
+    if M is None:  # a member's input rows follow its state rows
+        counts, indices, data = [], [], []
+        for j, cols in zip(p.members, input_columns(p)):
+            (count, gcols, vals), cols = pred[j][2], cols.reshape(-1)
+            counts += [count, np.ones(cols.size, int)]
+            indices += [cols[gcols], cols]
+            data += [vals, np.ones(cols.size)]
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         M = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                             shape=(p.dim, ucol))
+                             shape=(p.dim, sum(mdl.m for mdl in p.models) * p.T))
+        M.sort_indices()
     return M, c
 
 
 def condensed_hessian(H, M, ends):
-    """Dense, symmetrized diagonal blocks of the condensed Hessian M'HM.
-
-    M'(HM) is one sparse product; only its diagonal blocks, the column
-    ranges of M that end at `ends`, are densified. A block-diagonal M (every
-    agent's map stacked) has no nonzeros outside them; the centralized M is
-    one block.
+    """The symmetrized diagonal blocks of the condensed Hessian M'HM, as
+    `diagonal_blocks` gives them, per column range of M ending at `ends`
+    (indices from the range's start; no block crosses two ranges of a
+    block-diagonal M). M'(HM) is one sparse product; no range is densified.
     """
-    P = (M.T @ (H @ M)).tocsr()
-    rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-    blocks = []
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        a, b = P.indptr[lo], P.indptr[hi]
-        B = np.zeros((hi - lo, hi - lo))
-        B[rows[a:b] - lo, P.indices[a:b] - lo] = P.data[a:b]
-        blocks.append(0.5 * (B + B.T))
-    return blocks
+    starts = np.concatenate([[0], ends])
+    out = [[] for _ in ends]
+    for idx, Pb in diagonal_blocks(M.T.tocsr() @ (H @ M)):
+        Pb += Pb.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        Pb *= 0.5
+        cuts = np.searchsorted(idx[:, 0], starts)
+        for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            out[r].append((idx[a:b] - starts[r], Pb[a:b]))
+    return [tuple(groups) for groups in out]
 
 
 def condensed_bounds(p):
-    lo, hi = [], []
-    for mdl in p.models:
-        lo.append(np.full(mdl.m * p.T, -mdl.u_max))
-        hi.append(np.full(mdl.m * p.T, mdl.u_max))
-    return np.concatenate(lo), np.concatenate(hi)
+    """The input box of the condensed variable, in the order of `input_columns`."""
+    lo = np.empty(sum(mdl.m for mdl in p.models) * p.T)
+    for mdl, cols in zip(p.models, input_columns(p)):
+        lo[cols] = -mdl.u_max
+    return lo, -lo

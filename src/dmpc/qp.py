@@ -1,128 +1,148 @@
 """Convex QP solvers: box-constrained (closed form, then projected Newton)
 plus dense oracles.
 
-`BoxQp` inverts P once, when it is built, block by block over P's
-independent diagonal blocks: S = P^-1 (`BoxQp.inv`). The closed form is then
-one matvec, x_unc = -S q. A Newton step that holds the active entries A at
-h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]), a solve of size |A|
-that reuses x_unc; when more than half the entries are held, or P has no
-inverse, it solves the free rows P_FF x_F = -q_F - P_FA h instead.
+`BoxQp` keeps P only as classes, its distinct diagonal blocks, each checked
+and inverted once, with each class's k blocks of size s laid out as one
+(k, s) slab: a product with P or S = P^-1 is one (k, s)(s, s) product per
+class. The closed form is x_unc = -S q. A Newton step holding the active
+entries A at h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more
+than half the entries are held, or P has no inverse, it solves the free
+rows P_FF x_F = -q_F - P_FA h instead.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dposv, dpotrf, dpotri
+from scipy.sparse.csgraph import connected_components
 
 
 def diagonal_blocks(P):
-    """The connected components of P's nonzero pattern, grouped by size.
-
-    Returns a tuple of (idx, Pb) pairs, one per block size s: idx (nb, s)
-    holds each block's indices in ascending order and Pb the stacked
-    (nb, s, s) blocks P[idx_b, idx_b]. Every entry of P outside the blocks
-    is zero. Components are found by min-label propagation with pointer
-    jumping: each pass gives every index the smallest label among its
-    neighbours, then follows its label's own label once.
-    """
-    n = P.shape[0]
-    if n == 0:
-        return ()
-    nz = P != 0
-    nz |= nz.T
-    nz[np.diag_indices(n)] = True
-    flat = np.flatnonzero(nz)
-    cols = flat % n
-    starts = np.searchsorted(flat, n * np.arange(n))
-    labels = np.arange(n)
-    while True:
-        new = np.minimum.reduceat(labels[cols], starts)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    order = np.argsort(labels, kind="stable")
-    sizes = np.unique(labels, return_counts=True)[1]
-    size_at = np.repeat(sizes, sizes)
+    """The connected components of the pattern of a dense or sparse P's
+    stored entries, grouped by size: a tuple of (idx, Pb), one per block
+    size s, ascending. idx (nb, s) holds each block's indices, ascending,
+    blocks ordered by first index; Pb stacks the (nb, s, s) blocks
+    P[idx_b, idx_b], filled by one scatter of P's stored entries."""
+    P, n = sparse.csr_array(P), P.shape[0]
+    _, labels = connected_components(P, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")  # each block's indices, ascending
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    blocks = np.lexsort((order[starts], sizes))  # by size, then by first index
+    loc = np.empty(n, dtype=np.intp)  # each index's position in its block
+    loc[order] = np.arange(n) - np.repeat(starts, sizes)
+    area = sizes[blocks] ** 2
+    base = np.empty_like(sizes)  # each block's offset in one buffer of all blocks
+    base[blocks] = np.cumsum(area) - area
+    at = np.repeat(base[labels] + loc * sizes[labels], np.diff(P.indptr))  # row starts
+    at += loc[P.indices]
+    buf = np.zeros(area.sum())
+    buf[at] = P.data
     groups = []
     for s in np.unique(sizes):
-        idx = order[size_at == s].reshape(-1, s)
-        groups.append((idx, P[idx[:, :, None], idx[:, None, :]]))
+        b = blocks[sizes[blocks] == s]
+        idx = order[starts[b][:, None] + np.arange(s)]
+        groups.append((idx, buf[base[b[0]]:base[b[0]] + b.size * s * s].reshape(-1, s, s)))
     return tuple(groups)
 
 
-def _near_singular(c, d):
-    """Whether a squared pivot of the Cholesky factor c is at most 1e-12 d,
-    d the largest diagonal entry of the factored matrix."""
-    return c.diagonal().min() ** 2 <= 1e-12 * d
+class _Class:
+    """A distinct block b, its largest diagonal entry, its smallest squared
+    Cholesky pivot (-inf without a factor) and its inverse (dpotrf, dpotri;
+    None unless that pivot exceeds 1e-12 of the diagonal entry)."""
 
-
-def _block_inverse(P, groups):
-    """P^-1 from each diagonal block's Cholesky factor (LAPACK dpotrf, dpotri),
-    or None unless every block is positive definite and no pivot is
-    `_near_singular` against P's largest diagonal entry."""
-    n = P.shape[0]
-    S = np.zeros((n, n))
-    d = P.diagonal().max(initial=0.0)
-    for idx, Pb in groups:
-        for i, b in zip(idx, Pb):
-            c, info = dpotrf(b)
-            if info != 0 or _near_singular(c, d):
-                return None
+    def __init__(self, b):
+        self.P, self.inv, self.dmax = b, None, b.diagonal().max()
+        c, info = dpotrf(b)
+        self.pivot = c.diagonal().min() ** 2 if info == 0 else -np.inf
+        if self.pivot > 1e-12 * self.dmax:
             Sb, _ = dpotri(c)  # the upper triangle of b^-1; c has no zero pivot
-            S[i[:, None], i] = Sb + np.triu(Sb, 1).T
-    return S
+            self.inv = Sb + np.triu(Sb, 1).T
+
+
+def _principal(m, J, s):
+    """The rows and columns of block m at the places J % s of the sorted
+    indices J into a stack of blocks of size s, zero between two blocks."""
+    loc = J % s
+    out = m.take(loc, 0).take(loc, 1)
+    if J.size and J[-1] - loc[-1] != J[0] - loc[0]:  # J spans more than one block
+        blk = J - loc
+        out *= blk[:, None] == blk
+    return out
 
 
 @dataclass(frozen=True)
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
-    Found once when the problem is built: `blocks`, the index arrays of P's
-    independent diagonal blocks (`diagonal_blocks`), one (nb, s) array per
-    block size; `inv`, P^-1, or None unless P is positive definite and no
-    Cholesky pivot is `_near_singular`; and the box's constants
-    `infeasible` (some lower bound exceeds its upper bound), `lo_set` and
-    `hi_set` (the finite bounds) and `band`, the distance within which
-    Newton pins an entry to a bound: 1e-9 of the box width, at least 1e-9.
+    P comes dense, sparse or as `diagonal_blocks` gives it, and is kept as
+    classes, blocks found by their bytes in `table` (a dict the QPs built
+    from it share). Per class, by first index: `P`, its (s, s) block; `inv`,
+    its inverse (None for the whole QP unless P is positive definite and no
+    squared pivot is at most 1e-12 of P's largest diagonal); `blocks`, the
+    (k, s) indices of its k blocks. The solver's slab order puts the
+    classes' blocks one after another: `order` is x's index at each entry
+    (None for x's own order); `slabs` holds each class's start, stop and
+    shape (k, s); `box` the bounds in that order, which are finite, Newton's
+    pin `band` (1e-9 of the box width, at least 1e-9) and the closed form's
+    box, 1e-12 wider. `infeasible`: some lower bound exceeds its upper bound.
     """
 
-    P: np.ndarray
+    P: tuple
     q: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    table: InitVar[dict] = None
     blocks: tuple = field(init=False, repr=False, compare=False)
-    inv: np.ndarray = field(init=False, repr=False, compare=False)
+    inv: tuple = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    slabs: tuple = field(init=False, repr=False, compare=False)
+    box: tuple = field(init=False, repr=False, compare=False)
     infeasible: bool = field(init=False, repr=False, compare=False)
-    lo_set: np.ndarray = field(init=False, repr=False, compare=False)
-    hi_set: np.ndarray = field(init=False, repr=False, compare=False)
-    band: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        n = q.shape[0]
-        if P.shape != (n, n):
-            raise ValueError(f"P shape {P.shape} inconsistent with q length {n}")
+    def __post_init__(self, table):
+        q, lo, hi = (np.asarray(v, dtype=float) for v in (self.q, self.lower, self.upper))
+        n, groups = q.shape[0], self.P
+        if not isinstance(groups, tuple):  # a matrix; blocks come symmetrized
+            groups = groups if sparse.issparse(groups) else np.asarray(groups, dtype=float)
+            if groups.shape != (n, n):
+                raise ValueError(f"P shape {groups.shape} inconsistent with q length {n}")
+            if n and abs(groups - groups.T).max() > 1e-12 * max(1.0, abs(groups).max()):
+                raise ValueError("P must be symmetric")
+            groups = diagonal_blocks(groups)
+        elif sum(idx.size for idx, _ in groups) != n:
+            raise ValueError(f"P's blocks do not cover q's {n} entries")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match q in length")
-        if np.max(np.abs(P - P.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(P), initial=0.0)):
-            raise ValueError("P must be symmetric")
-        groups = diagonal_blocks(P)
-        lo_set, hi_set = np.isfinite(lo), np.isfinite(hi)
-        band = 1e-9 * np.where(lo_set & hi_set, np.maximum(hi - lo, 1.0), 1.0)
-        for name, value in (("P", P), ("q", q), ("lower", lo), ("upper", hi),
-                            ("blocks", tuple(idx for idx, _ in groups)),
-                            ("inv", _block_inverse(P, groups)),
-                            ("infeasible", bool((lo > hi).any())),
-                            ("lo_set", lo_set), ("hi_set", hi_set), ("band", band)):
+        table, rows = {} if table is None else table, {}  # rows: class -> its blocks' indices
+        for i, b in sorted(((i, b) for idx, Pb in groups for i, b in zip(idx, Pb)),
+                           key=lambda ib: ib[0][0]):
+            key = b.tobytes()
+            cls = table[key] = table.get(key) or _Class(np.array(b))
+            rows.setdefault(cls, []).append(i)
+        classes, blocks = list(rows), tuple(np.array(r) for r in rows.values())
+        d = max([0.0] + [c.dmax for c in classes])
+        invertible = all(c.inv is not None and c.pivot > 1e-12 * d for c in classes)
+        order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
+        order = None if np.array_equal(order, np.arange(n)) else order
+        lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
+        lo_set, hi_set = np.isfinite(lo_s), np.isfinite(hi_s)
+        band = 1e-9 * np.where(lo_set & hi_set, np.maximum(hi_s - lo_s, 1.0), 1.0)
+        for name, value in (
+                ("P", tuple(c.P for c in classes)), ("q", q), ("lower", lo), ("upper", hi),
+                ("blocks", blocks), ("order", order),
+                ("inv", tuple(c.inv for c in classes) if invertible else None),
+                ("slabs", tuple((e - b.size, e, b.shape)
+                                for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))),
+                ("box", (lo_s, hi_s, lo_set, hi_set, band, lo_s - 1e-12, hi_s + 1e-12)),
+                ("infeasible", bool((lo > hi).any()))):
             object.__setattr__(self, name, value)
 
     def with_q(self, q):
-        """The same P, blocks, inverse and box with linear term q; only q's shape is checked."""
+        """The same P, classes, inverse and box with linear term q; only q's shape is checked."""
         q = np.asarray(q, dtype=float)
         if q.shape != self.q.shape:
             raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
@@ -134,17 +154,51 @@ class BoxQp:
     def dim(self):
         return self.q.shape[0]
 
+    def times(self, mats, x):
+        """x, in the slab order, times the block-diagonal matrix whose class
+        blocks are `mats` (`P` or `inv`): one (k, s)(s, s) product per class."""
+        if len(mats) == 1:
+            return x.reshape(self.slabs[0][2]).dot(mats[0]).ravel()
+        return np.concatenate([x[a:b].reshape(shape).dot(m).ravel()
+                               for (a, b, shape), m in zip(self.slabs, mats)] + [x[:0]])
+
+    def principal(self, mats, I):
+        """The principal submatrix on the sorted slab indices I of the
+        block-diagonal matrix whose class blocks are `mats`."""
+        if len(mats) == 1:
+            return _principal(mats[0], I, self.slabs[0][2][1])
+        cuts = I.searchsorted([lo for lo, _, _ in self.slabs] + [self.dim])
+        return block_diag(*(_principal(m, I[a:b] - lo, s) for (lo, _, (_, s)), m, a, b
+                            in zip(self.slabs, mats, cuts[:-1], cuts[1:])))
+
+    def to_slabs(self, x):
+        return x if self.order is None else x[self.order]
+
+    def from_slabs(self, x):
+        return x if self.order is None else x[np.argsort(self.order)]
+
+    def dense(self, inverse=False):
+        """P, or with `inverse` P^-1 (None without one), as a dense n x n
+        array in x's order: for tests and `enumerate_box_qp`."""
+        mats = self.inv if inverse else self.P
+        if mats is None:
+            return None
+        D = np.zeros((self.dim, self.dim))
+        for idx, m in zip(self.blocks, mats):
+            D[idx[:, :, None], idx[:, None, :]] = m
+        return D
+
+    def gradient(self, x):
+        """P x + q, x in x's own order."""
+        x = self.to_slabs(np.asarray(x, dtype=float))
+        return self.from_slabs(self.times(self.P, x)) + self.q
+
     def objective(self, x):
-        return 0.5 * x @ self.P @ x + self.q @ x
+        return 0.5 * x @ (self.gradient(x) + self.q)
 
-    def project(self, x):
-        return x.clip(self.lower, self.upper)
-
-    def kkt_residual(self, x, grad=None):
+    def kkt_residual(self, x):
         """Projected-gradient optimality measure, zero at a KKT point."""
-        if grad is None:
-            grad = self.P @ x + self.q
-        return np.abs(x - self.project(x - grad)).max(initial=0.0)
+        return np.abs(x - (x - self.gradient(x)).clip(self.lower, self.upper)).max(initial=0.0)
 
 
 @dataclass
@@ -158,38 +212,36 @@ class QpSolution:
     objective_history: list = field(default_factory=list)
 
 
-def _newton_point(qp, x_unc, active, cand):
-    """The minimizer with the active entries held at their values in `cand`.
+def _newton_point(qp, q, x_unc, active, cand):
+    """The minimizer with the active entries held at their values in `cand`,
+    every vector in the slab order.
 
     With P^-1 = S and at most half the entries held, it is x_unc + S[:, A] y,
-    S_AA y = cand_A - x_unc[A], a solve of size |A| (x_unc = -S q, the
-    unconstrained minimizer). Otherwise it solves the free rows,
-    P_FF x_F = -q_F - P_FA cand_A, by LAPACK dposv. A singular P_FF, or a
-    `_near_singular` one when P has no inverse, gets the minimum-norm
-    least-squares solution; where that leaves a residual r (in the null
-    space: the free rows have no minimum), the solution moves by
-    r / (1e-8 d), d the largest diagonal entry, so the box stops the descent
-    that r gives.
+    S_AA y = cand_A - x_unc[A] (x_unc = -S q). Otherwise it solves the free
+    rows, P_FF x_F = -q_F - P_FA cand_A, by LAPACK dposv. A singular P_FF,
+    or a near singular one without an inverse, gets the minimum-norm
+    least-squares solution, moved by any residual r (in the null space) over
+    1e-8 d, d the largest diagonal entry, so the box stops that descent.
     """
     A = np.flatnonzero(active)
     if qp.inv is not None and 2 * A.size <= qp.dim:
         if not A.size:
             return x_unc.copy()
         held = cand[A]
-        SA = qp.inv[A]  # = S[:, A]' as S is symmetric
-        _, y, info = dposv(SA[:, A], held - x_unc[A])
+        _, y, info = dposv(qp.principal(qp.inv, A), held - x_unc[A])
         if info == 0:
-            x = x_unc + y @ SA
+            Y = np.zeros(qp.dim)  # S[:, A] y = S Y with Y = y on A
+            Y[A] = y
+            x = x_unc + qp.times(qp.inv, Y)
             x[A] = held
             return x
     x = np.where(active, cand, 0.0)
     F = np.flatnonzero(~active)
     if not F.size:
         return x
-    PF = qp.P[F]
-    a, b = PF[:, F], -qp.q[F] - PF @ x
+    a, b = qp.principal(qp.P, F), -q[F] - qp.times(qp.P, x)[F]  # x is 0 on F
     c, xf, info = dposv(a, b)
-    if info != 0 or qp.inv is None and _near_singular(c, a.diagonal().max()):
+    if info != 0 or qp.inv is None and c.diagonal().min() ** 2 <= 1e-12 * a.diagonal().max():
         xf, *_ = np.linalg.lstsq(a, b, rcond=None)
         r = b - a @ xf  # in the null space of a: nonzero where the free rows have no minimum
         if np.abs(r).max() > 1e-10 * np.abs(b).max():
@@ -203,13 +255,13 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
 
     The closed form (x_unc = -`qp.inv` q) has `iterations` 0 and no
     objective history. Newton starts from project(x0), else the projected
-    closed form, else 0; each iteration pins the entries within `qp.band`
-    of a bound whose gradient points out of the box, minimizes over the
-    free entries (`_newton_point`) and takes an Armijo step along the
+    closed form, else 0; each iteration pins the entries within the box's
+    band of a bound whose gradient points out of the box, minimizes over
+    the free entries (`_newton_point`) and takes an Armijo step along the
     projection arc. Even an optimal start takes one step, onto its face.
     `objective_history` holds the start objective and one entry per
     iteration; `iterations` counts those after the first. A non-finite q
-    raises ValueError.
+    raises ValueError. The solve runs in the slab order (`BoxQp.order`).
     """
     n = qp.dim
     if qp.infeasible:
@@ -219,50 +271,55 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
     if not np.isfinite(qp.q).all():
         raise ValueError("q must contain only finite values")
+    q = qp.to_slabs(qp.q)
+    lo, hi, lo_set, hi_set, band, lo_tol, hi_tol = qp.box
+
+    def kkt(x, grad):
+        return np.maximum.reduce(np.abs(x - (x - grad).clip(lo, hi)), initial=0.0)
 
     x_unc = np.zeros(n)
     if qp.inv is not None:
-        x_unc = -(qp.inv @ qp.q)
-        if (x_unc >= qp.lower - 1e-12).all() and (x_unc <= qp.upper + 1e-12).all():
-            x = qp.project(x_unc)
-            grad = qp.P @ x + qp.q
-            res = qp.kkt_residual(x, grad)
+        x_unc = -qp.times(qp.inv, q)
+        if (x_unc >= lo_tol).all() and (x_unc <= hi_tol).all():
+            x = x_unc.clip(lo, hi)
+            grad = qp.times(qp.P, x) + q
+            res = kkt(x, grad)
             if res <= tol:
-                return QpSolution(x, "optimal", res, 0, 0.5 * x @ (grad + qp.q))
-    x = qp.project(x_unc if x0 is None else np.asarray(x0, dtype=float))
+                return QpSolution(qp.from_slabs(x), "optimal", res, 0, 0.5 * x.dot(grad + q))
+    x = (x_unc if x0 is None else qp.to_slabs(np.asarray(x0, dtype=float))).clip(lo, hi)
 
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
-    grad = qp.P @ x + qp.q
-    fx = 0.5 * x @ (grad + qp.q)
+    grad = qp.times(qp.P, x) + q
+    fx = 0.5 * x.dot(grad + q)
     history = [fx]
     status, why = "max_iterations", f"{max_iter} iterations"
     for _ in range(max_iter):
-        at_lo = qp.lo_set & (x - qp.lower <= qp.band) & (grad >= 0)
-        at_hi = qp.hi_set & (qp.upper - x <= qp.band) & (grad <= 0)
-        newton = _newton_point(qp, x_unc, at_lo | at_hi,
-                               np.where(at_hi, qp.upper, np.where(at_lo, qp.lower, x)))
+        at_lo = lo_set & (x - lo <= band) & (grad >= 0)
+        at_hi = hi_set & (hi - x <= band) & (grad <= 0)
+        newton = _newton_point(qp, q, x_unc, at_lo | at_hi,
+                               np.where(at_hi, hi, np.where(at_lo, lo, x)))
         for k in range(53):  # Armijo steps 1, 1/2, ... with a rounding slack
-            xa = qp.project(x + 0.5 ** k * (newton - x) if k else newton)
-            ga = qp.P @ xa + qp.q
-            fa = 0.5 * xa @ (ga + qp.q)
-            if fa <= fx + 1e-4 * (grad @ (xa - x)) + 1e-15 * abs(fx):
+            xa = (x + 0.5 ** k * (newton - x) if k else newton).clip(lo, hi)
+            ga = qp.times(qp.P, xa) + q
+            fa = 0.5 * xa.dot(ga + q)
+            if fa <= fx + 1e-4 * grad.dot(xa - x) + 1e-15 * abs(fx):
                 break
         else:  # no descent step: stay
             xa, ga, fa = x, grad, fx
         moved = fa < fx or not np.array_equal(xa, x)
         x, grad, fx = xa, ga, fa
         history.append(fx)
-        kkt = qp.kkt_residual(x, grad)
-        if kkt <= tol:
-            return QpSolution(x, "optimal", kkt, len(history) - 2, fx,
+        res = kkt(x, grad)
+        if res <= tol:
+            return QpSolution(qp.from_slabs(x), "optimal", res, len(history) - 2, fx,
                               objective_history=history)
         if not moved:
             status, why = "stalled", "no descent step"
             break
-    kkt = qp.kkt_residual(x, grad)
-    return QpSolution(x, status, kkt, max(len(history) - 2, 0), fx,
-                      message=f"{why}; kkt residual {kkt:.3e} above tol {tol:.3e}",
+    res = kkt(x, grad)
+    return QpSolution(qp.from_slabs(x), status, res, max(len(history) - 2, 0), fx,
+                      message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
                       objective_history=history)
 
 
@@ -313,42 +370,26 @@ def enumerate_box_qp(qp, max_dim=8):
     n = qp.dim
     if n > max_dim:
         raise ValueError(f"enumeration oracle limited to n <= {max_dim}")
+    P = qp.dense()
     best_x, best_f = None, np.inf
     for pattern in itertools.product((-1, 0, 1), repeat=n):
-        x = np.empty(n)
-        free = []
-        ok = True
-        for i, s in enumerate(pattern):
-            if s == -1:
-                if not np.isfinite(qp.lower[i]):
-                    ok = False
-                    break
-                x[i] = qp.lower[i]
-            elif s == 1:
-                if not np.isfinite(qp.upper[i]):
-                    ok = False
-                    break
-                x[i] = qp.upper[i]
-            else:
-                free.append(i)
-        if not ok:
-            continue
-        if free:
-            F = np.array(free)
-            fixed = np.array([i for i in range(n) if i not in set(free)], dtype=int)
-            rhs = -qp.q[F]
-            if fixed.size:
-                rhs = rhs - qp.P[np.ix_(F, fixed)] @ x[fixed]
-            xf, *_ = np.linalg.lstsq(qp.P[np.ix_(F, F)], rhs, rcond=None)
-            if np.max(np.abs(qp.P[np.ix_(F, F)] @ xf - rhs), initial=0.0) > 1e-8:
+        s = np.array(pattern, dtype=int)
+        x = np.where(s < 0, qp.lower, np.where(s > 0, qp.upper, 0.0))
+        if not np.isfinite(x).all():
+            continue  # an entry held at an infinite bound
+        F, fixed = np.flatnonzero(s == 0), np.flatnonzero(s)
+        if F.size:
+            rhs = -qp.q[F] - P[np.ix_(F, fixed)] @ x[fixed]
+            xf, *_ = np.linalg.lstsq(P[np.ix_(F, F)], rhs, rcond=None)
+            if np.max(np.abs(P[np.ix_(F, F)] @ xf - rhs), initial=0.0) > 1e-8:
                 continue  # inconsistent flat direction
             x[F] = xf
             if np.any(x[F] < qp.lower[F] - 1e-9) or np.any(x[F] > qp.upper[F] + 1e-9):
                 continue
-        f = qp.objective(np.clip(x, qp.lower, qp.upper))
+        x = np.clip(x, qp.lower, qp.upper)
+        f = qp.objective(x)
         if f < best_f:
-            best_f = f
-            best_x = np.clip(x, qp.lower, qp.upper)
+            best_x, best_f = x, f
     if best_x is None:
         raise ValueError("no feasible active-set candidate found")
     return best_x, best_f

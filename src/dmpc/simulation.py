@@ -6,11 +6,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .admm import AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
 from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
-                      condensed_maps, global_cost)
+                      condensed_maps, global_cost, input_columns)
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -116,24 +117,20 @@ def _first_inputs(problems, plans):
 
 class _CentralizedCache(_Controller):
     """The centralized controller: the whole-network QP, validated and
-    inverted once. The gradient M'H c is linear in the measured states,
-    c = C x0 stacking each agent's Phi x0, so G = M'H C is formed once and
-    each step's gradient is G x0. HC is formed from H's sparse column
-    blocks, one per member. M holds per member one Gam block on its state
-    rows and an identity on its input rows, so each member's rows of G are
-    Gam' HC[state rows] + HC[input rows]."""
+    inverted once; its P arrives as diagonal blocks and is kept as classes
+    (the three axes of the double integrator are one class). The gradient
+    M'H c is linear in the measured states, c = C x0 with C stacking each
+    member's Phi on its state rows, so G = M'HC is formed once, by sparse
+    products, and each step's gradient is G x0."""
 
     def __init__(self, g, agents, T, initial_states, qp_tol):
         self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
-        self.qp = BoxQp(P, np.zeros(P.shape[0]), *condensed_bounds(self.block))
-        H, offs = self.block.H.tocsc(), self.block.member_offsets()
-        pred = [self.pred[j] for j in self.block.members]
-        HC = np.hstack([H[:, off:off + Phi.shape[0]] @ Phi for off, (Phi, _) in zip(offs, pred)])
-        G = []
-        for off, (_, Gam) in zip(offs, pred):
-            u0 = off + Gam.shape[0]  # the member's inputs follow its states
-            G.append(Gam.T @ HC[off:u0] + HC[u0:u0 + Gam.shape[1]])
-        self.G = np.vstack(G)
+        self.qp = BoxQp(P, np.zeros(self.M.shape[1]), *condensed_bounds(self.block))
+        del P  # the blocks are the QP's classes now
+        self.cols = input_columns(self.block)
+        C = sparse.block_diag([np.vstack([self.pred[j][0], np.zeros((T * a.m, a.n))])
+                               for j, a in zip(self.block.members, self.block.models)], "csr")
+        self.G = (self.M.T @ (self.block.H @ C)).toarray()
         self.qp_tol = qp_tol
         self.warm = None
 
@@ -144,10 +141,7 @@ class _CentralizedCache(_Controller):
         if sol.status != "optimal":
             raise SolverFailure(None, None, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
-        T = self.block.T
-        offs = np.cumsum([0] + [T * a.m for a in self.block.models])
-        return [sol.x_star[o:o + T * a.m].reshape(T, a.m)
-                for o, a in zip(offs, self.block.models)]
+        return [sol.x_star[cols] for cols in self.cols]
 
     def plan(self, measured):
         t0 = time.perf_counter()

@@ -255,16 +255,18 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
     def spy_solve(qp, **kw):
         sol = solve(qp, **kw)
         x = sol.x_star
-        kkt = np.max(np.abs(x - np.clip(x - (qp.P @ x + qp.q), qp.lower, qp.upper)))
+        kkt = np.max(np.abs(x - np.clip(x - (qp.dense() @ x + qp.q), qp.lower, qp.upper)))
         solves.append((sol.status, kkt, kw["tol"]))
         return sol
 
-    def spy_newton_point(qp, x_unc, active, cand):
-        x = newton_point(qp, x_unc, active, cand)
+    def spy_newton_point(qp, q, x_unc, active, cand):  # every vector in the slab order
+        x = newton_point(qp, q, x_unc, active, cand)
+        o = np.arange(qp.dim) if qp.order is None else qp.order
+        P = qp.dense()[np.ix_(o, o)]
         F = ~active
-        a = qp.P[np.ix_(F, F)]
+        a = P[np.ix_(F, F)]
         if np.linalg.matrix_rank(a) < a.shape[0]:
-            b = -qp.q[F] - qp.P[np.ix_(F, active)] @ cand[active]
+            b = -q[F] - P[np.ix_(F, active)] @ cand[active]
             singular.append(np.max(np.abs(x[F] - np.linalg.pinv(a) @ b)))
         return x
 

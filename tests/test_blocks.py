@@ -117,7 +117,7 @@ def test_block_qps_match_their_blocks_solved_alone(sizes, seed):
 
 def kkt(qp, x):
     """Projected-gradient residual, formed here rather than by BoxQp."""
-    g = qp.P @ x + qp.q
+    g = qp.dense() @ x + qp.q
     return float(np.max(np.abs(x - np.minimum(np.maximum(x - g, qp.lower), qp.upper))))
 
 

@@ -132,6 +132,26 @@ def test_simulate_solver_and_seed_overrides(tmp_path):
     assert summary["config"]["sim"]["seed"] == 123
 
 
+PATH5 = "[graph]\nn 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n"
+
+
+@pytest.mark.parametrize("solver", ["admm", "dual_decomp"])
+@pytest.mark.parametrize("text, u_max", [
+    (PATH5 + "[mpc]\nrho 1e-4\n", 1.0),
+    (PATH5 + "[mpc]\nrho 1e4\n", 1.0),
+    (PATH5 + "[agents]\nu_max 1e-3\n", 1e-3),
+    ("[graph]\nn 4\nedge 1 2\nedge 3 4\n", 1.0),  # two unlinked pairs
+], ids=["rho-1e-4", "rho-1e4", "u_max-1e-3", "disconnected"])
+def test_simulate_completes_under_extreme_settings(tmp_path, solver, text, u_max):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, text + "[sim]\nsteps 3\n")
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--solver", solver]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["num_steps_completed"] == 3 and summary["aborted_at"] is None
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=2)
+    assert np.max(np.abs(rows[:, 8:11])) <= u_max  # columns u0..u2
+
+
 def test_simulate_reports_why_it_aborted(tmp_path, capsys, monkeypatch):
     from dmpc import QpSolution, admm
 

@@ -153,7 +153,7 @@ def test_condense_single_agent_one_step():
     qp, _ = condensed_qp(probs[0])
     assert qp.dim == 3
     # no coupling: only the input energy survives, P = 2 I
-    assert np.allclose(qp.P, 2.0 * np.eye(3))
+    assert np.allclose(qp.dense(), 2.0 * np.eye(3))
     assert np.allclose(qp.q, 0.0)
 
 
@@ -196,7 +196,7 @@ def test_augment_value_matches_term_by_term():
     net = _NetworkMap(probs, rho, qp_tol=1e-9)
     v = np.concatenate([lam - rho * z[m.global_idx], np.zeros(probs[1].dim)])
     q = (net.q_static + net.Mt @ v)[net.u_slices[0]]
-    M, c, P = net.agent_maps[0], net.c[:p.dim], net.caches[0].qp.P
+    M, c, P = net.agent_maps[0], net.c[:p.dim], net.caches[0].qp.dense()
 
     def augmented(x):
         d = x - z[m.global_idx]

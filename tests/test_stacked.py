@@ -258,12 +258,12 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
                                   net.u_slices):
         H, M, c = p.H.toarray(), M.toarray(), net.c[s]
         P = M.T @ H @ M + rho * (M.T @ M)
-        assert close(cache.qp.P, 0.5 * (P + P.T), 1e-12)
+        assert close(cache.qp.dense(), 0.5 * (P + P.T), 1e-12)
         assert close(net.q_static[us], M.T @ (H @ c + p.g) + rho * (M.T @ c), 1e-12)
     central = _CentralizedCache(g, agents, T, x0, qp_tol=1e-8)
     H, M = central.block.H.toarray(), central.M.toarray()
     P = M.T @ H @ M
-    assert close(central.qp.P, 0.5 * (P + P.T), 1e-12)
+    assert close(central.qp.dense(), 0.5 * (P + P.T), 1e-12)
     # G maps the stacked measured states to the gradient M'H c, c = C x0
     C = np.zeros((central.block.dim, sum(a.n for a in agents)))
     col = 0
@@ -276,15 +276,22 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
 
 def dense_map(p, pred):
     """Agent p's condensing map built dense, member by member: [Gam; I] on
-    the member's state and input rows and its own input columns."""
+    the member's state and input rows and its own input columns. The
+    columns are component-major: input component 0 of every member over the
+    horizon, member by member, then component 1, and so on."""
     M = np.zeros((p.dim, sum(mdl.m for mdl in p.models) * p.T))
+    cols = [np.zeros((p.T, mdl.m), dtype=int) for mdl in p.models]
     col = 0
+    for a in range(max(mdl.m for mdl in p.models)):
+        for pos, mdl in enumerate(p.models):
+            if a < mdl.m:
+                cols[pos][:, a] = col + np.arange(p.T)
+                col += p.T
     for pos, j in enumerate(p.members):
-        Gam, m = pred[j][1], p.models[pos].m * p.T
+        Gam, c = pred[j][1], cols[pos].reshape(-1)
         s0, u0 = p.state_slice(pos, 0).start, p.input_slice(pos, 0).start
-        M[s0:s0 + Gam.shape[0], col:col + m] = Gam
-        M[u0:u0 + m, col:col + m] = np.eye(m)
-        col += m
+        M[s0:s0 + Gam.shape[0], c] = Gam
+        M[u0 + np.arange(c.size), c] = 1.0
     return M
 
 
