@@ -13,18 +13,20 @@ condensed gradient q, each agent then solves only its own box QP
 into the stacked local vectors. The per-agent solve times that runs report
 time those QPs alone. The agents' QPs share one class table, so a
 diagonal block of P that several agents hold is checked and inverted once.
+An engine's problems and maps are built once and never copied; a new MPC
+step rebinds only the network map's offset c and the static part of q.
 """
 
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from .problem import (check_finite_states, condensed_bounds, condensed_hessian, condensed_maps,
-                      copy_counts, predictions)
+                      condensing_matrix, copy_counts, predictions)
 from .qp import BoxQp, solve_box_qp
 
 
@@ -57,7 +59,7 @@ class AdmmResult:
     converged: bool
     objective: float   # sum of the local costs at the final iterate
     solve_times: list = field(default_factory=list)  # per agent x-update: its QP alone, s
-    max_dual_avg_violation: float = 0.0
+    max_dual_avg_violation: float = None  # None unless the run tracked it
 
 
 def z_update(x_cat, E, counts):
@@ -108,7 +110,7 @@ class _AgentCache:
     minimizer into a local vector live in the network map (`_NetworkMap`)."""
 
     def __init__(self, problem, P, qp_tol, table):
-        self.problem = problem
+        self.owner = problem.owner
         self.qp_tol = qp_tol
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi, table)
@@ -118,7 +120,7 @@ class _AgentCache:
         """The condensed minimizer for linear term q at iteration k."""
         sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
         if sol.status != "optimal":
-            raise SolverFailure(self.problem.owner, k, f"{sol.status}: {sol.message}")
+            raise SolverFailure(self.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
         return sol.x_star
 
@@ -135,43 +137,37 @@ class _NetworkMap:
 
     Agent i's local vector is x_i = M_i u_i + c_i over its condensed inputs
     u_i, so the stacked local vectors are x = M u + c with M = diag(M_i),
-    built once from the agents' CSR arrays. The x-update of ADMM (and, at
-    rho = 0, of dual decomposition) minimizes each local cost plus
-    v_i'x_i + (rho/2)||x_i||^2: its condensed linear term is
-    q = M'((H + rho I)c + g + v) with H = diag(H_i), so every agent's q is
-    one sparse product with M' per iteration, and its static part, once per
+    the only copy of the agents' CSR arrays; only c depends on the measured
+    states, to which set-up binds the problems' own. The x-update
+    of ADMM (and, at rho = 0, of dual decomposition) minimizes each local
+    cost plus v_i'x_i + (rho/2)||x_i||^2: its condensed linear term is
+    q = M'((H + rho I)c + v) with H = diag(H_i), so every agent's q is one
+    sparse product with M' per iteration, and its static part, once per
     step, one more with H + rho I (`H_rho`). Each agent's
     P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
     of which only the diagonal blocks of each P_i are densified.
     """
 
     def __init__(self, problems, rho, qp_tol):
+        self.problems = problems
         self.pred = predictions(problems)
-        local = [condensed_maps(p, self.pred) for p in problems]
-        self.agent_maps = [M for M, _ in local]
-        self.M = _block_diagonal(self.agent_maps)
+        maps = [condensing_matrix(p, self.pred) for p in problems]
+        ends = np.cumsum([M.shape[1] for M in maps])
+        self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(maps, ends)]
+        self.M = _block_diagonal(maps)
+        del maps  # M holds the only copy
         self.Mt = self.M.T.tocsr()
         self.H_rho = _block_diagonal([p.H for p in problems]) \
             + rho * sparse.eye_array(self.M.shape[0], format="csr")
-        self.g = np.concatenate([p.g for p in problems])
-        ends = np.cumsum([M.shape[1] for M in self.agent_maps])
-        self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(self.agent_maps, ends)]
-        P, table = condensed_hessian(self.H_rho, self.M, ends), {}
+        P, table = condensed_hessian(self.H_rho, self.M, self.Mt, ends), {}
         self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(problems, P)]
-        self._bind([c for _, c in local])
+        self.rebind_states({j - 1: x for p in problems for j, x in zip(p.members, p.x0)})
 
-    def _bind(self, cs):
-        self.c = np.concatenate(cs)
-        self.q_static = self.Mt @ (self.H_rho @ self.c + self.g)
-
-    def rebind_states(self, initial_states):
-        """Refresh c and the static part of q for new measured states."""
-        cs = []
-        for cache, M in zip(self.caches, self.agent_maps):
-            cache.problem = replace(cache.problem, x0=tuple(
-                np.asarray(initial_states[j - 1], float) for j in cache.problem.members))
-            cs.append(condensed_maps(cache.problem, self.pred, M)[1])
-        self._bind(cs)
+    def rebind_states(self, states):
+        """c and the static part of q, M'(H + rho I)c, for measured states,
+        agent j's at states[j - 1]."""
+        self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
+        self.q_static = self.Mt @ (self.H_rho @ self.c)
 
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:
@@ -190,7 +186,8 @@ class AdmmEngine:
 
     The iteration works on stacked vectors: x_cat and lam_cat concatenate
     the agents' local vectors in agent order and E = concat(global_idx)
-    maps each entry to its z component.
+    maps each entry to its z component. The problems keep the states they
+    were built at; `rebind_states` rebinds only the network map.
     """
 
     def __init__(self, problems, maps, rho, z_dim=None, qp_tol=1e-6, parallel=False):
@@ -209,7 +206,6 @@ class AdmmEngine:
     def rebind_states(self, initial_states):
         check_finite_states(initial_states)
         self.net.rebind_states(initial_states)
-        self.problems = [c.problem for c in self.net.caches]
 
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
             track_dual_average=False):
@@ -223,7 +219,7 @@ class AdmmEngine:
         solve_all = map if self.pool is None else self.pool.map
         history = []
         solve_times = []
-        max_viol = 0.0
+        max_viol = 0.0 if track_dual_average else None
         converged = False
         for k in range(1, max_iter + 1):
             x_cat, times = self.net.x_update(lam_cat - rho * zE, k, solve_all)

@@ -1,6 +1,6 @@
 """Line-oriented scenario config files with INI-style sections."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .graph import InfoGraph
 from .dynamics import double_integrator_3d
@@ -103,34 +103,20 @@ def parse_config(text):
         if not (1 <= i <= n):
             raise ConfigError(0, f"agent override for out-of-range agent {i}")
 
-    def pick(section_name, key, default):
+    def pick(section_name, key, name):
         if key in values[section_name]:
             return values[section_name][key]
-        notes.append(f"{section_name}.{key} defaulted to {default}")
-        return default
+        notes.append(f"{section_name}.{key} defaulted to {_DEFAULTS[name]}")
+        return _DEFAULTS[name]
 
     try:
-        sim = SimConfig(
-            num_steps=pick("sim", "steps", 250),
-            horizon=pick("mpc", "horizon", 10),
-            admm_iterations=pick("mpc", "admm_iters", 30),
-            rho=pick("mpc", "rho", 1.0),
-            noise_variance=pick("sim", "noise_variance", 0.1),
-            rng_seed=pick("sim", "seed", 0),
-            solver_kind=pick("mpc", "solver", "admm"),
-            warm_start=pick("mpc", "warm_start", True),
-            ts=pick("agents", "ts", 0.1),
-            u_max=pick("agents", "u_max", 1.0),
-            mass=pick("agents", "mass", 1.0),
-            pos_range=pick("sim", "pos_range", (-5.0, 5.0)),
-            vel_range=pick("sim", "vel_range", (-1.0, 1.0)),
-        )
+        sim = SimConfig(**{name: pick(sec, key, name) for sec, key, name in _SIM_KEYS})
     except ValueError as exc:  # a value no SimConfig accepts
         raise ConfigError(0, str(exc))
     cfg = ScenarioConfig(
         num_agents=n, edges=edges, sim=sim, agent_overrides=agent_overrides,
-        out_dir=pick("output", "dir", "out"),
-        formats=tuple(pick("output", "formats", ("csv", "json"))),
+        out_dir=pick("output", "dir", "out_dir"),
+        formats=tuple(pick("output", "formats", "formats")),
         defaults_applied=notes,
     )
     cfg.graph()  # validates edges (weights, self-loops)
@@ -207,6 +193,18 @@ def _nonneg_float(tok, name):
         raise ValueError(f"{name} must be nonnegative")
     return v
 
+
+# (section, stored key, SimConfig field) of every SimConfig setting a file
+# can give, in the order of the defaults_applied notes
+_SIM_KEYS = (("sim", "steps", "num_steps"), ("mpc", "horizon", "horizon"),
+             ("mpc", "admm_iters", "admm_iterations"), ("mpc", "rho", "rho"),
+             ("sim", "noise_variance", "noise_variance"), ("sim", "seed", "rng_seed"),
+             ("mpc", "solver", "solver_kind"), ("mpc", "warm_start", "warm_start"),
+             ("agents", "ts", "ts"), ("agents", "u_max", "u_max"), ("agents", "mass", "mass"),
+             ("sim", "pos_range", "pos_range"), ("sim", "vel_range", "vel_range"))
+
+# a defaulted setting takes its dataclass field's default
+_DEFAULTS = {f.name: f.default for f in fields(SimConfig) + fields(ScenarioConfig)}
 
 # single-value keys: section -> key -> (stored name, parse(token, name))
 _SCALARS = {

@@ -65,7 +65,7 @@ class LocalProblem:
 
     Layout of the local vector: for each member (owner and neighbors, in
     ascending index order) the states t=0..T then the inputs t=0..T-1.
-    Cost is 0.5 x'Hx + g'x; dynamics and measured initial states enter as
+    Cost is 0.5 x'Hx; dynamics and measured initial states enter as
     equality constraints, input boxes as bounds. The centralized problem
     is the block with every agent a member and `owner` None.
     """
@@ -76,7 +76,6 @@ class LocalProblem:
     models: tuple           # LtiAgent per member
     x0: tuple               # measured initial state per member
     H: sparse.csr_array     # symmetric, PSD
-    g: np.ndarray
 
     @property
     def dim(self):
@@ -101,7 +100,7 @@ class LocalProblem:
         return slice(start, start + mdl.m)
 
     def cost(self, x):
-        return 0.5 * x @ (self.H @ x) + self.g @ x
+        return 0.5 * x @ (self.H @ x)
 
     def dynamics_equalities(self):
         """Dense (A_eq, b_eq): x(0) pinned to measurements, rollout equalities."""
@@ -159,8 +158,7 @@ def _block(owner, T, members, agents, states, edges, input_owners):
     H = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(layout.dim, layout.dim))
     return LocalProblem(owner=owner, T=T, members=members, models=models,
-                        x0=tuple(states[j - 1] for j in members),
-                        H=H, g=np.zeros(layout.dim))
+                        x0=tuple(states[j - 1] for j in members), H=H)
 
 
 def check_finite_states(states):
@@ -216,8 +214,8 @@ def build_centralized_qp(g, agents, T, initial_states):
                    [np.asarray(x, dtype=float) for x in initial_states],
                    [(i, j, 2.0 * w) for (i, j), w in g.weights.items()], members)
     pred = predictions([block])
-    M, _ = condensed_maps(block, pred)
-    return block, pred, M, condensed_hessian(block.H, M, [M.shape[1]])[0]
+    M = condensing_matrix(block, pred)
+    return block, pred, M, condensed_hessian(block.H, M, M.T.tocsr(), [M.shape[1]])[0]
 
 
 def copy_counts(maps, z_dim):
@@ -279,42 +277,45 @@ def input_columns(p):
     return [slot[:m, k] * p.T + np.arange(p.T)[:, None] for k, m in enumerate(ms)]
 
 
-def condensed_maps(p, pred, M=None):
-    """Affine map local_vector = M @ condensed_inputs + c.
+def condensing_matrix(p, pred):
+    """M of the affine map local_vector = M @ condensed_inputs + c, the
+    inputs in the order of `input_columns`: a CSR array built row by row,
+    per member the nonzeros of its Gam (from `pred`) on its state rows and
+    an identity on its input rows, which follow them."""
+    counts, indices, data = [], [], []
+    for j, cols in zip(p.members, input_columns(p)):
+        (count, gcols, vals), cols = pred[j][2], cols.reshape(-1)
+        counts += [count, np.ones(cols.size, int)]
+        indices += [cols[gcols], cols]
+        data += [vals, np.ones(cols.size)]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    M = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                         shape=(p.dim, sum(mdl.m for mdl in p.models) * p.T))
+    M.sort_indices()
+    return M
 
-    The condensed variable holds the members' inputs in the order of
-    `input_columns`; `pred` holds each member's prediction matrices. M is a
-    CSR array built row by row: per member, the nonzeros of Gam on its state
-    rows and an identity on its input rows. A given M is returned as it is,
-    so rebinding measured states forms only c = Phi x0.
-    """
+
+def condensed_maps(p, pred, states):
+    """c of the affine map local_vector = M @ condensed_inputs + c for
+    measured states, agent j's at states[j - 1]: each member's Phi x0 on its
+    state rows, zero on its input rows."""
     c = np.zeros(p.dim)
-    for off, j, x0 in zip(p.member_offsets(), p.members, p.x0):
+    for off, j in zip(p.member_offsets(), p.members):
         Phi = pred[j][0]
-        c[off:off + Phi.shape[0]] = Phi @ x0
-    if M is None:  # a member's input rows follow its state rows
-        counts, indices, data = [], [], []
-        for j, cols in zip(p.members, input_columns(p)):
-            (count, gcols, vals), cols = pred[j][2], cols.reshape(-1)
-            counts += [count, np.ones(cols.size, int)]
-            indices += [cols[gcols], cols]
-            data += [vals, np.ones(cols.size)]
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        M = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                             shape=(p.dim, sum(mdl.m for mdl in p.models) * p.T))
-        M.sort_indices()
-    return M, c
+        c[off:off + Phi.shape[0]] = Phi @ states[j - 1]
+    return c
 
 
-def condensed_hessian(H, M, ends):
+def condensed_hessian(H, M, Mt, ends):
     """The symmetrized diagonal blocks of the condensed Hessian M'HM, as
     `diagonal_blocks` gives them, per column range of M ending at `ends`
     (indices from the range's start; no block crosses two ranges of a
-    block-diagonal M). M'(HM) is one sparse product; no range is densified.
+    block-diagonal M). Mt is M' as CSR. M'(HM) is one sparse product; no
+    range is densified.
     """
     starts = np.concatenate([[0], ends])
     out = [[] for _ in ends]
-    for idx, Pb in diagonal_blocks(M.T.tocsr() @ (H @ M)):
+    for idx, Pb in diagonal_blocks(Mt @ (H @ M)):
         Pb += Pb.transpose(0, 2, 1)  # numpy buffers the overlapping operand
         Pb *= 0.5
         cuts = np.searchsorted(idx[:, 0], starts)

@@ -67,7 +67,7 @@ class SimLog:
     solve_times: np.ndarray   # per agent x-update, its local QP alone, seconds
     noise_draws: np.ndarray   # (num_steps, N, noise_dim), for paired-run audits
     config: SimConfig
-    max_dual_avg_violation: float = 0.0
+    max_dual_avg_violation: float = None  # None unless the run tracked it
     aborted_at: int = None    # step index if a solver failure cut the run short
     abort_reason: str = None  # the SolverFailure message of that step
 
@@ -104,7 +104,7 @@ class _Controller:
     returns (first_inputs, stats), stats as in SimLog.solver_stats."""
 
     solve_times = ()
-    max_dual_avg_violation = 0.0
+    max_dual_avg_violation = None
 
     def close(self):
         pass
@@ -160,6 +160,7 @@ class _AdmmController(_Controller):
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
         self.cfg = cfg
         self.track_dual_average = track_dual_average
+        self.max_dual_avg_violation = 0.0 if track_dual_average else None
         self.warm_state = None
         self.solve_times = []
 
@@ -173,8 +174,9 @@ class _AdmmController(_Controller):
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
         self.solve_times.extend(result.solve_times)
-        self.max_dual_avg_violation = max(self.max_dual_avg_violation,
-                                          result.max_dual_avg_violation)
+        if self.track_dual_average:
+            self.max_dual_avg_violation = max(self.max_dual_avg_violation,
+                                              result.max_dual_avg_violation)
         first_inputs = _first_inputs(engine.problems, result.plans)
         _, rp, rd = result.history[-1]
         stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
@@ -293,7 +295,7 @@ def solve_centralized(g, agents, T, initial_states, tol=1e-8):
     """
     central = _CentralizedCache(g, agents, T, initial_states, tol)
     plans = central.solve(initial_states)
-    _, c = condensed_maps(central.block, central.pred, central.M)
+    c = condensed_maps(central.block, central.pred, initial_states)
     return plans, float(central.block.cost(central.M @ central.warm + c))
 
 

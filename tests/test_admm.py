@@ -40,7 +40,7 @@ def test_x_update_matches_kkt_when_boxes_inactive():
         z_loc = z[m.global_idx]
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), p.g + lam - rho * z_loc,
+        x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), lam - rho * z_loc,
                                   A_eq, b_eq)
         assert np.max(np.abs(x_new - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_new - b_eq)) <= 1e-10
@@ -108,6 +108,8 @@ def test_dual_average_is_zero_after_each_iteration():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=8)
     res = run_admm(probs, maps, rho=1.0, max_iter=25, track_dual_average=True)
     assert res.max_dual_avg_violation <= 1e-9
+    # a run that does not track the invariant reports no value for it
+    assert run_admm(probs, maps, rho=1.0, max_iter=2).max_dual_avg_violation is None
 
 
 def test_residuals_examples():

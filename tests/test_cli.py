@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dmpc import ConfigError, SolverFailure, parse_config, simulation
+from dmpc import ConfigError, ScenarioConfig, SimConfig, SolverFailure, parse_config, simulation
 from dmpc.cli import main
 
 
@@ -31,6 +31,13 @@ def test_parse_minimal_and_defaults_recorded():
     assert cfg.sim.horizon == 10 and cfg.sim.admm_iterations == 30
     assert any("mpc.horizon defaulted" in s for s in cfg.defaults_applied)
     assert any("sim.noise_variance defaulted" in s for s in cfg.defaults_applied)
+
+
+def test_parse_defaults_are_the_dataclass_defaults():
+    cfg = parse_config("[graph]\nn 2\nedge 1 2\n")
+    assert cfg.sim == SimConfig()
+    assert cfg.out_dir == ScenarioConfig.out_dir
+    assert cfg.formats == ScenarioConfig.formats
 
 
 def test_parse_full_document():
@@ -108,17 +115,29 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "total cost" in capsys.readouterr().out
 
 
-def test_simulate_is_byte_identical_across_runs(tmp_path):
+@pytest.mark.parametrize("solver", ["admm", "centralized", "dual_decomp"])
+def test_simulate_is_byte_identical_across_runs(tmp_path, solver):
     cfg_path = write_config(tmp_path)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg_path, "--out", str(out),
+                     "--solver", solver]) == 0
         data = (out / "trajectory.csv").read_bytes()
         # the echoed config comment embeds the per-run output directory;
         # everything after it must match byte for byte
         outs.append(data.split(b"\n", 1)[1])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("solver", ["admm", "centralized", "dual_decomp"])
+def test_summary_reports_no_unmeasured_dual_average(tmp_path, solver):
+    # `simulate` does not track the dual-average invariant: null, not 0.0
+    out = tmp_path / solver
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out),
+                 "--solver", solver]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_dual_avg_violation"] is None
 
 
 def test_simulate_solver_and_seed_overrides(tmp_path):

@@ -5,7 +5,8 @@ from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, solve_box_qp, solve_equality_qp)
 from dmpc.admm import _NetworkMap
 from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
-                          condensed_maps, consistent_local_vector, copy_counts, predictions)
+                          condensed_maps, condensing_matrix, consistent_local_vector,
+                          copy_counts, predictions)
 from dmpc.verify import random_connected_graph
 
 
@@ -139,9 +140,12 @@ def test_global_cost_dimension_mismatch():
 
 
 def condensed_qp(p):
-    """Condensed box QP of `p` from the core routines, and its (M, c)."""
-    M, c = condensed_maps(p, predictions([p]))
-    qp = BoxQp(condensed_hessian(p.H, M, [M.shape[1]])[0], M.T @ (p.H @ c + p.g),
+    """Condensed box QP of `p` at its own measured states from the core
+    routines, and its (M, c)."""
+    pred = predictions([p])
+    M = condensing_matrix(p, pred)
+    c = condensed_maps(p, pred, {j - 1: x for j, x in zip(p.members, p.x0)})
+    qp = BoxQp(condensed_hessian(p.H, M, M.T.tocsr(), [M.shape[1]])[0], M.T @ (p.H @ c),
                *condensed_bounds(p))
     return qp, (M, c)
 
@@ -178,7 +182,7 @@ def test_condense_matches_equality_qp_oracle():
         assert sol.status == "optimal"
         x_cond = M @ sol.x_star + c
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H.toarray(), p.g, A_eq, b_eq)
+        x_ref = solve_equality_qp(p.H.toarray(), np.zeros(p.dim), A_eq, b_eq)
         assert np.max(np.abs(x_cond - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_cond - b_eq)) <= 1e-10
 
@@ -196,7 +200,7 @@ def test_augment_value_matches_term_by_term():
     net = _NetworkMap(probs, rho, qp_tol=1e-9)
     v = np.concatenate([lam - rho * z[m.global_idx], np.zeros(probs[1].dim)])
     q = (net.q_static + net.Mt @ v)[net.u_slices[0]]
-    M, c, P = net.agent_maps[0], net.c[:p.dim], net.caches[0].qp.dense()
+    M, c, P = net.M[:p.dim, net.u_slices[0]], net.c[:p.dim], net.caches[0].qp.dense()
 
     def augmented(x):
         d = x - z[m.global_idx]

@@ -146,7 +146,7 @@ def test_centralized_matches_equality_oracle_unconstrained():
     # KKT oracle over the whole-network trajectory, dynamics as equalities
     block = build_centralized_qp(g, agents, 1, x0)[0]
     A_eq, b_eq = block.dynamics_equalities()
-    v_ref = solve_equality_qp(block.H.toarray(), block.g, A_eq, b_eq)
+    v_ref = solve_equality_qp(block.H.toarray(), np.zeros(block.dim), A_eq, b_eq)
     _, u_ref = ZLayout(agents, 1).decode(v_ref)
     for u, r in zip(plans, u_ref):
         assert np.max(np.abs(u - r)) <= 1e-8

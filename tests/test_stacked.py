@@ -195,7 +195,7 @@ def test_dual_decomposition_first_iterate_is_the_local_optimum(scenario):
     plans, _ = run_dual_decomposition(probs, maps, lambda k: 0.0, 1)
     for p, x in zip(probs, plans):
         A_eq, b_eq = p.dynamics_equalities()
-        x_ref = solve_equality_qp(p.H.toarray(), p.g, A_eq, b_eq)
+        x_ref = solve_equality_qp(p.H.toarray(), np.zeros(p.dim), A_eq, b_eq)
         assert np.max(np.abs(x - x_ref)) <= 1e-6
 
 
@@ -254,12 +254,11 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, _, _ = build_local_problems(g, agents, T, x0)
     net = _NetworkMap(probs, rho, qp_tol=1e-8)
-    for p, s, cache, M, us in zip(probs, agent_slices(probs), net.caches, net.agent_maps,
-                                  net.u_slices):
-        H, M, c = p.H.toarray(), M.toarray(), net.c[s]
+    for p, s, cache, us in zip(probs, agent_slices(probs), net.caches, net.u_slices):
+        H, M, c = p.H.toarray(), net.M[s, us].toarray(), net.c[s]
         P = M.T @ H @ M + rho * (M.T @ M)
         assert close(cache.qp.dense(), 0.5 * (P + P.T), 1e-12)
-        assert close(net.q_static[us], M.T @ (H @ c + p.g) + rho * (M.T @ c), 1e-12)
+        assert close(net.q_static[us], M.T @ (H @ c) + rho * (M.T @ c), 1e-12)
     central = _CentralizedCache(g, agents, T, x0, qp_tol=1e-8)
     H, M = central.block.H.toarray(), central.M.toarray()
     P = M.T @ H @ M
@@ -330,7 +329,7 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
         for pos, j in enumerate(p.members):
             c[p.state_slice(pos, 0).start:p.input_slice(pos, 0).start] = pred[j][0] @ x1[j - 1]
         H = p.H.toarray()
-        q_static = D.T @ (H @ c + p.g) + rho * (D.T @ c)
+        q_static = D.T @ (H @ c) + rho * (D.T @ c)
         assert close(q, q_static + D.T @ v[s], 1e-12)
         assert close(x_cat[s], D @ u + c, 1e-12)
 
@@ -348,3 +347,26 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
     assert serial.z.tobytes() == threaded.z.tobytes()
     assert serial.lam.tobytes() == threaded.lam.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(serial.plans, threaded.plans))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_rebound_engine_equals_engine_built_at_the_new_states(scenario):
+    g, agents, T, rho, seed = scenario
+    rng = np.random.default_rng(seed)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    x1 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    engines = [AdmmEngine(*build_local_problems(g, agents, T, x)[:2], rho, qp_tol=1e-8)
+               for x in (x0, x1)]
+    rebound, built = engines
+    problems = list(rebound.problems)
+    rebound.rebind_states(x1)
+    # the problems are not copied: they keep the states they were built at
+    assert all(a is b for a, b in zip(rebound.problems, problems))
+    assert rebound.net.c.tobytes() == built.net.c.tobytes()
+    assert rebound.net.q_static.tobytes() == built.net.q_static.tobytes()
+    ra, rb = rebound.run(4), built.run(4)
+    assert ra.z.tobytes() == rb.z.tobytes()
+    assert ra.lam.tobytes() == rb.lam.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ra.plans, rb.plans))
+    assert ra.objective == rb.objective and ra.history == rb.history
