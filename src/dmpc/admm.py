@@ -11,8 +11,9 @@ block-diagonally. One sparse product per iteration gives every agent's
 condensed gradient q, each agent then solves only its own box QP
 (`_AgentCache.solve`), and one more product turns the stacked minimizers
 into the stacked local vectors. The per-agent solve times that runs report
-time those QPs alone. The agents' QPs share one class table, so a
-diagonal block of P that several agents hold is checked and inverted once.
+time those QPs alone, and each run counts its QPs by path (`QpCounters`).
+The agents' QPs share one class table, so a diagonal block of P that
+several agents hold is checked and inverted once.
 An engine's problems and maps are built once and never copied; a new MPC
 step rebinds only the network map's offset c and the static part of q.
 """
@@ -60,6 +61,7 @@ class AdmmResult:
     objective: float   # sum of the local costs at the final iterate
     solve_times: list = field(default_factory=list)  # per agent x-update: its QP alone, s
     max_dual_avg_violation: float = None  # None unless the run tracked it
+    qp_stats: dict = field(default_factory=dict)  # QpCounters.stats() of the run's x-updates
 
 
 def z_update(x_cat, E, counts):
@@ -103,9 +105,39 @@ def _block_diagonal(blocks):
         shape=(sum(b.shape[0] for b in blocks), cols[-1]))
 
 
+class QpCounters:
+    """The QPs of one controller step, counted as they are solved: by the
+    path `solve_box_qp` took (the closed form, one Newton step, more than
+    one), their Newton iterations, the largest final KKT residual, every
+    QP's wall time in solve order, and the critical path: the sum over
+    rounds (ADMM iterations) of the slowest QP of the round."""
+
+    def __init__(self):
+        self.lengths = []  # each QP's objective history: empty for the closed form
+        self.max_kkt_residual = 0.0
+        self.solve_times = []
+        self.critical_path_s = 0.0
+
+    def add(self, sols, times):
+        """One round of QPs solved side by side, and their wall times."""
+        self.lengths += [len(sol.objective_history) for sol in sols]
+        self.max_kkt_residual = max(self.max_kkt_residual, *[sol.kkt_residual for sol in sols])
+        self.solve_times += times
+        self.critical_path_s += max(times)
+
+    def stats(self):
+        # a Newton solve's history holds its start and one entry per Newton step
+        n, closed, one = len(self.lengths), self.lengths.count(0), self.lengths.count(2)
+        return {"qp_closed_form": closed, "qp_newton_one": one, "qp_newton_more": n - closed - one,
+                "qp_newton_iterations": sum(self.lengths) - (n - closed),
+                "qp_max_kkt_residual": float(self.max_kkt_residual),
+                "critical_path_s": self.critical_path_s}
+
+
 class _AgentCache:
     """One agent's x-update QP: its condensed box QP, its P's blocks joined
-    to the network's class table, and the warm start of its next solve. The
+    to the network's class table, the warm start of its next solve and the
+    QpSolution of its last (`last`). The
     condensing maps that turn the agent's linear term into q and its
     minimizer into a local vector live in the network map (`_NetworkMap`)."""
 
@@ -114,11 +146,11 @@ class _AgentCache:
         self.qp_tol = qp_tol
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi, table)
-        self.warm = None
+        self.warm = self.last = None
 
     def solve(self, q, k):
         """The condensed minimizer for linear term q at iteration k."""
-        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
+        sol = self.last = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
         if sol.status != "optimal":
             raise SolverFailure(self.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
@@ -143,7 +175,8 @@ class _NetworkMap:
     cost plus v_i'x_i + (rho/2)||x_i||^2: its condensed linear term is
     q = M'((H + rho I)c + v) with H = diag(H_i), so every agent's q is one
     sparse product with M' per iteration, and its static part, once per
-    step, one more with H + rho I (`H_rho`). Each agent's
+    step, one more with H + rho I (`H_rho`). Each x-update adds its QPs to
+    `counts`, which a run resets. Each agent's
     P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
     of which only the diagonal blocks of each P_i are densified.
     """
@@ -161,6 +194,7 @@ class _NetworkMap:
             + rho * sparse.eye_array(self.M.shape[0], format="csr")
         P, table = condensed_hessian(self.H_rho, self.M, self.Mt, ends), {}
         self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(problems, P)]
+        self.counts = QpCounters()
         self.rebind_states({j - 1: x for p in problems for j, x in zip(p.members, p.x0)})
 
     def rebind_states(self, states):
@@ -168,6 +202,11 @@ class _NetworkMap:
         agent j's at states[j - 1]."""
         self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
         self.q_static = self.Mt @ (self.H_rho @ self.c)
+
+    def cold_start(self):
+        """Drop every agent's QP warm start."""
+        for cache in self.caches:
+            cache.warm = None
 
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:
@@ -178,6 +217,7 @@ class _NetworkMap:
                                [k] * len(self.caches)):
             us.append(u)
             times.append(dt)
+        self.counts.add([cache.last for cache in self.caches], times)
         return self.M @ np.concatenate(us) + self.c, times
 
 
@@ -187,7 +227,8 @@ class AdmmEngine:
     The iteration works on stacked vectors: x_cat and lam_cat concatenate
     the agents' local vectors in agent order and E = concat(global_idx)
     maps each entry to its z component. The problems keep the states they
-    were built at; `rebind_states` rebinds only the network map.
+    were built at; `rebind_states` rebinds only the network map, so one
+    engine serves any number of closed loops on the same agents.
     """
 
     def __init__(self, problems, maps, rho, z_dim=None, qp_tol=1e-6, parallel=False):
@@ -196,6 +237,7 @@ class AdmmEngine:
         self.problems = list(problems)
         self.maps = list(maps)
         self.rho = rho
+        self.qp_tol = qp_tol
         self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
         self.counts = copy_counts(self.maps, self.z_dim)
         self.E, self.slices = _stacking(self.problems, self.maps)
@@ -207,6 +249,11 @@ class AdmmEngine:
         check_finite_states(initial_states)
         self.net.rebind_states(initial_states)
 
+    def close(self):
+        """Shut down the thread pool of parallel agents, if any."""
+        if self.pool is not None:
+            self.pool.shutdown()
+
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
             track_dual_average=False):
         """Up to max_iter iterations from `init` (lam = 0, z = 0 if None);
@@ -217,13 +264,12 @@ class AdmmEngine:
         lam_cat, z = init.lam, init.z
         x_cat = zE = z[E]
         solve_all = map if self.pool is None else self.pool.map
+        qps = self.net.counts = QpCounters()
         history = []
-        solve_times = []
         max_viol = 0.0 if track_dual_average else None
         converged = False
         for k in range(1, max_iter + 1):
-            x_cat, times = self.net.x_update(lam_cat - rho * zE, k, solve_all)
-            solve_times.extend(times)
+            x_cat, _ = self.net.x_update(lam_cat - rho * zE, k, solve_all)
             z_prev = z
             z = z_update(x_cat, E, counts)
             zE = z[E]
@@ -240,7 +286,8 @@ class AdmmEngine:
         objective = sum(p.cost(x) for p, x in zip(self.problems, xs))
         return AdmmResult(plans=xs, z=z, lam=lam_cat, history=history,
                           converged=converged, objective=objective,
-                          solve_times=solve_times, max_dual_avg_violation=max_viol)
+                          solve_times=qps.solve_times, max_dual_avg_violation=max_viol,
+                          qp_stats=qps.stats())
 
 
 def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
@@ -251,8 +298,7 @@ def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
         return engine.run(max_iter, eps_primal, eps_dual, init=init,
                           track_dual_average=track_dual_average)
     finally:
-        if engine.pool is not None:
-            engine.pool.shutdown()
+        engine.close()
 
 
 # --- dual decomposition baseline -------------------------------------------
@@ -270,20 +316,26 @@ def _copy_pairs(problems, E, slices):
     return copies, own_pos[E[copies]]
 
 
-def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8):
+def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=None):
     """Unaugmented dual ascent on the copy-consistency constraints.
 
     Each copy of a neighbor's block must equal the neighbor's own copy,
     with one multiplier per copied entry; the x-update is ADMM's at
     rho = 0. `alpha` maps iteration k (1-based) to a step size. History
     records the disagreement norm per iteration; runs abort if it blows
-    up by 1e6 over its initial value.
+    up by 1e6 over its initial value. `net` is these problems' network map
+    at rho = 0, already bound to the states to plan from (by default one
+    is built at the problems' own states, its QPs at `qp_tol`); a run
+    starts its QPs cold and leaves their counters in `net.counts`.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     E, slices = _stacking(problems, maps)
     copies, owners = _copy_pairs(problems, E, slices)
-    net = _NetworkMap(problems, 0.0, qp_tol)
+    if net is None:
+        net = _NetworkMap(problems, 0.0, qp_tol)
+    net.cold_start()
+    net.counts = QpCounters()
     nu = np.zeros(copies.size)
     history = []
     initial_norm = None

@@ -68,9 +68,9 @@ def _principal(m, J, s):
     indices J into a stack of blocks of size s, zero between two blocks."""
     loc = J % s
     out = m.take(loc, 0).take(loc, 1)
-    if J.size and J[-1] - loc[-1] != J[0] - loc[0]:  # J spans more than one block
-        blk = J - loc
-        out *= blk[:, None] == blk
+    blk = J - loc
+    if J.size and blk[0] != blk[-1]:  # J spans more than one block
+        np.putmask(out, blk[:, None] != blk, 0.0)
     return out
 
 
@@ -223,7 +223,7 @@ def _newton_point(qp, q, x_unc, active, cand):
     least-squares solution, moved by any residual r (in the null space) over
     1e-8 d, d the largest diagonal entry, so the box stops that descent.
     """
-    A = np.flatnonzero(active)
+    A = active.nonzero()[0]
     if qp.inv is not None and 2 * A.size <= qp.dim:
         if not A.size:
             return x_unc.copy()
@@ -236,7 +236,7 @@ def _newton_point(qp, q, x_unc, active, cand):
             x[A] = held
             return x
     x = np.where(active, cand, 0.0)
-    F = np.flatnonzero(~active)
+    F = (~active).nonzero()[0]
     if not F.size:
         return x
     a, b = qp.principal(qp.P, F), -q[F] - qp.times(qp.P, x)[F]  # x is 0 on F

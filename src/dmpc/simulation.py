@@ -2,16 +2,17 @@
 
 import os
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
-from .admm import AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
+from .admm import AdmmEngine, AdmmState, SolverFailure, _NetworkMap, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
-from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
-                      condensed_maps, global_cost, input_columns)
+from .problem import (ZLayout, build_centralized_qp, build_local_problems, check_finite_states,
+                      condensed_bounds, condensed_maps, global_cost, input_columns)
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -63,7 +64,8 @@ class SimLog:
     inputs: np.ndarray        # (num_steps, N, m)
     stage_costs: np.ndarray   # (num_steps,)
     total_cost: float
-    solver_stats: list        # per step: dict(iterations, r_primal, r_dual, wall_time)
+    solver_stats: list        # per step: dict(iterations, r_primal, r_dual, wall_time;
+                              # distributed solvers: the QpCounters.stats() of its QPs)
     solve_times: np.ndarray   # per agent x-update, its local QP alone, seconds
     noise_draws: np.ndarray   # (num_steps, N, noise_dim), for paired-run audits
     config: SimConfig
@@ -150,27 +152,51 @@ class _CentralizedCache(_Controller):
                                        "wall_time": time.perf_counter() - t0}
 
 
-class _AdmmController(_Controller):
-    """ADMM on the local problems, rebound to each measured state, warm-started by a shift."""
+def admm_engine(g, agents, cfg, initial_states):
+    """The ADMM engine of a closed loop on `cfg`: the agents' local problems
+    at horizon cfg.horizon, built at `initial_states`, and their QPs at
+    cfg.rho and cfg.qp_tol, with a thread pool if cfg.parallel_agents."""
+    problems, maps, z_dim = build_local_problems(g, agents, cfg.horizon, initial_states)
+    return AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim, qp_tol=cfg.qp_tol,
+                      parallel=cfg.parallel_agents)
 
-    def __init__(self, g, agents, cfg, initial_states, track_dual_average):
-        problems, maps, z_dim = build_local_problems(g, agents, cfg.horizon, initial_states)
-        self.engine = AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim,
-                                 qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
+
+def _check_engine(engine, g, cfg):
+    """Raise ValueError unless `engine` is one `admm_engine` builds for g and cfg."""
+    for name, have, want in (("agent count", len(engine.problems), g.num_agents),
+                             ("horizon", engine.problems[0].T, cfg.horizon),
+                             ("rho", engine.rho, cfg.rho), ("qp_tol", engine.qp_tol, cfg.qp_tol),
+                             ("parallel_agents", engine.pool is not None, cfg.parallel_agents)):
+        if have != want:
+            raise ValueError(f"engine {name} is {have}, the run's is {want}")
+
+
+class _AdmmController(_Controller):
+    """ADMM on the local problems, rebound to each measured state, warm-started
+    by a shift. A given engine starts cold, as a new one would, and is left
+    open for its owner to close."""
+
+    def __init__(self, g, agents, cfg, initial_states, track_dual_average, engine=None):
+        self.owns_engine = engine is None
+        if engine is None:
+            engine = admm_engine(g, agents, cfg, initial_states)
+        else:
+            _check_engine(engine, g, cfg)
+            engine.net.cold_start()
+        self.engine = engine
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
         self.cfg = cfg
         self.track_dual_average = track_dual_average
         self.max_dual_avg_violation = 0.0 if track_dual_average else None
         self.warm_state = None
-        self.solve_times = []
+        self.solve_times = array("d")  # 8 bytes a QP, not a float object each
 
     def plan(self, measured):
         t0 = time.perf_counter()
         engine = self.engine
         engine.rebind_states(measured)
         if not self.cfg.warm_start:
-            for cache in engine.net.caches:
-                cache.warm = None
+            engine.net.cold_start()
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
         self.solve_times.extend(result.solve_times)
@@ -180,30 +206,35 @@ class _AdmmController(_Controller):
         first_inputs = _first_inputs(engine.problems, result.plans)
         _, rp, rd = result.history[-1]
         stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
-                 "wall_time": time.perf_counter() - t0}
+                 "wall_time": time.perf_counter() - t0, **result.qp_stats}
         if self.cfg.warm_start:
             self.warm_state = _shift_warm_state(result, *self.shift)
         return first_inputs, stats
 
     def close(self):
-        if self.engine.pool is not None:
-            self.engine.pool.shutdown()
+        if self.owns_engine:
+            self.engine.close()
 
 
 class _DualDecompController(_Controller):
-    """Dual ascent with steps 1/k on problems built afresh from each measured state."""
+    """Dual ascent with steps 1/k from cold QPs at every step, on problems and
+    a network map built once and rebound to each measured state."""
 
-    def __init__(self, g, agents, cfg):
-        self.g, self.agents, self.cfg = g, agents, cfg
+    def __init__(self, g, agents, cfg, initial_states):
+        self.problems, self.maps, _ = build_local_problems(g, agents, cfg.horizon,
+                                                           initial_states)
+        self.net = _NetworkMap(self.problems, 0.0, 1e-8)  # run_dual_decomposition's qp_tol
+        self.cfg = cfg
 
     def plan(self, measured):
         t0 = time.perf_counter()
-        problems, maps, _ = build_local_problems(self.g, self.agents, self.cfg.horizon, measured)
+        check_finite_states(measured)
+        self.net.rebind_states(measured)
         plans, history = run_dual_decomposition(
-            problems, maps, lambda k: 1.0 / k, self.cfg.admm_iterations)
-        return _first_inputs(problems, plans), {
+            self.problems, self.maps, lambda k: 1.0 / k, self.cfg.admm_iterations, net=self.net)
+        return _first_inputs(self.problems, plans), {
             "iterations": len(history), "r_primal": history[-1][1], "r_dual": np.nan,
-            "wall_time": time.perf_counter() - t0}
+            "wall_time": time.perf_counter() - t0, **self.net.counts.stats()}
 
 
 def _shift_indices(layout, E):
@@ -229,13 +260,16 @@ def _shift_warm_state(result, zi, li):
 
 
 def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
-                    track_dual_average=False):
+                    track_dual_average=False, engine=None):
     """Simulate the receding-horizon loop for cfg.num_steps plant updates.
 
     Pre-drawn `initial_states` / `noise` override the seeded generator so
-    paired comparisons consume byte-identical randomness. A SolverFailure
-    ends the run early with `aborted_at` and `abort_reason` set; any other
-    exception propagates.
+    paired comparisons consume byte-identical randomness. An ADMM loop runs
+    on `engine` if given (one `admm_engine` built for these agents and a
+    config of equal horizon, rho, qp_tol and parallel_agents, else
+    ValueError) instead of building one; it starts its QPs cold and leaves
+    the engine's thread pool open. A SolverFailure ends the run early with
+    `aborted_at` and `abort_reason` set; any other exception propagates.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if agents is None:
@@ -256,12 +290,14 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     for j, x in enumerate(initial_states):
         states[0, j] = x
 
+    if engine is not None and cfg.solver_kind != "admm":
+        raise ValueError(f"a {cfg.solver_kind} loop runs on no ADMM engine")
     if cfg.solver_kind == "centralized":
         controller = _CentralizedCache(g, agents, cfg.horizon, initial_states, cfg.qp_tol)
     elif cfg.solver_kind == "admm":
-        controller = _AdmmController(g, agents, cfg, initial_states, track_dual_average)
+        controller = _AdmmController(g, agents, cfg, initial_states, track_dual_average, engine)
     else:
-        controller = _DualDecompController(g, agents, cfg)
+        controller = _DualDecompController(g, agents, cfg, initial_states)
 
     try:
         for t in range(cfg.num_steps):
@@ -339,23 +375,29 @@ def _sweep_trial(args):
     x0 = draw_initial_states(g, cfg, rng)
     noise = draw_noise(g, cfg, rng)
 
-    def loop(K):
+    def loop(K, engine=None):
         run_cfg = (replace(cfg, solver_kind="centralized", rng_seed=seed) if K is None else
                    replace(cfg, solver_kind="admm", admm_iterations=K, rng_seed=seed))
-        log = run_closed_loop(g, run_cfg, agents=agents, initial_states=x0, noise=noise)
+        log = run_closed_loop(g, run_cfg, agents=agents, initial_states=x0, noise=noise,
+                              engine=engine)
         if log.aborted_at is not None:
             raise SweepTrialAborted(seed, K, log.aborted_at, log.abort_reason)
         return log
 
     central_log = loop(None)
-    return [performance_ratio(loop(K), central_log) for K in k_values]
+    engine = admm_engine(g, agents, cfg, x0)  # after the reference loop: a lower memory peak
+    try:
+        return [performance_ratio(loop(K, engine=engine), central_log) for K in k_values]
+    finally:
+        engine.close()
 
 
 def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
     """Paired ADMM-vs-centralized closed loops per trial, aggregated per K.
 
     Returns rows (K, mean excess %, std %, num_trials). Each trial reuses
-    one centralized reference run across every K value. Trials run in at
+    one centralized reference run across every K value, and one ADMM engine,
+    built after that run and rebound by each K's loop. Trials run in at
     most min(n_jobs, num_trials, CPUs) worker processes. A loop that aborts
     raises SweepTrialAborted naming its trial.
     """

@@ -140,6 +140,21 @@ def test_summary_reports_no_unmeasured_dual_average(tmp_path, solver):
     assert summary["max_dual_avg_violation"] is None
 
 
+@pytest.mark.parametrize("solver", ["admm", "centralized", "dual_decomp"])
+def test_summary_totals_the_step_qp_counters(tmp_path, solver):
+    out = tmp_path / solver
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out),
+                 "--solver", solver]) == 0
+    totals = json.loads((out / "summary.json").read_text())["qp_totals"]
+    if solver == "centralized":
+        assert totals is None  # its steps solve one QP and count no x-updates
+        return
+    one, more = totals["qp_newton_one"], totals["qp_newton_more"]
+    assert totals["qp_closed_form"] + one + more == 3 * 8 * 4  # N * K * steps
+    assert totals["qp_newton_iterations"] >= one + 2 * more
+    assert 0.0 <= totals["qp_max_kkt_residual"] <= 1e-6 and totals["critical_path_s"] > 0.0
+
+
 def test_simulate_solver_and_seed_overrides(tmp_path):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "c"
