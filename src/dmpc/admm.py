@@ -108,28 +108,47 @@ def _block_diagonal(blocks):
 class QpCounters:
     """The QPs of one controller step, counted as they are solved: by the
     path `solve_box_qp` took (the closed form, one Newton step, more than
-    one), their Newton iterations, the largest final KKT residual, every
-    QP's wall time in solve order, and the critical path: the sum over
-    rounds (ADMM iterations) of the slowest QP of the round."""
+    one), their Newton iterations and the Newton points solved on a held
+    factor, the largest final KKT residual, every QP's wall time in solve
+    order, and the critical path: the sum over rounds (ADMM iterations) of
+    the slowest QP of the round."""
 
     def __init__(self):
-        self.lengths = []  # each QP's objective history: empty for the closed form
+        self.closed_form = self.newton_one = self.newton_more = 0
+        self.newton_iterations = self.schur_reused = 0
         self.max_kkt_residual = 0.0
         self.solve_times = []
         self.critical_path_s = 0.0
 
     def add(self, sols, times):
         """One round of QPs solved side by side, and their wall times."""
-        self.lengths += [len(sol.objective_history) for sol in sols]
-        self.max_kkt_residual = max(self.max_kkt_residual, *[sol.kkt_residual for sol in sols])
+        closed = one = steps = reused = 0
+        kkt = self.max_kkt_residual
+        for sol in sols:
+            # a Newton solve's history holds its start and one entry per Newton step
+            n = len(sol.objective_history)
+            if n:
+                steps += n - 1
+                one += n == 2
+            else:
+                closed += 1
+            reused += sol.schur_reused
+            if sol.kkt_residual > kkt:
+                kkt = sol.kkt_residual
+        self.closed_form += closed
+        self.newton_one += one
+        self.newton_more += len(sols) - closed - one
+        self.newton_iterations += steps
+        self.schur_reused += reused
+        self.max_kkt_residual = kkt
         self.solve_times += times
         self.critical_path_s += max(times)
 
     def stats(self):
-        # a Newton solve's history holds its start and one entry per Newton step
-        n, closed, one = len(self.lengths), self.lengths.count(0), self.lengths.count(2)
-        return {"qp_closed_form": closed, "qp_newton_one": one, "qp_newton_more": n - closed - one,
-                "qp_newton_iterations": sum(self.lengths) - (n - closed),
+        """The step's counts, without `schur_reused`, which a loop sums (`SimLog`)."""
+        return {"qp_closed_form": self.closed_form, "qp_newton_one": self.newton_one,
+                "qp_newton_more": self.newton_more,
+                "qp_newton_iterations": self.newton_iterations,
                 "qp_max_kkt_residual": float(self.max_kkt_residual),
                 "critical_path_s": self.critical_path_s}
 
@@ -203,10 +222,13 @@ class _NetworkMap:
         self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
         self.q_static = self.Mt @ (self.H_rho @ self.c)
 
-    def cold_start(self):
-        """Drop every agent's QP warm start."""
+    def cold_start(self, faces=False):
+        """Drop every agent's QP warm start and, with `faces`, the Newton
+        factor its QP holds, as on a map built afresh."""
         for cache in self.caches:
             cache.warm = None
+            if faces:
+                cache.qp.face.last = None
 
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:
@@ -326,7 +348,8 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=Non
     up by 1e6 over its initial value. `net` is these problems' network map
     at rho = 0, already bound to the states to plan from (by default one
     is built at the problems' own states, its QPs at `qp_tol`); a run
-    starts its QPs cold and leaves their counters in `net.counts`.
+    starts its QPs cold, as on a map built afresh, and leaves their
+    counters in `net.counts`.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -334,7 +357,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=Non
     copies, owners = _copy_pairs(problems, E, slices)
     if net is None:
         net = _NetworkMap(problems, 0.0, qp_tol)
-    net.cold_start()
+    net.cold_start(faces=True)
     net.counts = QpCounters()
     nu = np.zeros(copies.size)
     history = []

@@ -74,13 +74,16 @@ QP_COUNTS = ("qp_closed_form", "qp_newton_one", "qp_newton_more", "qp_newton_ite
              "critical_path_s")
 
 
-def _qp_totals(cfg, stats):
+def _qp_totals(cfg, log):
     """The QP counters of every completed step, summed (the KKT residual: its
-    maximum); None for the centralized solver, whose steps count no x-updates."""
+    maximum), and the loop's `qp_schur_reused`; None for the centralized
+    solver, whose steps count no x-updates."""
     if cfg.sim.solver_kind == "centralized":
         return None
+    stats = log.solver_stats
     totals = {key: sum(s[key] for s in stats) for key in QP_COUNTS}
     totals["qp_max_kkt_residual"] = max((s["qp_max_kkt_residual"] for s in stats), default=0.0)
+    totals["qp_schur_reused"] = log.schur_reused
     return totals
 
 
@@ -96,7 +99,7 @@ def _write_summary_json(path, cfg, log):
         "subproblem_solve_time": _timing_summary(log.solve_times),
         "step_wall_time": _timing_summary(np.asarray(wall)),
         "max_dual_avg_violation": log.max_dual_avg_violation,
-        "qp_totals": _qp_totals(cfg, log.solver_stats),
+        "qp_totals": _qp_totals(cfg, log),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

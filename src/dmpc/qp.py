@@ -7,7 +7,9 @@ and inverted once, with each class's k blocks of size s laid out as one
 class. The closed form is x_unc = -S q. A Newton step holding the active
 entries A at h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more
 than half the entries are held, or P has no inverse, it solves the free
-rows P_FF x_F = -q_F - P_FA h instead.
+rows P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
+the next, so each QP keeps the Cholesky factor of its last S_AA (`_Face`):
+the same A again costs one triangular solve pair, bit for bit the same.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag
-from scipy.linalg.lapack import dposv, dpotrf, dpotri
+from scipy.linalg.lapack import dposv, dpotrf, dpotri, dpotrs
 from scipy.sparse.csgraph import connected_components
 
 
@@ -74,6 +76,20 @@ def _principal(m, J, s):
     return out
 
 
+class _Face:
+    """A QP's last Newton face solved through S_AA: `last` is the pair
+    (A's bytes, the Cholesky factor of S_AA that dposv returned), replaced
+    and read as one tuple, so a solve never pairs an A with another face's
+    factor; `reused` counts the Newton points solved on a held factor (a
+    count that solves on one QP's copies in several threads at once may
+    miss, as no lock guards it)."""
+
+    __slots__ = ("last", "reused")
+
+    def __init__(self):
+        self.last, self.reused = None, 0
+
+
 @dataclass(frozen=True)
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
@@ -89,6 +105,8 @@ class BoxQp:
     shape (k, s); `box` the bounds in that order, which are finite, Newton's
     pin `band` (1e-9 of the box width, at least 1e-9) and the closed form's
     box, 1e-12 wider. `infeasible`: some lower bound exceeds its upper bound.
+    `face`: the last Newton face's factor (`_Face`), one slot that the
+    `with_q` copies share and a QP built apart never does.
     """
 
     P: tuple
@@ -102,6 +120,7 @@ class BoxQp:
     slabs: tuple = field(init=False, repr=False, compare=False)
     box: tuple = field(init=False, repr=False, compare=False)
     infeasible: bool = field(init=False, repr=False, compare=False)
+    face: _Face = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, table):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (self.q, self.lower, self.upper))
@@ -138,11 +157,12 @@ class BoxQp:
                 ("slabs", tuple((e - b.size, e, b.shape)
                                 for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))),
                 ("box", (lo_s, hi_s, lo_set, hi_set, band, lo_s - 1e-12, hi_s + 1e-12)),
-                ("infeasible", bool((lo > hi).any()))):
+                ("infeasible", bool((lo > hi).any())), ("face", _Face())):
             object.__setattr__(self, name, value)
 
     def with_q(self, q):
-        """The same P, classes, inverse and box with linear term q; only q's shape is checked."""
+        """The same P, classes, inverse, box and face slot with linear term q;
+        only q's shape is checked."""
         q = np.asarray(q, dtype=float)
         if q.shape != self.q.shape:
             raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
@@ -210,6 +230,7 @@ class QpSolution:
     objective: float = np.nan
     message: str = ""
     objective_history: list = field(default_factory=list)
+    schur_reused: int = 0  # Newton points solved on the QP's held factor (`_Face`)
 
 
 def _newton_point(qp, q, x_unc, active, cand):
@@ -217,7 +238,10 @@ def _newton_point(qp, q, x_unc, active, cand):
     every vector in the slab order.
 
     With P^-1 = S and at most half the entries held, it is x_unc + S[:, A] y,
-    S_AA y = cand_A - x_unc[A] (x_unc = -S q). Otherwise it solves the free
+    S_AA y = cand_A - x_unc[A] (x_unc = -S q). An A equal to the one in the
+    QP's face slot is solved by dpotrs on the factor held there; any other
+    goes to dposv, whose factor then replaces the slot's. dposv is dpotrf
+    then dpotrs, so both give y bit for bit alike. Otherwise it solves the free
     rows, P_FF x_F = -q_F - P_FA cand_A, by LAPACK dposv. A singular P_FF,
     or a near singular one without an inverse, gets the minimum-norm
     least-squares solution, moved by any residual r (in the null space) over
@@ -227,8 +251,15 @@ def _newton_point(qp, q, x_unc, active, cand):
     if qp.inv is not None and 2 * A.size <= qp.dim:
         if not A.size:
             return x_unc.copy()
-        held = cand[A]
-        _, y, info = dposv(qp.principal(qp.inv, A), held - x_unc[A])
+        held, key, face = cand[A], A.tobytes(), qp.face
+        last = face.last
+        if last is not None and last[0] == key:
+            y, info = dpotrs(last[1], held - x_unc[A])
+            face.reused += 1
+        else:
+            c, y, info = dposv(qp.principal(qp.inv, A), held - x_unc[A])
+            if info == 0:
+                face.last = key, c
         if info == 0:
             Y = np.zeros(qp.dim)  # S[:, A] y = S Y with Y = y on A
             Y[A] = y
@@ -260,7 +291,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     the free entries (`_newton_point`) and takes an Armijo step along the
     projection arc. Even an optimal start takes one step, onto its face.
     `objective_history` holds the start objective and one entry per
-    iteration; `iterations` counts those after the first. A non-finite q
+    iteration; `iterations` counts those after the first, `schur_reused`
+    the Newton points solved on the QP's held factor. A non-finite q
     raises ValueError. The solve runs in the slab order (`BoxQp.order`).
     """
     n = qp.dim
@@ -293,6 +325,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     grad = qp.times(qp.P, x) + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
+    face, reused = qp.face, qp.face.reused  # the slot's count before this solve
     status, why = "max_iterations", f"{max_iter} iterations"
     for _ in range(max_iter):
         at_lo = lo_set & (x - lo <= band) & (grad >= 0)
@@ -313,14 +346,14 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
         res = kkt(x, grad)
         if res <= tol:
             return QpSolution(qp.from_slabs(x), "optimal", res, len(history) - 2, fx,
-                              objective_history=history)
+                              objective_history=history, schur_reused=face.reused - reused)
         if not moved:
             status, why = "stalled", "no descent step"
             break
     res = kkt(x, grad)
     return QpSolution(qp.from_slabs(x), status, res, max(len(history) - 2, 0), fx,
                       message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
-                      objective_history=history)
+                      objective_history=history, schur_reused=face.reused - reused)
 
 
 def solve_equality_qp(P, q, A_eq=None, b_eq=None):

@@ -72,6 +72,7 @@ class SimLog:
     max_dual_avg_violation: float = None  # None unless the run tracked it
     aborted_at: int = None    # step index if a solver failure cut the run short
     abort_reason: str = None  # the SolverFailure message of that step
+    schur_reused: int = None  # distributed solvers: QpCounters.schur_reused over the steps
 
 
 def default_agents(g, cfg):
@@ -107,6 +108,7 @@ class _Controller:
 
     solve_times = ()
     max_dual_avg_violation = None
+    schur_reused = None
 
     def close(self):
         pass
@@ -182,12 +184,13 @@ class _AdmmController(_Controller):
             engine = admm_engine(g, agents, cfg, initial_states)
         else:
             _check_engine(engine, g, cfg)
-            engine.net.cold_start()
+            engine.net.cold_start(faces=True)
         self.engine = engine
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
         self.cfg = cfg
         self.track_dual_average = track_dual_average
         self.max_dual_avg_violation = 0.0 if track_dual_average else None
+        self.schur_reused = 0
         self.warm_state = None
         self.solve_times = array("d")  # 8 bytes a QP, not a float object each
 
@@ -200,6 +203,7 @@ class _AdmmController(_Controller):
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
         self.solve_times.extend(result.solve_times)
+        self.schur_reused += engine.net.counts.schur_reused
         if self.track_dual_average:
             self.max_dual_avg_violation = max(self.max_dual_avg_violation,
                                               result.max_dual_avg_violation)
@@ -225,6 +229,7 @@ class _DualDecompController(_Controller):
                                                            initial_states)
         self.net = _NetworkMap(self.problems, 0.0, 1e-8)  # run_dual_decomposition's qp_tol
         self.cfg = cfg
+        self.schur_reused = 0
 
     def plan(self, measured):
         t0 = time.perf_counter()
@@ -232,6 +237,7 @@ class _DualDecompController(_Controller):
         self.net.rebind_states(measured)
         plans, history = run_dual_decomposition(
             self.problems, self.maps, lambda k: 1.0 / k, self.cfg.admm_iterations, net=self.net)
+        self.schur_reused += self.net.counts.schur_reused
         return _first_inputs(self.problems, plans), {
             "iterations": len(history), "r_primal": history[-1][1], "r_dual": np.nan,
             "wall_time": time.perf_counter() - t0, **self.net.counts.stats()}
@@ -321,7 +327,8 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
                   total_cost=float(np.sum(stage_costs)), solver_stats=solver_stats,
                   solve_times=np.asarray(controller.solve_times), noise_draws=noise,
                   config=cfg, max_dual_avg_violation=controller.max_dual_avg_violation,
-                  aborted_at=aborted_at, abort_reason=abort_reason)
+                  aborted_at=aborted_at, abort_reason=abort_reason,
+                  schur_reused=controller.schur_reused)
 
 
 def solve_centralized(g, agents, T, initial_states, tol=1e-8):

@@ -1,0 +1,199 @@
+"""Each box QP's face slot: the Cholesky factor of its last Newton face,
+reused when the next Newton point holds the same active set. Reuse leaves
+every solution bit for bit as a fresh QP gives it; only the counts of
+`schur_reused` tell the two apart."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from scipy.linalg.lapack import dposv, dpotrs
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_classes import box_qp, repeated_blocks  # noqa: E402
+from test_reuse import unlike_agents_on_a_random_graph, untimed  # noqa: E402
+
+from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  # noqa: E402
+                  path_graph, run_closed_loop, solve_box_qp)
+from dmpc import admm, qp as qp_module  # noqa: E402
+from dmpc.admm import _NetworkMap  # noqa: E402
+from dmpc.qp import _newton_point  # noqa: E402
+from dmpc.simulation import admm_engine, default_agents  # noqa: E402
+
+
+def same_bits(a, b):
+    """Equal arrays of floats, the sign of every zero included."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_dpotrs_on_the_factor_of_dposv_gives_its_solution():
+    rng = np.random.default_rng(0)
+    for n in range(1, 61):
+        G = rng.standard_normal((n, n))
+        S = G @ G.T + 0.1 * np.eye(n)
+        b = rng.standard_normal(n)
+        c, y, info = dposv(S, b)
+        y_held, info_held = dpotrs(c, b)
+        assert info == info_held == 0
+        assert same_bits(y_held, y)
+
+
+def solve_sequence(qp, qs, fresh):
+    """Each q's solution, warm-started at the previous one, on copies of `qp`
+    through with_q or, with `fresh`, on QPs built anew from its P and box."""
+    sols, x0 = [], None
+    for q in qs:
+        one = BoxQp(qp.dense(), q, qp.lower, qp.upper) if fresh else qp.with_q(q)
+        sols.append(solve_box_qp(one, tol=1e-10, max_iter=5000, x0=x0))
+        x0 = sols[-1].x_star
+    return sols
+
+
+# (size, count) per distinct block: n stays below 40
+kinds = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds, st.booleans(), st.integers(0, 2**32 - 1))
+def test_solves_through_with_q_equal_solves_on_fresh_qps(kinds, singular, seed):
+    rng = np.random.default_rng(seed)
+    P, _ = repeated_blocks(rng, kinds, singular)
+    qp = box_qp(rng, P)
+    # small moves of q, as between ADMM iterations, repeat active sets
+    qs = [qp.q + 0.05 * rng.standard_normal(qp.dim) for _ in range(8)]
+    shared, fresh = solve_sequence(qp, qs, fresh=False), solve_sequence(qp, qs, fresh=True)
+    for a, b in zip(shared, fresh):
+        assert a.status == b.status
+        assert same_bits(a.x_star, b.x_star)
+        assert a.kkt_residual == b.kkt_residual
+        assert same_bits(a.objective_history, b.objective_history)
+        assert b.schur_reused == 0  # a fresh QP holds no factor yet
+    if singular:  # no inverse, no Schur solve: the slot stays empty
+        assert qp.face.last is None and qp.face.reused == 0
+        assert all(s.schur_reused == 0 for s in shared)
+    assert qp.face.reused == sum(s.schur_reused for s in shared)
+
+
+def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
+    rng = np.random.default_rng(4)
+    P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
+    qp = box_qp(rng, P)
+    o = np.arange(qp.dim) if qp.order is None else qp.order  # the solver's slab order
+    q, x_unc = qp.q[o], -(qp.dense(inverse=True) @ qp.q)[o]
+    active = np.zeros(qp.dim, dtype=bool)
+    active[rng.choice(qp.dim, qp.dim // 2, replace=False)] = True
+    calls = []
+    monkeypatch.setattr(qp_module, "dpotrs", lambda *a: calls.append(1) or dpotrs(*a))
+    _newton_point(qp, q, x_unc, active, rng.uniform(-1.0, 1.0, qp.dim))
+    assert calls == [] and qp.face.reused == 0
+    A, c = qp.face.last
+    assert A == active.nonzero()[0].tobytes()
+    cand = rng.uniform(-1.0, 1.0, qp.dim)
+    x = _newton_point(qp.with_q(qp.q), q, x_unc, active, cand)
+    assert calls == [1] and qp.face.reused == 1 and qp.face.last == (A, c)
+    fresh = BoxQp(P, qp.q, qp.lower, qp.upper)
+    assert same_bits(x, _newton_point(fresh, q, x_unc, active, cand))
+    # another face replaces the held one
+    active[active.nonzero()[0][0]] = False
+    _newton_point(qp, q, x_unc, active, cand)
+    assert calls == [1] and qp.face.last[0] == active.nonzero()[0].tobytes()
+
+
+def test_threads_solving_copies_of_one_qp_get_fresh_results():
+    # eight threads on two cores swap often between five faces: a solve that
+    # read one face's A with another face's factor would give another y
+    rng = np.random.default_rng(2)
+    P, _ = repeated_blocks(rng, [(6, 3), (4, 2)], False)
+    qp = box_qp(rng, P)
+    qs = [qp.q + 0.3 * rng.standard_normal(qp.dim) for _ in range(16)]
+    # each start is its QP's minimizer, so each solve takes one step onto its face
+    starts = [solve_box_qp(BoxQp(P, q, qp.lower, qp.upper), tol=1e-10).x_star for q in qs]
+    ref = [solve_box_qp(BoxQp(P, q, qp.lower, qp.upper), tol=1e-10, x0=x0).x_star
+           for q, x0 in zip(qs, starts)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(
+                lambda i: solve_box_qp(qp.with_q(qs[i % 16]), tol=1e-10, x0=starts[i % 16]),
+                range(512), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(same_bits(sol.x_star, ref[i % 16]) for i, sol in enumerate(got))
+    assert sum(sol.schur_reused for sol in got) > 0
+
+
+def test_copies_share_the_slot_and_qps_built_apart_do_not():
+    rng = np.random.default_rng(1)
+    P, _ = repeated_blocks(rng, [(4, 2)], False)
+    qp = box_qp(rng, P)
+    assert qp.with_q(-qp.q).face is qp.face
+    assert qp.with_q(qp.q).with_q(2 * qp.q).face is qp.face
+    table = {}
+    a = BoxQp(P, qp.q, qp.lower, qp.upper, table)
+    b = BoxQp(P, qp.q, qp.lower, qp.upper, table)
+    assert a.inv[0] is b.inv[0]  # one class, one inverse
+    assert a.face is not b.face and a.face is not qp.face
+    # the agents of one network map share classes, never a slot
+    x0 = [np.zeros(6)] * 5
+    probs, _, _ = build_local_problems(path_graph(5), default_agents(path_graph(5), SimConfig()),
+                                       10, x0)
+    caches = _NetworkMap(probs, 1.0, 1e-8).caches
+    assert caches[1].qp.inv[0] is caches[2].qp.inv[0]
+    assert len({id(c.qp.face) for c in caches}) == len(caches)
+
+
+@pytest.mark.parametrize("kind", ["admm", "dual_decomp"])
+def test_loop_counts_every_reuse_once(monkeypatch, kind):
+    g, agents = unlike_agents_on_a_random_graph()
+    cfg = SimConfig(num_steps=4, horizon=6, admm_iterations=8, rng_seed=2, solver_kind=kind)
+    seen = []
+    solve = admm.solve_box_qp
+
+    def spy(qp, **kwargs):
+        sol = solve(qp, **kwargs)
+        seen.append(sol.schur_reused)
+        return sol
+
+    monkeypatch.setattr(admm, "solve_box_qp", spy)
+    log = run_closed_loop(g, cfg, agents=agents)
+    assert log.aborted_at is None
+    assert log.schur_reused == sum(seen)
+    if kind == "admm":  # dual ascent moves every face between iterations: it reuses none here
+        assert log.schur_reused > 0
+    assert "qp_schur_reused" not in log.solver_stats[0]  # counted per loop, not per step
+    assert run_closed_loop(g, SimConfig(num_steps=2, solver_kind="centralized")).schur_reused \
+        is None
+
+
+def test_parallel_agents_equal_serial_bitwise():
+    g, agents = unlike_agents_on_a_random_graph()
+    cfg = SimConfig(num_steps=6, horizon=6, admm_iterations=12, rng_seed=5)
+    serial = run_closed_loop(g, cfg, agents=agents)
+    parallel = run_closed_loop(g, SimConfig(**{**cfg.__dict__, "parallel_agents": True}),
+                               agents=agents)
+    assert serial.states.tobytes() == parallel.states.tobytes()
+    assert serial.inputs.tobytes() == parallel.inputs.tobytes()
+    assert untimed(serial.solver_stats) == untimed(parallel.solver_stats)
+    assert serial.schur_reused == parallel.schur_reused > 0
+
+
+def test_a_given_engine_forgets_its_faces():
+    # a loop on a given engine counts the reuses that a new engine would
+    g = path_graph(4)
+    cfg = SimConfig(num_steps=3, horizon=6, admm_iterations=8, rng_seed=1)
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(1))
+    ref = run_closed_loop(g, cfg, agents=agents, initial_states=x0)
+    assert ref.schur_reused > 0
+    engine = admm_engine(g, agents, cfg, x0)
+    try:
+        for _ in range(2):
+            log = run_closed_loop(g, cfg, agents=agents, initial_states=x0,
+                                  noise=ref.noise_draws, engine=engine)
+            assert log.schur_reused == ref.schur_reused
+    finally:
+        engine.close()

@@ -22,8 +22,8 @@ from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state
 
 
 @st.composite
-def scenarios(draw):
-    n = draw(st.integers(2, 6))
+def scenarios(draw, max_agents=6, max_horizon=4):
+    n = draw(st.integers(2, max_agents))
     edges = {(draw(st.integers(1, i - 1)), i): 1.0 for i in range(2, n + 1)}  # spanning tree
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True)):
@@ -31,7 +31,7 @@ def scenarios(draw):
     g = InfoGraph(n, {e: draw(st.floats(0.25, 4.0)) for e in edges})
     agents = [double_integrator_3d(0.1, draw(st.floats(0.5, 3.0)), draw(st.floats(0.2, 2.0)))
               for _ in range(n)]
-    T = draw(st.integers(1, 4))
+    T = draw(st.integers(1, max_horizon))
     rho = draw(st.floats(0.1, 10.0))
     return g, agents, T, rho, draw(st.integers(0, 2**32 - 1))
 
