@@ -18,6 +18,7 @@ An engine's problems and maps are built once and never copied; a new MPC
 step rebinds only the network map's offset c and the static part of q.
 """
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -84,7 +85,7 @@ def dual_update(lam_cat, x_cat, zE, rho):
 def residuals(diff, dz, counts, rho):
     """Primal: copy disagreement ||x - E z||, from diff = x - E z.
     Dual: scaled z motion rho ||E dz||, from dz = z - z_prev."""
-    return float(np.sqrt(diff @ diff)), rho * float(np.sqrt(np.sum(counts * dz * dz)))
+    return math.sqrt(diff @ diff), rho * math.sqrt(np.add.reduce(counts * dz * dz))
 
 
 def _stacking(problems, maps):
@@ -120,24 +121,25 @@ class QpCounters:
         self.solve_times = []
         self.critical_path_s = 0.0
 
-    def add(self, sols, times):
-        """One round of QPs solved side by side, and their wall times."""
+    def add(self, caches, times):
+        """One round of QPs solved side by side, from each cache's `last`, and their wall times."""
         closed = one = steps = reused = 0
         kkt = self.max_kkt_residual
-        for sol in sols:
+        for cache in caches:
+            sol = cache.last
             # a Newton solve's history holds its start and one entry per Newton step
             n = len(sol.objective_history)
             if n:
                 steps += n - 1
                 one += n == 2
+                reused += sol.schur_reused  # zero on the closed form
             else:
                 closed += 1
-            reused += sol.schur_reused
             if sol.kkt_residual > kkt:
                 kkt = sol.kkt_residual
         self.closed_form += closed
         self.newton_one += one
-        self.newton_more += len(sols) - closed - one
+        self.newton_more += len(caches) - closed - one
         self.newton_iterations += steps
         self.schur_reused += reused
         self.max_kkt_residual = kkt
@@ -239,7 +241,7 @@ class _NetworkMap:
                                [k] * len(self.caches)):
             us.append(u)
             times.append(dt)
-        self.counts.add([cache.last for cache in self.caches], times)
+        self.counts.add(self.caches, times)
         return self.M @ np.concatenate(us) + self.c, times
 
 

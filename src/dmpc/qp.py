@@ -101,10 +101,11 @@ class BoxQp:
     squared pivot is at most 1e-12 of P's largest diagonal); `blocks`, the
     (k, s) indices of its k blocks. The solver's slab order puts the
     classes' blocks one after another: `order` is x's index at each entry
-    (None for x's own order); `slabs` holds each class's start, stop and
-    shape (k, s); `box` the bounds in that order, which are finite, Newton's
-    pin `band` (1e-9 of the box width, at least 1e-9) and the closed form's
-    box, 1e-12 wider. `infeasible`: some lower bound exceeds its upper bound.
+    and `unorder` its inverse (both None for x's own order); `slabs` holds
+    each class's start, stop and shape (k, s); `box` the bounds in that
+    order, Newton's pin `band` (1e-9 of the box width if both bounds are
+    finite, else 1e-9) and the closed form's box, 1e-12 wider.
+    `infeasible`: some lower bound exceeds its upper bound.
     `face`: the last Newton face's factor (`_Face`), one slot that the
     `with_q` copies share and a QP built apart never does.
     """
@@ -117,6 +118,7 @@ class BoxQp:
     blocks: tuple = field(init=False, repr=False, compare=False)
     inv: tuple = field(init=False, repr=False, compare=False)
     order: np.ndarray = field(init=False, repr=False, compare=False)
+    unorder: np.ndarray = field(init=False, repr=False, compare=False)
     slabs: tuple = field(init=False, repr=False, compare=False)
     box: tuple = field(init=False, repr=False, compare=False)
     infeasible: bool = field(init=False, repr=False, compare=False)
@@ -148,15 +150,16 @@ class BoxQp:
         order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
         order = None if np.array_equal(order, np.arange(n)) else order
         lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
-        lo_set, hi_set = np.isfinite(lo_s), np.isfinite(hi_s)
-        band = 1e-9 * np.where(lo_set & hi_set, np.maximum(hi_s - lo_s, 1.0), 1.0)
+        band = 1e-9 * np.where(np.isfinite(lo_s) & np.isfinite(hi_s),
+                               np.maximum(hi_s - lo_s, 1.0), 1.0)
         for name, value in (
                 ("P", tuple(c.P for c in classes)), ("q", q), ("lower", lo), ("upper", hi),
                 ("blocks", blocks), ("order", order),
+                ("unorder", None if order is None else np.argsort(order)),
                 ("inv", tuple(c.inv for c in classes) if invertible else None),
                 ("slabs", tuple((e - b.size, e, b.shape)
                                 for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))),
-                ("box", (lo_s, hi_s, lo_set, hi_set, band, lo_s - 1e-12, hi_s + 1e-12)),
+                ("box", (lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12)),
                 ("infeasible", bool((lo > hi).any())), ("face", _Face())):
             object.__setattr__(self, name, value)
 
@@ -195,7 +198,7 @@ class BoxQp:
         return x if self.order is None else x[self.order]
 
     def from_slabs(self, x):
-        return x if self.order is None else x[np.argsort(self.order)]
+        return x if self.order is None else x[self.unorder]
 
     def dense(self, inverse=False):
         """P, or with `inverse` P^-1 (None without one), as a dense n x n
@@ -284,16 +287,18 @@ def _newton_point(qp, q, x_unc, active, cand):
 def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
-    The closed form (x_unc = -`qp.inv` q) has `iterations` 0 and no
-    objective history. Newton starts from project(x0), else the projected
-    closed form, else 0; each iteration pins the entries within the box's
-    band of a bound whose gradient points out of the box, minimizes over
-    the free entries (`_newton_point`) and takes an Armijo step along the
-    projection arc. Even an optimal start takes one step, onto its face.
-    `objective_history` holds the start objective and one entry per
-    iteration; `iterations` counts those after the first, `schur_reused`
-    the Newton points solved on the QP's held factor. A non-finite q
-    raises ValueError. The solve runs in the slab order (`BoxQp.order`).
+    Checks in order: crossed bounds (`infeasible_bounds`), an empty QP, a
+    non-finite q (ValueError), the closed form x_unc = -`qp.inv` q if in the
+    box (`iterations` 0, no objective history). Newton starts from
+    project(x0), else the projected closed form, else 0; each iteration pins
+    the entries within the box's band of a bound whose gradient points out
+    of the box, minimizes over the free entries (`_newton_point`) and takes
+    an Armijo step along the projection arc, one even from an optimal start.
+    A full step lands on its face's Newton point, whatever the start: a
+    closer start saves iterations, not bits. `objective_history` holds the
+    start objective and one entry per iteration; `iterations` counts those
+    after the first, `schur_reused` the Newton points on the held factor.
+    The solve runs in the slab order (`BoxQp.order`).
     """
     n = qp.dim
     if qp.infeasible:
@@ -301,24 +306,26 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
                           message="lower bound exceeds upper bound")
     if n == 0:
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
-    if not np.isfinite(qp.q).all():
-        raise ValueError("q must contain only finite values")
     q = qp.to_slabs(qp.q)
-    lo, hi, lo_set, hi_set, band, lo_tol, hi_tol = qp.box
+    if np.count_nonzero(np.isfinite(q)) < n:  # before any product with q can warn
+        raise ValueError("q must contain only finite values")
+    lo, hi, band, lo_tol, hi_tol = qp.box
 
-    def kkt(x, grad):
-        return np.maximum.reduce(np.abs(x - (x - grad).clip(lo, hi)), initial=0.0)
+    def kkt(x, grad):  # max |x - project(x - grad)|
+        return np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
 
-    x_unc = np.zeros(n)
-    if qp.inv is not None:
+    if qp.inv is None:
+        x_unc = np.zeros(n)
+    else:
         x_unc = -qp.times(qp.inv, q)
-        if (x_unc >= lo_tol).all() and (x_unc <= hi_tol).all():
-            x = x_unc.clip(lo, hi)
+        if np.count_nonzero(x_unc >= lo_tol) == n and np.count_nonzero(x_unc <= hi_tol) == n:
+            x = np.minimum(np.maximum(x_unc, lo), hi)
             grad = qp.times(qp.P, x) + q
             res = kkt(x, grad)
             if res <= tol:
                 return QpSolution(qp.from_slabs(x), "optimal", res, 0, 0.5 * x.dot(grad + q))
-    x = (x_unc if x0 is None else qp.to_slabs(np.asarray(x0, dtype=float))).clip(lo, hi)
+    x = np.minimum(np.maximum(
+        x_unc if x0 is None else qp.to_slabs(np.asarray(x0, dtype=float)), lo), hi)
 
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
@@ -328,12 +335,13 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     face, reused = qp.face, qp.face.reused  # the slot's count before this solve
     status, why = "max_iterations", f"{max_iter} iterations"
     for _ in range(max_iter):
-        at_lo = lo_set & (x - lo <= band) & (grad >= 0)
-        at_hi = hi_set & (hi - x <= band) & (grad <= 0)
-        newton = _newton_point(qp, q, x_unc, at_lo | at_hi,
-                               np.where(at_hi, hi, np.where(at_lo, lo, x)))
+        # an infinite bound is never within the band: x - -inf is inf, or nan
+        at_lo = (x - lo <= band) & (grad >= 0)
+        at_hi = (hi - x <= band) & (grad <= 0)
+        # a candidate of bounds: _newton_point reads only its held entries
+        newton = _newton_point(qp, q, x_unc, at_lo | at_hi, np.where(at_hi, hi, lo))
         for k in range(53):  # Armijo steps 1, 1/2, ... with a rounding slack
-            xa = (x + 0.5 ** k * (newton - x) if k else newton).clip(lo, hi)
+            xa = np.minimum(np.maximum(x + 0.5 ** k * (newton - x) if k else newton, lo), hi)
             ga = qp.times(qp.P, xa) + q
             fa = 0.5 * xa.dot(ga + q)
             if fa <= fx + 1e-4 * grad.dot(xa - x) + 1e-15 * abs(fx):

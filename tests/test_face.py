@@ -102,6 +102,21 @@ def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
     assert calls == [1] and qp.face.last[0] == active.nonzero()[0].tobytes()
 
 
+def test_slab_order_round_trips_on_a_permuted_multi_class_qp(monkeypatch):
+    rng = np.random.default_rng(4)
+    P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
+    qp = box_qp(rng, P)
+    assert len(qp.P) == 2 and qp.order is not None
+    # the inverse permutation is found once, when the QP is built
+    monkeypatch.setattr(qp_module.np, "argsort", None)
+    x = rng.standard_normal(qp.dim)
+    assert same_bits(qp.from_slabs(qp.to_slabs(x)), x)
+    assert same_bits(qp.to_slabs(qp.from_slabs(x)), x)
+    assert qp.with_q(-qp.q).unorder is qp.unorder
+    sol = solve_box_qp(qp, tol=1e-10)
+    assert sol.status == "optimal" and qp.kkt_residual(sol.x_star) <= 1e-10
+
+
 def test_threads_solving_copies_of_one_qp_get_fresh_results():
     # eight threads on two cores swap often between five faces: a solve that
     # read one face's A with another face's factor would give another y

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,23 @@ def test_factored_solve_rejects_nonfinite_q(bad):
     qp = BoxQp(2.0 * np.eye(3), np.array([0.5, bad, 0.0]), -np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="finite"):
         solve_box_qp(qp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("P, lower, upper", [
+    (2.0 * np.eye(3), -np.ones(3), np.ones(3)),
+    # an infinite closed form passes the test of a box without bounds, and
+    # P x + q would hold inf - inf
+    (2.0 * np.eye(3), np.full(3, -np.inf), np.full(3, np.inf)),
+    (2.0 * np.eye(3), -np.ones(3), np.full(3, np.inf)),
+    (np.diag([1.0, 0.0, 1.0]), -np.ones(3), np.ones(3)),
+], ids=["finite-box", "no-bounds", "one-side", "no-inverse"])
+def test_nonfinite_q_fails_cleanly(P, lower, upper, bad):
+    qp = BoxQp(P, np.zeros(3), lower, upper)
+    assert (qp.inv is None) == (P[1, 1] == 0.0)
+    q = np.array([0.5, bad, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from products with q
+        for x0 in (None, np.zeros(3)):
+            with pytest.raises(ValueError, match="finite"):
+                solve_box_qp(qp.with_q(q), x0=x0)
