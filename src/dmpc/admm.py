@@ -62,7 +62,6 @@ class AdmmResult:
     objective: float   # sum of the local costs at the final iterate
     solve_times: list = field(default_factory=list)  # per agent x-update: its QP alone, s
     max_dual_avg_violation: float = None  # None unless the run tracked it
-    qp_stats: dict = field(default_factory=dict)  # QpCounters.stats() of the run's x-updates
 
 
 def z_update(x_cat, E, counts):
@@ -112,7 +111,8 @@ class QpCounters:
     one), their Newton iterations and the Newton points solved on a held
     factor, the largest final KKT residual, every QP's wall time in solve
     order, and the critical path: the sum over rounds (ADMM iterations) of
-    the slowest QP of the round."""
+    the slowest QP of the round. `stats()` is the step's record and
+    `totals` adds records of steps up."""
 
     def __init__(self):
         self.closed_form = self.newton_one = self.newton_more = 0
@@ -121,8 +121,9 @@ class QpCounters:
         self.solve_times = []
         self.critical_path_s = 0.0
 
-    def add(self, caches, times):
-        """One round of QPs solved side by side, from each cache's `last`, and their wall times."""
+    def add(self, caches):
+        """One round of QPs solved side by side, from each cache's `last` and `seconds`."""
+        times = [cache.seconds for cache in caches]
         closed = one = steps = reused = 0
         kkt = self.max_kkt_residual
         for cache in caches:
@@ -147,18 +148,25 @@ class QpCounters:
         self.critical_path_s += max(times)
 
     def stats(self):
-        """The step's counts, without `schur_reused`, which a loop sums (`SimLog`)."""
+        """The step's QP record, as `SimLog.solver_stats` holds it."""
         return {"qp_closed_form": self.closed_form, "qp_newton_one": self.newton_one,
                 "qp_newton_more": self.newton_more,
                 "qp_newton_iterations": self.newton_iterations,
+                "qp_schur_reused": self.schur_reused,
                 "qp_max_kkt_residual": float(self.max_kkt_residual),
                 "critical_path_s": self.critical_path_s}
+
+    @staticmethod
+    def totals(steps):
+        """`stats()` records of steps added up; `qp_max_kkt_residual` is their largest."""
+        return {key: max((s[key] for s in steps), default=0.0) if key == "qp_max_kkt_residual"
+                else sum(s[key] for s in steps) for key in QpCounters().stats()}
 
 
 class _AgentCache:
     """One agent's x-update QP: its condensed box QP, its P's blocks joined
-    to the network's class table, the warm start of its next solve and the
-    QpSolution of its last (`last`). The
+    to the network's class table, the warm start of its next solve, the
+    QpSolution of its last (`last`) and that QP's wall time (`seconds`). The
     condensing maps that turn the agent's linear term into q and its
     minimizer into a local vector live in the network map (`_NetworkMap`)."""
 
@@ -167,22 +175,17 @@ class _AgentCache:
         self.qp_tol = qp_tol
         lo, hi = condensed_bounds(problem)
         self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi, table)
-        self.warm = self.last = None
+        self.warm = self.last = self.seconds = None
 
     def solve(self, q, k):
         """The condensed minimizer for linear term q at iteration k."""
+        t0 = time.perf_counter()
         sol = self.last = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
+        self.seconds = time.perf_counter() - t0
         if sol.status != "optimal":
             raise SolverFailure(self.owner, k, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star
         return sol.x_star
-
-
-def _timed_solve(cache, q, k):
-    """The QP of one agent's x-update and its wall time, measured where it runs."""
-    t0 = time.perf_counter()
-    u = cache.solve(q, k)
-    return u, time.perf_counter() - t0
 
 
 class _NetworkMap:
@@ -234,15 +237,12 @@ class _NetworkMap:
 
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:
-        the stacked local vectors and each agent's QP wall time."""
+        the stacked local vectors."""
         q = self.q_static + self.Mt @ v
-        us, times = [], []
-        for u, dt in solve_all(_timed_solve, self.caches, [q[s] for s in self.u_slices],
-                               [k] * len(self.caches)):
-            us.append(u)
-            times.append(dt)
-        self.counts.add(self.caches, times)
-        return self.M @ np.concatenate(us) + self.c, times
+        us = list(solve_all(_AgentCache.solve, self.caches, [q[s] for s in self.u_slices],
+                            [k] * len(self.caches)))
+        self.counts.add(self.caches)
+        return self.M @ np.concatenate(us) + self.c
 
 
 class AdmmEngine:
@@ -293,7 +293,7 @@ class AdmmEngine:
         max_viol = 0.0 if track_dual_average else None
         converged = False
         for k in range(1, max_iter + 1):
-            x_cat, _ = self.net.x_update(lam_cat - rho * zE, k, solve_all)
+            x_cat = self.net.x_update(lam_cat - rho * zE, k, solve_all)
             z_prev = z
             z = z_update(x_cat, E, counts)
             zE = z[E]
@@ -310,8 +310,7 @@ class AdmmEngine:
         objective = sum(p.cost(x) for p, x in zip(self.problems, xs))
         return AdmmResult(plans=xs, z=z, lam=lam_cat, history=history,
                           converged=converged, objective=objective,
-                          solve_times=qps.solve_times, max_dual_avg_violation=max_viol,
-                          qp_stats=qps.stats())
+                          solve_times=qps.solve_times, max_dual_avg_violation=max_viol)
 
 
 def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
@@ -369,7 +368,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=Non
         lin = np.zeros(E.size)
         lin[copies] = nu
         lin -= np.bincount(owners, weights=nu, minlength=E.size)
-        x_cat, _ = net.x_update(lin, k)
+        x_cat = net.x_update(lin, k)
         r = x_cat[copies] - x_cat[owners]
         nu = nu + alpha(k) * r
         dis = float(np.sqrt(r @ r))

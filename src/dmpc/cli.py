@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .simulation import SweepTrialAborted, iteration_sweep, run_closed_loop
+from .admm import QpCounters
+from .simulation import SOLVER_KINDS, SweepTrialAborted, iteration_sweep, run_closed_loop
 from . import verify as verify_mod
 
 
@@ -70,23 +71,6 @@ def _timing_summary(times):
             "max_s": float(np.max(times))}
 
 
-QP_COUNTS = ("qp_closed_form", "qp_newton_one", "qp_newton_more", "qp_newton_iterations",
-             "critical_path_s")
-
-
-def _qp_totals(cfg, log):
-    """The QP counters of every completed step, summed (the KKT residual: its
-    maximum), and the loop's `qp_schur_reused`; None for the centralized
-    solver, whose steps count no x-updates."""
-    if cfg.sim.solver_kind == "centralized":
-        return None
-    stats = log.solver_stats
-    totals = {key: sum(s[key] for s in stats) for key in QP_COUNTS}
-    totals["qp_max_kkt_residual"] = max((s["qp_max_kkt_residual"] for s in stats), default=0.0)
-    totals["qp_schur_reused"] = log.schur_reused
-    return totals
-
-
 def _write_summary_json(path, cfg, log):
     wall = [s["wall_time"] for s in log.solver_stats]
     summary = {
@@ -99,7 +83,9 @@ def _write_summary_json(path, cfg, log):
         "subproblem_solve_time": _timing_summary(log.solve_times),
         "step_wall_time": _timing_summary(np.asarray(wall)),
         "max_dual_avg_violation": log.max_dual_avg_violation,
-        "qp_totals": _qp_totals(cfg, log),
+        # None for the centralized solver, whose steps count no x-updates
+        "qp_totals": (None if cfg.sim.solver_kind == "centralized"
+                      else QpCounters.totals(log.solver_stats)),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -176,7 +162,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="run one closed-loop simulation")
     p_sim.add_argument("--config", required=True, help="scenario config path")
     p_sim.add_argument("--seed", type=int, help="override the RNG seed")
-    p_sim.add_argument("--solver", choices=("admm", "dual_decomp", "centralized"))
+    p_sim.add_argument("--solver", choices=SOLVER_KINDS)
     p_sim.add_argument("--iters", type=int, help="override ADMM iteration budget")
     p_sim.add_argument("--out", help="override output directory")
     p_sim.set_defaults(func=cmd_simulate)

@@ -34,21 +34,15 @@ class ScenarioConfig:
         return out
 
     def to_dict(self):
-        sim = self.sim
-        return {
-            "graph": {"n": self.num_agents,
-                      "edges": [[i, j, w] for i, j, w in self.edges]},
-            "agents": {"ts": sim.ts, "mass": sim.mass, "u_max": sim.u_max,
-                       "overrides": {str(k): list(v) for k, v in self.agent_overrides.items()}},
-            "mpc": {"horizon": sim.horizon, "rho": sim.rho,
-                    "admm_iters": sim.admm_iterations, "warm_start": sim.warm_start,
-                    "solver": sim.solver_kind},
-            "sim": {"steps": sim.num_steps, "noise_variance": sim.noise_variance,
-                    "seed": sim.rng_seed, "pos_range": list(sim.pos_range),
-                    "vel_range": list(sim.vel_range)},
-            "output": {"dir": self.out_dir, "formats": list(self.formats)},
-            "defaults_applied": list(self.defaults_applied),
-        }
+        """The resolved scenario by section and key, as a document names them."""
+        out = {"graph": {"edges": [[i, j, w] for i, j, w in self.edges]},
+               "agents": {"overrides": {str(k): list(v) for k, v in self.agent_overrides.items()}},
+               "mpc": {}, "sim": {}, "output": {},
+               "defaults_applied": list(self.defaults_applied)}
+        for section, key, name, _ in _SETTINGS:
+            value = getattr(self.sim if name in _SIM_FIELDS else self, name)
+            out[section][key] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 _SECTIONS = ("graph", "agents", "mpc", "sim", "output")
@@ -57,162 +51,135 @@ _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
 
 
-def _want(tokens, count, line_no, key):
-    if len(tokens) != count:
-        raise ConfigError(line_no, f"'{key}' expects {count} value(s), got {len(tokens)}")
-    return tokens
-
-
 def parse_config(text):
     """Parse a scenario document; unknown keys and malformed lines are errors."""
-    section = None
-    values = {s: {} for s in _SECTIONS}
-    edges = []
-    edge_seen = set()
-    agent_overrides = {}
-    notes = []
-
+    section, values, edges, overrides = None, {}, {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                raise ConfigError(line_no, f"unknown section [{name}]")
-            section = name
+            section = line[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise ConfigError(line_no, f"unknown section [{section}]")
             continue
         if section is None:
             raise ConfigError(line_no, f"content before any section header: {line!r}")
-        tokens = [t for t in line.replace("=", " ").split() if t]
+        tokens = line.replace("=", " ").split()
+        if not tokens:
+            raise ConfigError(line_no, f"no key on the line: {line!r}")
         key, args = tokens[0].lower(), tokens[1:]
         try:
-            _dispatch(section, key, args, line_no, values, edges, edge_seen, agent_overrides)
-        except ConfigError:
-            raise
+            if (section, key) in _PARSERS:
+                name, parse = _PARSERS[section, key]
+                values[name] = parse(key, args)
+            elif (section, key) == ("graph", "edge"):
+                if len(args) not in (2, 3):
+                    raise ValueError("'edge' expects: edge i j [weight]")
+                i, j = int(args[0]), int(args[1])
+                if i == j:
+                    raise ValueError(f"self-loop on vertex {i}")
+                w = float(args[2]) if len(args) == 3 else 1.0
+                if not w > 0:  # nan too
+                    raise ValueError(f"edge weight must be positive, got {w}")
+                pair = (min(i, j), max(i, j))
+                if pair in edges:
+                    raise ValueError(f"duplicate edge {pair}")
+                edges[pair] = w
+            elif (section, key) == ("agents", "agent"):
+                if len(args) != 3:
+                    raise ValueError(f"'agent' expects 3 value(s), got {len(args)}")
+                i = int(args[0])
+                if i in overrides:
+                    raise ValueError(f"duplicate agent override for agent {i}")
+                overrides[i] = (_POSITIVE("mass", args[1:2]), _POSITIVE("u_max", args[2:]))
+            else:
+                raise ValueError(f"unknown key '{key}' in [{section}]")
         except ValueError as exc:
             raise ConfigError(line_no, str(exc))
 
-    if "n" not in values["graph"]:
+    if "num_agents" not in values:
         raise ConfigError(0, "missing required section [graph] with key 'n'")
-    n = values["graph"]["n"]
-    for i, j, _ in edges:
+    n = values["num_agents"]
+    for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ConfigError(0, f"edge ({i},{j}) out of range 1..{n}")
-    for i in agent_overrides:
+    for i in overrides:
         if not (1 <= i <= n):
             raise ConfigError(0, f"agent override for out-of-range agent {i}")
-
-    def pick(section_name, key, name):
-        if key in values[section_name]:
-            return values[section_name][key]
-        notes.append(f"{section_name}.{key} defaulted to {_DEFAULTS[name]}")
-        return _DEFAULTS[name]
-
+    notes = []
+    for section, key, name, _ in _SETTINGS:
+        if name not in values:
+            values[name] = _DEFAULTS[name]
+            notes.append(f"{section}.{key} defaulted to {values[name]}")
     try:
-        sim = SimConfig(**{name: pick(sec, key, name) for sec, key, name in _SIM_KEYS})
+        sim = SimConfig(**{k: v for k, v in values.items() if k in _SIM_FIELDS})
     except ValueError as exc:  # a value no SimConfig accepts
         raise ConfigError(0, str(exc))
-    cfg = ScenarioConfig(
-        num_agents=n, edges=edges, sim=sim, agent_overrides=agent_overrides,
-        out_dir=pick("output", "dir", "out_dir"),
-        formats=tuple(pick("output", "formats", "formats")),
-        defaults_applied=notes,
-    )
+    cfg = ScenarioConfig(edges=[(i, j, w) for (i, j), w in edges.items()], sim=sim,
+                         agent_overrides=overrides, defaults_applied=notes,
+                         **{k: v for k, v in values.items() if k not in _SIM_FIELDS})
     cfg.graph()  # validates edges (weights, self-loops)
     return cfg
 
 
-def _dispatch(section, key, args, line_no, values, edges, edge_seen, agent_overrides):
-    if key in _SCALARS[section]:
-        name, parse = _SCALARS[section][key]
-        values[section][name] = parse(_want(args, 1, line_no, key)[0], name)
-    elif (section, key) == ("graph", "edge"):
-        if len(args) not in (2, 3):
-            raise ConfigError(line_no, "'edge' expects: edge i j [weight]")
-        i, j = int(args[0]), int(args[1])
-        if i == j:
-            raise ConfigError(line_no, f"self-loop on vertex {i}")
-        w = float(args[2]) if len(args) == 3 else 1.0
-        if w <= 0:
-            raise ConfigError(line_no, f"edge weight must be positive, got {w}")
-        pair = (min(i, j), max(i, j))
-        if pair in edge_seen:
-            raise ConfigError(line_no, f"duplicate edge {pair}")
-        edge_seen.add(pair)
-        edges.append((pair[0], pair[1], w))
-    elif (section, key) == ("agents", "agent"):
-        _want(args, 3, line_no, key)
-        i = int(args[0])
-        if i in agent_overrides:
-            raise ConfigError(line_no, f"duplicate agent override for agent {i}")
-        agent_overrides[i] = (_pos_float(args[1], "mass"), _pos_float(args[2], "u_max"))
-    elif (section, key) == ("mpc", "warm_start"):
-        v = _want(args, 1, line_no, key)[0].lower()
-        if v not in _BOOL:
-            raise ConfigError(line_no, f"warm_start must be boolean, got {v!r}")
-        values["mpc"]["warm_start"] = _BOOL[v]
-    elif (section, key) == ("mpc", "solver"):
-        v = _want(args, 1, line_no, key)[0].lower()
-        if v not in SOLVER_KINDS:
-            raise ConfigError(line_no, f"solver must be one of {SOLVER_KINDS}, got {v!r}")
-        values["mpc"]["solver"] = v
-    elif section == "sim" and key in ("pos_range", "vel_range"):
-        _want(args, 2, line_no, key)
-        lo, hi = float(args[0]), float(args[1])
-        if lo > hi:
-            raise ConfigError(line_no, f"{key} lower bound exceeds upper")
-        values["sim"][key] = (lo, hi)
-    elif (section, key) == ("output", "formats"):
-        fmts = tuple(f.lower() for a in args for f in a.split(","))
-        bad = [f for f in fmts if f not in ("csv", "json")]
-        if bad:
-            raise ConfigError(line_no, f"unknown output format(s) {bad}")
-        values["output"]["formats"] = fmts
-    else:
-        raise ConfigError(line_no, f"unknown key '{key}' in [{section}]")
+def _setting(convert, ok=None, why=None, count=1):
+    """The parse of a setting's values: `count` tokens (any number if None)
+    through convert, then ValueError(why) unless ok(value)."""
+    def parse(key, args):
+        if count is not None and len(args) != count:
+            raise ValueError(f"'{key}' expects {count} value(s), got {len(args)}")
+        value = convert(*args)
+        if ok is not None and not ok(value):
+            raise ValueError(why.format(key=key, v=value))
+        return value
+    return parse
 
 
-def _pos_int(tok, name):
-    v = int(tok)
-    if v < 1:
-        raise ValueError(f"{name} must be >= 1, got {v}")
-    return v
+def _bool(tok):
+    v = tok.lower()
+    if v not in _BOOL:
+        raise ValueError(f"warm_start must be boolean, got {v!r}")
+    return _BOOL[v]
 
 
-def _pos_float(tok, name):
-    v = float(tok)
-    if v <= 0:
-        raise ValueError(f"{name} must be positive, got {v}")
-    return v
+def _formats(*args):
+    fmts = tuple(f.lower() for a in args for f in a.split(","))
+    bad = [f for f in fmts if f not in ("csv", "json")]
+    if bad:
+        raise ValueError(f"unknown output format(s) {bad}")
+    return fmts
 
 
-def _nonneg_float(tok, name):
-    v = float(tok)
-    if v < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return v
+_COUNT = _setting(int, lambda v: v >= 1, "{key} must be >= 1, got {v!r}")
+_POSITIVE = _setting(float, lambda v: v > 0, "{key} must be positive, got {v!r}")
+_NONNEGATIVE = _setting(float, lambda v: v >= 0, "{key} must be nonnegative, got {v!r}")
+_SOLVER = _setting(str.lower, SOLVER_KINDS.__contains__,
+                   "{key} must be one of " + str(SOLVER_KINDS) + ", got {v!r}")
+_RANGE = _setting(lambda lo, hi: (float(lo), float(hi)), lambda r: r[0] <= r[1],
+                  "{key} lower bound exceeds upper", count=2)
 
-
-# (section, stored key, SimConfig field) of every SimConfig setting a file
-# can give, in the order of the defaults_applied notes
-_SIM_KEYS = (("sim", "steps", "num_steps"), ("mpc", "horizon", "horizon"),
-             ("mpc", "admm_iters", "admm_iterations"), ("mpc", "rho", "rho"),
-             ("sim", "noise_variance", "noise_variance"), ("sim", "seed", "rng_seed"),
-             ("mpc", "solver", "solver_kind"), ("mpc", "warm_start", "warm_start"),
-             ("agents", "ts", "ts"), ("agents", "u_max", "u_max"), ("agents", "mass", "mass"),
-             ("sim", "pos_range", "pos_range"), ("sim", "vel_range", "vel_range"))
-
+# (section, key, ScenarioConfig or SimConfig field, parse(key, values)) of
+# every setting a document gives once, in the order of the defaults_applied notes
+_SETTINGS = (
+    ("graph", "n", "num_agents", _COUNT),
+    ("sim", "steps", "num_steps", _COUNT),
+    ("mpc", "horizon", "horizon", _COUNT),
+    ("mpc", "admm_iters", "admm_iterations", _COUNT),
+    ("mpc", "rho", "rho", _POSITIVE),
+    ("sim", "noise_variance", "noise_variance", _NONNEGATIVE),
+    ("sim", "seed", "rng_seed", _setting(int)),
+    ("mpc", "solver", "solver_kind", _SOLVER),
+    ("mpc", "warm_start", "warm_start", _setting(_bool)),
+    ("agents", "ts", "ts", _POSITIVE),
+    ("agents", "u_max", "u_max", _POSITIVE),
+    ("agents", "mass", "mass", _POSITIVE),
+    ("sim", "pos_range", "pos_range", _RANGE),
+    ("sim", "vel_range", "vel_range", _RANGE),
+    ("output", "dir", "out_dir", _setting(str)),
+    ("output", "formats", "formats", _setting(_formats, count=None)),
+)
+_PARSERS = {(section, key): (name, parse) for section, key, name, parse in _SETTINGS}
+_SIM_FIELDS = {f.name for f in fields(SimConfig)}
 # a defaulted setting takes its dataclass field's default
 _DEFAULTS = {f.name: f.default for f in fields(SimConfig) + fields(ScenarioConfig)}
-
-# single-value keys: section -> key -> (stored name, parse(token, name))
-_SCALARS = {
-    "graph": {"n": ("n", _pos_int)},
-    "agents": {k: (k, _pos_float) for k in ("ts", "mass", "u_max")},
-    "mpc": {"horizon": ("horizon", _pos_int), "t": ("horizon", _pos_int),
-            "rho": ("rho", _pos_float), "admm_iters": ("admm_iters", _pos_int)},
-    "sim": {"steps": ("steps", _pos_int), "noise_variance": ("noise_variance", _nonneg_float),
-            "seed": ("seed", lambda tok, _: int(tok))},
-    "output": {"dir": ("dir", lambda tok, _: tok)},
-}

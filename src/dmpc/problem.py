@@ -81,22 +81,19 @@ class LocalProblem:
     def dim(self):
         return self.H.shape[0]
 
+    @cached_property
     def member_offsets(self):
         """Start offset of each member's block in the local vector."""
-        return self._member_offsets
-
-    @cached_property
-    def _member_offsets(self):
         return tuple(ZLayout(self.models, self.T).starts)
 
     def state_slice(self, member_pos, t):
         mdl = self.models[member_pos]
-        start = self.member_offsets()[member_pos] + t * mdl.n
+        start = self.member_offsets[member_pos] + t * mdl.n
         return slice(start, start + mdl.n)
 
     def input_slice(self, member_pos, t):
         mdl = self.models[member_pos]
-        start = self.member_offsets()[member_pos] + (self.T + 1) * mdl.n + t * mdl.m
+        start = self.member_offsets[member_pos] + (self.T + 1) * mdl.n + t * mdl.m
         return slice(start, start + mdl.m)
 
     def cost(self, x):
@@ -226,11 +223,6 @@ def copy_counts(maps, z_dim):
     return counts
 
 
-def consistent_local_vector(map_, z):
-    """Agent's local vector when every copy agrees with z."""
-    return z[map_.global_idx]
-
-
 def global_cost(g, state_traj, input_traj):
     """Coupling-plus-energy cost of full trajectories.
 
@@ -300,7 +292,7 @@ def condensed_maps(p, pred, states):
     measured states, agent j's at states[j - 1]: each member's Phi x0 on its
     state rows, zero on its input rows."""
     c = np.zeros(p.dim)
-    for off, j in zip(p.member_offsets(), p.members):
+    for off, j in zip(p.member_offsets, p.members):
         Phi = pred[j][0]
         c[off:off + Phi.shape[0]] = Phi @ states[j - 1]
     return c

@@ -1,5 +1,5 @@
 """Convex QP solvers: box-constrained (closed form, then projected Newton)
-plus dense oracles.
+plus an enumeration oracle for tiny QPs.
 
 `BoxQp` keeps P only as classes, its distinct diagonal blocks, each checked
 and inverted once, with each class's k blocks of size s laid out as one
@@ -105,7 +105,8 @@ class BoxQp:
     each class's start, stop and shape (k, s); `box` the bounds in that
     order, Newton's pin `band` (1e-9 of the box width if both bounds are
     finite, else 1e-9) and the closed form's box, 1e-12 wider.
-    `infeasible`: some lower bound exceeds its upper bound.
+    `infeasible`: no finite x meets the bounds (a lower bound exceeds its
+    upper bound, or an entry's bounds are both -inf or both +inf).
     `face`: the last Newton face's factor (`_Face`), one slot that the
     `with_q` copies share and a QP built apart never does.
     """
@@ -150,8 +151,8 @@ class BoxQp:
         order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
         order = None if np.array_equal(order, np.arange(n)) else order
         lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
-        band = 1e-9 * np.where(np.isfinite(lo_s) & np.isfinite(hi_s),
-                               np.maximum(hi_s - lo_s, 1.0), 1.0)
+        finite = np.isfinite(lo_s) & np.isfinite(hi_s)  # hi - lo only there: never inf - inf
+        band = 1e-9 * np.maximum(np.subtract(hi_s, lo_s, out=np.ones(n), where=finite), 1.0)
         for name, value in (
                 ("P", tuple(c.P for c in classes)), ("q", q), ("lower", lo), ("upper", hi),
                 ("blocks", blocks), ("order", order),
@@ -160,7 +161,8 @@ class BoxQp:
                 ("slabs", tuple((e - b.size, e, b.shape)
                                 for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))),
                 ("box", (lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12)),
-                ("infeasible", bool((lo > hi).any())), ("face", _Face())):
+                ("infeasible", bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())),
+                ("face", _Face())):
             object.__setattr__(self, name, value)
 
     def with_q(self, q):
@@ -287,9 +289,9 @@ def _newton_point(qp, q, x_unc, active, cand):
 def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
-    Checks in order: crossed bounds (`infeasible_bounds`), an empty QP, a
-    non-finite q (ValueError), the closed form x_unc = -`qp.inv` q if in the
-    box (`iterations` 0, no objective history). Newton starts from
+    Checks in order: bounds that no finite x meets (`infeasible_bounds`), an
+    empty QP, a non-finite q (ValueError), the closed form x_unc = -`qp.inv` q
+    if in the box (`iterations` 0, no objective history). Newton starts from
     project(x0), else the projected closed form, else 0; each iteration pins
     the entries within the box's band of a bound whose gradient points out
     of the box, minimizes over the free entries (`_newton_point`) and takes
@@ -303,7 +305,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     n = qp.dim
     if qp.infeasible:
         return QpSolution(np.full(n, np.nan), "infeasible_bounds", np.inf, 0,
-                          message="lower bound exceeds upper bound")
+                          message="no finite x within the bounds")
     if n == 0:
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
     q = qp.to_slabs(qp.q)
@@ -362,43 +364,6 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
     return QpSolution(qp.from_slabs(x), status, res, max(len(history) - 2, 0), fx,
                       message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
                       objective_history=history, schur_reused=face.reused - reused)
-
-
-def solve_equality_qp(P, q, A_eq=None, b_eq=None):
-    """Dense KKT solve of min 0.5 x'Px + q'x s.t. A_eq x = b_eq.
-
-    Serves as the oracle for condensing and for unconstrained subproblem
-    checks. Raises on a singular KKT system.
-    """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    if A_eq is None or (hasattr(A_eq, "shape") and A_eq.shape[0] == 0):
-        try:
-            return np.linalg.solve(P, -q)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"singular P (cond={np.linalg.cond(P):.3e}) with no equality rows")
-    A_eq = np.asarray(A_eq, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    p = A_eq.shape[0]
-    kkt = np.zeros((n + p, n + p))
-    kkt[:n, :n] = P
-    kkt[:n, n:] = A_eq.T
-    kkt[n:, :n] = A_eq
-    rhs = np.concatenate([-q, b_eq])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"singular KKT system (cond={np.linalg.cond(kkt):.3e})")
-    x, nu = sol[:n], sol[n:]
-    scale = max(1.0, np.max(np.abs(rhs), initial=0.0))
-    stat = np.max(np.abs(P @ x + q + A_eq.T @ nu), initial=0.0)
-    feas = np.max(np.abs(A_eq @ x - b_eq), initial=0.0)
-    if stat > 1e-8 * scale or feas > 1e-8 * scale:
-        raise ValueError(
-            f"KKT residuals too large (stationarity {stat:.3e}, feasibility {feas:.3e}); "
-            f"cond={np.linalg.cond(kkt):.3e}")
-    return x
 
 
 def enumerate_box_qp(qp, max_dim=8):

@@ -66,13 +66,12 @@ class SimLog:
     total_cost: float
     solver_stats: list        # per step: dict(iterations, r_primal, r_dual, wall_time;
                               # distributed solvers: the QpCounters.stats() of its QPs)
-    solve_times: np.ndarray   # per agent x-update, its local QP alone, seconds
+    solve_times: np.ndarray   # distributed solvers: per agent x-update, its QP alone, seconds
     noise_draws: np.ndarray   # (num_steps, N, noise_dim), for paired-run audits
     config: SimConfig
     max_dual_avg_violation: float = None  # None unless the run tracked it
     aborted_at: int = None    # step index if a solver failure cut the run short
     abort_reason: str = None  # the SolverFailure message of that step
-    schur_reused: int = None  # distributed solvers: QpCounters.schur_reused over the steps
 
 
 def default_agents(g, cfg):
@@ -108,10 +107,16 @@ class _Controller:
 
     solve_times = ()
     max_dual_avg_violation = None
-    schur_reused = None
 
     def close(self):
         pass
+
+    def step_stats(self, counts, t0, iterations, r_primal, r_dual):
+        """A distributed step's stats: its residuals, its wall time since t0
+        and the QpCounters `counts` of its QPs, whose times go to `solve_times`."""
+        self.solve_times.extend(counts.solve_times)
+        return {"iterations": iterations, "r_primal": r_primal, "r_dual": r_dual,
+                "wall_time": time.perf_counter() - t0, **counts.stats()}
 
 
 def _first_inputs(problems, plans):
@@ -190,7 +195,6 @@ class _AdmmController(_Controller):
         self.cfg = cfg
         self.track_dual_average = track_dual_average
         self.max_dual_avg_violation = 0.0 if track_dual_average else None
-        self.schur_reused = 0
         self.warm_state = None
         self.solve_times = array("d")  # 8 bytes a QP, not a float object each
 
@@ -202,15 +206,12 @@ class _AdmmController(_Controller):
             engine.net.cold_start()
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
-        self.solve_times.extend(result.solve_times)
-        self.schur_reused += engine.net.counts.schur_reused
         if self.track_dual_average:
             self.max_dual_avg_violation = max(self.max_dual_avg_violation,
                                               result.max_dual_avg_violation)
         first_inputs = _first_inputs(engine.problems, result.plans)
         _, rp, rd = result.history[-1]
-        stats = {"iterations": len(result.history), "r_primal": rp, "r_dual": rd,
-                 "wall_time": time.perf_counter() - t0, **result.qp_stats}
+        stats = self.step_stats(engine.net.counts, t0, len(result.history), rp, rd)
         if self.cfg.warm_start:
             self.warm_state = _shift_warm_state(result, *self.shift)
         return first_inputs, stats
@@ -229,7 +230,7 @@ class _DualDecompController(_Controller):
                                                            initial_states)
         self.net = _NetworkMap(self.problems, 0.0, 1e-8)  # run_dual_decomposition's qp_tol
         self.cfg = cfg
-        self.schur_reused = 0
+        self.solve_times = array("d")
 
     def plan(self, measured):
         t0 = time.perf_counter()
@@ -237,10 +238,8 @@ class _DualDecompController(_Controller):
         self.net.rebind_states(measured)
         plans, history = run_dual_decomposition(
             self.problems, self.maps, lambda k: 1.0 / k, self.cfg.admm_iterations, net=self.net)
-        self.schur_reused += self.net.counts.schur_reused
-        return _first_inputs(self.problems, plans), {
-            "iterations": len(history), "r_primal": history[-1][1], "r_dual": np.nan,
-            "wall_time": time.perf_counter() - t0, **self.net.counts.stats()}
+        return _first_inputs(self.problems, plans), self.step_stats(
+            self.net.counts, t0, len(history), history[-1][1], np.nan)
 
 
 def _shift_indices(layout, E):
@@ -327,8 +326,7 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
                   total_cost=float(np.sum(stage_costs)), solver_stats=solver_stats,
                   solve_times=np.asarray(controller.solve_times), noise_draws=noise,
                   config=cfg, max_dual_avg_violation=controller.max_dual_avg_violation,
-                  aborted_at=aborted_at, abort_reason=abort_reason,
-                  schur_reused=controller.schur_reused)
+                  aborted_at=aborted_at, abort_reason=abort_reason)
 
 
 def solve_centralized(g, agents, T, initial_states, tol=1e-8):
@@ -342,10 +340,6 @@ def solve_centralized(g, agents, T, initial_states, tol=1e-8):
     return plans, float(central.block.cost(central.M @ central.warm + c))
 
 
-def closed_loop_cost(log):
-    return float(np.sum(log.stage_costs))
-
-
 def performance_ratio(admm_log, central_log):
     """Excess closed-loop cost of a run over its centralized pairing, in %."""
     if admm_log.aborted_at is not None or central_log.aborted_at is not None:
@@ -354,10 +348,10 @@ def performance_ratio(admm_log, central_log):
         raise ValueError("paired runs must share the same noise sequence")
     if not np.array_equal(admm_log.states[0], central_log.states[0]):
         raise ValueError("paired runs must share initial conditions")
-    cc = closed_loop_cost(central_log)
+    cc = central_log.total_cost
     if cc == 0.0:
         raise ValueError("centralized cost is zero; ratio undefined")
-    return 100.0 * (closed_loop_cost(admm_log) - cc) / cc
+    return 100.0 * (admm_log.total_cost - cc) / cc
 
 
 class SweepTrialAborted(RuntimeError):

@@ -4,8 +4,7 @@ import numpy as np
 
 from .dynamics import double_integrator_3d, rollout
 from .graph import InfoGraph, path_graph
-from .problem import (ZLayout, build_local_problems, consistent_local_vector,
-                      global_cost)
+from .problem import ZLayout, build_local_problems, global_cost
 from .qp import BoxQp, enumerate_box_qp, solve_box_qp
 from .admm import run_admm
 from .simulation import (SimConfig, draw_initial_states, iteration_sweep, run_closed_loop,
@@ -85,8 +84,7 @@ def cost_decomposition(num_assignments=1000, seed=11):
             problems, maps, z_dim = build_local_problems(g, agents, T, x0)
             layout = ZLayout(agents, T)
         z = rng.standard_normal(z_dim)
-        local_sum = sum(p.cost(consistent_local_vector(m, z))
-                        for p, m in zip(problems, maps))
+        local_sum = sum(p.cost(z[m.global_idx]) for p, m in zip(problems, maps))
         states, inputs = layout.decode(z)
         ref = global_cost(g, states, inputs)
         worst = max(worst, abs(local_sum - ref) / max(abs(ref), 1e-12))

@@ -3,10 +3,11 @@ import pytest
 
 from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, rollout, run_admm,
-                  run_dual_decomposition, solve_centralized, solve_equality_qp,
+                  run_dual_decomposition, solve_centralized,
                   z_update, dual_update, residuals)
 from dmpc.admm import _NetworkMap
 from dmpc.problem import ZLayout, copy_counts
+from kkt_oracle import solve_equality_qp
 
 
 def make_scenario(seed=0, n=3, T=3, u_max=1.0):
@@ -35,7 +36,7 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     z = 0.1 * rng.standard_normal(z_dim)
     lams = [0.1 * rng.standard_normal(p.dim) for p in probs]
     v = np.concatenate([lam - rho * z[m.global_idx] for m, lam in zip(maps, lams)])
-    x_cat, _ = _NetworkMap(probs, rho, qp_tol=1e-9).x_update(v, 1)
+    x_cat = _NetworkMap(probs, rho, qp_tol=1e-9).x_update(v, 1)
     for p, m, lam, x_new in zip(probs, maps, lams, per_agent(probs, x_cat)):
         z_loc = z[m.global_idx]
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
@@ -52,8 +53,8 @@ def test_x_update_fixed_point_at_convergence():
                    eps_primal=1e-10, eps_dual=1e-10, qp_tol=1e-9)
     assert res.converged
     E = np.concatenate([m.global_idx for m in maps])
-    x_cat, _ = _NetworkMap(probs, 1.0, qp_tol=1e-9).x_update(res.lam - 1.0 * res.z[E],
-                                                             len(res.history) + 1)
+    x_cat = _NetworkMap(probs, 1.0, qp_tol=1e-9).x_update(res.lam - 1.0 * res.z[E],
+                                                          len(res.history) + 1)
     for x_new, x in zip(per_agent(probs, x_cat), res.plans):
         assert np.max(np.abs(x_new - x)) <= 1e-6
 

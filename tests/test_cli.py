@@ -40,6 +40,72 @@ def test_parse_defaults_are_the_dataclass_defaults():
     assert cfg.formats == ScenarioConfig.formats
 
 
+FULL = """\
+[graph]
+n 3
+edge 1 2
+edge 3 2 1.5
+
+[agents]
+ts 0.05
+mass 2.0
+u_max 0.8
+agent 2 1.5 0.6
+
+[mpc]
+horizon 4
+rho 2.0
+admm_iters 5
+warm_start off
+solver dual_decomp
+
+[sim]
+steps 3
+noise_variance 0.05
+seed 4
+pos_range -3 3
+vel_range -0.5 0.5
+
+[output]
+dir runs
+formats json
+"""
+
+
+def test_to_dict_of_a_document_that_sets_every_key():
+    assert parse_config(FULL).to_dict() == {
+        "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.5]]},
+        "agents": {"ts": 0.05, "mass": 2.0, "u_max": 0.8, "overrides": {"2": [1.5, 0.6]}},
+        "mpc": {"horizon": 4, "rho": 2.0, "admm_iters": 5, "warm_start": False,
+                "solver": "dual_decomp"},
+        "sim": {"steps": 3, "noise_variance": 0.05, "seed": 4, "pos_range": [-3.0, 3.0],
+                "vel_range": [-0.5, 0.5]},
+        "output": {"dir": "runs", "formats": ["json"]},
+        "defaults_applied": [],
+    }
+
+
+def test_to_dict_of_a_minimal_document_notes_every_default_in_order():
+    assert parse_config("[graph]\nn 2\nedge 1 2\n").to_dict() == {
+        "graph": {"n": 2, "edges": [[1, 2, 1.0]]},
+        "agents": {"ts": 0.1, "mass": 1.0, "u_max": 1.0, "overrides": {}},
+        "mpc": {"horizon": 10, "rho": 1.0, "admm_iters": 30, "warm_start": True,
+                "solver": "admm"},
+        "sim": {"steps": 250, "noise_variance": 0.1, "seed": 0, "pos_range": [-5.0, 5.0],
+                "vel_range": [-1.0, 1.0]},
+        "output": {"dir": "out", "formats": ["csv", "json"]},
+        "defaults_applied": [
+            "sim.steps defaulted to 250", "mpc.horizon defaulted to 10",
+            "mpc.admm_iters defaulted to 30", "mpc.rho defaulted to 1.0",
+            "sim.noise_variance defaulted to 0.1", "sim.seed defaulted to 0",
+            "mpc.solver defaulted to admm", "mpc.warm_start defaulted to True",
+            "agents.ts defaulted to 0.1", "agents.u_max defaulted to 1.0",
+            "agents.mass defaulted to 1.0", "sim.pos_range defaulted to (-5.0, 5.0)",
+            "sim.vel_range defaulted to (-1.0, 1.0)", "output.dir defaulted to out",
+            "output.formats defaulted to ('csv', 'json')"],
+    }
+
+
 def test_parse_full_document():
     cfg = parse_config(GOOD)
     assert cfg.num_agents == 3
@@ -72,6 +138,7 @@ def test_agent_overrides():
     ("[graph]\nn 2\nedge 1 2\nedge 2 1\n", "duplicate edge"),
     ("[graph]\nn 2\nedge 1 1\n", "self-loop"),
     ("[graph]\nn 2\nedge 1 2 -1\n", "positive"),
+    ("[graph]\nn 2\nedge 1 2 nan\n", "line 3: edge weight must be positive, got nan"),
     ("[graph]\nn 2\nedge 1 3\n", "out of range"),
     ("[graph]\nn 0\n", ">= 1"),
     ("[graph]\nn 2\nedge 1 2\n[mpc]\nsolver quantum\n", "solver must be"),
@@ -79,6 +146,8 @@ def test_agent_overrides():
     ("[graph]\nn 2\nedge 1 2\n[sim]\npos_range 3 1\n", "lower bound exceeds"),
     ("[graph]\nn 2\nedge 1 2\n[output]\nformats xml\n", "unknown output format"),
     ("", "missing required section"),
+    ("[graph]\nn 2\n=\n", "line 3: no key"),
+    ("[graph]\nn 2\n[mpc]\nt 5\n", "unknown key 't'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as exc:

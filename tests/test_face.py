@@ -18,7 +18,7 @@ from test_reuse import unlike_agents_on_a_random_graph, untimed  # noqa: E402
 from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  # noqa: E402
                   path_graph, run_closed_loop, solve_box_qp)
 from dmpc import admm, qp as qp_module  # noqa: E402
-from dmpc.admm import _NetworkMap  # noqa: E402
+from dmpc.admm import QpCounters, _NetworkMap  # noqa: E402
 from dmpc.qp import _newton_point  # noqa: E402
 from dmpc.simulation import admm_engine, default_agents  # noqa: E402
 
@@ -161,6 +161,11 @@ def test_copies_share_the_slot_and_qps_built_apart_do_not():
     assert len({id(c.qp.face) for c in caches}) == len(caches)
 
 
+def reused(log):
+    """Each step's `qp_schur_reused`."""
+    return [s["qp_schur_reused"] for s in log.solver_stats]
+
+
 @pytest.mark.parametrize("kind", ["admm", "dual_decomp"])
 def test_loop_counts_every_reuse_once(monkeypatch, kind):
     g, agents = unlike_agents_on_a_random_graph()
@@ -176,12 +181,13 @@ def test_loop_counts_every_reuse_once(monkeypatch, kind):
     monkeypatch.setattr(admm, "solve_box_qp", spy)
     log = run_closed_loop(g, cfg, agents=agents)
     assert log.aborted_at is None
-    assert log.schur_reused == sum(seen)
+    total = QpCounters.totals(log.solver_stats)["qp_schur_reused"]
+    assert total == sum(reused(log)) == sum(seen)
     if kind == "admm":  # dual ascent moves every face between iterations: it reuses none here
-        assert log.schur_reused > 0
-    assert "qp_schur_reused" not in log.solver_stats[0]  # counted per loop, not per step
-    assert run_closed_loop(g, SimConfig(num_steps=2, solver_kind="centralized")).schur_reused \
-        is None
+        assert total > 0
+    # the centralized solver's steps count no x-updates
+    central = run_closed_loop(g, SimConfig(num_steps=2, solver_kind="centralized"))
+    assert "qp_schur_reused" not in central.solver_stats[0]
 
 
 def test_parallel_agents_equal_serial_bitwise():
@@ -193,7 +199,7 @@ def test_parallel_agents_equal_serial_bitwise():
     assert serial.states.tobytes() == parallel.states.tobytes()
     assert serial.inputs.tobytes() == parallel.inputs.tobytes()
     assert untimed(serial.solver_stats) == untimed(parallel.solver_stats)
-    assert serial.schur_reused == parallel.schur_reused > 0
+    assert reused(serial) == reused(parallel) and sum(reused(serial)) > 0
 
 
 def test_a_given_engine_forgets_its_faces():
@@ -203,12 +209,12 @@ def test_a_given_engine_forgets_its_faces():
     agents = default_agents(g, cfg)
     x0 = draw_initial_states(g, cfg, np.random.default_rng(1))
     ref = run_closed_loop(g, cfg, agents=agents, initial_states=x0)
-    assert ref.schur_reused > 0
+    assert sum(reused(ref)) > 0
     engine = admm_engine(g, agents, cfg, x0)
     try:
         for _ in range(2):
             log = run_closed_loop(g, cfg, agents=agents, initial_states=x0,
                                   noise=ref.noise_draws, engine=engine)
-            assert log.schur_reused == ref.schur_reused
+            assert reused(log) == reused(ref)
     finally:
         engine.close()

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
-                  global_cost, path_graph, solve_box_qp, solve_equality_qp)
+                  global_cost, path_graph, solve_box_qp)
 from dmpc.admm import _NetworkMap
 from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
-                          condensed_maps, condensing_matrix, consistent_local_vector,
-                          copy_counts, predictions)
+                          condensed_maps, condensing_matrix, copy_counts, predictions)
 from dmpc.verify import random_connected_graph
+from kkt_oracle import solve_equality_qp
 
 
 def make_agents(n, u_max=1.0):
@@ -50,7 +50,7 @@ def test_consensus_assignment_has_zero_cost():
     for j in range(1, 4):
         s0 = layout.state_offset(j, 0)
         z[s0:s0 + 5 * 6] = np.tile(common, 5)
-    total = sum(p.cost(consistent_local_vector(m, z)) for p, m in zip(probs, maps))
+    total = sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps))
     assert abs(total) <= 1e-12
 
 
@@ -96,7 +96,7 @@ def test_cost_decomposition_identity_random():
     layout = ZLayout(agents, 5)
     for _ in range(25):
         z = rng.standard_normal(z_dim)
-        local = sum(p.cost(consistent_local_vector(m, z)) for p, m in zip(probs, maps))
+        local = sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps))
         states, inputs = layout.decode(z)
         ref = global_cost(g, states, inputs)
         assert abs(local - ref) <= 1e-9 * max(1.0, abs(ref))

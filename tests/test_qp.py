@@ -5,8 +5,9 @@ import pytest
 
 from dmpc import (BoxQp, InfoGraph, double_integrator_3d, enumerate_box_qp,
                   global_cost, path_graph, rollout, solve_box_qp,
-                  solve_centralized, solve_equality_qp)
+                  solve_centralized)
 from dmpc.problem import ZLayout, build_centralized_qp
+from kkt_oracle import solve_equality_qp
 
 
 def random_psd_qp(rng, n):
@@ -34,6 +35,31 @@ def test_infeasible_bounds():
     qp = BoxQp(np.eye(2), np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     sol = solve_box_qp(qp)
     assert sol.status == "infeasible_bounds"
+
+
+@pytest.mark.parametrize("inf", [-np.inf, np.inf], ids=["both-minus-inf", "both-plus-inf"])
+def test_bounds_infinite_on_one_side_are_infeasible(inf):
+    # no finite x meets lower = upper = inf; building and solving warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qp = BoxQp(np.eye(3), np.ones(3), np.array([-1.0, inf, -np.inf]),
+                   np.array([1.0, inf, np.inf]))
+        assert qp.infeasible
+        sol = solve_box_qp(qp)
+    assert sol.status == "infeasible_bounds"
+    assert np.isnan(sol.x_star).all()
+
+
+def test_unbounded_entries_still_solve():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qp = BoxQp(2.0 * np.eye(3), np.array([2.0, -8.0, 1.0]),
+                   np.array([-np.inf, -np.inf, 0.0]), np.array([np.inf, 1.0, np.inf]))
+        assert not qp.infeasible
+        sol = solve_box_qp(qp)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x_star, [-1.0, 1.0, 0.0])
+    assert np.array_equal(qp.box[2], np.full(3, 1e-9))  # the band of an unbounded entry
 
 
 def test_asymmetric_p_rejected():

@@ -206,8 +206,9 @@ def test_step_qp_counts_equal_a_spy_on_solve_box_qp(monkeypatch, kind, scenario)
         assert stats["qp_newton_iterations"] == sum(
             0 if spans.qp_path(s) == "closed_form" else s.iterations + 1 for s in sols)
         assert stats["qp_max_kkt_residual"] == max(s.kkt_residual for s in sols)
+        assert stats["qp_schur_reused"] == sum(s.schur_reused for s in sols)
         assert 0.0 < stats["critical_path_s"] <= stats["wall_time"]
-    if kind == "admm":  # the sum over iterations of the slowest agent's QP time
-        times = log.solve_times.reshape(cfg.num_steps, cfg.admm_iterations, g.num_agents)
-        assert np.allclose([s["critical_path_s"] for s in log.solver_stats],
-                           times.max(axis=2).sum(axis=1), rtol=1e-12, atol=0.0)
+    # the sum over iterations of the slowest agent's QP time
+    times = log.solve_times.reshape(cfg.num_steps, cfg.admm_iterations, g.num_agents)
+    assert np.allclose([s["critical_path_s"] for s in log.solver_stats],
+                       times.max(axis=2).sum(axis=1), rtol=1e-12, atol=0.0)

@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, closed_loop_cost,
-                  draw_initial_states, draw_noise, iteration_sweep, path_graph,
-                  performance_ratio, run_closed_loop)
+from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, draw_initial_states,
+                  draw_noise, iteration_sweep, path_graph, performance_ratio, run_closed_loop)
 from dmpc import admm, simulation
 from dmpc.simulation import _CentralizedCache, default_agents
 
@@ -95,8 +94,7 @@ def test_inputs_respect_saturation():
 def test_total_cost_sums_stage_costs():
     g = path_graph(3)
     log = run_closed_loop(g, small_cfg(noise_variance=0.1))
-    assert log.total_cost == pytest.approx(float(np.sum(log.stage_costs)))
-    assert closed_loop_cost(log) == log.total_cost
+    assert log.total_cost == float(np.sum(log.stage_costs))
 
 
 def test_states_follow_recorded_inputs_and_noise():

@@ -13,12 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
-                  double_integrator_3d, run_dual_decomposition, solve_equality_qp)
+                  double_integrator_3d, run_dual_decomposition)
 from dmpc.admm import (AdmmResult, _AgentCache, _NetworkMap, dual_update,  # noqa: E402
                        residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
                           predictions)
 from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
+from kkt_oracle import solve_equality_qp  # noqa: E402
 
 
 @st.composite
@@ -80,7 +81,7 @@ def test_stacked_updates_equal_per_agent_loops(scenario):
 
 def member_block(p, pos):
     mdl = p.models[pos]
-    start = p.member_offsets()[pos]
+    start = p.member_offsets[pos]
     return slice(start, start + mdl.n * (p.T + 1) + mdl.m * p.T)
 
 
@@ -109,9 +110,9 @@ def recorded_dual_decomposition(probs, maps, alpha, max_iter):
         return solve(cache, q, k)
 
     def x_update_spy(net, v, k, *args):
-        x_cat, times = x_update(net, v, k, *args)
+        x_cat = x_update(net, v, k, *args)
         updates.append((v.copy(), x_cat))
-        return x_cat, times
+        return x_cat
 
     with mock.patch.object(_AgentCache, "solve", solve_spy), \
             mock.patch.object(_NetworkMap, "x_update", x_update_spy):
@@ -266,7 +267,7 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     # G maps the stacked measured states to the gradient M'H c, c = C x0
     C = np.zeros((central.block.dim, sum(a.n for a in agents)))
     col = 0
-    for off, j, a in zip(central.block.member_offsets(), central.block.members, agents):
+    for off, j, a in zip(central.block.member_offsets, central.block.members, agents):
         Phi = central.pred[j][0]
         C[off:off + Phi.shape[0], col:col + a.n] = Phi
         col += a.n
@@ -323,7 +324,7 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
         return u
 
     with mock.patch.object(_AgentCache, "solve", spy):
-        x_cat, _ = net.x_update(v, 1)
+        x_cat = net.x_update(v, 1)
     for p, s, D, (q, u) in zip(probs, agent_slices(probs), dense, solved):
         c = np.zeros(p.dim)
         for pos, j in enumerate(p.members):
