@@ -180,7 +180,7 @@ class _AgentCache:
     def solve(self, q, k):
         """The condensed minimizer for linear term q at iteration k."""
         t0 = time.perf_counter()
-        sol = self.last = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
+        sol = self.last = solve_box_qp(self.qp, tol=self.qp_tol, x0=self.warm, q=q)
         self.seconds = time.perf_counter() - t0
         if sol.status != "optimal":
             raise SolverFailure(self.owner, k, f"{sol.status}: {sol.message}")

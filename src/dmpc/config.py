@@ -1,6 +1,7 @@
 """Line-oriented scenario config files with INI-style sections."""
 
 from dataclasses import dataclass, field, fields
+from math import inf
 
 from .graph import InfoGraph
 from .dynamics import double_integrator_3d
@@ -92,7 +93,7 @@ def parse_config(text):
                 i = int(args[0])
                 if i in overrides:
                     raise ValueError(f"duplicate agent override for agent {i}")
-                overrides[i] = (_POSITIVE("mass", args[1:2]), _POSITIVE("u_max", args[2:]))
+                overrides[i] = (_FINITE("mass", args[1:2]), _POSITIVE("u_max", args[2:]))
             else:
                 raise ValueError(f"unknown key '{key}' in [{section}]")
         except ValueError as exc:
@@ -152,12 +153,14 @@ def _formats(*args):
 
 
 _COUNT = _setting(int, lambda v: v >= 1, "{key} must be >= 1, got {v!r}")
+# u_max alone may be inf, an unbounded input; nan fails every comparison
 _POSITIVE = _setting(float, lambda v: v > 0, "{key} must be positive, got {v!r}")
-_NONNEGATIVE = _setting(float, lambda v: v >= 0, "{key} must be nonnegative, got {v!r}")
+_FINITE = _setting(float, lambda v: 0 < v < inf, "{key} must be positive and finite, got {v!r}")
+_NONNEGATIVE = _setting(float, lambda v: 0 <= v < inf, "{key} must be finite and >= 0, got {v!r}")
 _SOLVER = _setting(str.lower, SOLVER_KINDS.__contains__,
                    "{key} must be one of " + str(SOLVER_KINDS) + ", got {v!r}")
-_RANGE = _setting(lambda lo, hi: (float(lo), float(hi)), lambda r: r[0] <= r[1],
-                  "{key} lower bound exceeds upper", count=2)
+_RANGE = _setting(lambda lo, hi: (float(lo), float(hi)), lambda r: -inf < r[0] <= r[1] < inf,
+                  "{key} lower bound exceeds upper, or a bound is not finite: {v!r}", count=2)
 
 # (section, key, ScenarioConfig or SimConfig field, parse(key, values)) of
 # every setting a document gives once, in the order of the defaults_applied notes
@@ -166,18 +169,19 @@ _SETTINGS = (
     ("sim", "steps", "num_steps", _COUNT),
     ("mpc", "horizon", "horizon", _COUNT),
     ("mpc", "admm_iters", "admm_iterations", _COUNT),
-    ("mpc", "rho", "rho", _POSITIVE),
+    ("mpc", "rho", "rho", _FINITE),
     ("sim", "noise_variance", "noise_variance", _NONNEGATIVE),
     ("sim", "seed", "rng_seed", _setting(int)),
     ("mpc", "solver", "solver_kind", _SOLVER),
     ("mpc", "warm_start", "warm_start", _setting(_bool)),
-    ("agents", "ts", "ts", _POSITIVE),
+    ("agents", "ts", "ts", _FINITE),
     ("agents", "u_max", "u_max", _POSITIVE),
-    ("agents", "mass", "mass", _POSITIVE),
+    ("agents", "mass", "mass", _FINITE),
     ("sim", "pos_range", "pos_range", _RANGE),
     ("sim", "vel_range", "vel_range", _RANGE),
     ("output", "dir", "out_dir", _setting(str)),
-    ("output", "formats", "formats", _setting(_formats, count=None)),
+    ("output", "formats", "formats",
+     _setting(_formats, bool, "{key} expects one or more of csv, json", count=None)),
 )
 _PARSERS = {(section, key): (name, parse) for section, key, name, parse in _SETTINGS}
 _SIM_FIELDS = {f.name for f in fields(SimConfig)}

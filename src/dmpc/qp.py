@@ -10,6 +10,10 @@ than half the entries are held, or P has no inverse, it solves the free
 rows P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
 the next, so each QP keeps the Cholesky factor of its last S_AA (`_Face`):
 the same A again costs one triangular solve pair, bit for bit the same.
+
+One solve path: a QP is built once and each solve passes its own q
+(`solve_box_qp(qp, q=q)`), so the face slot is the QP's. A solve is
+straight-line numpy on what the QP bound when it was built (`BoxQp.plan`).
 """
 
 import itertools
@@ -107,8 +111,11 @@ class BoxQp:
     finite, else 1e-9) and the closed form's box, 1e-12 wider.
     `infeasible`: no finite x meets the bounds (a lower bound exceeds its
     upper bound, or an entry's bounds are both -inf or both +inf).
-    `face`: the last Newton face's factor (`_Face`), one slot that the
-    `with_q` copies share and a QP built apart never does.
+    `face`: the last Newton face's factor (`_Face`), one slot that every
+    solve on this QP reads and a QP built apart never shares. `plan`: what
+    a solve reads, bound once (n, infeasible, order, unorder, the (k, s)
+    shape if P is one class else None, P and inv as that one block or as
+    the classes' tuples, slabs, box, face).
     """
 
     P: tuple
@@ -124,6 +131,7 @@ class BoxQp:
     box: tuple = field(init=False, repr=False, compare=False)
     infeasible: bool = field(init=False, repr=False, compare=False)
     face: _Face = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, table):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (self.q, self.lower, self.upper))
@@ -164,28 +172,15 @@ class BoxQp:
                 ("infeasible", bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())),
                 ("face", _Face())):
             object.__setattr__(self, name, value)
-
-    def with_q(self, q):
-        """The same P, classes, inverse, box and face slot with linear term q;
-        only q's shape is checked."""
-        q = np.asarray(q, dtype=float)
-        if q.shape != self.q.shape:
-            raise ValueError(f"q has shape {q.shape}, expected ({self.dim},)")
-        new = object.__new__(BoxQp)
-        new.__dict__.update(self.__dict__, q=q)
-        return new
+        P, S, shape = self.P, self.inv, None
+        if len(P) == 1:  # one class: every product is one (k, s)(s, s) dot
+            P, S, shape = P[0], None if S is None else S[0], self.slabs[0][2]
+        object.__setattr__(self, "plan", (n, self.infeasible, order, self.unorder, shape, P, S,
+                                          self.slabs, self.box, self.face))
 
     @property
     def dim(self):
         return self.q.shape[0]
-
-    def times(self, mats, x):
-        """x, in the slab order, times the block-diagonal matrix whose class
-        blocks are `mats` (`P` or `inv`): one (k, s)(s, s) product per class."""
-        if len(mats) == 1:
-            return x.reshape(self.slabs[0][2]).dot(mats[0]).ravel()
-        return np.concatenate([x[a:b].reshape(shape).dot(m).ravel()
-                               for (a, b, shape), m in zip(self.slabs, mats)] + [x[:0]])
 
     def principal(self, mats, I):
         """The principal submatrix on the sorted slab indices I of the
@@ -195,12 +190,6 @@ class BoxQp:
         cuts = I.searchsorted([lo for lo, _, _ in self.slabs] + [self.dim])
         return block_diag(*(_principal(m, I[a:b] - lo, s) for (lo, _, (_, s)), m, a, b
                             in zip(self.slabs, mats, cuts[:-1], cuts[1:])))
-
-    def to_slabs(self, x):
-        return x if self.order is None else x[self.order]
-
-    def from_slabs(self, x):
-        return x if self.order is None else x[self.unorder]
 
     def dense(self, inverse=False):
         """P, or with `inverse` P^-1 (None without one), as a dense n x n
@@ -215,8 +204,9 @@ class BoxQp:
 
     def gradient(self, x):
         """P x + q, x in x's own order."""
-        x = self.to_slabs(np.asarray(x, dtype=float))
-        return self.from_slabs(self.times(self.P, x)) + self.q
+        x, o = np.asarray(x, dtype=float), self.order
+        g = _times(self.P, x if o is None else x[o], self.slabs)
+        return (g if o is None else g[self.unorder]) + self.q
 
     def objective(self, x):
         return 0.5 * x @ (self.gradient(x) + self.q)
@@ -226,7 +216,16 @@ class BoxQp:
         return np.abs(x - (x - self.gradient(x)).clip(self.lower, self.upper)).max(initial=0.0)
 
 
-@dataclass
+def _times(mats, x, slabs):
+    """x, in the slab order, times the block-diagonal matrix whose class
+    blocks are `mats` (`P` or `inv`): one (k, s)(s, s) product per class."""
+    if len(mats) == 1:
+        return x.reshape(slabs[0][2]).dot(mats[0]).ravel()
+    return np.concatenate([x[a:b].reshape(shape).dot(m).ravel()
+                           for (a, b, shape), m in zip(slabs, mats)] + [x[:0]])
+
+
+@dataclass(slots=True)
 class QpSolution:
     x_star: np.ndarray
     status: str  # optimal | max_iterations | stalled | infeasible_bounds
@@ -252,8 +251,8 @@ def _newton_point(qp, q, x_unc, active, cand):
     least-squares solution, moved by any residual r (in the null space) over
     1e-8 d, d the largest diagonal entry, so the box stops that descent.
     """
-    A = active.nonzero()[0]
-    if qp.inv is not None and 2 * A.size <= qp.dim:
+    A, n = active.nonzero()[0], x_unc.shape[0]
+    if qp.inv is not None and 2 * A.size <= n:
         if not A.size:
             return x_unc.copy()
         held, key, face = cand[A], A.tobytes(), qp.face
@@ -266,16 +265,16 @@ def _newton_point(qp, q, x_unc, active, cand):
             if info == 0:
                 face.last = key, c
         if info == 0:
-            Y = np.zeros(qp.dim)  # S[:, A] y = S Y with Y = y on A
+            Y = np.zeros(n)  # S[:, A] y = S Y with Y = y on A
             Y[A] = y
-            x = x_unc + qp.times(qp.inv, Y)
+            x = x_unc + _times(qp.inv, Y, qp.slabs)
             x[A] = held
             return x
     x = np.where(active, cand, 0.0)
     F = (~active).nonzero()[0]
     if not F.size:
         return x
-    a, b = qp.principal(qp.P, F), -q[F] - qp.times(qp.P, x)[F]  # x is 0 on F
+    a, b = qp.principal(qp.P, F), -q[F] - _times(qp.P, x, qp.slabs)[F]  # x is 0 on F
     c, xf, info = dposv(a, b)
     if info != 0 or qp.inv is None and c.diagonal().min() ** 2 <= 1e-12 * a.diagonal().max():
         xf, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -286,82 +285,93 @@ def _newton_point(qp, q, x_unc, active, cand):
     return x
 
 
-def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None):
+def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
-    Checks in order: bounds that no finite x meets (`infeasible_bounds`), an
-    empty QP, a non-finite q (ValueError), the closed form x_unc = -`qp.inv` q
-    if in the box (`iterations` 0, no objective history). Newton starts from
-    project(x0), else the projected closed form, else 0; each iteration pins
-    the entries within the box's band of a bound whose gradient points out
-    of the box, minimizes over the free entries (`_newton_point`) and takes
-    an Armijo step along the projection arc, one even from an optimal start.
-    A full step lands on its face's Newton point, whatever the start: a
-    closer start saves iterations, not bits. `objective_history` holds the
-    start objective and one entry per iteration; `iterations` counts those
-    after the first, `schur_reused` the Newton points on the held factor.
-    The solve runs in the slab order (`BoxQp.order`).
+    `q` is the linear term of this solve (`qp.q` if None; ValueError unless
+    of q's shape). Checks in order: bounds that no finite x meets
+    (`infeasible_bounds`), an empty QP, a non-finite q (ValueError), the
+    closed form x_unc = -`qp.inv` q if in the box (`iterations` 0, no
+    objective history). Newton starts from project(x0), else the projected
+    closed form, else 0; each iteration pins the entries within the box's
+    band of a bound whose gradient points out of the box, minimizes over the
+    free entries (`_newton_point`) and takes an Armijo step along the
+    projection arc, one even from an optimal start. A full step lands on its
+    face's Newton point, whatever the start: a closer start saves
+    iterations, not bits. `objective_history` holds the start objective and
+    one entry per iteration; `iterations` counts those after the first,
+    `schur_reused` the Newton points on the held factor. The solve runs in
+    the slab order (`BoxQp.order`), its products inline when P is one class.
     """
-    n = qp.dim
-    if qp.infeasible:
+    n, infeasible, order, unorder, shape, P, S, slabs, box, face = qp.plan
+    if q is None:
+        q = qp.q
+    elif (q := np.asarray(q, dtype=float)).shape != (n,):
+        raise ValueError(f"q has shape {q.shape}, expected ({n},)")
+    if infeasible:
         return QpSolution(np.full(n, np.nan), "infeasible_bounds", np.inf, 0,
                           message="no finite x within the bounds")
     if n == 0:
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
-    q = qp.to_slabs(qp.q)
+    if order is not None:
+        q = q[order]
     if np.count_nonzero(np.isfinite(q)) < n:  # before any product with q can warn
         raise ValueError("q must contain only finite values")
-    lo, hi, band, lo_tol, hi_tol = qp.box
-
-    def kkt(x, grad):  # max |x - project(x - grad)|
-        return np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
-
-    if qp.inv is None:
+    lo, hi, band, lo_tol, hi_tol = box
+    if S is None:
         x_unc = np.zeros(n)
     else:
-        x_unc = -qp.times(qp.inv, q)
+        x_unc = -(q.reshape(shape).dot(S).ravel() if shape else _times(S, q, slabs))
         if np.count_nonzero(x_unc >= lo_tol) == n and np.count_nonzero(x_unc <= hi_tol) == n:
             x = np.minimum(np.maximum(x_unc, lo), hi)
-            grad = qp.times(qp.P, x) + q
-            res = kkt(x, grad)
+            grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
+            # max |x - project(x - grad)|
+            res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
             if res <= tol:
-                return QpSolution(qp.from_slabs(x), "optimal", res, 0, 0.5 * x.dot(grad + q))
-    x = np.minimum(np.maximum(
-        x_unc if x0 is None else qp.to_slabs(np.asarray(x0, dtype=float)), lo), hi)
+                return QpSolution(x if order is None else x[unorder], "optimal", res, 0,
+                                  0.5 * x.dot(grad + q))
+    if x0 is None:
+        x0 = x_unc
+    elif order is not None:
+        x0 = np.asarray(x0, dtype=float)[order]
+    x = np.minimum(np.maximum(x0, lo), hi)
 
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
-    grad = qp.times(qp.P, x) + q
+    grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
-    face, reused = qp.face, qp.face.reused  # the slot's count before this solve
-    status, why = "max_iterations", f"{max_iter} iterations"
+    reused, moved = face.reused, True  # the slot's count before this solve
     for _ in range(max_iter):
         # an infinite bound is never within the band: x - -inf is inf, or nan
         at_lo = (x - lo <= band) & (grad >= 0)
         at_hi = (hi - x <= band) & (grad <= 0)
         # a candidate of bounds: _newton_point reads only its held entries
         newton = _newton_point(qp, q, x_unc, at_lo | at_hi, np.where(at_hi, hi, lo))
-        for k in range(53):  # Armijo steps 1, 1/2, ... with a rounding slack
-            xa = np.minimum(np.maximum(x + 0.5 ** k * (newton - x) if k else newton, lo), hi)
-            ga = qp.times(qp.P, xa) + q
+        xa = np.minimum(np.maximum(newton, lo), hi)  # the full step first
+        for k in range(1, 54):  # then Armijo steps 1/2, 1/4, ... with a rounding slack
+            ga = (xa.reshape(shape).dot(P).ravel() if shape else _times(P, xa, slabs)) + q
             fa = 0.5 * xa.dot(ga + q)
             if fa <= fx + 1e-4 * grad.dot(xa - x) + 1e-15 * abs(fx):
                 break
+            xa = np.minimum(np.maximum(x + 0.5 ** k * (newton - x), lo), hi)
         else:  # no descent step: stay
             xa, ga, fa = x, grad, fx
         moved = fa < fx or not np.array_equal(xa, x)
         x, grad, fx = xa, ga, fa
         history.append(fx)
-        res = kkt(x, grad)
+        res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
         if res <= tol:
-            return QpSolution(qp.from_slabs(x), "optimal", res, len(history) - 2, fx,
-                              objective_history=history, schur_reused=face.reused - reused)
+            return QpSolution(x if order is None else x[unorder], "optimal", res,
+                              len(history) - 2, fx, objective_history=history,
+                              schur_reused=face.reused - reused)
         if not moved:
-            status, why = "stalled", "no descent step"
             break
-    res = kkt(x, grad)
-    return QpSolution(qp.from_slabs(x), status, res, max(len(history) - 2, 0), fx,
+    status, why = (("max_iterations", f"{max_iter} iterations") if moved
+                   else ("stalled", "no descent step"))
+    res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
+    return QpSolution(x if order is None else x[unorder], status, res,
+                      max(len(history) - 2, 0), fx,
                       message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
                       objective_history=history, schur_reused=face.reused - reused)
 

@@ -146,7 +146,7 @@ class _CentralizedCache(_Controller):
     def solve(self, initial_states):
         """Input plans, one (T, m) array per agent, from the measured states."""
         q = self.G @ np.concatenate(initial_states)
-        sol = solve_box_qp(self.qp.with_q(q), tol=self.qp_tol, x0=self.warm)
+        sol = solve_box_qp(self.qp, tol=self.qp_tol, x0=self.warm, q=q)
         if sol.status != "optimal":
             raise SolverFailure(None, None, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star

@@ -258,7 +258,7 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
     def spy_solve(qp, **kw):
         sol = solve(qp, **kw)
         x = sol.x_star
-        kkt = np.max(np.abs(x - np.clip(x - (qp.dense() @ x + qp.q), qp.lower, qp.upper)))
+        kkt = np.max(np.abs(x - np.clip(x - (qp.dense() @ x + kw["q"]), qp.lower, qp.upper)))
         solves.append((sol.status, kkt, kw["tol"]))
         return sol
 

@@ -78,13 +78,6 @@ def test_empty_qp_has_no_blocks():
     assert qp.blocks == () and solve_box_qp(qp).status == "optimal"
 
 
-def test_with_q_keeps_the_blocks():
-    P, _ = block_diagonal(np.random.default_rng(1), [3, 1, 2])
-    qp = BoxQp(P, np.zeros(6), -np.ones(6), np.ones(6))
-    assert len(qp.blocks) == 3
-    assert qp.with_q(np.ones(6)).blocks is qp.blocks
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8),
        st.integers(0, 2**32 - 1))
@@ -115,9 +108,10 @@ def test_block_qps_match_their_blocks_solved_alone(sizes, seed):
         assert np.max(np.abs(sol.x_star[i] - alone.x_star)) <= 1e-9
 
 
-def kkt(qp, x):
-    """Projected-gradient residual, formed here rather than by BoxQp."""
-    g = qp.dense() @ x + qp.q
+def kkt(qp, x, q=None):
+    """Projected-gradient residual, formed here rather than by BoxQp, for
+    linear term q (`qp.q` if None)."""
+    g = qp.dense() @ x + (qp.q if q is None else q)
     return float(np.max(np.abs(x - np.minimum(np.maximum(x - g, qp.lower), qp.upper))))
 
 
@@ -134,7 +128,7 @@ def test_closed_loop_x_updates_on_unlike_agents_are_kkt(monkeypatch):
 
     def spy(qp, **kw):
         sol = solve(qp, **kw)
-        seen.append((len(qp.blocks[0]), sol, kkt(qp, sol.x_star)))
+        seen.append((len(qp.blocks[0]), sol, kkt(qp, sol.x_star, kw["q"])))
         return sol
 
     monkeypatch.setattr(admm, "solve_box_qp", spy)

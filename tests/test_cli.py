@@ -148,11 +148,38 @@ def test_agent_overrides():
     ("", "missing required section"),
     ("[graph]\nn 2\n=\n", "line 3: no key"),
     ("[graph]\nn 2\n[mpc]\nt 5\n", "unknown key 't'"),
+    # every setting but u_max must be finite (nan fails as not positive)
+    ("[graph]\nn 2\nedge 1 2\n[agents]\nts inf\n", "line 5: ts must be positive and finite"),
+    ("[graph]\nn 2\nedge 1 2\n[agents]\nmass inf\n", "line 5: mass must be positive and finite"),
+    ("[graph]\nn 2\nedge 1 2\n[agents]\nagent 2 inf 1\n",
+     "line 5: mass must be positive and finite"),
+    ("[graph]\nn 2\nedge 1 2\n[mpc]\nrho inf\n", "line 5: rho must be positive and finite"),
+    ("[graph]\nn 2\nedge 1 2\n[sim]\nnoise_variance inf\n",
+     "line 5: noise_variance must be finite and >= 0"),
+    ("[graph]\nn 2\nedge 1 2\n[sim]\npos_range -inf inf\n", "line 5: pos_range lower bound"),
+    ("[graph]\nn 2\nedge 1 2\n[sim]\nvel_range -1 inf\n", "line 5: vel_range lower bound"),
+    ("[graph]\nn 2\nedge 1 2\n[sim]\nvel_range nan 1\n", "line 5: vel_range lower bound"),
+    ("[graph]\nn 2\nedge 1 2\n[output]\nformats\n", "line 5: formats expects one or more"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert fragment in str(exc.value)
+
+
+def test_unbounded_input_parses():
+    cfg = parse_config("[graph]\nn 2\nedge 1 2\n[agents]\nu_max inf\nagent 2 2.0 inf\n")
+    assert cfg.sim.u_max == np.inf and cfg.agent_overrides == {2: (2.0, np.inf)}
+    assert all(a.u_max == np.inf for a in cfg.agents())
+
+
+def test_simulate_with_no_output_format_writes_nothing(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_config(tmp_path, GOOD + "\n[output]\nformats\n"),
+              "--out", str(out)])
+    assert "formats expects one or more of csv, json" in str(exc.value)
+    assert not out.exists()
 
 
 def test_parse_error_reports_line_number():

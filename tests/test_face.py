@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg.lapack import dposv, dpotrs
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_classes import box_qp, repeated_blocks  # noqa: E402
 from test_reuse import unlike_agents_on_a_random_graph, untimed  # noqa: E402
 
@@ -19,7 +19,7 @@ from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  
                   path_graph, run_closed_loop, solve_box_qp)
 from dmpc import admm, qp as qp_module  # noqa: E402
 from dmpc.admm import QpCounters, _NetworkMap  # noqa: E402
-from dmpc.qp import _newton_point  # noqa: E402
+from dmpc.qp import _newton_point, diagonal_blocks  # noqa: E402
 from dmpc.simulation import admm_engine, default_agents  # noqa: E402
 
 
@@ -42,14 +42,32 @@ def test_dpotrs_on_the_factor_of_dposv_gives_its_solution():
 
 
 def solve_sequence(qp, qs, fresh):
-    """Each q's solution, warm-started at the previous one, on copies of `qp`
-    through with_q or, with `fresh`, on QPs built anew from its P and box."""
+    """Each q's solution, warm-started at the previous one, on `qp` with q
+    passed to the solve or, with `fresh`, on QPs built anew from its P, q
+    and box."""
     sols, x0 = [], None
     for q in qs:
-        one = BoxQp(qp.dense(), q, qp.lower, qp.upper) if fresh else qp.with_q(q)
-        sols.append(solve_box_qp(one, tol=1e-10, max_iter=5000, x0=x0))
-        x0 = sols[-1].x_star
+        if fresh:
+            sol = solve_box_qp(BoxQp(qp.dense(), q, qp.lower, qp.upper), tol=1e-10, x0=x0)
+        else:
+            sol = solve_box_qp(qp, tol=1e-10, x0=x0, q=q)
+        sols.append(sol)
+        x0 = sol.x_star
     return sols
+
+
+def with_open_and_pinned_entries(rng, qp):
+    """`qp` with about a quarter of its entries held at a bound (lower =
+    upper) and a quarter unbounded on one side or both; the entries of a
+    singular block keep their finite box, so every QP has a minimizer."""
+    lo, hi = qp.lower.copy(), qp.upper.copy()
+    spd = np.concatenate([i for idx, Pb in diagonal_blocks(qp.dense()) for i, b in zip(idx, Pb)
+                          if np.linalg.eigvalsh(b).min() > 1e-9])
+    pick = rng.uniform(size=spd.size)
+    hi[spd[pick < 0.25]] = lo[spd[pick < 0.25]]
+    lo[spd[(pick > 0.75) & (pick < 0.9)]] = -np.inf
+    hi[spd[pick >= 0.85]] = np.inf
+    return BoxQp(qp.dense(), qp.q, lo, hi)
 
 
 # (size, count) per distinct block: n stays below 40
@@ -57,18 +75,24 @@ kinds = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=1, ma
 
 
 @settings(max_examples=40, deadline=None)
-@given(kinds, st.booleans(), st.integers(0, 2**32 - 1))
-def test_solves_through_with_q_equal_solves_on_fresh_qps(kinds, singular, seed):
+@given(kinds, st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+# two positive definite classes and a singular one on permuted indices, open and pinned entries
+@example([(5, 3), (3, 2)], True, True, 4)
+def test_solves_with_q_passed_equal_solves_on_fresh_qps(kinds, singular, edges, seed):
     rng = np.random.default_rng(seed)
     P, _ = repeated_blocks(rng, kinds, singular)
     qp = box_qp(rng, P)
+    if edges:
+        qp = with_open_and_pinned_entries(rng, qp)
+    q_built = qp.q.copy()
     # small moves of q, as between ADMM iterations, repeat active sets
     qs = [qp.q + 0.05 * rng.standard_normal(qp.dim) for _ in range(8)]
     shared, fresh = solve_sequence(qp, qs, fresh=False), solve_sequence(qp, qs, fresh=True)
+    assert same_bits(qp.q, q_built)  # a solve's q is its own
     for a, b in zip(shared, fresh):
-        assert a.status == b.status
+        assert (a.status, a.iterations, a.message) == (b.status, b.iterations, b.message)
         assert same_bits(a.x_star, b.x_star)
-        assert a.kkt_residual == b.kkt_residual
+        assert same_bits([a.kkt_residual, a.objective], [b.kkt_residual, b.objective])
         assert same_bits(a.objective_history, b.objective_history)
         assert b.schur_reused == 0  # a fresh QP holds no factor yet
     if singular:  # no inverse, no Schur solve: the slot stays empty
@@ -92,7 +116,7 @@ def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
     A, c = qp.face.last
     assert A == active.nonzero()[0].tobytes()
     cand = rng.uniform(-1.0, 1.0, qp.dim)
-    x = _newton_point(qp.with_q(qp.q), q, x_unc, active, cand)
+    x = _newton_point(qp, q, x_unc, active, cand)
     assert calls == [1] and qp.face.reused == 1 and qp.face.last == (A, c)
     fresh = BoxQp(P, qp.q, qp.lower, qp.upper)
     assert same_bits(x, _newton_point(fresh, q, x_unc, active, cand))
@@ -107,14 +131,15 @@ def test_slab_order_round_trips_on_a_permuted_multi_class_qp(monkeypatch):
     P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
     qp = box_qp(rng, P)
     assert len(qp.P) == 2 and qp.order is not None
+    flipped = BoxQp(P, -qp.q, qp.lower, qp.upper)
     # the inverse permutation is found once, when the QP is built
     monkeypatch.setattr(qp_module.np, "argsort", None)
     x = rng.standard_normal(qp.dim)
-    assert same_bits(qp.from_slabs(qp.to_slabs(x)), x)
-    assert same_bits(qp.to_slabs(qp.from_slabs(x)), x)
-    assert qp.with_q(-qp.q).unorder is qp.unorder
-    sol = solve_box_qp(qp, tol=1e-10)
-    assert sol.status == "optimal" and qp.kkt_residual(sol.x_star) <= 1e-10
+    assert same_bits(x[qp.order][qp.unorder], x)
+    assert same_bits(x[qp.unorder][qp.order], x)
+    for ref in (qp, flipped):
+        sol = solve_box_qp(qp, tol=1e-10, q=ref.q)
+        assert sol.status == "optimal" and ref.kkt_residual(sol.x_star) <= 1e-10
 
 
 def test_threads_solving_copies_of_one_qp_get_fresh_results():
@@ -133,7 +158,7 @@ def test_threads_solving_copies_of_one_qp_get_fresh_results():
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(
-                lambda i: solve_box_qp(qp.with_q(qs[i % 16]), tol=1e-10, x0=starts[i % 16]),
+                lambda i: solve_box_qp(qp, tol=1e-10, x0=starts[i % 16], q=qs[i % 16]),
                 range(512), timeout=60))
     finally:
         sys.setswitchinterval(interval)
@@ -141,12 +166,13 @@ def test_threads_solving_copies_of_one_qp_get_fresh_results():
     assert sum(sol.schur_reused for sol in got) > 0
 
 
-def test_copies_share_the_slot_and_qps_built_apart_do_not():
+def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     rng = np.random.default_rng(1)
     P, _ = repeated_blocks(rng, [(4, 2)], False)
     qp = box_qp(rng, P)
-    assert qp.with_q(-qp.q).face is qp.face
-    assert qp.with_q(qp.q).with_q(2 * qp.q).face is qp.face
+    face = qp.face
+    sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-1.0, 1.0, 2.0)]
+    assert qp.face is face and face.reused == sum(s.schur_reused for s in sols)
     table = {}
     a = BoxQp(P, qp.q, qp.lower, qp.upper, table)
     b = BoxQp(P, qp.q, qp.lower, qp.upper, table)
@@ -218,3 +244,28 @@ def test_a_given_engine_forgets_its_faces():
             assert reused(log) == reused(ref)
     finally:
         engine.close()
+
+
+def test_every_x_update_solves_on_its_agents_own_qp(monkeypatch):
+    # no QP is built per solve: each call gets one of the network map's
+    # QPs, with its linear term passed in
+    g = path_graph(5)
+    cfg = SimConfig(num_steps=3)
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
+    engine = admm_engine(g, agents, cfg, x0)
+    qps = [cache.qp for cache in engine.net.caches]
+    seen = []
+    solve = admm.solve_box_qp
+
+    def spy(qp, **kwargs):
+        seen.append(next(i for i, own in enumerate(qps + [qp]) if own is qp))
+        return solve(qp, **kwargs)
+
+    monkeypatch.setattr(admm, "solve_box_qp", spy)
+    try:
+        log = run_closed_loop(g, cfg, agents=agents, initial_states=x0, engine=engine)
+    finally:
+        engine.close()
+    assert log.aborted_at is None
+    assert seen == list(range(5)) * (3 * cfg.admm_iterations)

@@ -198,17 +198,19 @@ def test_centralized_beats_zero_input_plan():
     assert cost <= zero_cost + 1e-9
 
 
-def test_with_q_swaps_only_the_linear_term():
+def test_q_of_a_solve_replaces_only_its_linear_term():
     rng = np.random.default_rng(31)
     qp = random_psd_qp(rng, 4)
     q_before = qp.q.copy()
     q = rng.standard_normal(4)
-    new = qp.with_q(q)
-    assert new.P is qp.P and new.lower is qp.lower and new.upper is qp.upper
-    assert np.array_equal(new.q, q) and np.array_equal(qp.q, q_before)
+    sol = solve_box_qp(qp, tol=1e-12, q=q)
+    ref = solve_box_qp(BoxQp(qp.dense(), q, qp.lower, qp.upper), tol=1e-12)
+    assert sol.x_star.tobytes() == ref.x_star.tobytes() and sol.objective == ref.objective
+    assert np.array_equal(qp.q, q_before)
+    assert solve_box_qp(qp, q=list(q)).x_star.tobytes() == sol.x_star.tobytes()
     for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
         with pytest.raises(ValueError, match="shape"):
-            qp.with_q(bad)
+            solve_box_qp(qp, q=bad)
 
 
 def test_closed_form_solution_fields():
@@ -247,4 +249,4 @@ def test_nonfinite_q_fails_cleanly(P, lower, upper, bad):
         warnings.simplefilter("error")  # no RuntimeWarning from products with q
         for x0 in (None, np.zeros(3)):
             with pytest.raises(ValueError, match="finite"):
-                solve_box_qp(qp.with_q(q), x0=x0)
+                solve_box_qp(qp, x0=x0, q=q)

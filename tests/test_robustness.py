@@ -60,7 +60,7 @@ def test_extreme_settings_complete_with_kkt_x_updates(monkeypatch, solver, g, ov
 
     def spy(qp, **kw):
         sol = solve(qp, **kw)
-        seen.append((sol.status, kkt(qp, sol.x_star)))
+        seen.append((sol.status, kkt(qp, sol.x_star, kw["q"])))
         return sol
 
     monkeypatch.setattr(admm, "solve_box_qp", spy)
