@@ -5,17 +5,15 @@ local costs in parallel, the consensus vector is refreshed by component
 averaging, then every agent takes a dual step. Reduction order is fixed
 by agent index so parallel runs reproduce serial results bitwise.
 
-The x-update works on the whole network at once through one network map
-(`_NetworkMap`): every agent's sparse condensing map stacked
-block-diagonally. One sparse product per iteration gives every agent's
-condensed gradient q, each agent then solves only its own box QP
-(`_AgentCache.solve`), and one more product turns the stacked minimizers
-into the stacked local vectors. The per-agent solve times that runs report
-time those QPs alone, and each run counts its QPs by path (`QpCounters`).
-The agents' QPs share one class table, so a diagonal block of P that
-several agents hold is checked and inverted once.
-An engine's problems and maps are built once and never copied; a new MPC
-step rebinds only the network map's offset c and the static part of q.
+One engine (`AdmmEngine`) per agent set holds the stacking of the agents'
+local vectors, the network map (every agent's sparse condensing map stacked
+block-diagonally), the agents' QPs, their counters and the thread pool.
+Per iteration, one sparse product gives every agent's condensed gradient q,
+each agent solves only its own box QP (`_AgentCache.solve`, timed alone),
+and one more product turns the minimizers into local vectors. The QPs share
+one class table, so a block of P that several agents hold is inverted once.
+Dual decomposition's x-update is ADMM's at rho = 0 (Boyd et al. 2011, §2.2
+and §3.1), so it runs on an engine built at rho = 0.
 """
 
 import math
@@ -33,13 +31,14 @@ from .qp import BoxQp, solve_box_qp
 
 
 class SolverFailure(RuntimeError):
-    """A QP of a controller step ended other than optimal.
-
-    `agent` and `iteration` are None for the centralized QP.
+    """A QP of a controller step ended other than optimal, or dual
+    decomposition diverged. `agent` and `iteration` are None for the
+    centralized QP; `agent` alone is None when dual decomposition diverged.
     """
 
     def __init__(self, agent, iteration, detail):
-        where = ("centralized QP" if agent is None
+        where = ("centralized QP" if iteration is None
+                 else f"dual decomposition diverging at iteration {iteration}" if agent is None
                  else f"subproblem of agent {agent} failed at iteration {iteration}")
         super().__init__(f"{where}: {detail}")
         self.agent = agent
@@ -85,13 +84,6 @@ def residuals(diff, dz, counts, rho):
     """Primal: copy disagreement ||x - E z||, from diff = x - E z.
     Dual: scaled z motion rho ||E dz||, from dz = z - z_prev."""
     return math.sqrt(diff @ diff), rho * math.sqrt(np.add.reduce(counts * dz * dz))
-
-
-def _stacking(problems, maps):
-    """E = concat(global_idx) and each agent's slice of a stacked vector."""
-    E = np.concatenate([m.global_idx for m in maps])
-    ends = np.cumsum([p.dim for p in problems])
-    return E, [slice(e - p.dim, e) for p, e in zip(problems, ends)]
 
 
 def _block_diagonal(blocks):
@@ -168,7 +160,7 @@ class _AgentCache:
     to the network's class table, the warm start of its next solve, the
     QpSolution of its last (`last`) and that QP's wall time (`seconds`). The
     condensing maps that turn the agent's linear term into q and its
-    minimizer into a local vector live in the network map (`_NetworkMap`)."""
+    minimizer into a local vector live in the engine's network map."""
 
     def __init__(self, problem, P, qp_tol, table):
         self.owner = problem.owner
@@ -188,48 +180,65 @@ class _AgentCache:
         return sol.x_star
 
 
-class _NetworkMap:
-    """Every agent's condensing map stacked into one block-diagonal map.
+class AdmmEngine:
+    """ADMM over a fixed set of subproblems, on one network map.
 
-    Agent i's local vector is x_i = M_i u_i + c_i over its condensed inputs
-    u_i, so the stacked local vectors are x = M u + c with M = diag(M_i),
-    the only copy of the agents' CSR arrays; only c depends on the measured
-    states, to which set-up binds the problems' own. The x-update
-    of ADMM (and, at rho = 0, of dual decomposition) minimizes each local
-    cost plus v_i'x_i + (rho/2)||x_i||^2: its condensed linear term is
-    q = M'((H + rho I)c + v) with H = diag(H_i), so every agent's q is one
-    sparse product with M' per iteration, and its static part, once per
-    step, one more with H + rho I (`H_rho`). Each x-update adds its QPs to
-    `counts`, which a run resets. Each agent's
+    x_cat and lam_cat stack the agents' local vectors in agent order;
+    E = concat(global_idx) maps each entry to its z component, which
+    `counts` copies share. Agent i's local vector is x_i = M_i u_i + c_i
+    over its condensed inputs u_i, so x = M u + c with M = diag(M_i), the
+    only copy of the agents' CSR arrays; only c depends on the measured
+    states. The x-update minimizes each local cost plus
+    v_i'x_i + (rho/2)||x_i||^2, whose condensed linear term is
+    q = M'((H + rho I)c + v) with H = diag(H_i): one product with M' per
+    iteration, and its static part one more with H + rho I per step. Each
     P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
-    of which only the diagonal blocks of each P_i are densified.
+    of which only P_i's own diagonal blocks are densified. Each x-update
+    adds its QPs to the QpCounters `qps`, which a run resets. Set-up binds
+    c to the problems' own states, which they keep; `rebind_states` rebinds
+    it, so one engine serves any number of closed loops on the same agents.
+    At rho = 0 it serves `run_dual_decomposition`; `run` needs rho > 0.
     """
 
-    def __init__(self, problems, rho, qp_tol):
-        self.problems = problems
-        self.pred = predictions(problems)
-        maps = [condensing_matrix(p, self.pred) for p in problems]
-        ends = np.cumsum([M.shape[1] for M in maps])
-        self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(maps, ends)]
-        self.M = _block_diagonal(maps)
-        del maps  # M holds the only copy
+    def __init__(self, problems, maps, rho, qp_tol=1e-6, parallel=False):
+        if not rho >= 0:  # nan too
+            raise ValueError(f"rho must be nonnegative, got {rho}")
+        self.problems = list(problems)
+        self.rho, self.qp_tol = rho, qp_tol
+        self.E = np.concatenate([m.global_idx for m in maps])
+        self.counts = copy_counts(maps, self.E.max() + 1)
+        self.pred = predictions(self.problems)
+        Ms = [condensing_matrix(p, self.pred) for p in self.problems]
+        ends = np.cumsum([M.shape[0] for M in Ms])
+        self.slices = [slice(e - M.shape[0], e) for M, e in zip(Ms, ends)]
+        ends = np.cumsum([M.shape[1] for M in Ms])
+        self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(Ms, ends)]
+        self.M = _block_diagonal(Ms)
+        del Ms  # M holds the only copy
         self.Mt = self.M.T.tocsr()
-        self.H_rho = _block_diagonal([p.H for p in problems]) \
+        self.H_rho = _block_diagonal([p.H for p in self.problems]) \
             + rho * sparse.eye_array(self.M.shape[0], format="csr")
         P, table = condensed_hessian(self.H_rho, self.M, self.Mt, ends), {}
-        self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(problems, P)]
-        self.counts = QpCounters()
-        self.rebind_states({j - 1: x for p in problems for j, x in zip(p.members, p.x0)})
+        self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(self.problems, P)]
+        self.qps = QpCounters()
+        self._bind({j - 1: x for p in self.problems for j, x in zip(p.members, p.x0)})
+        workers = min(len(self.problems), os.cpu_count() or 1)
+        self.pool = ThreadPoolExecutor(max_workers=workers) if parallel else None
 
     def rebind_states(self, states):
-        """c and the static part of q, M'(H + rho I)c, for measured states,
-        agent j's at states[j - 1]."""
+        """Plan from measured states, agent j's at states[j - 1]; ValueError
+        names the first agent whose state is not finite."""
+        check_finite_states(states)
+        self._bind(states)
+
+    def _bind(self, states):
+        """c and the static part of q, M'(H + rho I)c, for the states."""
         self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
         self.q_static = self.Mt @ (self.H_rho @ self.c)
 
     def cold_start(self, faces=False):
         """Drop every agent's QP warm start and, with `faces`, the Newton
-        factor its QP holds, as on a map built afresh."""
+        factor its QP holds, as on an engine built afresh."""
         for cache in self.caches:
             cache.warm = None
             if faces:
@@ -241,37 +250,8 @@ class _NetworkMap:
         q = self.q_static + self.Mt @ v
         us = list(solve_all(_AgentCache.solve, self.caches, [q[s] for s in self.u_slices],
                             [k] * len(self.caches)))
-        self.counts.add(self.caches)
+        self.qps.add(self.caches)
         return self.M @ np.concatenate(us) + self.c
-
-
-class AdmmEngine:
-    """Runs Algorithm-style ADMM sweeps over a fixed set of subproblems.
-
-    The iteration works on stacked vectors: x_cat and lam_cat concatenate
-    the agents' local vectors in agent order and E = concat(global_idx)
-    maps each entry to its z component. The problems keep the states they
-    were built at; `rebind_states` rebinds only the network map, so one
-    engine serves any number of closed loops on the same agents.
-    """
-
-    def __init__(self, problems, maps, rho, z_dim=None, qp_tol=1e-6, parallel=False):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        self.problems = list(problems)
-        self.maps = list(maps)
-        self.rho = rho
-        self.qp_tol = qp_tol
-        self.z_dim = z_dim if z_dim is not None else int(max(m.global_idx.max() for m in maps) + 1)
-        self.counts = copy_counts(self.maps, self.z_dim)
-        self.E, self.slices = _stacking(self.problems, self.maps)
-        self.net = _NetworkMap(self.problems, rho, qp_tol)
-        workers = min(len(self.problems), os.cpu_count() or 1)
-        self.pool = ThreadPoolExecutor(max_workers=workers) if parallel else None
-
-    def rebind_states(self, initial_states):
-        check_finite_states(initial_states)
-        self.net.rebind_states(initial_states)
 
     def close(self):
         """Shut down the thread pool of parallel agents, if any."""
@@ -282,24 +262,26 @@ class AdmmEngine:
             track_dual_average=False):
         """Up to max_iter iterations from `init` (lam = 0, z = 0 if None);
         a run of zero iterations returns the copies of z as its plans."""
-        if init is None:
-            init = AdmmState(lam=np.zeros(self.E.size), z=np.zeros(self.z_dim))
+        if not self.rho > 0:
+            raise ValueError("run needs rho > 0; at rho = 0 use run_dual_decomposition")
         E, counts, rho = self.E, self.counts, self.rho
+        if init is None:
+            init = AdmmState(lam=np.zeros(E.size), z=np.zeros(counts.size))
         lam_cat, z = init.lam, init.z
         x_cat = zE = z[E]
         solve_all = map if self.pool is None else self.pool.map
-        qps = self.net.counts = QpCounters()
+        qps = self.qps = QpCounters()
         history = []
         max_viol = 0.0 if track_dual_average else None
         converged = False
         for k in range(1, max_iter + 1):
-            x_cat = self.net.x_update(lam_cat - rho * zE, k, solve_all)
+            x_cat = self.x_update(lam_cat - rho * zE, k, solve_all)
             z_prev = z
             z = z_update(x_cat, E, counts)
             zE = z[E]
             lam_cat, diff = dual_update(lam_cat, x_cat, zE, rho)
             if track_dual_average:
-                lam_sum = np.bincount(E, weights=lam_cat, minlength=self.z_dim)
+                lam_sum = np.bincount(E, weights=lam_cat, minlength=counts.size)
                 max_viol = max(max_viol, float(np.max(np.abs(lam_sum), initial=0.0)))
             rp, rd = residuals(diff, z - z_prev, counts, rho)
             history.append((k, rp, rd))
@@ -326,11 +308,15 @@ def run_admm(problems, maps, rho, max_iter, eps_primal=0.0, eps_dual=0.0,
 
 # --- dual decomposition baseline -------------------------------------------
 
-def _copy_pairs(problems, E, slices):
+DD_QP_TOL = 1e-8  # the x-update QPs' tolerance in dual decomposition
+
+
+def _copy_pairs(engine):
     """Stacked positions of each copy of a neighbor's block, in agent and
     member order, and of the neighbor's own copy of the same entry."""
+    E = engine.E
     own = np.zeros(E.size, bool)
-    for p, s in zip(problems, slices):
+    for p, s in zip(engine.problems, engine.slices):
         k = p.members.index(p.owner)
         own[s.start + p.state_slice(k, 0).start:s.start + p.input_slice(k, p.T - 1).stop] = True
     own_pos = np.empty(E.max() + 1, dtype=np.intp)
@@ -339,27 +325,26 @@ def _copy_pairs(problems, E, slices):
     return copies, own_pos[E[copies]]
 
 
-def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=None):
+def run_dual_decomposition(engine, alpha, max_iter):
     """Unaugmented dual ascent on the copy-consistency constraints.
 
     Each copy of a neighbor's block must equal the neighbor's own copy,
     with one multiplier per copied entry; the x-update is ADMM's at
-    rho = 0. `alpha` maps iteration k (1-based) to a step size. History
-    records the disagreement norm per iteration; runs abort if it blows
-    up by 1e6 over its initial value. `net` is these problems' network map
-    at rho = 0, already bound to the states to plan from (by default one
-    is built at the problems' own states, its QPs at `qp_tol`); a run
-    starts its QPs cold, as on a map built afresh, and leaves their
-    counters in `net.counts`.
+    rho = 0, so `engine` is an AdmmEngine at rho = 0 (its QPs at
+    DD_QP_TOL), bound to the states to plan from. `alpha` maps iteration
+    k (1-based) to a step size. History records the disagreement norm per
+    iteration; a run raises SolverFailure once it exceeds 1e6 times its
+    initial value. A run starts the QPs cold, as on an engine built
+    afresh, and leaves their counters in `engine.qps`.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    E, slices = _stacking(problems, maps)
-    copies, owners = _copy_pairs(problems, E, slices)
-    if net is None:
-        net = _NetworkMap(problems, 0.0, qp_tol)
-    net.cold_start(faces=True)
-    net.counts = QpCounters()
+    if engine.rho != 0:
+        raise ValueError(f"dual decomposition runs on an engine at rho = 0, not {engine.rho}")
+    E = engine.E
+    copies, owners = _copy_pairs(engine)
+    engine.cold_start(faces=True)
+    engine.qps = QpCounters()
     nu = np.zeros(copies.size)
     history = []
     initial_norm = None
@@ -368,7 +353,7 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=Non
         lin = np.zeros(E.size)
         lin[copies] = nu
         lin -= np.bincount(owners, weights=nu, minlength=E.size)
-        x_cat = net.x_update(lin, k)
+        x_cat = engine.x_update(lin, k)
         r = x_cat[copies] - x_cat[owners]
         nu = nu + alpha(k) * r
         dis = float(np.sqrt(r @ r))
@@ -376,6 +361,5 @@ def run_dual_decomposition(problems, maps, alpha, max_iter, qp_tol=1e-8, net=Non
         if initial_norm is None:
             initial_norm = max(dis, 1e-12)
         if dis > 1e6 * initial_norm:
-            raise RuntimeError(f"dual decomposition diverging: disagreement {dis:.3e} "
-                               f"vs initial {initial_norm:.3e}")
-    return [x_cat[s] for s in slices], history
+            raise SolverFailure(None, k, f"disagreement {dis:.3e} vs initial {initial_norm:.3e}")
+    return [x_cat[s] for s in engine.slices], history

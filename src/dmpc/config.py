@@ -81,8 +81,9 @@ def parse_config(text):
                 if i == j:
                     raise ValueError(f"self-loop on vertex {i}")
                 w = float(args[2]) if len(args) == 3 else 1.0
-                if not w > 0:  # nan too
-                    raise ValueError(f"edge weight must be positive, got {w}")
+                if not 0 < w < inf:  # nan fails as not positive
+                    raise ValueError(f"edge weight must be {'finite' if w > 0 else 'positive'}, "
+                                     f"got {w}")
                 pair = (min(i, j), max(i, j))
                 if pair in edges:
                     raise ValueError(f"duplicate edge {pair}")

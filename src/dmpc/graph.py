@@ -11,7 +11,7 @@ class InfoGraph:
     """Information architecture: which agents may exchange state and plans.
 
     Vertices are numbered 1..num_agents. Edges are unordered pairs with a
-    strictly positive coupling weight.
+    strictly positive, finite coupling weight.
     """
 
     num_agents: int
@@ -29,8 +29,8 @@ class InfoGraph:
             key = (min(i, j), max(i, j))
             if key in canonical:
                 raise ValueError(f"duplicate edge {key}")
-            if not w > 0:
-                raise ValueError(f"edge {key} has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(f"edge {key} has a weight that is not positive and finite: {w}")
             canonical[key] = float(w)
         object.__setattr__(self, "weights", canonical)
 

@@ -9,10 +9,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .admm import AdmmEngine, AdmmState, SolverFailure, _NetworkMap, run_dual_decomposition
+from .admm import DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
-from .problem import (ZLayout, build_centralized_qp, build_local_problems, check_finite_states,
-                      condensed_bounds, condensed_maps, global_cost, input_columns)
+from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
+                      condensed_maps, global_cost, input_columns)
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -111,12 +111,12 @@ class _Controller:
     def close(self):
         pass
 
-    def step_stats(self, counts, t0, iterations, r_primal, r_dual):
+    def step_stats(self, qps, t0, iterations, r_primal, r_dual):
         """A distributed step's stats: its residuals, its wall time since t0
-        and the QpCounters `counts` of its QPs, whose times go to `solve_times`."""
-        self.solve_times.extend(counts.solve_times)
+        and the QpCounters `qps` of its QPs, whose times go to `solve_times`."""
+        self.solve_times.extend(qps.solve_times)
         return {"iterations": iterations, "r_primal": r_primal, "r_dual": r_dual,
-                "wall_time": time.perf_counter() - t0, **counts.stats()}
+                "wall_time": time.perf_counter() - t0, **qps.stats()}
 
 
 def _first_inputs(problems, plans):
@@ -163,9 +163,8 @@ def admm_engine(g, agents, cfg, initial_states):
     """The ADMM engine of a closed loop on `cfg`: the agents' local problems
     at horizon cfg.horizon, built at `initial_states`, and their QPs at
     cfg.rho and cfg.qp_tol, with a thread pool if cfg.parallel_agents."""
-    problems, maps, z_dim = build_local_problems(g, agents, cfg.horizon, initial_states)
-    return AdmmEngine(problems, maps, cfg.rho, z_dim=z_dim, qp_tol=cfg.qp_tol,
-                      parallel=cfg.parallel_agents)
+    problems, maps, _ = build_local_problems(g, agents, cfg.horizon, initial_states)
+    return AdmmEngine(problems, maps, cfg.rho, qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
 
 
 def _check_engine(engine, g, cfg):
@@ -189,7 +188,7 @@ class _AdmmController(_Controller):
             engine = admm_engine(g, agents, cfg, initial_states)
         else:
             _check_engine(engine, g, cfg)
-            engine.net.cold_start(faces=True)
+            engine.cold_start(faces=True)
         self.engine = engine
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
         self.cfg = cfg
@@ -203,7 +202,7 @@ class _AdmmController(_Controller):
         engine = self.engine
         engine.rebind_states(measured)
         if not self.cfg.warm_start:
-            engine.net.cold_start()
+            engine.cold_start()
         result = engine.run(self.cfg.admm_iterations, init=self.warm_state,
                             track_dual_average=self.track_dual_average)
         if self.track_dual_average:
@@ -211,7 +210,7 @@ class _AdmmController(_Controller):
                                               result.max_dual_avg_violation)
         first_inputs = _first_inputs(engine.problems, result.plans)
         _, rp, rd = result.history[-1]
-        stats = self.step_stats(engine.net.counts, t0, len(result.history), rp, rd)
+        stats = self.step_stats(engine.qps, t0, len(result.history), rp, rd)
         if self.cfg.warm_start:
             self.warm_state = _shift_warm_state(result, *self.shift)
         return first_inputs, stats
@@ -222,24 +221,23 @@ class _AdmmController(_Controller):
 
 
 class _DualDecompController(_Controller):
-    """Dual ascent with steps 1/k from cold QPs at every step, on problems and
-    a network map built once and rebound to each measured state."""
+    """Dual ascent with steps 1/k from cold QPs at every step, on one engine
+    at rho = 0, built once and rebound to each measured state."""
 
     def __init__(self, g, agents, cfg, initial_states):
-        self.problems, self.maps, _ = build_local_problems(g, agents, cfg.horizon,
-                                                           initial_states)
-        self.net = _NetworkMap(self.problems, 0.0, 1e-8)  # run_dual_decomposition's qp_tol
+        problems, maps, _ = build_local_problems(g, agents, cfg.horizon, initial_states)
+        self.engine = AdmmEngine(problems, maps, 0.0, qp_tol=DD_QP_TOL)
         self.cfg = cfg
         self.solve_times = array("d")
 
     def plan(self, measured):
         t0 = time.perf_counter()
-        check_finite_states(measured)
-        self.net.rebind_states(measured)
-        plans, history = run_dual_decomposition(
-            self.problems, self.maps, lambda k: 1.0 / k, self.cfg.admm_iterations, net=self.net)
-        return _first_inputs(self.problems, plans), self.step_stats(
-            self.net.counts, t0, len(history), history[-1][1], np.nan)
+        engine = self.engine
+        engine.rebind_states(measured)
+        plans, history = run_dual_decomposition(engine, lambda k: 1.0 / k,
+                                                self.cfg.admm_iterations)
+        return _first_inputs(engine.problems, plans), self.step_stats(
+            engine.qps, t0, len(history), history[-1][1], np.nan)
 
 
 def _shift_indices(layout, E):

@@ -5,7 +5,7 @@ from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized,
                   z_update, dual_update, residuals)
-from dmpc.admm import _NetworkMap
+from dmpc.admm import DD_QP_TOL, AdmmEngine
 from dmpc.problem import ZLayout, copy_counts
 from kkt_oracle import solve_equality_qp
 
@@ -24,6 +24,10 @@ def make_scenario(seed=0, n=3, T=3, u_max=1.0):
     return g, agents, T, x0, probs, maps, z_dim
 
 
+def dd_engine(probs, maps):
+    return AdmmEngine(probs, maps, 0.0, qp_tol=DD_QP_TOL)
+
+
 def per_agent(probs, v):
     """A stacked vector split back into the agents' local vectors."""
     return np.split(v, np.cumsum([p.dim for p in probs])[:-1])
@@ -36,7 +40,7 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     z = 0.1 * rng.standard_normal(z_dim)
     lams = [0.1 * rng.standard_normal(p.dim) for p in probs]
     v = np.concatenate([lam - rho * z[m.global_idx] for m, lam in zip(maps, lams)])
-    x_cat = _NetworkMap(probs, rho, qp_tol=1e-9).x_update(v, 1)
+    x_cat = AdmmEngine(probs, maps, rho, qp_tol=1e-9).x_update(v, 1)
     for p, m, lam, x_new in zip(probs, maps, lams, per_agent(probs, x_cat)):
         z_loc = z[m.global_idx]
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
@@ -52,9 +56,8 @@ def test_x_update_fixed_point_at_convergence():
     res = run_admm(probs, maps, rho=1.0, max_iter=3000,
                    eps_primal=1e-10, eps_dual=1e-10, qp_tol=1e-9)
     assert res.converged
-    E = np.concatenate([m.global_idx for m in maps])
-    x_cat = _NetworkMap(probs, 1.0, qp_tol=1e-9).x_update(res.lam - 1.0 * res.z[E],
-                                                          len(res.history) + 1)
+    engine = AdmmEngine(probs, maps, 1.0, qp_tol=1e-9)
+    x_cat = engine.x_update(res.lam - 1.0 * res.z[engine.E], len(res.history) + 1)
     for x_new, x in zip(per_agent(probs, x_cat), res.plans):
         assert np.max(np.abs(x_new - x)) <= 1e-6
 
@@ -228,7 +231,7 @@ def test_residual_history_length_matches_iterations():
 
 def test_dual_decomposition_zero_step_freezes_multipliers():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=16, n=2, T=2)
-    plans1, hist1 = run_dual_decomposition(probs, maps, lambda k: 0.0, 3)
+    plans1, hist1 = run_dual_decomposition(dd_engine(probs, maps), lambda k: 0.0, 3)
     # with alpha = 0 the multipliers never move, so the disagreement repeats
     assert hist1[0][1] == pytest.approx(hist1[1][1], rel=1e-12)
     assert hist1[1][1] == pytest.approx(hist1[2][1], rel=1e-12)
@@ -237,7 +240,7 @@ def test_dual_decomposition_zero_step_freezes_multipliers():
 def test_dual_decomposition_needs_an_iteration():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=16, n=2, T=2)
     with pytest.raises(ValueError, match="max_iter"):
-        run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 0)
+        run_dual_decomposition(dd_engine(probs, maps), lambda k: 1.0 / k, 0)
 
 
 def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
@@ -251,7 +254,8 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
     agents = [LtiAgent(A, np.array([[0.0, 0.0], [0.1, 0.1]]), u_max=1.0) for _ in range(2)]
     x0 = [np.array([1.0, 0.0]), np.array([-1.0, 0.5])]
     probs, maps, _ = build_local_problems(path_graph(2), agents, 2, x0)
-    assert all(c.qp.inv is None for c in _NetworkMap(probs, 0.0, 1e-8).caches)
+    engine = dd_engine(probs, maps)
+    assert all(c.qp.inv is None for c in engine.caches)
     solves, singular = [], []
     solve, newton_point = admm.solve_box_qp, qp_module._newton_point
 
@@ -275,7 +279,7 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
 
     monkeypatch.setattr(admm, "solve_box_qp", spy_solve)
     monkeypatch.setattr(qp_module, "_newton_point", spy_newton_point)
-    plans, hist = run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 20)
+    plans, hist = run_dual_decomposition(dd_engine(probs, maps), lambda k: 1.0 / k, 20)
     assert [k for k, _ in hist] == list(range(1, 21))
     assert all(np.isfinite(d) for _, d in hist)
     assert all(np.all(np.isfinite(x)) for x in plans)
@@ -286,7 +290,7 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
 
 def test_dual_decomposition_diminishing_steps_converge():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=17, n=2, T=2)
-    plans, hist = run_dual_decomposition(probs, maps, lambda k: 1.0 / k, 500)
+    plans, hist = run_dual_decomposition(dd_engine(probs, maps), lambda k: 1.0 / k, 500)
     assert hist[-1][1] <= 1e-3 * hist[0][1]
 
 
@@ -299,10 +303,9 @@ def test_solver_failure_carries_agent_context():
 
 def test_run_builds_no_new_box_qp(monkeypatch):
     # P and the box are validated once per engine; every x-update only swaps q
-    from dmpc.admm import AdmmEngine
     from dmpc.qp import BoxQp
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=18)
-    engine = AdmmEngine(probs, maps, rho=1.0, z_dim=z_dim)
+    engine = AdmmEngine(probs, maps, rho=1.0)
     calls = []
     orig = BoxQp.__post_init__
     monkeypatch.setattr(BoxQp, "__post_init__", lambda self: calls.append(1) or orig(self))
@@ -320,12 +323,36 @@ def test_result_objective_is_the_final_local_cost():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_measured_state_is_rejected(bad):
-    from dmpc.admm import AdmmEngine
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=20)
     x_bad = [x.copy() for x in x0]
     x_bad[1][4] = bad
     with pytest.raises(ValueError, match="agent 2"):
         build_local_problems(g, agents, T, x_bad)
-    engine = AdmmEngine(probs, maps, rho=1.0, z_dim=z_dim)
+    engine = AdmmEngine(probs, maps, rho=1.0)
     with pytest.raises(ValueError, match="agent 2"):
         engine.rebind_states(x_bad)
+
+
+@pytest.mark.parametrize("rho", [-1.0, np.nan])
+def test_engine_rejects_negative_or_nan_rho(rho):
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=21)
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        AdmmEngine(probs, maps, rho)
+
+
+def test_engine_at_rho_zero_serves_dual_decomposition_only():
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=21)
+    with pytest.raises(ValueError, match="rho > 0"):
+        dd_engine(probs, maps).run(1)
+    with pytest.raises(ValueError, match="rho = 0"):
+        run_dual_decomposition(AdmmEngine(probs, maps, 1.0), lambda k: 1.0 / k, 1)
+
+
+def test_diverging_dual_decomposition_is_a_solver_failure():
+    from dmpc.admm import SolverFailure
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=22, u_max=np.inf)
+    with pytest.raises(SolverFailure) as exc:  # unbounded inputs, the closed loop's steps
+        run_dual_decomposition(dd_engine(probs, maps), lambda k: 1.0 / k, 50)
+    assert exc.value.agent is None and exc.value.iteration > 1
+    assert str(exc.value).startswith(
+        f"dual decomposition diverging at iteration {exc.value.iteration}: disagreement ")

@@ -12,7 +12,7 @@ from dmpc import (BoxQp, InfoGraph, LtiAgent, SimConfig, build_local_problems,  
                   double_integrator_3d, enumerate_box_qp, global_cost, rollout, run_admm,
                   run_closed_loop, solve_box_qp, solve_centralized)
 from dmpc import admm  # noqa: E402
-from dmpc.admm import _NetworkMap  # noqa: E402
+from dmpc.admm import AdmmEngine  # noqa: E402
 from dmpc.problem import ZLayout  # noqa: E402
 from dmpc.qp import diagonal_blocks  # noqa: E402
 
@@ -165,7 +165,7 @@ def triangle_with_axis_coupling_matches_centralized(seed):
         x0.append(x)
     T = 4
     probs, maps, _ = build_local_problems(g, agents, T, x0)
-    for cache in _NetworkMap(probs, 1.0, 1e-8).caches:  # each holds a copy of agent 2's inputs
+    for cache in AdmmEngine(probs, maps, 1.0, 1e-8).caches:  # each holds a copy of agent 2's inputs
         idx, = cache.qp.blocks
         assert idx.shape == (1, 3 * 3 * T)
     res = run_admm(probs, maps, rho=1.0, max_iter=5000, eps_primal=1e-8, eps_dual=1e-8,

@@ -13,7 +13,7 @@ from test_robustness import MIX  # noqa: E402
 
 from dmpc import (BoxQp, InfoGraph, LtiAgent, build_local_problems,  # noqa: E402
                   double_integrator_3d, enumerate_box_qp, path_graph, solve_box_qp)
-from dmpc.admm import _NetworkMap  # noqa: E402
+from dmpc.admm import AdmmEngine  # noqa: E402
 from dmpc.problem import build_centralized_qp  # noqa: E402
 
 
@@ -99,8 +99,8 @@ def test_larger_permuted_class_qps_reach_tol(kinds, singular, seed):
 
 def network(agents):
     x0 = [np.zeros(a.n) for a in agents]
-    probs, _, _ = build_local_problems(path_graph(len(agents)), agents, 10, x0)
-    return _NetworkMap(probs, 1.0, 1e-8).caches
+    probs, maps, _ = build_local_problems(path_graph(len(agents)), agents, 10, x0)
+    return AdmmEngine(probs, maps, 1.0, 1e-8).caches
 
 
 def test_identical_agents_share_one_inverse():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,7 @@ def test_agent_overrides():
     ("[graph]\nn 2\nedge 1 1\n", "self-loop"),
     ("[graph]\nn 2\nedge 1 2 -1\n", "positive"),
     ("[graph]\nn 2\nedge 1 2 nan\n", "line 3: edge weight must be positive, got nan"),
+    ("[graph]\nn 2\nedge 1 2 inf\n", "line 3: edge weight must be finite, got inf"),
     ("[graph]\nn 2\nedge 1 3\n", "out of range"),
     ("[graph]\nn 0\n", ">= 1"),
     ("[graph]\nn 2\nedge 1 2\n[mpc]\nsolver quantum\n", "solver must be"),
@@ -293,6 +295,22 @@ def test_simulate_reports_why_it_aborted(tmp_path, capsys, monkeypatch):
     assert "step 0" in err and "agent 1" in err and "stalled" in err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["aborted_at"] == 0 and "stalled" in summary["abort_reason"]
+
+
+def test_simulate_reports_diverging_dual_decomposition(tmp_path, capsys):
+    # unbounded inputs let the 1/k dual steps blow the disagreement up
+    out = tmp_path / "dd"
+    text = "[graph]\nn 3\nedge 1 2\nedge 2 3\n[agents]\nu_max inf\n[sim]\nsteps 3\n"
+    argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]
+    assert main(argv + ["--solver", "dual_decomp"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: solver failure at step 0: dual decomposition diverging at "
+                        r"iteration \d+: disagreement \S+ vs initial \S+; partial log written\n",
+                        err)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted_at"] == 0 and summary["num_steps_completed"] == 0
+    assert summary["abort_reason"] in err
+    assert (out / "trajectory.csv").read_text().count("\n") == 2  # comment and header
 
 
 def test_simulate_rejects_bad_override(tmp_path):

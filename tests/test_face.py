@@ -18,7 +18,7 @@ from test_reuse import unlike_agents_on_a_random_graph, untimed  # noqa: E402
 from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  # noqa: E402
                   path_graph, run_closed_loop, solve_box_qp)
 from dmpc import admm, qp as qp_module  # noqa: E402
-from dmpc.admm import QpCounters, _NetworkMap  # noqa: E402
+from dmpc.admm import AdmmEngine, QpCounters  # noqa: E402
 from dmpc.qp import _newton_point, diagonal_blocks  # noqa: E402
 from dmpc.simulation import admm_engine, default_agents  # noqa: E402
 
@@ -178,11 +178,11 @@ def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     b = BoxQp(P, qp.q, qp.lower, qp.upper, table)
     assert a.inv[0] is b.inv[0]  # one class, one inverse
     assert a.face is not b.face and a.face is not qp.face
-    # the agents of one network map share classes, never a slot
+    # the agents of one engine share classes, never a slot
     x0 = [np.zeros(6)] * 5
-    probs, _, _ = build_local_problems(path_graph(5), default_agents(path_graph(5), SimConfig()),
-                                       10, x0)
-    caches = _NetworkMap(probs, 1.0, 1e-8).caches
+    probs, maps, _ = build_local_problems(path_graph(5),
+                                          default_agents(path_graph(5), SimConfig()), 10, x0)
+    caches = AdmmEngine(probs, maps, 1.0, 1e-8).caches
     assert caches[1].qp.inv[0] is caches[2].qp.inv[0]
     assert len({id(c.qp.face) for c in caches}) == len(caches)
 
@@ -247,14 +247,14 @@ def test_a_given_engine_forgets_its_faces():
 
 
 def test_every_x_update_solves_on_its_agents_own_qp(monkeypatch):
-    # no QP is built per solve: each call gets one of the network map's
+    # no QP is built per solve: each call gets one of the engine's
     # QPs, with its linear term passed in
     g = path_graph(5)
     cfg = SimConfig(num_steps=3)
     agents = default_agents(g, cfg)
     x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
     engine = admm_engine(g, agents, cfg, x0)
-    qps = [cache.qp for cache in engine.net.caches]
+    qps = [cache.qp for cache in engine.caches]
     seen = []
     solve = admm.solve_box_qp
 

@@ -91,3 +91,9 @@ def test_invalid_graphs_rejected():
         InfoGraph(3, {(1, 2): 1.0, (2, 1): 1.0})
     with pytest.raises(ValueError):
         InfoGraph(0)
+
+
+@pytest.mark.parametrize("w", [np.inf, np.nan, -np.inf, -1.0])
+def test_weights_must_be_positive_and_finite(w):
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) has a weight that is not positive"):
+        InfoGraph(3, {(2, 1): w})

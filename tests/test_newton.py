@@ -143,7 +143,7 @@ def test_tight_qp_tol_cold_admm_completes(monkeypatch):
     g = path_graph(5)
     cfg = SimConfig()
     x0 = draw_initial_states(g, cfg, np.random.default_rng(2))
-    probs, maps, z_dim = build_local_problems(g, default_agents(g, cfg), 10, x0)
+    probs, maps, _ = build_local_problems(g, default_agents(g, cfg), 10, x0)
     seen = []
     solve = admm.solve_box_qp
 
@@ -153,6 +153,6 @@ def test_tight_qp_tol_cold_admm_completes(monkeypatch):
         return sol
 
     monkeypatch.setattr(admm, "solve_box_qp", spy)
-    res = AdmmEngine(probs, maps, 1.0, z_dim=z_dim, qp_tol=1e-9).run(60)
+    res = AdmmEngine(probs, maps, 1.0, qp_tol=1e-9).run(60)
     assert len(res.history) == 60 and len(seen) == 5 * 60
     assert all(status == "optimal" and r <= 1e-9 for status, r in seen)

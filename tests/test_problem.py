@@ -3,7 +3,7 @@ import pytest
 
 from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
                   global_cost, path_graph, solve_box_qp)
-from dmpc.admm import _NetworkMap
+from dmpc.admm import AdmmEngine
 from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
                           condensed_maps, condensing_matrix, copy_counts, predictions)
 from dmpc.verify import random_connected_graph
@@ -196,11 +196,11 @@ def test_augment_value_matches_term_by_term():
     z = rng.standard_normal(z_dim)
     lam = rng.standard_normal(p.dim)
     rho = 1.7
-    # agent 0's q from the network map, with a zero linear term for agent 1
-    net = _NetworkMap(probs, rho, qp_tol=1e-9)
+    # agent 0's q from the engine's network map, with a zero linear term for agent 1
+    engine = AdmmEngine(probs, maps, rho, qp_tol=1e-9)
     v = np.concatenate([lam - rho * z[m.global_idx], np.zeros(probs[1].dim)])
-    q = (net.q_static + net.Mt @ v)[net.u_slices[0]]
-    M, c, P = net.M[:p.dim, net.u_slices[0]], net.c[:p.dim], net.caches[0].qp.dense()
+    q = (engine.q_static + engine.Mt @ v)[engine.u_slices[0]]
+    M, c, P = engine.M[:p.dim, engine.u_slices[0]], engine.c[:p.dim], engine.caches[0].qp.dense()
 
     def augmented(x):
         d = x - z[m.global_idx]

@@ -1,5 +1,5 @@
-"""Set-up built once and rebound: one ADMM engine per sweep trial, one network
-map per dual-decomposition loop, and the per-step QP counters of every loop."""
+"""Set-up built once and rebound: one ADMM engine per sweep trial, one engine
+at rho = 0 per dual-decomposition loop, and the per-step QP counters of every loop."""
 
 import importlib.util
 from collections import Counter
@@ -139,27 +139,26 @@ def test_dual_decomposition_loop_rebinds_one_network_map(monkeypatch):
     g, cfg = path_graph(5), small_cfg(solver_kind="dual_decomp", num_steps=3, horizon=10,
                                       admm_iterations=30)
     built = []
-    init = admm._NetworkMap.__init__
+    init = admm.AdmmEngine.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(admm._NetworkMap, "__init__", counted)
+    monkeypatch.setattr(admm.AdmmEngine, "__init__", counted)
     log = run_closed_loop(g, cfg)
     assert log.aborted_at is None and len(built) == 1
     # each step equals a run on problems built afresh at its measured state
     agents = default_agents(g, cfg)
     for t in range(cfg.num_steps):
         probs, maps, _ = build_local_problems(g, agents, cfg.horizon, list(log.states[t]))
-        net = admm._NetworkMap(probs, 0.0, 1e-8)
-        plans, history = run_dual_decomposition(probs, maps, lambda k: 1.0 / k,
-                                                cfg.admm_iterations, net=net)
+        engine = admm.AdmmEngine(probs, maps, 0.0, qp_tol=admm.DD_QP_TOL)
+        plans, history = run_dual_decomposition(engine, lambda k: 1.0 / k, cfg.admm_iterations)
         first = np.clip(_first_inputs(probs, plans), -cfg.u_max, cfg.u_max)
         assert np.array_equal(first, log.inputs[t])
         stats = untimed([log.solver_stats[t]])[0]
         assert stats == {"iterations": cfg.admm_iterations, "r_primal": history[-1][1],
-                         "r_dual": stats["r_dual"], **untimed([net.counts.stats()])[0]}
+                         "r_dual": stats["r_dual"], **untimed([engine.qps.stats()])[0]}
 
 
 def unlike_agents_on_a_random_graph():

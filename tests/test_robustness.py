@@ -1,5 +1,6 @@
 """Residual-converged ADMM against the centralized solve on random graphs with
-agents that are not all alike, and closed loops under extreme settings."""
+agents that are not all alike, with the dual-average and cost-decomposition
+invariants on the same scenarios, and closed loops under extreme settings."""
 
 import numpy as np
 import pytest
@@ -33,8 +34,15 @@ def test_converged_admm_equals_centralized_on_random_graphs(scenario, mixed):
         x0.append(x)
     probs, maps, _ = build_local_problems(g, agents, T, x0)
     res = run_admm(probs, maps, rho=1.0, max_iter=5000, eps_primal=1e-8, eps_dual=1e-8,
-                   qp_tol=1e-8)
+                   qp_tol=1e-8, track_dual_average=True)
     assert res.converged
+    # the mapped duals of every z component sum to zero after each iteration
+    assert res.max_dual_avg_violation <= 1e-9
+    # cost decomposition: the local costs of any z's copies sum to its global cost
+    z = rng.standard_normal(res.z.size)
+    states, inputs = ZLayout(agents, T).decode(z)
+    ref = global_cost(g, states, inputs)
+    assert abs(sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps)) - ref) <= 1e-9 * ref
     plans_c, cost_c = solve_centralized(g, agents, T, x0, tol=1e-10)
     _, u_admm = ZLayout(agents, T).decode(res.z)
     # criterion 1's tolerances

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
                   double_integrator_3d, run_dual_decomposition)
-from dmpc.admm import (AdmmResult, _AgentCache, _NetworkMap, dual_update,  # noqa: E402
+from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, dual_update,  # noqa: E402
                        residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
                           predictions)
@@ -101,22 +101,23 @@ def consistency_pairs(probs):
 def recorded_dual_decomposition(probs, maps, alpha, max_iter):
     """run_dual_decomposition with every agent x-update's (k, v, x) recorded:
     k from the agent's QP solve, its linear term v and local vector x from
-    its slices of the network map's stacked x-update of iteration k."""
+    its slices of the engine's stacked x-update of iteration k."""
     ks, updates = [], []
-    solve, x_update = _AgentCache.solve, _NetworkMap.x_update
+    solve, x_update = _AgentCache.solve, AdmmEngine.x_update
 
     def solve_spy(cache, q, k):
         ks.append(k)
         return solve(cache, q, k)
 
-    def x_update_spy(net, v, k, *args):
-        x_cat = x_update(net, v, k, *args)
+    def x_update_spy(engine, v, k, *args):
+        x_cat = x_update(engine, v, k, *args)
         updates.append((v.copy(), x_cat))
         return x_cat
 
     with mock.patch.object(_AgentCache, "solve", solve_spy), \
-            mock.patch.object(_NetworkMap, "x_update", x_update_spy):
-        plans, history = run_dual_decomposition(probs, maps, alpha, max_iter)
+            mock.patch.object(AdmmEngine, "x_update", x_update_spy):
+        plans, history = run_dual_decomposition(AdmmEngine(probs, maps, 0.0, DD_QP_TOL),
+                                                alpha, max_iter)
     agent = agent_slices(probs) * max_iter  # the i-th solve is agent i mod N's
     calls = [(k, updates[k - 1][0][s], updates[k - 1][1][s]) for k, s in zip(ks, agent)]
     return plans, history, calls
@@ -193,7 +194,7 @@ def test_dual_decomposition_first_iterate_is_the_local_optimum(scenario):
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, maps, _ = build_local_problems(g, agents, T, x0)
-    plans, _ = run_dual_decomposition(probs, maps, lambda k: 0.0, 1)
+    plans, _ = run_dual_decomposition(AdmmEngine(probs, maps, 0.0, DD_QP_TOL), lambda k: 0.0, 1)
     for p, x in zip(probs, plans):
         A_eq, b_eq = p.dynamics_equalities()
         x_ref = solve_equality_qp(p.H.toarray(), np.zeros(p.dim), A_eq, b_eq)
@@ -253,13 +254,13 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     g, agents, T, rho, seed = scenario
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
-    probs, _, _ = build_local_problems(g, agents, T, x0)
-    net = _NetworkMap(probs, rho, qp_tol=1e-8)
-    for p, s, cache, us in zip(probs, agent_slices(probs), net.caches, net.u_slices):
-        H, M, c = p.H.toarray(), net.M[s, us].toarray(), net.c[s]
+    probs, maps, _ = build_local_problems(g, agents, T, x0)
+    engine = AdmmEngine(probs, maps, rho, qp_tol=1e-8)
+    for p, s, cache, us in zip(probs, agent_slices(probs), engine.caches, engine.u_slices):
+        H, M, c = p.H.toarray(), engine.M[s, us].toarray(), engine.c[s]
         P = M.T @ H @ M + rho * (M.T @ M)
         assert close(cache.qp.dense(), 0.5 * (P + P.T), 1e-12)
-        assert close(net.q_static[us], M.T @ (H @ c) + rho * (M.T @ c), 1e-12)
+        assert close(engine.q_static[us], M.T @ (H @ c) + rho * (M.T @ c), 1e-12)
     central = _CentralizedCache(g, agents, T, x0, qp_tol=1e-8)
     H, M = central.block.H.toarray(), central.M.toarray()
     P = M.T @ H @ M
@@ -303,17 +304,17 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, maps, z_dim = build_local_problems(g, agents, T, x0)
     pred = predictions(probs)
-    net = _NetworkMap(probs, rho, qp_tol=1e-8)
+    engine = AdmmEngine(probs, maps, rho, qp_tol=1e-8)
     dense = [dense_map(p, pred) for p in probs]
     # each agent's block is its dense map, and there is nothing outside the blocks
-    ref = np.zeros(net.M.shape)
-    for s, us, D in zip(agent_slices(probs), net.u_slices, dense):
+    ref = np.zeros(engine.M.shape)
+    for s, us, D in zip(agent_slices(probs), engine.u_slices, dense):
         ref[s, us] = D
-    assert np.array_equal(net.M.toarray(), ref)
+    assert np.array_equal(engine.M.toarray(), ref)
 
     # one x-update: q and x against the per-agent dense formulas
     x1 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
-    net.rebind_states(x1)
+    engine.rebind_states(x1)
     v = rng.standard_normal(sum(p.dim for p in probs))
     solved = []
     solve = _AgentCache.solve
@@ -324,7 +325,7 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
         return u
 
     with mock.patch.object(_AgentCache, "solve", spy):
-        x_cat = net.x_update(v, 1)
+        x_cat = engine.x_update(v, 1)
     for p, s, D, (q, u) in zip(probs, agent_slices(probs), dense, solved):
         c = np.zeros(p.dim)
         for pos, j in enumerate(p.members):
@@ -337,7 +338,7 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
     # serial and thread-parallel engines agree bitwise
     results = []
     for parallel in (False, True):
-        engine = AdmmEngine(probs, maps, rho, z_dim=z_dim, qp_tol=1e-8, parallel=parallel)
+        engine = AdmmEngine(probs, maps, rho, qp_tol=1e-8, parallel=parallel)
         try:
             engine.rebind_states(x1)
             results.append(engine.run(4))
@@ -364,8 +365,8 @@ def test_rebound_engine_equals_engine_built_at_the_new_states(scenario):
     rebound.rebind_states(x1)
     # the problems are not copied: they keep the states they were built at
     assert all(a is b for a, b in zip(rebound.problems, problems))
-    assert rebound.net.c.tobytes() == built.net.c.tobytes()
-    assert rebound.net.q_static.tobytes() == built.net.q_static.tobytes()
+    assert rebound.c.tobytes() == built.c.tobytes()
+    assert rebound.q_static.tobytes() == built.q_static.tobytes()
     ra, rb = rebound.run(4), built.run(4)
     assert ra.z.tobytes() == rb.z.tobytes()
     assert ra.lam.tobytes() == rb.lam.tobytes()
