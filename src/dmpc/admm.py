@@ -242,7 +242,7 @@ class AdmmEngine:
         for cache in self.caches:
             cache.warm = None
             if faces:
-                cache.qp.face.last = None
+                cache.qp.face = None
 
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:

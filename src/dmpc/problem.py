@@ -246,15 +246,15 @@ def global_cost(g, state_traj, input_traj):
 
 
 def predictions(problems):
-    """Per member agent, computed once each: Phi, Gam and Gam's nonzeros as
-    (count per row, column, value), row by row."""
+    """Per member agent, computed once each: Phi and the nonzeros of Gam as
+    (count per row, column, value), row by row; the dense Gam is not kept."""
     pred = {}
     for p in problems:
         for j, mdl in zip(p.members, p.models):
             if j not in pred:
                 Phi, Gam = prediction_matrices(mdl, p.T)
                 rows, cols = np.nonzero(Gam)
-                pred[j] = Phi, Gam, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
+                pred[j] = Phi, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
     return pred
 
 
@@ -276,7 +276,7 @@ def condensing_matrix(p, pred):
     an identity on its input rows, which follow them."""
     counts, indices, data = [], [], []
     for j, cols in zip(p.members, input_columns(p)):
-        (count, gcols, vals), cols = pred[j][2], cols.reshape(-1)
+        (count, gcols, vals), cols = pred[j][1], cols.reshape(-1)
         counts += [count, np.ones(cols.size, int)]
         indices += [cols[gcols], cols]
         data += [vals, np.ones(cols.size)]

@@ -8,16 +8,16 @@ class. The closed form is x_unc = -S q. A Newton step holding the active
 entries A at h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more
 than half the entries are held, or P has no inverse, it solves the free
 rows P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
-the next, so each QP keeps the Cholesky factor of its last S_AA (`_Face`):
+the next, so each QP keeps the Cholesky factor of its last S_AA (`face`):
 the same A again costs one triangular solve pair, bit for bit the same.
 
 One solve path: a QP is built once and each solve passes its own q
-(`solve_box_qp(qp, q=q)`), so the face slot is the QP's. A solve is
-straight-line numpy on what the QP bound when it was built (`BoxQp.plan`).
+(`solve_box_qp(qp, q=q)`). A solve is straight-line numpy on what the QP
+fixed when it was built (`BoxQp.plan`); it changes only the face slot.
 """
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -80,21 +80,6 @@ def _principal(m, J, s):
     return out
 
 
-class _Face:
-    """A QP's last Newton face solved through S_AA: `last` is the pair
-    (A's bytes, the Cholesky factor of S_AA that dposv returned), replaced
-    and read as one tuple, so a solve never pairs an A with another face's
-    factor; `reused` counts the Newton points solved on a held factor (a
-    count that solves on one QP's copies in several threads at once may
-    miss, as no lock guards it)."""
-
-    __slots__ = ("last", "reused")
-
-    def __init__(self):
-        self.last, self.reused = None, 0
-
-
-@dataclass(frozen=True)
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
@@ -110,32 +95,23 @@ class BoxQp:
     order, Newton's pin `band` (1e-9 of the box width if both bounds are
     finite, else 1e-9) and the closed form's box, 1e-12 wider.
     `infeasible`: no finite x meets the bounds (a lower bound exceeds its
-    upper bound, or an entry's bounds are both -inf or both +inf).
-    `face`: the last Newton face's factor (`_Face`), one slot that every
-    solve on this QP reads and a QP built apart never shares. `plan`: what
-    a solve reads, bound once (n, infeasible, order, unorder, the (k, s)
-    shape if P is one class else None, P and inv as that one block or as
-    the classes' tuples, slabs, box, face).
+    upper bound, or an entry's bounds are both -inf or both +inf). `plan`:
+    what a solve reads, fixed when the QP is built (n, infeasible, order,
+    unorder, the (k, s) shape if P is one class else None, P and inv as
+    that one block or as the classes' tuples, slabs, box). The face slot,
+    which every solve on this QP reads and a QP built apart never shares:
+    `face`, None or the pair (A's bytes, the Cholesky factor of S_AA that
+    dposv returned) of the last Newton face solved through S_AA, replaced
+    and read as one tuple, so a solve never pairs an A with another face's
+    factor; `reused`, the count of Newton points solved on a held factor.
     """
 
-    P: tuple
-    q: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    table: InitVar[dict] = None
-    blocks: tuple = field(init=False, repr=False, compare=False)
-    inv: tuple = field(init=False, repr=False, compare=False)
-    order: np.ndarray = field(init=False, repr=False, compare=False)
-    unorder: np.ndarray = field(init=False, repr=False, compare=False)
-    slabs: tuple = field(init=False, repr=False, compare=False)
-    box: tuple = field(init=False, repr=False, compare=False)
-    infeasible: bool = field(init=False, repr=False, compare=False)
-    face: _Face = field(init=False, repr=False, compare=False)
-    plan: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("P", "q", "lower", "upper", "blocks", "inv", "order", "unorder", "slabs",
+                 "box", "infeasible", "plan", "face", "reused")
 
-    def __post_init__(self, table):
-        q, lo, hi = (np.asarray(v, dtype=float) for v in (self.q, self.lower, self.upper))
-        n, groups = q.shape[0], self.P
+    def __init__(self, P, q, lower, upper, table=None):
+        q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
+        n, groups = q.shape[0], P
         if not isinstance(groups, tuple):  # a matrix; blocks come symmetrized
             groups = groups if sparse.issparse(groups) else np.asarray(groups, dtype=float)
             if groups.shape != (n, n):
@@ -161,22 +137,19 @@ class BoxQp:
         lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
         finite = np.isfinite(lo_s) & np.isfinite(hi_s)  # hi - lo only there: never inf - inf
         band = 1e-9 * np.maximum(np.subtract(hi_s, lo_s, out=np.ones(n), where=finite), 1.0)
-        for name, value in (
-                ("P", tuple(c.P for c in classes)), ("q", q), ("lower", lo), ("upper", hi),
-                ("blocks", blocks), ("order", order),
-                ("unorder", None if order is None else np.argsort(order)),
-                ("inv", tuple(c.inv for c in classes) if invertible else None),
-                ("slabs", tuple((e - b.size, e, b.shape)
-                                for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))),
-                ("box", (lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12)),
-                ("infeasible", bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())),
-                ("face", _Face())):
-            object.__setattr__(self, name, value)
+        self.P, self.q, self.lower, self.upper = tuple(c.P for c in classes), q, lo, hi
+        self.blocks, self.order = blocks, order
+        self.unorder = None if order is None else np.argsort(order)
+        self.inv = tuple(c.inv for c in classes) if invertible else None
+        self.slabs = tuple((e - b.size, e, b.shape)
+                           for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))
+        self.box = lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12
+        self.infeasible = bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())
+        self.face, self.reused = None, 0
         P, S, shape = self.P, self.inv, None
         if len(P) == 1:  # one class: every product is one (k, s)(s, s) dot
             P, S, shape = P[0], None if S is None else S[0], self.slabs[0][2]
-        object.__setattr__(self, "plan", (n, self.infeasible, order, self.unorder, shape, P, S,
-                                          self.slabs, self.box, self.face))
+        self.plan = n, self.infeasible, order, self.unorder, shape, P, S, self.slabs, self.box
 
     @property
     def dim(self):
@@ -234,7 +207,7 @@ class QpSolution:
     objective: float = np.nan
     message: str = ""
     objective_history: list = field(default_factory=list)
-    schur_reused: int = 0  # Newton points solved on the QP's held factor (`_Face`)
+    schur_reused: int = 0  # Newton points solved on the QP's held factor (`BoxQp.face`)
 
 
 def _newton_point(qp, q, x_unc, active, cand):
@@ -256,14 +229,13 @@ def _newton_point(qp, q, x_unc, active, cand):
         if not A.size:
             return x_unc.copy()
         held, key, face = cand[A], A.tobytes(), qp.face
-        last = face.last
-        if last is not None and last[0] == key:
-            y, info = dpotrs(last[1], held - x_unc[A])
-            face.reused += 1
+        if face is not None and face[0] == key:
+            y, info = dpotrs(face[1], held - x_unc[A])
+            qp.reused += 1
         else:
             c, y, info = dposv(qp.principal(qp.inv, A), held - x_unc[A])
             if info == 0:
-                face.last = key, c
+                qp.face = key, c
         if info == 0:
             Y = np.zeros(n)  # S[:, A] y = S Y with Y = y on A
             Y[A] = y
@@ -292,7 +264,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     of q's shape). Checks in order: bounds that no finite x meets
     (`infeasible_bounds`), an empty QP, a non-finite q (ValueError), the
     closed form x_unc = -`qp.inv` q if in the box (`iterations` 0, no
-    objective history). Newton starts from project(x0), else the projected
+    objective history), then an x0 not of q's shape (ValueError), before
+    Newton reads it. Newton starts from project(x0), else the projected
     closed form, else 0; each iteration pins the entries within the box's
     band of a bound whose gradient points out of the box, minimizes over the
     free entries (`_newton_point`) and takes an Armijo step along the
@@ -303,7 +276,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     `schur_reused` the Newton points on the held factor. The solve runs in
     the slab order (`BoxQp.order`), its products inline when P is one class.
     """
-    n, infeasible, order, unorder, shape, P, S, slabs, box, face = qp.plan
+    n, infeasible, order, unorder, shape, P, S, slabs, box = qp.plan
     if q is None:
         q = qp.q
     elif (q := np.asarray(q, dtype=float)).shape != (n,):
@@ -332,8 +305,10 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
                                   0.5 * x.dot(grad + q))
     if x0 is None:
         x0 = x_unc
+    elif (x0 := np.asarray(x0, dtype=float)).shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
     elif order is not None:
-        x0 = np.asarray(x0, dtype=float)[order]
+        x0 = x0[order]
     x = np.minimum(np.maximum(x0, lo), hi)
 
     # every point's gradient is formed once and serves its objective
@@ -341,7 +316,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
-    reused, moved = face.reused, True  # the slot's count before this solve
+    reused, moved = qp.reused, True  # the slot's count before this solve
     for _ in range(max_iter):
         # an infinite bound is never within the band: x - -inf is inf, or nan
         at_lo = (x - lo <= band) & (grad >= 0)
@@ -364,7 +339,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
         if res <= tol:
             return QpSolution(x if order is None else x[unorder], "optimal", res,
                               len(history) - 2, fx, objective_history=history,
-                              schur_reused=face.reused - reused)
+                              schur_reused=qp.reused - reused)
         if not moved:
             break
     status, why = (("max_iterations", f"{max_iter} iterations") if moved
@@ -373,7 +348,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     return QpSolution(x if order is None else x[unorder], status, res,
                       max(len(history) - 2, 0), fx,
                       message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
-                      objective_history=history, schur_reused=face.reused - reused)
+                      objective_history=history, schur_reused=qp.reused - reused)
 
 
 def enumerate_box_qp(qp, max_dim=8):

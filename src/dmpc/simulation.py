@@ -11,8 +11,8 @@ from scipy import sparse
 
 from .admm import DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
-from .problem import (ZLayout, build_centralized_qp, build_local_problems, condensed_bounds,
-                      condensed_maps, global_cost, input_columns)
+from .problem import (ZLayout, build_centralized_qp, build_local_problems, check_finite_states,
+                      condensed_bounds, condensed_maps, global_cost, input_columns)
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -144,9 +144,14 @@ class _CentralizedCache(_Controller):
         self.warm = None
 
     def solve(self, initial_states):
-        """Input plans, one (T, m) array per agent, from the measured states."""
+        """Input plans, one (T, m) array per agent, from the measured states;
+        ValueError names the first agent whose state is not finite."""
         q = self.G @ np.concatenate(initial_states)
-        sol = solve_box_qp(self.qp, tol=self.qp_tol, x0=self.warm, q=q)
+        try:
+            sol = solve_box_qp(self.qp, tol=self.qp_tol, x0=self.warm, q=q)
+        except ValueError:  # a q that is not finite: name the agent whose state made it so
+            check_finite_states(initial_states)
+            raise
         if sol.status != "optimal":
             raise SolverFailure(None, None, f"{sol.status}: {sol.message}")
         self.warm = sol.x_star

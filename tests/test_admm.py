@@ -307,8 +307,8 @@ def test_run_builds_no_new_box_qp(monkeypatch):
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=18)
     engine = AdmmEngine(probs, maps, rho=1.0)
     calls = []
-    orig = BoxQp.__post_init__
-    monkeypatch.setattr(BoxQp, "__post_init__", lambda self: calls.append(1) or orig(self))
+    orig = BoxQp.__init__
+    monkeypatch.setattr(BoxQp, "__init__", lambda self, *a: calls.append(1) or orig(self, *a))
     res = engine.run(6)
     assert len(res.solve_times) == len(probs) * 6
     assert calls == []

@@ -134,18 +134,21 @@ def test_unlike_agents_form_classes_of_their_own():
 
 def array_bytes(obj, seen):
     """Bytes of the distinct array buffers reachable through tuples and
-    attributes, and the largest array's entry count."""
+    attributes (an instance's `__dict__` and its classes' `__slots__`), and
+    the largest array's entry count."""
     if isinstance(obj, np.ndarray):
         base = obj if obj.base is None else obj.base
         if id(base) in seen:
             return 0, obj.size
         seen.add(id(base))
         return base.nbytes, base.size
-    if isinstance(obj, (tuple, list)) or hasattr(obj, "__dict__"):
-        parts = [array_bytes(o, seen) for o in (obj if isinstance(obj, (tuple, list))
-                                                 else vars(obj).values())]
-        return sum(b for b, _ in parts), max((s for _, s in parts), default=0)
-    return 0, 0
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    else:
+        slots = [s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ())]
+        items = [*getattr(obj, "__dict__", {}).values(), *(getattr(obj, s, None) for s in slots)]
+    parts = [array_bytes(o, seen) for o in items]
+    return sum(b for b, _ in parts), max((s for _, s in parts), default=0)
 
 
 def test_centralized_qp_of_a_10x10_grid_holds_no_dense_p():
@@ -158,5 +161,8 @@ def test_centralized_qp_of_a_10x10_grid_holds_no_dense_p():
     del P
     assert n == 3000 and [idx.shape for idx in qp.blocks] == [(3, 1000)]
     nbytes, largest = array_bytes(qp, set())
+    assert nbytes > 0  # the walk reached the QP's arrays
     assert largest < n * n  # dense P, its inverse or an n x n pattern took 72 MB each
     assert nbytes <= 50e6
+    # P's one (1000, 1000) class and its inverse, 8 MB each; blocks, q, bounds and box, 24 kB each
+    assert (nbytes, largest) == (16_168_000, 1_000_000)

@@ -96,9 +96,9 @@ def test_solves_with_q_passed_equal_solves_on_fresh_qps(kinds, singular, edges, 
         assert same_bits(a.objective_history, b.objective_history)
         assert b.schur_reused == 0  # a fresh QP holds no factor yet
     if singular:  # no inverse, no Schur solve: the slot stays empty
-        assert qp.face.last is None and qp.face.reused == 0
+        assert qp.face is None and qp.reused == 0
         assert all(s.schur_reused == 0 for s in shared)
-    assert qp.face.reused == sum(s.schur_reused for s in shared)
+    assert qp.reused == sum(s.schur_reused for s in shared)
 
 
 def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
@@ -112,18 +112,18 @@ def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
     calls = []
     monkeypatch.setattr(qp_module, "dpotrs", lambda *a: calls.append(1) or dpotrs(*a))
     _newton_point(qp, q, x_unc, active, rng.uniform(-1.0, 1.0, qp.dim))
-    assert calls == [] and qp.face.reused == 0
-    A, c = qp.face.last
+    assert calls == [] and qp.reused == 0
+    A, c = qp.face
     assert A == active.nonzero()[0].tobytes()
     cand = rng.uniform(-1.0, 1.0, qp.dim)
     x = _newton_point(qp, q, x_unc, active, cand)
-    assert calls == [1] and qp.face.reused == 1 and qp.face.last == (A, c)
+    assert calls == [1] and qp.reused == 1 and qp.face == (A, c)
     fresh = BoxQp(P, qp.q, qp.lower, qp.upper)
     assert same_bits(x, _newton_point(fresh, q, x_unc, active, cand))
     # another face replaces the held one
     active[active.nonzero()[0][0]] = False
     _newton_point(qp, q, x_unc, active, cand)
-    assert calls == [1] and qp.face.last[0] == active.nonzero()[0].tobytes()
+    assert calls == [1] and qp.face[0] == active.nonzero()[0].tobytes()
 
 
 def test_slab_order_round_trips_on_a_permuted_multi_class_qp(monkeypatch):
@@ -170,21 +170,29 @@ def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     rng = np.random.default_rng(1)
     P, _ = repeated_blocks(rng, [(4, 2)], False)
     qp = box_qp(rng, P)
-    face = qp.face
-    sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-1.0, 1.0, 2.0)]
-    assert qp.face is face and face.reused == sum(s.schur_reused for s in sols)
+    # at these scales of q each solve takes one Newton step through S_AA
+    sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-0.3, 0.3, 0.3)]
+    held, count = qp.face, qp.reused
+    assert held is not None and count == sum(s.schur_reused for s in sols) > 0
     table = {}
     a = BoxQp(P, qp.q, qp.lower, qp.upper, table)
     b = BoxQp(P, qp.q, qp.lower, qp.upper, table)
     assert a.inv[0] is b.inv[0]  # one class, one inverse
-    assert a.face is not b.face and a.face is not qp.face
+    assert (a.face, a.reused) == (b.face, b.reused) == (None, 0)  # a new QP's slot is empty
+    # a solve fills its own QP's slot only
+    solve_box_qp(a, tol=1e-10, q=0.3 * qp.q)
+    assert a.face is not None and (b.face, b.reused) == (None, 0)
+    assert qp.face is held and qp.reused == count
     # the agents of one engine share classes, never a slot
     x0 = [np.zeros(6)] * 5
     probs, maps, _ = build_local_problems(path_graph(5),
                                           default_agents(path_graph(5), SimConfig()), 10, x0)
     caches = AdmmEngine(probs, maps, 1.0, 1e-8).caches
     assert caches[1].qp.inv[0] is caches[2].qp.inv[0]
-    assert len({id(c.qp.face) for c in caches}) == len(caches)
+    one = caches[1].qp
+    solve_box_qp(one, tol=1e-8, q=np.random.default_rng(0).standard_normal(one.dim))
+    assert one.face is not None
+    assert all((c.qp.face, c.qp.reused) == (None, 0) for c in caches if c.qp is not one)
 
 
 def reused(log):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -211,6 +212,19 @@ def test_q_of_a_solve_replaces_only_its_linear_term():
     for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
         with pytest.raises(ValueError, match="shape"):
             solve_box_qp(qp, q=bad)
+
+
+@pytest.mark.parametrize("P", [np.eye(3), np.array([[2.0, 0, 1], [0, 1, 0], [1, 0, 2]])],
+                         ids=["own-order", "slab-order"])
+def test_a_warm_start_of_the_wrong_shape_is_rejected(P):
+    # the closed form lies outside the box, so Newton reads x0
+    qp = BoxQp(P, np.full(3, 10.0), -np.ones(3), np.ones(3))
+    assert (qp.order is None) == (P[0, 2] == 0.0)
+    assert solve_box_qp(qp, x0=[0.5, 0.5, 0.5]).status == "optimal"
+    for bad in ([0.5], 0.5, [0.1, 0.2], np.zeros(4), np.zeros((3, 1))):
+        shape = re.escape(f"x0 has shape {np.shape(bad)}, expected (3,)")
+        with pytest.raises(ValueError, match=shape):
+            solve_box_qp(qp, x0=bad)
 
 
 def test_closed_form_solution_fields():

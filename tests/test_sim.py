@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, draw_initial_states,
-                  draw_noise, iteration_sweep, path_graph, performance_ratio, run_closed_loop)
+                  draw_noise, iteration_sweep, path_graph, performance_ratio, run_closed_loop,
+                  solve_centralized)
 from dmpc import admm, simulation
 from dmpc.simulation import _CentralizedCache, default_agents
 
@@ -276,6 +277,20 @@ def test_solver_failure_aborts_with_its_reason(monkeypatch, module, kind, fragme
     assert log.aborted_at == 0
     assert all(f in log.abort_reason for f in fragments), log.abort_reason
     assert log.states.shape[0] == 1 and log.inputs.shape[0] == 0
+
+
+@pytest.mark.parametrize("kind", ["admm", "dual_decomp", "centralized", "solve_centralized"])
+def test_a_nonfinite_state_is_rejected_naming_its_agent(kind):
+    g = path_graph(4)
+    cfg = small_cfg(num_steps=2, solver_kind="centralized" if kind == "solve_centralized" else kind)
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
+    x0[1] = np.full(agents[1].n, np.nan)
+    with pytest.raises(ValueError, match="measured state of agent 2 is not finite"):
+        if kind == "solve_centralized":
+            solve_centralized(g, agents, cfg.horizon, x0)
+        else:
+            run_closed_loop(g, cfg, agents=agents, initial_states=x0)
 
 
 def test_other_runtime_errors_propagate(monkeypatch):

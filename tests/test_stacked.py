@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
-                  double_integrator_3d, run_dual_decomposition)
+                  double_integrator_3d, prediction_matrices, run_dual_decomposition)
 from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, dual_update,  # noqa: E402
                        residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
@@ -275,9 +275,10 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     assert close(central.G, M.T @ H @ C, 1e-12)
 
 
-def dense_map(p, pred):
+def dense_map(p):
     """Agent p's condensing map built dense, member by member: [Gam; I] on
-    the member's state and input rows and its own input columns. The
+    the member's state and input rows and its own input columns, Gam from
+    `prediction_matrices`, not from the nonzeros `predictions` keeps. The
     columns are component-major: input component 0 of every member over the
     horizon, member by member, then component 1, and so on."""
     M = np.zeros((p.dim, sum(mdl.m for mdl in p.models) * p.T))
@@ -288,8 +289,8 @@ def dense_map(p, pred):
             if a < mdl.m:
                 cols[pos][:, a] = col + np.arange(p.T)
                 col += p.T
-    for pos, j in enumerate(p.members):
-        Gam, c = pred[j][1], cols[pos].reshape(-1)
+    for pos, mdl in enumerate(p.models):
+        Gam, c = prediction_matrices(mdl, p.T)[1], cols[pos].reshape(-1)
         s0, u0 = p.state_slice(pos, 0).start, p.input_slice(pos, 0).start
         M[s0:s0 + Gam.shape[0], c] = Gam
         M[u0 + np.arange(c.size), c] = 1.0
@@ -305,7 +306,7 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
     probs, maps, z_dim = build_local_problems(g, agents, T, x0)
     pred = predictions(probs)
     engine = AdmmEngine(probs, maps, rho, qp_tol=1e-8)
-    dense = [dense_map(p, pred) for p in probs]
+    dense = [dense_map(p) for p in probs]
     # each agent's block is its dense map, and there is nothing outside the blocks
     ref = np.zeros(engine.M.shape)
     for s, us, D in zip(agent_slices(probs), engine.u_slices, dense):
