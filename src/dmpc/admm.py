@@ -201,8 +201,8 @@ class AdmmEngine:
     """
 
     def __init__(self, problems, maps, rho, qp_tol=1e-6, parallel=False):
-        if not rho >= 0:  # nan too
-            raise ValueError(f"rho must be nonnegative, got {rho}")
+        if not 0 <= rho < math.inf:  # nan too
+            raise ValueError(f"rho must be nonnegative and finite, got {rho}")
         self.problems = list(problems)
         self.rho, self.qp_tol = rho, qp_tol
         self.E = np.concatenate([m.global_idx for m in maps])

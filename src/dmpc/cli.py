@@ -125,22 +125,27 @@ def cmd_sweep(args):
     if args.trials < 1:
         raise SystemExit("error: --trials must be >= 1")
     _check_jobs(args)
+    aborted = ()
     try:
         rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
                                n_jobs=args.jobs)
     except SweepTrialAborted as exc:
-        raise SystemExit(f"error: {exc}")
+        rows, aborted = exc.rows, [f"error: {e}" for e in exc.aborted]
+        if not rows:  # no trial completed: no file
+            raise SystemExit("\n".join(aborted))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_config_comment(cfg) + "\n")
-        fh.write("K,mean_excess_pct,std_pct,trials\n")
+        fh.write("K,mean_excess_pct,std_pct,trials,aborted\n")
         for K, mean, std, trials in rows:
-            fh.write(f"{K},{_fmt(mean)},{_fmt(std)},{trials}\n")
+            fh.write(f"{K},{_fmt(mean)},{_fmt(std)},{trials},{len(aborted)}\n")
     for K, mean, std, trials in rows:
         print(f"K={K:3d}: mean excess {mean:8.3f}%  std {std:.3f}%  ({trials} trials)")
     print(f"sweep written to {path}")
-    return 0
+    for line in aborted:
+        print(line, file=sys.stderr)
+    return 1 if aborted else 0
 
 
 def cmd_verify(args):

@@ -99,25 +99,6 @@ class LocalProblem:
     def cost(self, x):
         return 0.5 * x @ (self.H @ x)
 
-    def dynamics_equalities(self):
-        """Dense (A_eq, b_eq): x(0) pinned to measurements, rollout equalities."""
-        T = self.T
-        rows = sum(mdl.n * (T + 1) for mdl in self.models)
-        A_eq = np.zeros((rows, self.dim))
-        b_eq = np.zeros(rows)
-        r = 0
-        for pos, mdl in enumerate(self.models):
-            s0 = self.state_slice(pos, 0)
-            A_eq[r:r + mdl.n, s0] = np.eye(mdl.n)
-            b_eq[r:r + mdl.n] = self.x0[pos]
-            r += mdl.n
-            for t in range(T):
-                A_eq[r:r + mdl.n, self.state_slice(pos, t + 1)] = np.eye(mdl.n)
-                A_eq[r:r + mdl.n, self.state_slice(pos, t)] -= mdl.A
-                A_eq[r:r + mdl.n, self.input_slice(pos, t)] -= mdl.B
-                r += mdl.n
-        return A_eq, b_eq
-
 
 def _block(owner, T, members, agents, states, edges, input_owners):
     """Problem over `members` with a sparse H built from (row, col, value) triplets.

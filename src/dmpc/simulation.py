@@ -1,5 +1,6 @@
 """Receding-horizon closed-loop simulation and iteration-budget sweeps."""
 
+import math
 import os
 import time
 from array import array
@@ -45,16 +46,20 @@ class SimConfig:
             raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
         if self.solver_kind != "centralized" and self.admm_iterations < 1:
             raise ValueError("admm_iterations must be >= 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        if not 0 < self.rho < math.inf:  # nan too
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be nonnegative and finite, "
+                             f"got {self.noise_variance}")
         if not self.qp_tol > 0:
             raise ValueError("qp_tol must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         for name in ("pos_range", "vel_range"):
-            if getattr(self, name)[0] > getattr(self, name)[1]:
+            lo, hi = getattr(self, name)
+            if not all(map(math.isfinite, (lo, hi))):
+                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
+            if lo > hi:
                 raise ValueError(f"{name} lower bound exceeds upper")
 
 
@@ -360,19 +365,25 @@ def performance_ratio(admm_log, central_log):
 class SweepTrialAborted(RuntimeError):
     """A closed loop of an iteration-sweep trial aborted on a SolverFailure.
 
-    `K` is None for the trial's centralized reference loop.
+    `K` is None for the trial's centralized reference loop. Raised by
+    `iteration_sweep` once every trial has run, for the first aborted one:
+    `rows` then holds the rows over the trials that completed (empty if
+    none did) and `aborted` each aborted trial's own SweepTrialAborted.
     """
 
-    def __init__(self, seed, K, step, reason):
+    def __init__(self, seed, K, step, reason, rows=(), aborted=()):
         loop = "centralized reference" if K is None else f"K={K}"
         super().__init__(f"sweep trial seed {seed}, {loop}: aborted at step {step}: {reason}")
         self.seed, self.K, self.step, self.reason = seed, K, step, reason
+        self.rows, self.aborted = list(rows), tuple(aborted)
 
-    def __reduce__(self):  # raised in sweep worker processes
-        return type(self), (self.seed, self.K, self.step, self.reason)
+    def __reduce__(self):  # returned by sweep worker processes
+        return type(self), (self.seed, self.K, self.step, self.reason, self.rows, self.aborted)
 
 
 def _sweep_trial(args):
+    """One trial's excess per K, or the SweepTrialAborted of its first
+    loop that aborted."""
     g, cfg, k_values, seed = args
     rng = np.random.default_rng(seed)
     agents = default_agents(g, cfg)
@@ -388,12 +399,15 @@ def _sweep_trial(args):
             raise SweepTrialAborted(seed, K, log.aborted_at, log.abort_reason)
         return log
 
-    central_log = loop(None)
-    engine = admm_engine(g, agents, cfg, x0)  # after the reference loop: a lower memory peak
     try:
-        return [performance_ratio(loop(K, engine=engine), central_log) for K in k_values]
-    finally:
-        engine.close()
+        central_log = loop(None)
+        engine = admm_engine(g, agents, cfg, x0)  # after the reference loop: a lower memory peak
+        try:
+            return [performance_ratio(loop(K, engine=engine), central_log) for K in k_values]
+        finally:
+            engine.close()
+    except SweepTrialAborted as exc:
+        return exc
 
 
 def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
@@ -402,8 +416,9 @@ def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
     Returns rows (K, mean excess %, std %, num_trials). Each trial reuses
     one centralized reference run across every K value, and one ADMM engine,
     built after that run and rebound by each K's loop. Trials run in at
-    most min(n_jobs, num_trials, CPUs) worker processes. A loop that aborts
-    raises SweepTrialAborted naming its trial.
+    most min(n_jobs, num_trials, CPUs) worker processes. Every trial runs;
+    if a loop aborted, SweepTrialAborted names the first trial that did and
+    carries the rows over the trials that completed.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
@@ -414,12 +429,15 @@ def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
     workers = min(n_jobs, num_trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            ratios = list(ex.map(_sweep_trial, jobs))
+            results = list(ex.map(_sweep_trial, jobs))
     else:
-        ratios = [_sweep_trial(j) for j in jobs]
-    ratios = np.asarray(ratios)  # (trials, len(k_values))
-    rows = []
-    for col, K in enumerate(k_values):
-        rows.append((K, float(np.mean(ratios[:, col])),
-                     float(np.std(ratios[:, col])), num_trials))
+        results = [_sweep_trial(j) for j in jobs]
+    aborted = [r for r in results if isinstance(r, SweepTrialAborted)]
+    done = [r for r in results if not isinstance(r, SweepTrialAborted)]
+    ratios = np.asarray(done)  # (completed trials, len(k_values))
+    rows = [(K, float(np.mean(ratios[:, col])), float(np.std(ratios[:, col])), len(done))
+            for col, K in enumerate(k_values)] if done else []
+    if aborted:
+        first = aborted[0]
+        raise SweepTrialAborted(first.seed, first.K, first.step, first.reason, rows, aborted)
     return rows

@@ -1,5 +1,6 @@
 """The dense KKT oracle of equality-constrained QPs that the tests check
-condensing and unconstrained x-updates against."""
+condensing and unconstrained x-updates against, and the dynamics equalities
+of a local problem that it takes."""
 
 import numpy as np
 
@@ -39,3 +40,24 @@ def solve_equality_qp(P, q, A_eq=None, b_eq=None):
             f"KKT residuals too large (stationarity {stat:.3e}, feasibility {feas:.3e}); "
             f"cond={np.linalg.cond(kkt):.3e}")
     return x
+
+
+def dynamics_equalities(p):
+    """Dense (A_eq, b_eq) of a local problem `p`: each member's x(0) pinned
+    to its measurement, then its rollout equalities."""
+    T = p.T
+    rows = sum(mdl.n * (T + 1) for mdl in p.models)
+    A_eq = np.zeros((rows, p.dim))
+    b_eq = np.zeros(rows)
+    r = 0
+    for pos, mdl in enumerate(p.models):
+        s0 = p.state_slice(pos, 0)
+        A_eq[r:r + mdl.n, s0] = np.eye(mdl.n)
+        b_eq[r:r + mdl.n] = p.x0[pos]
+        r += mdl.n
+        for t in range(T):
+            A_eq[r:r + mdl.n, p.state_slice(pos, t + 1)] = np.eye(mdl.n)
+            A_eq[r:r + mdl.n, p.state_slice(pos, t)] -= mdl.A
+            A_eq[r:r + mdl.n, p.input_slice(pos, t)] -= mdl.B
+            r += mdl.n
+    return A_eq, b_eq

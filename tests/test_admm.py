@@ -7,7 +7,7 @@ from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3
                   z_update, dual_update, residuals)
 from dmpc.admm import DD_QP_TOL, AdmmEngine
 from dmpc.problem import ZLayout, copy_counts
-from kkt_oracle import solve_equality_qp
+from kkt_oracle import dynamics_equalities, solve_equality_qp
 
 
 def make_scenario(seed=0, n=3, T=3, u_max=1.0):
@@ -44,7 +44,7 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     for p, m, lam, x_new in zip(probs, maps, lams, per_agent(probs, x_cat)):
         z_loc = z[m.global_idx]
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
-        A_eq, b_eq = p.dynamics_equalities()
+        A_eq, b_eq = dynamics_equalities(p)
         x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), lam - rho * z_loc,
                                   A_eq, b_eq)
         assert np.max(np.abs(x_new - x_ref)) <= 1e-6
@@ -204,7 +204,7 @@ def test_iterates_respect_dynamics_and_boxes():
     for k in (1, 3, 10):
         res = run_admm(probs, maps, rho=1.0, max_iter=k)
         for p, x in zip(probs, res.plans):
-            A_eq, b_eq = p.dynamics_equalities()
+            A_eq, b_eq = dynamics_equalities(p)
             assert np.max(np.abs(A_eq @ x - b_eq)) <= 1e-10
             for pos, mdl in enumerate(p.models):
                 for t in range(T):

@@ -164,5 +164,7 @@ def test_centralized_qp_of_a_10x10_grid_holds_no_dense_p():
     assert nbytes > 0  # the walk reached the QP's arrays
     assert largest < n * n  # dense P, its inverse or an n x n pattern took 72 MB each
     assert nbytes <= 50e6
-    # P's one (1000, 1000) class and its inverse, 8 MB each; blocks, q, bounds and box, 24 kB each
-    assert (nbytes, largest) == (16_168_000, 1_000_000)
+    # P's one (1000, 1000) class and its inverse, 8 MB each; blocks, q, bounds and box, 24 kB
+    # each; the starts of its three blocks and the end, 32 B, for Newton faces solved per block
+    assert qp.pieces[0].tolist() == [0, 1000, 2000, 3000]
+    assert (nbytes, largest) == (16_168_032, 1_000_000)

@@ -354,9 +354,9 @@ def test_sweep_writes_csv(tmp_path, capsys):
                "--k-list", "1,5", "--trials", "2"])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[1] == "K,mean_excess_pct,std_pct,trials"
+    assert lines[1] == "K,mean_excess_pct,std_pct,trials,aborted"
     assert [row.split(",")[0] for row in lines[2:]] == ["1", "5"]
-    assert all(row.split(",")[3] == "2" for row in lines[2:])
+    assert all(row.split(",")[3:] == ["2", "0"] for row in lines[2:])
     assert "K=" in capsys.readouterr().out
 
 
@@ -383,18 +383,32 @@ def test_sweep_and_verify_reject_bad_jobs(tmp_path):
     assert str(exc.value) == "error: --jobs must be >= 1"
 
 
-def test_sweep_reports_an_aborted_trial(tmp_path, monkeypatch):
+def test_sweep_reports_an_aborted_trial(tmp_path, monkeypatch, capsys):
+    # every ADMM loop of the trial with seed 7 fails at its first step
+    plan = simulation._AdmmController.plan
+
     def failing(self, measured):
-        raise SolverFailure(3, 1, "max_iterations: injected")
+        if self.cfg.rng_seed == 7:
+            raise SolverFailure(3, 1, "max_iterations: injected")
+        return plan(self, measured)
 
     monkeypatch.setattr(simulation._AdmmController, "plan", failing)
+    error = ("error: sweep trial seed 7, K=2: aborted at step 0: subproblem "
+             "of agent 3 failed at iteration 1: max_iterations: injected")
     out = tmp_path / "sw"
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit) as exc:  # no trial completed: no file
         main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
               "--k-list", "2", "--trials", "1"])
-    assert str(exc.value) == ("error: sweep trial seed 7, K=2: aborted at step 0: subproblem "
-                              "of agent 3 failed at iteration 1: max_iterations: injected")
+    assert str(exc.value) == error
     assert not out.exists()
+    # the trial with seed 8 completes: its row is written, and the run still fails
+    rc = main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+               "--k-list", "2", "--trials", "2"])
+    assert rc == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "K,mean_excess_pct,std_pct,trials,aborted"
+    assert len(lines) == 3 and lines[2].startswith("2,") and lines[2].endswith(",1,1")
+    assert capsys.readouterr().err.splitlines() == [error]
 
 
 def test_verify_rejects_unknown_level():

@@ -7,7 +7,7 @@ from dmpc.admm import AdmmEngine
 from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
                           condensed_maps, condensing_matrix, copy_counts, predictions)
 from dmpc.verify import random_connected_graph
-from kkt_oracle import solve_equality_qp
+from kkt_oracle import dynamics_equalities, solve_equality_qp
 
 
 def make_agents(n, u_max=1.0):
@@ -181,7 +181,7 @@ def test_condense_matches_equality_qp_oracle():
         sol = solve_box_qp(qp, tol=1e-10, max_iter=20000)
         assert sol.status == "optimal"
         x_cond = M @ sol.x_star + c
-        A_eq, b_eq = p.dynamics_equalities()
+        A_eq, b_eq = dynamics_equalities(p)
         x_ref = solve_equality_qp(p.H.toarray(), np.zeros(p.dim), A_eq, b_eq)
         assert np.max(np.abs(x_cond - x_ref)) <= 1e-6
         assert np.max(np.abs(A_eq @ x_cond - b_eq)) <= 1e-10

@@ -8,7 +8,7 @@ from dmpc import (BoxQp, InfoGraph, double_integrator_3d, enumerate_box_qp,
                   global_cost, path_graph, rollout, solve_box_qp,
                   solve_centralized)
 from dmpc.problem import ZLayout, build_centralized_qp
-from kkt_oracle import solve_equality_qp
+from kkt_oracle import dynamics_equalities, solve_equality_qp
 
 
 def random_psd_qp(rng, n):
@@ -174,7 +174,7 @@ def test_centralized_matches_equality_oracle_unconstrained():
     plans, cost = solve_centralized(g, agents, 1, x0, tol=1e-10)
     # KKT oracle over the whole-network trajectory, dynamics as equalities
     block = build_centralized_qp(g, agents, 1, x0)[0]
-    A_eq, b_eq = block.dynamics_equalities()
+    A_eq, b_eq = dynamics_equalities(block)
     v_ref = solve_equality_qp(block.H.toarray(), np.zeros(block.dim), A_eq, b_eq)
     _, u_ref = ZLayout(agents, 1).decode(v_ref)
     for u, r in zip(plans, u_ref):

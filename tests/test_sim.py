@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, draw_initial_states,
-                  draw_noise, iteration_sweep, path_graph, performance_ratio, run_closed_loop,
-                  solve_centralized)
+from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, build_local_problems,
+                  draw_initial_states, draw_noise, iteration_sweep, path_graph,
+                  performance_ratio, run_closed_loop, solve_centralized)
 from dmpc import admm, simulation
 from dmpc.simulation import _CentralizedCache, default_agents
 
@@ -40,6 +40,21 @@ BAD_FIELDS = [
 def test_config_rejects_bad_fields(name, value):
     with pytest.raises(ValueError, match=name):
         SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rho", np.inf), ("rho", np.nan), ("noise_variance", np.nan), ("noise_variance", np.inf),
+    ("pos_range", (0.0, np.nan)), ("pos_range", (-np.inf, 1.0)), ("vel_range", (-1.0, np.inf))])
+def test_config_and_engine_reject_non_finite_settings(name, value):
+    # the config parser refuses these too; the library's own entry points must as well
+    with pytest.raises(ValueError, match=f"{name} must be [a-z ]*finite"):
+        SimConfig(**{name: value})
+    if name == "rho":
+        g = path_graph(3)
+        probs, maps, _ = build_local_problems(g, default_agents(g, SimConfig()), 4,
+                                              [np.zeros(6)] * 3)
+        with pytest.raises(ValueError, match="rho must be [a-z ]*finite"):
+            admm.AdmmEngine(probs, maps, value)
 
 
 @pytest.mark.parametrize("name, value", BAD_FIELDS)
@@ -212,10 +227,24 @@ def test_iteration_sweep_names_the_aborted_trial(monkeypatch):
     assert (err.seed, err.K, err.step) == (12, 2, 2)
     assert err.reason == "subproblem of agent 2 failed at iteration 5: max_iterations: injected"
     assert str(err) == f"sweep trial seed 12, K=2: aborted at step 2: {err.reason}"
-    # a worker process hands the error back pickled
-    back = pickle.loads(pickle.dumps(err))
-    assert (back.seed, back.K, back.step, back.reason, str(back)) == \
-        (err.seed, err.K, err.step, err.reason, str(err))
+    # the other two trials ran to the end: the rows are theirs
+    assert [str(e) for e in err.aborted] == [str(err)]
+    assert [(K, trials) for K, _, _, trials in err.rows] == [(1, 2), (2, 2), (3, 2)]
+    alone = [iteration_sweep(path_graph(3), small_cfg(num_steps=4), [1, 2, 3], num_trials=1,
+                             base_seed=seed) for seed in (11, 13)]
+    assert np.allclose([mean for _, mean, _, _ in err.rows],
+                       [(a[1] + b[1]) / 2 for a, b in zip(*alone)], rtol=1e-12)
+    # of two trials one completes: its rows are a one-trial sweep's
+    with pytest.raises(SweepTrialAborted) as two:
+        iteration_sweep(path_graph(3), small_cfg(num_steps=4), [1, 2, 3], num_trials=2,
+                        base_seed=12)
+    assert two.value.rows == alone[1] and len(two.value.aborted) == 1
+    # a worker process hands its trial's error back pickled, as the sweep's own pickles
+    for e in (err.aborted[0], err):
+        back = pickle.loads(pickle.dumps(e))
+        assert (back.seed, back.K, back.step, back.reason, str(back), back.rows) == \
+            (e.seed, e.K, e.step, e.reason, str(e), e.rows)
+        assert [str(a) for a in back.aborted] == [str(a) for a in e.aborted]
 
 
 class RecordingPool:

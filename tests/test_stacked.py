@@ -19,7 +19,7 @@ from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, dual_update,  # noqa:
 from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
                           predictions)
 from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
-from kkt_oracle import solve_equality_qp  # noqa: E402
+from kkt_oracle import dynamics_equalities, solve_equality_qp  # noqa: E402
 
 
 @st.composite
@@ -196,7 +196,7 @@ def test_dual_decomposition_first_iterate_is_the_local_optimum(scenario):
     probs, maps, _ = build_local_problems(g, agents, T, x0)
     plans, _ = run_dual_decomposition(AdmmEngine(probs, maps, 0.0, DD_QP_TOL), lambda k: 0.0, 1)
     for p, x in zip(probs, plans):
-        A_eq, b_eq = p.dynamics_equalities()
+        A_eq, b_eq = dynamics_equalities(p)
         x_ref = solve_equality_qp(p.H.toarray(), np.zeros(p.dim), A_eq, b_eq)
         assert np.max(np.abs(x - x_ref)) <= 1e-6
 
