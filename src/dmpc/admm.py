@@ -162,11 +162,10 @@ class _AgentCache:
     condensing maps that turn the agent's linear term into q and its
     minimizer into a local vector live in the engine's network map."""
 
-    def __init__(self, problem, P, qp_tol, table):
-        self.owner = problem.owner
+    def __init__(self, owner, P, box, qp_tol, table):
+        self.owner = owner
         self.qp_tol = qp_tol
-        lo, hi = condensed_bounds(problem)
-        self.qp = BoxQp(P, np.zeros(lo.shape[0]), lo, hi, table)
+        self.qp = BoxQp(P, np.zeros(box[0].shape[0]), *box, table)
         self.warm = self.last = self.seconds = None
 
     def solve(self, q, k):
@@ -191,9 +190,10 @@ class AdmmEngine:
     states. The x-update minimizes each local cost plus
     v_i'x_i + (rho/2)||x_i||^2, whose condensed linear term is
     q = M'((H + rho I)c + v) with H = diag(H_i): one product with M' per
-    iteration, and its static part one more with H + rho I per step. Each
-    P_i = M_i'(H_i + rho I)M_i is a diagonal block of one sparse product,
-    of which only P_i's own diagonal blocks are densified. Each x-update
+    iteration, and its static part one more with H + rho I per step. Alike
+    problems (H, member predictions, box) share one M_i, box and P_i =
+    M_i'(H_i + rho I)M_i, the distinct P_i diagonal blocks of one sparse
+    product of which only their own blocks are densified. Each x-update
     adds its QPs to the QpCounters `qps`, which a run resets. Set-up binds
     c to the problems' own states, which they keep; `rebind_states` rebinds
     it, so one engine serves any number of closed loops on the same agents.
@@ -208,18 +208,29 @@ class AdmmEngine:
         self.E = np.concatenate([m.global_idx for m in maps])
         self.counts = copy_counts(maps, self.E.max() + 1)
         self.pred = predictions(self.problems)
-        Ms = [condensing_matrix(p, self.pred) for p in self.problems]
+        kinds, kind = {}, []  # key -> (kind number, first problem of the kind)
+        for p in self.problems:
+            key = id(p.H), tuple((id(self.pred[j]), m.u_max) for j, m in zip(p.members, p.models))
+            kind.append(kinds.setdefault(key, (len(kinds), p))[0])
+        distinct = [p for _, p in kinds.values()]
+        Ms = [condensing_matrix(p, self.pred) for p in distinct]
+        M = _block_diagonal(Ms)
+        H_rho = [p.H + rho * sparse.eye_array(p.dim, format="csr") for p in distinct]
+        P = condensed_hessian(_block_diagonal(H_rho), M, M.T.tocsr(),
+                              np.cumsum([M.shape[1] for M in Ms]))
+        boxes = [condensed_bounds(p) for p in distinct]
+        Ms = [Ms[k] for k in kind]
         ends = np.cumsum([M.shape[0] for M in Ms])
         self.slices = [slice(e - M.shape[0], e) for M, e in zip(Ms, ends)]
         ends = np.cumsum([M.shape[1] for M in Ms])
         self.u_slices = [slice(e - M.shape[1], e) for M, e in zip(Ms, ends)]
         self.M = _block_diagonal(Ms)
-        del Ms  # M holds the only copy
+        del Ms, M  # the network map holds the only stacked copy
         self.Mt = self.M.T.tocsr()
-        self.H_rho = _block_diagonal([p.H for p in self.problems]) \
-            + rho * sparse.eye_array(self.M.shape[0], format="csr")
-        P, table = condensed_hessian(self.H_rho, self.M, self.Mt, ends), {}
-        self.caches = [_AgentCache(p, P_i, qp_tol, table) for p, P_i in zip(self.problems, P)]
+        self.H_rho = _block_diagonal([H_rho[k] for k in kind])
+        table = {}
+        self.caches = [_AgentCache(p.owner, P[k], boxes[k], qp_tol, table)
+                       for p, k in zip(self.problems, kind)]
         self.qps = QpCounters()
         self._bind({j - 1: x for p in self.problems for j, x in zip(p.members, p.x0)})
         workers = min(len(self.problems), os.cpu_count() or 1)

@@ -21,19 +21,21 @@ class LtiAgent:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
+        W = None if self.noise_input is None else np.asarray(self.noise_input, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(f"B shape {B.shape} inconsistent with A {A.shape}")
         if not self.u_max > 0:
             raise ValueError("u_max must be positive (or +inf)")
+        if W is not None and W.shape != B.shape:
+            raise ValueError("noise_input must match B in shape")
+        for name, M in (("A", A), ("B", B), ("noise_input", W)):
+            if M is not None and not np.isfinite(M).all():
+                raise ValueError(f"{name} must hold only finite values")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        if self.noise_input is not None:
-            W = np.asarray(self.noise_input, dtype=float)
-            if W.shape != B.shape:
-                raise ValueError("noise_input must match B in shape")
-            object.__setattr__(self, "noise_input", W)
+        object.__setattr__(self, "noise_input", W)
 
     @property
     def n(self):

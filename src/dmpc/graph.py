@@ -16,6 +16,7 @@ class InfoGraph:
 
     num_agents: int
     weights: dict = field(default_factory=dict)  # (i, j) with i < j -> weight
+    _adjacency: tuple = field(init=False, repr=False, compare=False)  # vertex -> neighbors
 
     def __post_init__(self):
         if self.num_agents < 1:
@@ -33,21 +34,21 @@ class InfoGraph:
                 raise ValueError(f"edge {key} has a weight that is not positive and finite: {w}")
             canonical[key] = float(w)
         object.__setattr__(self, "weights", canonical)
+        adjacency = [[] for _ in range(self.num_agents + 1)]
+        for i, j in canonical:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        object.__setattr__(self, "_adjacency", tuple(map(frozenset, adjacency)))
 
     def weight(self, i, j):
         return self.weights[(min(i, j), max(i, j))]
 
     def neighbors(self, i):
-        """Set of vertices sharing an edge with i."""
+        """Frozen set of vertices sharing an edge with i, built with the graph
+        by adding them in edge order, so it iterates as a set so built does."""
         if not (1 <= i <= self.num_agents):
             raise ValueError(f"vertex {i} out of range 1..{self.num_agents}")
-        out = set()
-        for a, b in self.weights:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
+        return self._adjacency[i]
 
     def laplacian(self):
         """Weighted graph Laplacian: degree on the diagonal, -a_ij off it."""

@@ -100,22 +100,19 @@ class LocalProblem:
         return 0.5 * x @ (self.H @ x)
 
 
-def _block(owner, T, members, agents, states, edges, input_owners):
-    """Problem over `members` with a sparse H built from (row, col, value) triplets.
+def _hessian(T, models, edges, inputs):
+    """Sparse H of a block of `models`, from (row, col, value) triplets.
 
-    Each edge (a, b, w) adds (w/2)||x_a(t) - x_b(t)||^2 at every t, and
-    each input owner its input energy u'u. A member's states t=0..T are one
-    contiguous range of the local vector, so an edge couples two ranges
-    entry by entry: +w on both diagonals, -w between them. The diagonal is
-    summed in the order the edges are given.
+    Each edge (a, b, w) between the members at positions a and b adds
+    (w/2)||x_a(t) - x_b(t)||^2 at every t, each input position its member's
+    input energy u'u. A member's states t=0..T are one contiguous range of
+    the local vector, so an edge couples two ranges entry by entry: +w on
+    both diagonals, -w between them, the diagonal summed in edge order.
     """
-    models = tuple(agents[j - 1] for j in members)
     layout = ZLayout(models, T)
-    pos = {j: k for k, j in enumerate(members)}
     diag = np.zeros(layout.dim)
     rows, cols, vals = [], [], []
-    for a, b, w in edges:
-        pa, pb = pos[a], pos[b]
+    for pa, pb, w in edges:
         n = models[pa].n
         if n != models[pb].n:
             raise ValueError("edge coupling requires matching state dimensions")
@@ -126,17 +123,20 @@ def _block(owner, T, members, agents, states, edges, input_owners):
         rows += [ia, ib]
         cols += [ib, ia]
         vals.append(np.full(2 * ia.size, -w))
-    for j in input_owners:
-        u0 = layout.input_offset(pos[j] + 1, 0)  # layout members count from 1
-        diag[u0:u0 + models[pos[j]].m * T] += 2.0  # u'u == 0.5 x'(2I)x
+    for k in inputs:
+        u0 = layout.input_offset(k + 1, 0)  # layout members count from 1
+        diag[u0:u0 + models[k].m * T] += 2.0  # u'u == 0.5 x'(2I)x
     nz = np.flatnonzero(diag)
     rows.append(nz)
     cols.append(nz)
     vals.append(diag[nz])
-    H = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(layout.dim, layout.dim))
-    return LocalProblem(owner=owner, T=T, members=members, models=models,
-                        x0=tuple(states[j - 1] for j in members), H=H)
+    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(layout.dim, layout.dim))
+
+
+def _model_key(mdl):
+    """A and B by shape and bytes: members alike in them share one prediction."""
+    return mdl.A.shape, mdl.B.shape, mdl.A.tobytes(), mdl.B.tobytes()
 
 
 def check_finite_states(states):
@@ -150,7 +150,8 @@ def build_local_problems(g, agents, T, initial_states):
     """Construct every agent's subproblem, its selector map, and dim(z).
 
     The edge coupling a_ij ||x_i - x_j||^2 is split half to each endpoint's
-    subproblem; input energy is charged once, to the owning agent.
+    subproblem; input energy is charged once, to the owning agent. Agents alike
+    in member models and u_max, owner position and edges share one H, built once.
     """
     N = g.num_agents
     if len(agents) != N:
@@ -166,14 +167,23 @@ def build_local_problems(g, agents, T, initial_states):
     check_finite_states(initial_states)
 
     layout = ZLayout(agents, T)
+    kinds, hessians = {}, {}
+    kind = [kinds.setdefault((_model_key(a), a.u_max), len(kinds)) for a in agents]
     problems, maps = [], []
     for i in range(1, N + 1):
         members = tuple(sorted(g.neighbors(i) | {i}))
-        prob = _block(i, T, members, agents, initial_states,
-                      [(i, j, g.weight(i, j)) for j in g.neighbors(i)], [i])
+        models = tuple(agents[j - 1] for j in members)
+        pos = {j: k for k, j in enumerate(members)}
+        edges = [(pos[i], pos[j], g.weight(i, j)) for j in g.neighbors(i)]
+        key = (tuple(kind[j - 1] for j in members), pos[i], tuple(sorted(edges)),
+               tuple(w for *_, w in edges))  # in the order the owner's diagonal sums them
+        if key not in hessians:
+            hessians[key] = _hessian(T, models, edges, [pos[i]])
+        prob = LocalProblem(owner=i, T=T, members=members, models=models, H=hessians[key],
+                            x0=tuple(initial_states[j - 1] for j in members))
         # a member's block of the local vector is its block of z
         gidx = np.concatenate([layout.starts[j - 1] + np.arange(m.n * (T + 1) + m.m * T)
-                               for j, m in zip(members, prob.models)])
+                               for j, m in zip(members, models)])
         problems.append(prob)
         maps.append(LocalIndexMap(owner=i, global_idx=gidx))
     return problems, maps, layout.dim
@@ -188,9 +198,11 @@ def build_centralized_qp(g, agents, T, initial_states):
     `condensed_hessian` gives; the gradient M'(H c) is formed per solve.
     """
     members = tuple(range(1, g.num_agents + 1))
-    block = _block(None, T, members, agents,
-                   [np.asarray(x, dtype=float) for x in initial_states],
-                   [(i, j, 2.0 * w) for (i, j), w in g.weights.items()], members)
+    models = tuple(agents[j - 1] for j in members)
+    H = _hessian(T, models, [(i - 1, j - 1, 2.0 * w) for (i, j), w in g.weights.items()],
+                 range(len(members)))
+    block = LocalProblem(owner=None, T=T, members=members, models=models, H=H,
+                         x0=tuple(np.asarray(initial_states[j - 1], dtype=float) for j in members))
     pred = predictions([block])
     M = condensing_matrix(block, pred)
     return block, pred, M, condensed_hessian(block.H, M, M.T.tocsr(), [M.shape[1]])[0]
@@ -227,15 +239,18 @@ def global_cost(g, state_traj, input_traj):
 
 
 def predictions(problems):
-    """Per member agent, computed once each: Phi and the nonzeros of Gam as
-    (count per row, column, value), row by row; the dense Gam is not kept."""
-    pred = {}
+    """Per member agent: Phi and the nonzeros of Gam as (count per row,
+    column, value), row by row; the dense Gam is not kept. Computed once per
+    distinct model (`_model_key`), whose members share the one entry."""
+    pred, by_model = {}, {}
     for p in problems:
         for j, mdl in zip(p.members, p.models):
-            if j not in pred:
+            key = _model_key(mdl), p.T
+            if key not in by_model:
                 Phi, Gam = prediction_matrices(mdl, p.T)
                 rows, cols = np.nonzero(Gam)
-                pred[j] = Phi, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
+                by_model[key] = Phi, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
+            pred[j] = by_model[key]
     return pred
 
 

@@ -95,9 +95,10 @@ class BoxQp:
     classes, blocks found by their bytes in `table` (a dict the QPs built
     from it share). Per class, by first index: `P`, its (s, s) block; `inv`,
     its inverse (None for the whole QP unless P is positive definite and no
-    squared pivot is at most 1e-12 of P's largest diagonal); `blocks`, the
-    (k, s) indices of its k blocks. The solver's slab order puts the
-    classes' blocks one after another: `order` is x's index at each entry
+    squared pivot is at most 1e-12 of P's largest diagonal); `inv_rows`, the
+    inverse read through its transpose, from which Newton faces gather S_AA;
+    `blocks`, the (k, s) indices of its k blocks. The solver's slab order
+    puts the classes' blocks one after another: `order` is x's index at each entry
     and `unorder` its inverse (both None for x's own order); `slabs` holds
     each class's start, stop and shape (k, s); `box` the bounds in that
     order, Newton's pin `band` (1e-9 of the box width if both bounds are
@@ -114,13 +115,13 @@ class BoxQp:
     factor; `reused`, the count of Newton points solved on a held factor.
     `pieces`: None, or, when P has an inverse and every block at least
     `PIECEWISE_MIN` entries, (each block's start in the slab order and n,
-    each block's class inverse, as its transpose); S_AA is then solved one
+    each block's class inverse, as in `inv_rows`); S_AA is then solved one
     piece per block that A meets, and `face` holds (A's bytes, ((start,
     stop, factor), ...)), each piece's place in A and its Cholesky factor.
     """
 
     __slots__ = ("P", "q", "lower", "upper", "blocks", "inv", "order", "unorder", "slabs",
-                 "box", "infeasible", "plan", "face", "reused", "pieces")
+                 "box", "infeasible", "plan", "face", "reused", "pieces", "inv_rows")
 
     def __init__(self, P, q, lower, upper, table=None):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
@@ -154,6 +155,8 @@ class BoxQp:
         self.blocks, self.order = blocks, order
         self.unorder = None if order is None else np.argsort(order)
         self.inv = tuple(c.inv for c in classes) if invertible else None
+        # exactly symmetric and Fortran-ordered (dpotri): the transpose gathers rows faster
+        self.inv_rows = None if self.inv is None else tuple(m.T for m in self.inv)
         self.slabs = tuple((e - b.size, e, b.shape)
                            for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))
         self.box = lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12
@@ -161,11 +164,9 @@ class BoxQp:
         self.face, self.reused, self.pieces = None, 0, None
         smallest = min((s for _, _, (_, s) in self.slabs), default=0)
         if self.inv is not None and smallest >= PIECEWISE_MIN:
-            # m.T: the inverse is exactly symmetric and Fortran-ordered (dpotri), so its
-            # transpose is equal and its rows contiguous, which gathers 10x faster
             self.pieces = (np.array([a + j * s for a, _, (k, s) in self.slabs
                                      for j in range(k)] + [n]),
-                           tuple(m.T for (_, _, (k, _)), m in zip(self.slabs, self.inv)
+                           tuple(m for (_, _, (k, _)), m in zip(self.slabs, self.inv_rows)
                                  for _ in range(k)))
         P, S, shape = self.P, self.inv, None
         if len(P) == 1:  # one class: every product is one (k, s)(s, s) dot
@@ -258,7 +259,7 @@ def _newton_point(qp, q, x_unc, active, cand):
             y, info = dpotrs(face[1], held - x_unc[A])
             qp.reused += 1
         else:
-            c, y, info = dposv(qp.principal(qp.inv, A), held - x_unc[A])
+            c, y, info = dposv(qp.principal(qp.inv_rows, A), held - x_unc[A])
             if info == 0:
                 qp.face = key, c
         if info == 0:

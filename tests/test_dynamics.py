@@ -119,3 +119,13 @@ def test_lti_agent_validation():
         LtiAgent(A=np.eye(2), B=np.zeros((2, 1)), u_max=0.0)
     unconstrained = LtiAgent(A=np.eye(2), B=np.ones((2, 1)), u_max=np.inf)
     assert unconstrained.u_max == np.inf
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("A", dict(A=[[1.0, np.nan], [0.0, 1.0]], B=[[0.0], [1.0]])),
+    ("B", dict(A=np.eye(2), B=[[0.0], [np.inf]])),
+    ("noise_input", dict(A=np.eye(2), B=[[0.0], [1.0]], noise_input=[[0.0], [np.inf]])),
+])
+def test_lti_agent_rejects_a_non_finite_matrix_by_name(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must hold only finite values"):
+        LtiAgent(**kwargs)

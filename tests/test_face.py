@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_classes import box_qp, repeated_blocks  # noqa: E402
 from test_reuse import unlike_agents_on_a_random_graph, untimed  # noqa: E402
+from test_sharing import grid  # noqa: E402
 
 from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  # noqa: E402
                   path_graph, run_closed_loop, solve_box_qp)
@@ -277,3 +278,25 @@ def test_every_x_update_solves_on_its_agents_own_qp(monkeypatch):
         engine.close()
     assert log.aborted_at is None
     assert seen == list(range(5)) * (3 * cfg.admm_iterations)
+
+
+@pytest.mark.parametrize("scenario", ["grid4x5", "random-unlike"])
+def test_newton_gathers_read_the_class_inverses_through_their_transposes(scenario):
+    # dpotri leaves each class inverse Fortran-ordered; S_AA is gathered from
+    # its transpose, a view whose rows are contiguous and whose entries are the
+    # inverse's own, the inverse being exactly symmetric
+    if scenario == "grid4x5":
+        g = grid(4, 5)
+        agents = default_agents(g, SimConfig())
+    else:
+        g, agents = unlike_agents_on_a_random_graph()
+    probs, maps, _ = build_local_problems(g, agents, 10, [np.zeros(6)] * g.num_agents)
+    rng = np.random.default_rng(7)
+    for cache in AdmmEngine(probs, maps, 1.0).caches:
+        qp = cache.qp
+        for S, rows in zip(qp.inv, qp.inv_rows):
+            assert S.flags.f_contiguous and rows.flags.c_contiguous
+            assert np.shares_memory(S, rows)
+        for size in (1, 5, 15, 25):
+            A = np.sort(rng.choice(qp.dim, size, replace=False))
+            assert same_bits(qp.principal(qp.inv_rows, A), qp.principal(qp.inv, A))

@@ -97,3 +97,29 @@ def test_invalid_graphs_rejected():
 def test_weights_must_be_positive_and_finite(w):
     with pytest.raises(ValueError, match=r"edge \(1, 2\) has a weight that is not positive"):
         InfoGraph(3, {(2, 1): w})
+
+
+def scanned_neighbors(g, i):
+    """The neighbours of i as one scan of every edge adds them to a set."""
+    out = set()
+    for a, b in g.weights:
+        if a == i:
+            out.add(b)
+        elif b == i:
+            out.add(a)
+    return out
+
+
+def test_neighbors_iterate_as_an_edge_scan_adds_them():
+    # large vertex numbers collide in small hash tables, so the order is not sorted
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.15]
+        rng.shuffle(edges)
+        g = InfoGraph(n, {(j, i) if rng.random() < 0.5 else (i, j): 1.0 for i, j in edges})
+        for i in range(1, n + 1):
+            scanned = scanned_neighbors(g, i)
+            assert g.neighbors(i) == scanned
+            assert list(g.neighbors(i)) == list(scanned)
