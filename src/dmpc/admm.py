@@ -10,12 +10,13 @@ local vectors, the network map (every agent's sparse condensing map stacked
 block-diagonally), the agents' QPs, their counters and the thread pool.
 Per iteration, one sparse product gives every agent's condensed gradient q,
 each agent solves only its own box QP (`_AgentCache.solve`, timed alone),
-and one more product turns the minimizers into local vectors. The QPs share
-one class table, so a block of P that several agents hold is inverted once.
+and one more product turns the minimizers into local vectors. Alike agents
+share one QP, inverted once; each solves on its own shallow copy of it.
 Dual decomposition's x-update is ADMM's at rho = 0 (Boyd et al. 2011, §2.2
 and §3.1), so it runs on an engine built at rho = 0.
 """
 
+import copy
 import math
 import os
 import time
@@ -156,16 +157,16 @@ class QpCounters:
 
 
 class _AgentCache:
-    """One agent's x-update QP: its condensed box QP, its P's blocks joined
-    to the network's class table, the warm start of its next solve, the
-    QpSolution of its last (`last`) and that QP's wall time (`seconds`). The
-    condensing maps that turn the agent's linear term into q and its
-    minimizer into a local vector live in the engine's network map."""
+    """One agent's x-update QP: a shallow copy of its kind's box QP with its
+    own face slot, the warm start of its next solve, the QpSolution of its
+    last (`last`) and that QP's wall time (`seconds`). The condensing maps
+    that turn the agent's linear term into q and its minimizer into a local
+    vector live in the engine's network map."""
 
-    def __init__(self, owner, P, box, qp_tol, table):
+    def __init__(self, owner, qp, qp_tol):
         self.owner = owner
         self.qp_tol = qp_tol
-        self.qp = BoxQp(P, np.zeros(box[0].shape[0]), *box, table)
+        self.qp = copy.copy(qp)
         self.warm = self.last = self.seconds = None
 
     def solve(self, q, k):
@@ -191,9 +192,9 @@ class AdmmEngine:
     v_i'x_i + (rho/2)||x_i||^2, whose condensed linear term is
     q = M'((H + rho I)c + v) with H = diag(H_i): one product with M' per
     iteration, and its static part one more with H + rho I per step. Alike
-    problems (H, member predictions, box) share one M_i, box and P_i =
-    M_i'(H_i + rho I)M_i, the distinct P_i diagonal blocks of one sparse
-    product of which only their own blocks are densified. Each x-update
+    problems (H, member predictions, box) share one M_i and one QP over the
+    box and P_i = M_i'(H_i + rho I)M_i, the distinct P_i diagonal blocks of
+    one sparse product of which only their own blocks are densified. Each x-update
     adds its QPs to the QpCounters `qps`, which a run resets. Set-up binds
     c to the problems' own states, which they keep; `rebind_states` rebinds
     it, so one engine serves any number of closed loops on the same agents.
@@ -218,7 +219,8 @@ class AdmmEngine:
         H_rho = [p.H + rho * sparse.eye_array(p.dim, format="csr") for p in distinct]
         P = condensed_hessian(_block_diagonal(H_rho), M, M.T.tocsr(),
                               np.cumsum([M.shape[1] for M in Ms]))
-        boxes = [condensed_bounds(p) for p in distinct]
+        qps = [BoxQp(Pk, np.zeros(lo.shape[0]), lo, hi)
+               for Pk, (lo, hi) in zip(P, map(condensed_bounds, distinct))]
         Ms = [Ms[k] for k in kind]
         ends = np.cumsum([M.shape[0] for M in Ms])
         self.slices = [slice(e - M.shape[0], e) for M, e in zip(Ms, ends)]
@@ -228,9 +230,7 @@ class AdmmEngine:
         del Ms, M  # the network map holds the only stacked copy
         self.Mt = self.M.T.tocsr()
         self.H_rho = _block_diagonal([H_rho[k] for k in kind])
-        table = {}
-        self.caches = [_AgentCache(p.owner, P[k], boxes[k], qp_tol, table)
-                       for p, k in zip(self.problems, kind)]
+        self.caches = [_AgentCache(p.owner, qps[k], qp_tol) for p, k in zip(self.problems, kind)]
         self.qps = QpCounters()
         self._bind({j - 1: x for p in self.problems for j, x in zip(p.members, p.x0)})
         workers = min(len(self.problems), os.cpu_count() or 1)

@@ -146,13 +146,8 @@ def check_finite_states(states):
             raise ValueError(f"measured state of agent {j} is not finite")
 
 
-def build_local_problems(g, agents, T, initial_states):
-    """Construct every agent's subproblem, its selector map, and dim(z).
-
-    The edge coupling a_ij ||x_i - x_j||^2 is split half to each endpoint's
-    subproblem; input energy is charged once, to the owning agent. Agents alike
-    in member models and u_max, owner position and edges share one H, built once.
-    """
+def checked_inputs(g, agents, T, initial_states):
+    """The initial states as float arrays; ValueError unless they and the agents fit g, T >= 1."""
     N = g.num_agents
     if len(agents) != N:
         raise ValueError(f"expected {N} agent models, got {len(agents)}")
@@ -165,12 +160,22 @@ def build_local_problems(g, agents, T, initial_states):
         if x.shape != (a.n,):
             raise ValueError(f"initial state of agent {j} has shape {x.shape}, expected ({a.n},)")
     check_finite_states(initial_states)
+    return initial_states
 
+
+def build_local_problems(g, agents, T, initial_states):
+    """Construct every agent's subproblem, its selector map, and dim(z).
+
+    The edge coupling a_ij ||x_i - x_j||^2 is split half to each endpoint's
+    subproblem; input energy is charged once, to the owning agent. Agents alike
+    in member models and u_max, owner position and edges share one H, built once.
+    """
+    initial_states = checked_inputs(g, agents, T, initial_states)
     layout = ZLayout(agents, T)
     kinds, hessians = {}, {}
     kind = [kinds.setdefault((_model_key(a), a.u_max), len(kinds)) for a in agents]
     problems, maps = [], []
-    for i in range(1, N + 1):
+    for i in range(1, g.num_agents + 1):
         members = tuple(sorted(g.neighbors(i) | {i}))
         models = tuple(agents[j - 1] for j in members)
         pos = {j: k for k, j in enumerate(members)}
@@ -197,12 +202,13 @@ def build_centralized_qp(g, agents, T, initial_states):
     halves. Returns (block, pred, M, P), M sparse and P the blocks
     `condensed_hessian` gives; the gradient M'(H c) is formed per solve.
     """
+    initial_states = checked_inputs(g, agents, T, initial_states)
     members = tuple(range(1, g.num_agents + 1))
     models = tuple(agents[j - 1] for j in members)
     H = _hessian(T, models, [(i - 1, j - 1, 2.0 * w) for (i, j), w in g.weights.items()],
                  range(len(members)))
     block = LocalProblem(owner=None, T=T, members=members, models=models, H=H,
-                         x0=tuple(np.asarray(initial_states[j - 1], dtype=float) for j in members))
+                         x0=tuple(initial_states[j - 1] for j in members))
     pred = predictions([block])
     M = condensing_matrix(block, pred)
     return block, pred, M, condensed_hessian(block.H, M, M.T.tocsr(), [M.shape[1]])[0]

@@ -92,9 +92,9 @@ class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
     P comes dense, sparse or as `diagonal_blocks` gives it, and is kept as
-    classes, blocks found by their bytes in `table` (a dict the QPs built
-    from it share). Per class, by first index: `P`, its (s, s) block; `inv`,
-    its inverse (None for the whole QP unless P is positive definite and no
+    classes, its distinct blocks found by their bytes in a table local to
+    the QP. Per class, by first index: `P`, its (s, s) block; `inv`, its
+    inverse (None for the whole QP unless P is positive definite and no
     squared pivot is at most 1e-12 of P's largest diagonal); `inv_rows`, the
     inverse read through its transpose, from which Newton faces gather S_AA;
     `blocks`, the (k, s) indices of its k blocks. The solver's slab order
@@ -108,7 +108,7 @@ class BoxQp:
     what a solve reads, fixed when the QP is built (n, infeasible, order,
     unorder, the (k, s) shape if P is one class else None, P and inv as
     that one block or as the classes' tuples, slabs, box). The face slot,
-    which every solve on this QP reads and a QP built apart never shares:
+    one per QP object, so a `copy.copy` sharing all else has its own:
     `face`, None or the pair (A's bytes, the Cholesky factor of S_AA that
     dposv returned) of the last Newton face solved through S_AA, replaced
     and read as one tuple, so a solve never pairs an A with another face's
@@ -123,7 +123,7 @@ class BoxQp:
     __slots__ = ("P", "q", "lower", "upper", "blocks", "inv", "order", "unorder", "slabs",
                  "box", "infeasible", "plan", "face", "reused", "pieces", "inv_rows")
 
-    def __init__(self, P, q, lower, upper, table=None):
+    def __init__(self, P, q, lower, upper):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
         n, groups = q.shape[0], P
         if not isinstance(groups, tuple):  # a matrix; blocks come symmetrized
@@ -137,7 +137,7 @@ class BoxQp:
             raise ValueError(f"P's blocks do not cover q's {n} entries")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match q in length")
-        table, rows = {} if table is None else table, {}  # rows: class -> its blocks' indices
+        table, rows = {}, {}  # rows: class -> its blocks' indices
         for i, b in sorted(((i, b) for idx, Pb in groups for i, b in zip(idx, Pb)),
                            key=lambda ib: ib[0][0]):
             key = b.tobytes()

@@ -12,8 +12,9 @@ from scipy import sparse
 
 from .admm import DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
-from .problem import (ZLayout, build_centralized_qp, build_local_problems, check_finite_states,
-                      condensed_bounds, condensed_maps, global_cost, input_columns)
+from .problem import (ZLayout, _model_key, build_centralized_qp, build_local_problems,
+                      check_finite_states, checked_inputs, condensed_bounds, condensed_maps,
+                      global_cost, input_columns)
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -177,14 +178,21 @@ def admm_engine(g, agents, cfg, initial_states):
     return AdmmEngine(problems, maps, cfg.rho, qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
 
 
-def _check_engine(engine, g, cfg):
-    """Raise ValueError unless `engine` is one `admm_engine` builds for g and cfg."""
+def _check_engine(engine, g, agents, cfg):
+    """Raise ValueError unless `engine` is one `admm_engine` builds for g, agents
+    and cfg; not g's edge weights, which would cost an H lookup per edge a loop."""
     for name, have, want in (("agent count", len(engine.problems), g.num_agents),
                              ("horizon", engine.problems[0].T, cfg.horizon),
                              ("rho", engine.rho, cfg.rho), ("qp_tol", engine.qp_tol, cfg.qp_tol),
                              ("parallel_agents", engine.pool is not None, cfg.parallel_agents)):
         if have != want:
             raise ValueError(f"engine {name} is {have}, the run's is {want}")
+    kinds = [(_model_key(a), a.u_max) for a in agents]
+    for i, p in enumerate(engine.problems, start=1):
+        if p.members != (members := tuple(sorted(g.neighbors(i) | {i}))):
+            raise ValueError(f"engine members of agent {i} are {p.members}, the run's {members}")
+        if any((_model_key(m), m.u_max) != kinds[j - 1] for j, m in zip(p.members, p.models)):
+            raise ValueError(f"engine models in agent {i}'s neighbourhood differ from the run's")
 
 
 class _AdmmController(_Controller):
@@ -197,7 +205,7 @@ class _AdmmController(_Controller):
         if engine is None:
             engine = admm_engine(g, agents, cfg, initial_states)
         else:
-            _check_engine(engine, g, cfg)
+            _check_engine(engine, g, agents, cfg)
             engine.cold_start(faces=True)
         self.engine = engine
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
@@ -278,18 +286,19 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
 
     Pre-drawn `initial_states` / `noise` override the seeded generator so
     paired comparisons consume byte-identical randomness. An ADMM loop runs
-    on `engine` if given (one `admm_engine` built for these agents and a
-    config of equal horizon, rho, qp_tol and parallel_agents, else
-    ValueError) instead of building one; it starts its QPs cold and leaves
-    the engine's thread pool open. A SolverFailure ends the run early with
-    `aborted_at` and `abort_reason` set; any other exception propagates.
+    on `engine` if given (one `admm_engine` built for g, with edge weights
+    unchecked, these agents and a config of equal horizon, rho, qp_tol and
+    parallel_agents, else ValueError) instead of building one; it starts its
+    QPs cold and leaves the engine's thread pool open. Inputs that do not fit
+    g raise ValueError. A SolverFailure ends the run early with `aborted_at`
+    and `abort_reason` set; any other exception propagates.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if agents is None:
         agents = default_agents(g, cfg)
     if initial_states is None:
         initial_states = draw_initial_states(g, cfg, rng)
-    initial_states = [np.asarray(x, float) for x in initial_states]
+    initial_states = checked_inputs(g, agents, cfg.horizon, initial_states)
     if noise is None:
         noise = draw_noise(g, cfg, rng)
     N = g.num_agents

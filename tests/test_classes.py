@@ -122,9 +122,12 @@ def test_unlike_agents_form_classes_of_their_own():
     heavy = network([base] * 3 + [double_integrator_3d(0.1, 2.0, u_max=1.0)])
     assert heavy[1].qp.inv[0] is not heavy[2].qp.inv[0]
     assert len({id(c.qp.inv[0]) for c in heavy}) == 4
-    # a smaller input bound leaves P, and so its classes, as they are; the box is its own
+    # a smaller input bound leaves P, and so its inverse, bit for bit as it is; agent 3's
+    # problem is one of its own by its box, and its QP with it
     low = network([base] * 3 + [double_integrator_3d(0.1, 1.0, u_max=0.3)])
-    assert low[1].qp.inv[0] is low[2].qp.inv[0]
+    assert low[1].qp.inv[0].tobytes() == low[2].qp.inv[0].tobytes()
+    assert low[1].qp.box is not low[2].qp.box
+    assert np.array_equal(np.unique(low[1].qp.upper), [1.0])
     assert np.array_equal(np.unique(low[2].qp.upper), [0.3, 1.0])
     # inputs acting across axes join the axes of agents 3 and 4 into one block
     mixed = network([base] * 3 + [LtiAgent(base.A, base.B @ MIX, u_max=1.0)])

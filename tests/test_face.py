@@ -175,25 +175,29 @@ def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-0.3, 0.3, 0.3)]
     held, count = qp.face, qp.reused
     assert held is not None and count == sum(s.schur_reused for s in sols) > 0
-    table = {}
-    a = BoxQp(P, qp.q, qp.lower, qp.upper, table)
-    b = BoxQp(P, qp.q, qp.lower, qp.upper, table)
-    assert a.inv[0] is b.inv[0]  # one class, one inverse
+    a = BoxQp(P, qp.q, qp.lower, qp.upper)
+    b = BoxQp(P, qp.q, qp.lower, qp.upper)
+    # QPs built apart share no class: each inverts its own, to the same bits
+    assert a.inv[0] is not b.inv[0] and same_bits(a.inv[0], b.inv[0])
     assert (a.face, a.reused) == (b.face, b.reused) == (None, 0)  # a new QP's slot is empty
     # a solve fills its own QP's slot only
     solve_box_qp(a, tol=1e-10, q=0.3 * qp.q)
     assert a.face is not None and (b.face, b.reused) == (None, 0)
     assert qp.face is held and qp.reused == count
-    # the agents of one engine share classes, never a slot
+    # the alike agents of one engine share their kind's QP but for the slot
     x0 = [np.zeros(6)] * 5
     probs, maps, _ = build_local_problems(path_graph(5),
                                           default_agents(path_graph(5), SimConfig()), 10, x0)
     caches = AdmmEngine(probs, maps, 1.0, 1e-8).caches
-    assert caches[1].qp.inv[0] is caches[2].qp.inv[0]
-    one = caches[1].qp
+    one, two = caches[1].qp, caches[2].qp
+    assert one is not two
+    for name in ("inv", "plan", "box", "blocks"):
+        assert getattr(one, name) is getattr(two, name)
     solve_box_qp(one, tol=1e-8, q=np.random.default_rng(0).standard_normal(one.dim))
     assert one.face is not None
     assert all((c.qp.face, c.qp.reused) == (None, 0) for c in caches if c.qp is not one)
+    solve_box_qp(one, tol=1e-8, q=np.random.default_rng(0).standard_normal(one.dim))
+    assert one.reused > 0 and (two.face, two.reused) == (None, 0)
 
 
 def reused(log):

@@ -135,6 +135,34 @@ def test_mismatched_engine_raises(change, match):
         run_closed_loop(g, cfg, agents=agents, initial_states=x0, engine=engine)
 
 
+@pytest.mark.parametrize("other, match", [
+    ("star", r"engine members of agent 1 are \(1, 2\), the run's \(1, 2, 3, 4, 5\)"),
+    ("heavy", r"engine models in agent 1's neighbourhood differ from the run's"),
+    ("low", r"engine models in agent 1's neighbourhood differ from the run's")],
+    ids=["star", "heavy", "low"])
+def test_engine_for_another_graph_or_other_agents_raises(other, match):
+    path, cfg = path_graph(5), small_cfg(num_steps=2)
+    g, agents = path, default_agents(path, cfg)
+    x0 = draw_initial_states(path, cfg, np.random.default_rng(0))
+    if other == "star":  # the path's agent count, horizon and config
+        g = InfoGraph(5, {(1, j): 1.0 for j in range(2, 6)})
+        engine = admm_engine(path, agents, cfg, x0)
+    else:  # the engine's agents are heavier, or have a smaller input bound, than the run's
+        built = (double_integrator_3d(cfg.ts, 2.0 * cfg.mass, cfg.u_max) if other == "heavy"
+                 else double_integrator_3d(cfg.ts, cfg.mass, 0.5 * cfg.u_max))
+        engine = admm_engine(path, [built] * 5, cfg, x0)
+    try:
+        with pytest.raises(ValueError, match=match):
+            run_closed_loop(g, cfg, agents=agents, initial_states=x0, engine=engine)
+    finally:
+        engine.close()
+    # an engine built anew for the same agents, equal by value, is accepted
+    copies = [double_integrator_3d(cfg.ts, cfg.mass, cfg.u_max) for _ in range(5)]
+    engine = admm_engine(path, copies, cfg, x0)
+    log = run_closed_loop(path, cfg, agents=agents, initial_states=x0, engine=engine)
+    assert log.aborted_at is None
+
+
 def test_dual_decomposition_loop_rebinds_one_network_map(monkeypatch):
     g, cfg = path_graph(5), small_cfg(solver_kind="dual_decomp", num_steps=3, horizon=10,
                                       admm_iterations=30)

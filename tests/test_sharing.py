@@ -1,7 +1,8 @@
 """Set-up shares what alike agents have in common: one prediction per
 distinct model, one H per distinct neighbourhood, and in the engine one
-condensing map, one set of P blocks and one box per distinct problem. Each
-agent's pieces are bit for bit the ones a build of that agent alone gives."""
+condensing map, one set of P blocks, one box and one QP per distinct
+problem. Each agent's pieces are bit for bit the ones a build of that agent
+alone gives."""
 
 import numpy as np
 import pytest
@@ -148,3 +149,34 @@ def test_alike_problems_share_one_box_in_the_engine():
     caches = AdmmEngine(probs, maps, 1.0).caches
     assert len({id(c.qp.lower) for c in caches}) == 6
     assert len({id(c.qp) for c in caches}) == 20  # each agent keeps its own QP and face slot
+
+
+def qp_builds(monkeypatch, g, agents):
+    """The BoxQp builds of one engine on g and agents, and the engine."""
+    builds, real = [], BoxQp.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(self)
+        real(self, *args, **kwargs)
+
+    probs, maps, _ = build_local_problems(g, agents, 4, [np.zeros(a.n) for a in agents])
+    monkeypatch.setattr(BoxQp, "__init__", spy)
+    engine = AdmmEngine(probs, maps, 1.0)
+    monkeypatch.undo()
+    return builds, engine
+
+
+@pytest.mark.parametrize("g, count", [(path_graph(5), 3), (grid(4, 5), 6), (grid(10, 10), 6)])
+def test_one_qp_build_per_distinct_problem(monkeypatch, g, count):
+    builds, engine = qp_builds(monkeypatch, g, [double_integrator_3d(0.1, 1.0)] * g.num_agents)
+    assert len(builds) == count
+    qps = [c.qp for c in engine.caches]
+    assert len({id(qp) for qp in qps}) == g.num_agents  # each agent its own copy and slot
+    assert {id(qp.plan) for qp in qps} == {id(qp.plan) for qp in builds}
+
+
+@pytest.mark.parametrize("name, g, agents", list(scenarios()))
+def test_qp_builds_equal_distinct_boxes(monkeypatch, name, g, agents):
+    builds, engine = qp_builds(monkeypatch, g, agents)
+    # one box (condensed_bounds) per distinct problem, as the engine groups them
+    assert len(builds) == len({id(c.qp.lower) for c in engine.caches})

@@ -322,6 +322,32 @@ def test_a_nonfinite_state_is_rejected_naming_its_agent(kind):
             run_closed_loop(g, cfg, agents=agents, initial_states=x0)
 
 
+MALFORMED = {  # on path 3: the agent models and initial states given, and the error
+    "4 agents": (4, 3, "expected 3 agent models, got 4"),
+    "2 agents": (2, 3, "expected 3 agent models, got 2"),
+    "2 states": (3, 2, "expected 3 initial states, got 2"),
+    "4 states": (3, 4, "expected 3 initial states, got 4")}
+
+
+@pytest.mark.parametrize("kind", ["admm", "dual_decomp", "centralized"])
+@pytest.mark.parametrize("n_agents, n_states, match", MALFORMED.values(), ids=MALFORMED)
+def test_every_solver_kind_refuses_inputs_that_do_not_fit_the_graph(kind, n_agents, n_states,
+                                                                     match):
+    g, cfg = path_graph(3), small_cfg(num_steps=2, solver_kind=kind)
+    agents = default_agents(path_graph(n_agents), cfg)
+    x0 = draw_initial_states(path_graph(n_states), cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        run_closed_loop(g, cfg, agents=agents, initial_states=x0)
+
+
+def test_centralized_solve_refuses_a_state_of_another_shape():
+    g = path_graph(2)
+    agents = default_agents(g, small_cfg())
+    match = r"initial state of agent 1 has shape \(7,\), expected \(6,\)"
+    with pytest.raises(ValueError, match=match):
+        solve_centralized(g, agents, 5, [np.ones(7), np.ones(5)])
+
+
 def test_other_runtime_errors_propagate(monkeypatch):
     def broken(qp, **kwargs):
         raise RuntimeError("not a solver failure")
