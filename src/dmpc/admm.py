@@ -100,15 +100,15 @@ def _block_diagonal(blocks):
 
 class QpCounters:
     """The QPs of one controller step, counted as they are solved: by the
-    path `solve_box_qp` took (the closed form, one Newton step, more than
-    one), their Newton iterations and the Newton points solved on a held
-    factor, the largest final KKT residual, every QP's wall time in solve
-    order, and the critical path: the sum over rounds (ADMM iterations) of
-    the slowest QP of the round. `stats()` is the step's record and
-    `totals` adds records of steps up."""
+    path `solve_box_qp` took (the closed form, the Newton point of the warm
+    start's face, one Newton step, more than one), their Newton iterations
+    and the Newton points solved on a held factor, the largest final KKT
+    residual, every QP's wall time in solve order, and the critical path:
+    the sum over rounds (ADMM iterations) of the slowest QP of the round.
+    `stats()` is the step's record and `totals` adds records of steps up."""
 
     def __init__(self):
-        self.closed_form = self.newton_one = self.newton_more = 0
+        self.closed_form = self.warm_face = self.newton_one = self.newton_more = 0
         self.newton_iterations = self.schur_reused = 0
         self.max_kkt_residual = 0.0
         self.solve_times = []
@@ -117,7 +117,7 @@ class QpCounters:
     def add(self, caches):
         """One round of QPs solved side by side, from each cache's `last` and `seconds`."""
         times = [cache.seconds for cache in caches]
-        closed = one = steps = reused = 0
+        closed = warm = one = steps = reused = 0
         kkt = self.max_kkt_residual
         for cache in caches:
             sol = cache.last
@@ -125,6 +125,7 @@ class QpCounters:
             n = len(sol.objective_history)
             if n:
                 steps += n - 1
+                warm += n == 1
                 one += n == 2
                 reused += sol.schur_reused  # zero on the closed form
             else:
@@ -132,8 +133,9 @@ class QpCounters:
             if sol.kkt_residual > kkt:
                 kkt = sol.kkt_residual
         self.closed_form += closed
+        self.warm_face += warm
         self.newton_one += one
-        self.newton_more += len(caches) - closed - one
+        self.newton_more += len(caches) - closed - warm - one
         self.newton_iterations += steps
         self.schur_reused += reused
         self.max_kkt_residual = kkt
@@ -142,8 +144,8 @@ class QpCounters:
 
     def stats(self):
         """The step's QP record, as `SimLog.solver_stats` holds it."""
-        return {"qp_closed_form": self.closed_form, "qp_newton_one": self.newton_one,
-                "qp_newton_more": self.newton_more,
+        return {"qp_closed_form": self.closed_form, "qp_warm_face": self.warm_face,
+                "qp_newton_one": self.newton_one, "qp_newton_more": self.newton_more,
                 "qp_newton_iterations": self.newton_iterations,
                 "qp_schur_reused": self.schur_reused,
                 "qp_max_kkt_residual": float(self.max_kkt_residual),

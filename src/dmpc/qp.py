@@ -64,17 +64,20 @@ def diagonal_blocks(P):
 
 
 class _Class:
-    """A distinct block b, its largest diagonal entry, its smallest squared
-    Cholesky pivot (-inf without a factor) and its inverse (dpotrf, dpotri;
-    None unless that pivot exceeds 1e-12 of the diagonal entry)."""
+    """A distinct block b, its largest diagonal entry, `eig` (1 / the largest
+    diagonal entry of b^-1, within a factor s of b's smallest eigenvalue; a
+    singular b's smallest squared Cholesky pivot can pass 1e-8 of that entry;
+    -inf without a factor) and its inverse (dpotrf, dpotri; None unless `eig`
+    exceeds 1e-12 of the diagonal entry)."""
 
     def __init__(self, b):
-        self.P, self.inv, self.dmax = b, None, b.diagonal().max()
+        self.P, self.inv, self.dmax, self.eig = b, None, b.diagonal().max(), -np.inf
         c, info = dpotrf(b)
-        self.pivot = c.diagonal().min() ** 2 if info == 0 else -np.inf
-        if self.pivot > 1e-12 * self.dmax:
+        if info == 0:
             Sb, _ = dpotri(c)  # the upper triangle of b^-1; c has no zero pivot
-            self.inv = Sb + np.triu(Sb, 1).T
+            self.eig = 1.0 / Sb.diagonal().max()
+            if self.eig > 1e-12 * self.dmax:
+                self.inv = Sb + np.triu(Sb, 1).T
 
 
 def _principal(m, J, s):
@@ -95,7 +98,7 @@ class BoxQp:
     classes, its distinct blocks found by their bytes in a table local to
     the QP. Per class, by first index: `P`, its (s, s) block; `inv`, its
     inverse (None for the whole QP unless P is positive definite and no
-    squared pivot is at most 1e-12 of P's largest diagonal); `inv_rows`, the
+    class's `eig` is at most 1e-12 of P's largest diagonal); `inv_rows`, the
     inverse read through its transpose, from which Newton faces gather S_AA;
     `blocks`, the (k, s) indices of its k blocks. The solver's slab order
     puts the classes' blocks one after another: `order` is x's index at each entry
@@ -145,7 +148,7 @@ class BoxQp:
             rows.setdefault(cls, []).append(i)
         classes, blocks = list(rows), tuple(np.array(r) for r in rows.values())
         d = max([0.0] + [c.dmax for c in classes])
-        invertible = all(c.inv is not None and c.pivot > 1e-12 * d for c in classes)
+        invertible = all(c.inv is not None and c.eig > 1e-12 * d for c in classes)
         order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
         order = None if np.array_equal(order, np.arange(n)) else order
         lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
@@ -274,7 +277,8 @@ def _newton_point(qp, q, x_unc, active, cand):
         return x
     a, b = qp.principal(qp.P, F), -q[F] - _times(qp.P, x, qp.slabs)[F]  # x is 0 on F
     c, xf, info = dposv(a, b)
-    if info != 0 or qp.inv is None and c.diagonal().min() ** 2 <= 1e-12 * a.diagonal().max():
+    if info != 0 or qp.inv is None and not (  # near singular: as `_Class.eig`, from a^-1
+            1.0 / dpotri(c)[0].diagonal().max() > 1e-12 * a.diagonal().max()):
         xf, *_ = np.linalg.lstsq(a, b, rcond=None)
         r = b - a @ xf  # in the null space of a: nonzero where the free rows have no minimum
         if np.abs(r).max() > 1e-10 * np.abs(b).max():
@@ -319,13 +323,15 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     closed form x_unc = -`qp.inv` q if in the box (`iterations` 0, no
     objective history), then an x0 not of q's shape (ValueError), before
     Newton reads it. Newton starts from project(x0), else the projected
-    closed form, else 0; each iteration pins the entries within the box's
-    band of a bound whose gradient points out of the box, minimizes over the
-    free entries (`_newton_point`) and takes an Armijo step along the
-    projection arc, one even from an optimal start. A full step lands on its
-    face's Newton point, whatever the start: a closer start saves
-    iterations, not bits. `objective_history` holds the start objective and
-    one entry per iteration; `iterations` counts those after the first,
+    closed form, else 0; with `qp.inv`, a start within the box's band of a
+    bound moves to the projected Newton point of that face, returned if
+    optimal (no Newton step). Each iteration pins the entries within the
+    band whose gradient points out of the box, minimizes over the free
+    entries (`_newton_point`) and takes an Armijo step along the projection
+    arc. A full step lands on its face's Newton point, whatever the start:
+    a closer start saves iterations, not bits. `objective_history` holds
+    the start objective and one entry per iteration; `iterations` counts
+    those after the first,
     `schur_reused` the Newton points on the held factor. The solve runs in
     the slab order (`BoxQp.order`), its products inline when P is one class.
     """
@@ -363,19 +369,31 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     elif order is not None:
         x0 = x0[order]
     x = np.minimum(np.maximum(x0, lo), hi)
-
+    reused, moved, prev = qp.reused, True, True  # the slot's count before this solve
+    # an infinite bound is never within the band: x - -inf is inf, or nan
+    at_hi = hi - x <= band
+    if warm := S is not None and (face := (x - lo <= band) | at_hi).any():
+        # the start's face: its Newton point for this q, never the start itself
+        newton = _newton_point(qp, q, x_unc, face, np.where(at_hi, hi, lo))
+        x = np.minimum(np.maximum(newton, lo), hi)
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
     grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
-    reused, moved = qp.reused, True  # the slot's count before this solve
+    if warm:
+        res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
+        if res <= tol:
+            return QpSolution(x if order is None else x[unorder], "optimal", res, 0, fx,
+                              objective_history=history, schur_reused=qp.reused - reused)
     for _ in range(max_iter):
-        # an infinite bound is never within the band: x - -inf is inf, or nan
         at_lo = (x - lo <= band) & (grad >= 0)
         at_hi = (hi - x <= band) & (grad <= 0)
+        # after a step without strict descent (prev, else True) pin only what both
+        # faces pin: two faces that each free what the other pins swap for ever
+        active = (at_lo | at_hi) & prev
         # a candidate of bounds: _newton_point reads only its held entries
-        newton = _newton_point(qp, q, x_unc, at_lo | at_hi, np.where(at_hi, hi, lo))
+        newton = _newton_point(qp, q, x_unc, active, np.where(at_hi, hi, lo))
         xa = np.minimum(np.maximum(newton, lo), hi)  # the full step first
         for k in range(1, 54):  # then Armijo steps 1/2, 1/4, ... with a rounding slack
             ga = (xa.reshape(shape).dot(P).ravel() if shape else _times(P, xa, slabs)) + q
@@ -385,6 +403,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
             xa = np.minimum(np.maximum(x + 0.5 ** k * (newton - x), lo), hi)
         else:  # no descent step: stay
             xa, ga, fa = x, grad, fx
+        prev = True if fa < fx else active
         moved = fa < fx or not np.array_equal(xa, x)
         x, grad, fx = xa, ga, fa
         history.append(fx)

@@ -248,7 +248,7 @@ def test_summary_totals_the_step_qp_counters(tmp_path, solver):
         assert totals is None  # its steps solve one QP and count no x-updates
         return
     one, more = totals["qp_newton_one"], totals["qp_newton_more"]
-    assert totals["qp_closed_form"] + one + more == 3 * 8 * 4  # N * K * steps
+    assert totals["qp_closed_form"] + totals["qp_warm_face"] + one + more == 3 * 8 * 4  # N*K*steps
     assert totals["qp_newton_iterations"] >= one + 2 * more
     assert 0.0 <= totals["qp_max_kkt_residual"] <= 1e-6 and totals["critical_path_s"] > 0.0
 

@@ -1,7 +1,8 @@
 """The projected-Newton box QP: P's inverse and the Newton point formed from
-it, against the enumeration oracle on hard cases, what its solution fields
-report, a large singular QP, and an x-update that the accelerated projected
-gradient it replaced could not finish."""
+it, against the enumeration oracle on hard cases, cold and warm, what its
+solution fields report, the start on the warm start's face, two faces that
+free each other, a large singular QP, and an x-update that the accelerated
+projected gradient it replaced could not finish."""
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def test_no_inverse_for_semidefinite_or_near_singular_p():
         qp = BoxQp(P, np.ones(n), -np.ones(n), np.ones(n))
         assert qp.inv is None
         assert solve_box_qp(qp).status == solve_box_qp(qp, q=np.zeros(n)).status == "optimal"
+
+
+@pytest.mark.parametrize("seed", [1190, 3786])
+def test_singular_p_whose_cholesky_pivot_looks_regular_has_no_inverse(seed):
+    # P = G G' of rank 3 of 4, whose dpotrf gives a smallest squared pivot
+    # of 4.0e-12 (1190) and 1.6e-12 (3786) of the largest diagonal entry: a
+    # pivot test above 1e-12 took P for invertible, and the solves stalled at
+    # KKT residual 0.35 and 0.32; without that inverse, 3786's free system
+    # of all 4 entries passed the same test and stalled at 0.75
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((4, 3))
+    qp = BoxQp(G @ G.T, 2.0 * rng.standard_normal(4), -np.ones(4), np.ones(4))
+    assert qp.inv is None
+    sol = solve_box_qp(qp, tol=1e-10)
+    assert sol.status == "optimal", sol.message
+    assert kkt(qp, sol.x_star) <= 1e-10
+    assert abs(sol.objective - enumerate_box_qp(qp)[1]) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,11 +148,60 @@ def test_solution_fields_count_newton_iterations():
     assert cold.status == "optimal"
     # the start objective plus one entry per iteration; iterations after the first
     assert len(cold.objective_history) == cold.iterations + 2
-    # a start that is already optimal still takes one step onto its face
+    # an optimal start ends on its face's Newton point with no Newton step;
+    # the point is recomputed, not the start returned, so it is the cold
+    # solve's bit for bit
     warm = solve_box_qp(qp, tol=1e-12, x0=cold.x_star)
     assert warm.status == "optimal"
-    assert warm.iterations == 0 and len(warm.objective_history) == 2
-    assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-12
+    assert warm.iterations == 0 and len(warm.objective_history) == 1
+    assert np.array_equal(warm.x_star, cold.x_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hard_box_qps(), st.integers(0, 2**32 - 1))
+def test_warm_face_start_matches_enumeration(case, seed):
+    # the ADMM pattern: re-solve from the solution of a nearby q
+    qp, _ = case
+    tol = 1e-10
+    nudge = 0.1 * np.random.default_rng(seed).standard_normal(qp.dim)
+    near = solve_box_qp(qp, tol=tol, q=qp.q + nudge)
+    sol = solve_box_qp(qp, tol=tol, x0=near.x_star)
+    _, f_ref = enumerate_box_qp(qp)
+    assert sol.status == "optimal", sol.message
+    assert kkt(qp, sol.x_star) <= tol
+    assert abs(sol.objective - f_ref) <= 1e-9 * max(1.0, abs(f_ref))
+
+
+def test_a_qp_without_an_inverse_starts_at_its_projected_start():
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((6, 3))
+    qp = BoxQp(G @ G.T, 3.0 * rng.standard_normal(6), -np.ones(6), np.ones(6))
+    assert qp.inv is None
+    cold = solve_box_qp(qp, tol=1e-10)
+    assert cold.status == "optimal" and (np.abs(cold.x_star) == 1.0).any()
+    warm = solve_box_qp(qp, tol=1e-10, x0=cold.x_star)
+    assert warm.status == "optimal" and len(warm.objective_history) >= 2
+    assert warm.objective_history[0] == qp.objective(cold.x_star)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_two_faces_that_free_each_other_end_optimal(singular):
+    # entries 0 and 1 sit at their lower bound with an inward gradient near
+    # 1e-8; each face freed one of them and moved it less than the band, so
+    # the next pinned it again and freed the other, until max_iterations at
+    # KKT residual 1.1e-8. The singular copy adds an entry with no curvature,
+    # so the QP has no inverse and the Newton loop itself meets the swap.
+    P = np.array([[3.7475017007701883, -0.8135250408582276, 0.0],
+                  [-0.8135250408582276, 2.7351887459218287, 0.0], [0.0, 0.0, 1.0]])
+    q, x0 = [5.867953311221653, 3.8433274019297583, -5.0], [-2.0, -1.999999996354891, 2.0]
+    if singular:
+        P, q, x0 = np.pad(P, (0, 1)), q + [1.0], x0 + [-2.0]
+    n = len(q)
+    qp = BoxQp(P, q, -2.0 * np.ones(n), 2.0 * np.ones(n))
+    assert (qp.inv is None) == singular
+    sol = solve_box_qp(qp, tol=1e-8, x0=x0)
+    assert sol.status == "optimal", sol.message
+    assert sol.iterations <= 2 and kkt(qp, sol.x_star) <= 1e-8
 
 
 def test_tight_qp_tol_cold_admm_completes(monkeypatch):

@@ -1,5 +1,6 @@
 """Set-up built once and rebound: one ADMM engine per sweep trial, one engine
-at rho = 0 per dual-decomposition loop, and the per-step QP counters of every loop."""
+at rho = 0 per dual-decomposition loop, and the per-step QP counters of every
+loop, warm-face exits among them."""
 
 import importlib.util
 from collections import Counter
@@ -14,7 +15,9 @@ from dmpc import (InfoGraph, SimConfig, build_local_problems, double_integrator_
                   draw_initial_states, iteration_sweep, path_graph, run_closed_loop,
                   run_dual_decomposition)
 from dmpc import admm, simulation
+from dmpc.admm import QpCounters
 from dmpc.simulation import _first_inputs, admm_engine, default_agents
+from test_sharing import grid
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
@@ -222,8 +225,8 @@ def test_step_qp_counts_equal_a_spy_on_solve_box_qp(monkeypatch, kind, scenario)
     assert log.aborted_at is None
     per_step = g.num_agents * cfg.admm_iterations
     assert len(seen) == per_step * cfg.num_steps
-    paths = {"closed_form": "qp_closed_form", "polish": "qp_newton_one",
-             "gradient": "qp_newton_more"}
+    paths = {"closed_form": "qp_closed_form", "start_point": "qp_warm_face",
+             "polish": "qp_newton_one", "gradient": "qp_newton_more"}
     for t, stats in enumerate(log.solver_stats):
         sols = seen[t * per_step:(t + 1) * per_step]
         counted = Counter(paths[spans.qp_path(sol)] for sol in sols)
@@ -231,7 +234,7 @@ def test_step_qp_counts_equal_a_spy_on_solve_box_qp(monkeypatch, kind, scenario)
             {key: counted[key] for key in paths.values()}
         assert sum(stats[key] for key in paths.values()) == per_step
         assert stats["qp_newton_iterations"] == sum(
-            0 if spans.qp_path(s) == "closed_form" else s.iterations + 1 for s in sols)
+            max(len(s.objective_history) - 1, 0) for s in sols)
         assert stats["qp_max_kkt_residual"] == max(s.kkt_residual for s in sols)
         assert stats["qp_schur_reused"] == sum(s.schur_reused for s in sols)
         assert 0.0 < stats["critical_path_s"] <= stats["wall_time"]
@@ -239,3 +242,16 @@ def test_step_qp_counts_equal_a_spy_on_solve_box_qp(monkeypatch, kind, scenario)
     times = log.solve_times.reshape(cfg.num_steps, cfg.admm_iterations, g.num_agents)
     assert np.allclose([s["critical_path_s"] for s in log.solver_stats],
                        times.max(axis=2).sum(axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scenario", ["path5", "grid", "random-unlike"])
+def test_most_warm_x_updates_end_on_their_start_face(scenario):
+    g, agents = {"path5": (path_graph(5), None), "grid": (grid(4, 5), None),
+                 "random-unlike": unlike_agents_on_a_random_graph()}[scenario]
+    cfg = SimConfig(num_steps=3, horizon=6, admm_iterations=8, rng_seed=2)
+    log = run_closed_loop(g, cfg, agents=agents)
+    assert log.aborted_at is None
+    paths = ("qp_closed_form", "qp_warm_face", "qp_newton_one", "qp_newton_more")
+    for stats in log.solver_stats:
+        assert sum(stats[key] for key in paths) == g.num_agents * cfg.admm_iterations
+    assert QpCounters.totals(log.solver_stats)["qp_warm_face"] > 0
