@@ -128,7 +128,9 @@ def cmd_sweep(args):
     aborted = ()
     try:
         rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
-                               n_jobs=args.jobs)
+                               n_jobs=args.jobs, agents=cfg.agents())
+    except ValueError as exc:  # a trial whose centralized cost is zero
+        raise SystemExit(f"error: {exc}")
     except SweepTrialAborted as exc:
         rows, aborted = exc.rows, [f"error: {e}" for e in exc.aborted]
         if not rows:  # no trial completed: no file

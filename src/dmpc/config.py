@@ -55,6 +55,7 @@ _BOOL = {"true": True, "1": True, "yes": True, "on": True,
 def parse_config(text):
     """Parse a scenario document; unknown keys and malformed lines are errors."""
     section, values, edges, overrides = None, {}, {}, {}
+    lines = {}  # each edge's (i, j) and each override's agent i -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,7 +88,7 @@ def parse_config(text):
                 pair = (min(i, j), max(i, j))
                 if pair in edges:
                     raise ValueError(f"duplicate edge {pair}")
-                edges[pair] = w
+                edges[pair], lines[pair] = w, line_no
             elif (section, key) == ("agents", "agent"):
                 if len(args) != 3:
                     raise ValueError(f"'agent' expects 3 value(s), got {len(args)}")
@@ -95,6 +96,7 @@ def parse_config(text):
                 if i in overrides:
                     raise ValueError(f"duplicate agent override for agent {i}")
                 overrides[i] = (_FINITE("mass", args[1:2]), _POSITIVE("u_max", args[2:]))
+                lines[i] = line_no
             else:
                 raise ValueError(f"unknown key '{key}' in [{section}]")
         except ValueError as exc:
@@ -105,10 +107,10 @@ def parse_config(text):
     n = values["num_agents"]
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ConfigError(0, f"edge ({i},{j}) out of range 1..{n}")
+            raise ConfigError(lines[i, j], f"edge ({i},{j}) out of range 1..{n}")
     for i in overrides:
         if not (1 <= i <= n):
-            raise ConfigError(0, f"agent override for out-of-range agent {i}")
+            raise ConfigError(lines[i], f"agent override for out-of-range agent {i}")
     notes = []
     for section, key, name, _ in _SETTINGS:
         if name not in values:
@@ -154,6 +156,8 @@ def _formats(*args):
 
 
 _COUNT = _setting(int, lambda v: v >= 1, "{key} must be >= 1, got {v!r}")
+# SimConfig's message, as `--seed -1` gives it
+_SEED = _setting(int, lambda v: v >= 0, "rng_seed must be nonnegative, got {v!r}")
 # u_max alone may be inf, an unbounded input; nan fails every comparison
 _POSITIVE = _setting(float, lambda v: v > 0, "{key} must be positive, got {v!r}")
 _FINITE = _setting(float, lambda v: 0 < v < inf, "{key} must be positive and finite, got {v!r}")
@@ -172,7 +176,7 @@ _SETTINGS = (
     ("mpc", "admm_iters", "admm_iterations", _COUNT),
     ("mpc", "rho", "rho", _FINITE),
     ("sim", "noise_variance", "noise_variance", _NONNEGATIVE),
-    ("sim", "seed", "rng_seed", _setting(int)),
+    ("sim", "seed", "rng_seed", _SEED),
     ("mpc", "solver", "solver_kind", _SOLVER),
     ("mpc", "warm_start", "warm_start", _setting(_bool)),
     ("agents", "ts", "ts", _FINITE),

@@ -53,10 +53,10 @@ def double_integrator_3d(ts, mass, u_max=1.0):
     axis. Process noise acts directly on each acceleration component, so
     the noise channel is B with unit mass.
     """
-    if not ts > 0:
-        raise ValueError("ts must be positive")
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    if not 0 < ts < np.inf:  # nan fails as not positive
+        raise ValueError("ts must be positive and finite")
+    if not 0 < mass < np.inf:  # an infinite mass would leave B zero
+        raise ValueError("mass must be positive and finite")
     blk_a = np.array([[1.0, ts], [0.0, 1.0]])
     blk_b = np.array([[0.0], [ts / mass]])
     blk_w = np.array([[0.0], [ts]])

@@ -324,16 +324,19 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     objective history), then an x0 not of q's shape (ValueError), before
     Newton reads it. Newton starts from project(x0), else the projected
     closed form, else 0; with `qp.inv`, a start within the box's band of a
-    bound moves to the projected Newton point of that face, returned if
-    optimal (no Newton step). Each iteration pins the entries within the
-    band whose gradient points out of the box, minimizes over the free
-    entries (`_newton_point`) and takes an Armijo step along the projection
-    arc. A full step lands on its face's Newton point, whatever the start:
-    a closer start saves iterations, not bits. `objective_history` holds
-    the start objective and one entry per iteration; `iterations` counts
-    those after the first,
-    `schur_reused` the Newton points on the held factor. The solve runs in
-    the slab order (`BoxQp.order`), its products inline when P is one class.
+    bound moves to the projected Newton point of that face. The Newton loop
+    has one exit: each pass forms the KKT residual, then ends `optimal` at
+    or below tol (before any step only on the warm start's face), `stalled`
+    after a step that raised f (within the Armijo test's 1e-15 |f| rounding
+    slack) or left x and f as they were, or `max_iterations`; else it pins
+    the entries within the band whose gradient points out of the box,
+    minimizes over the free entries (`_newton_point`) and takes an Armijo
+    step along the projection arc. A full step lands on its face's Newton
+    point, whatever the start: a closer start saves iterations, not bits.
+    `objective_history` holds the start objective and one entry per step;
+    `iterations` counts those after the first, `schur_reused` the Newton
+    points on the held factor. The solve runs in the slab order
+    (`BoxQp.order`), its products inline when P is one class.
     """
     n, infeasible, order, unorder, shape, P, S, slabs, box = qp.plan
     if q is None:
@@ -381,12 +384,11 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
-    if warm:
+    for it in range(max_iter + 1):
         res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
-        if res <= tol:
-            return QpSolution(x if order is None else x[unorder], "optimal", res, 0, fx,
-                              objective_history=history, schur_reused=qp.reused - reused)
-    for _ in range(max_iter):
+        # a cold start is never optimal before its first step
+        if (optimal := res <= tol and (it or warm)) or not moved or it == max_iter:
+            break
         at_lo = (x - lo <= band) & (grad >= 0)
         at_hi = (hi - x <= band) & (grad <= 0)
         # after a step without strict descent (prev, else True) pin only what both
@@ -404,22 +406,16 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
         else:  # no descent step: stay
             xa, ga, fa = x, grad, fx
         prev = True if fa < fx else active
-        moved = fa < fx or not np.array_equal(xa, x)
+        # a step the slack let f rise by is no progress
+        moved = fa < fx or fa == fx and not np.array_equal(xa, x)
         x, grad, fx = xa, ga, fa
         history.append(fx)
-        res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
-        if res <= tol:
-            return QpSolution(x if order is None else x[unorder], "optimal", res,
-                              len(history) - 2, fx, objective_history=history,
-                              schur_reused=qp.reused - reused)
-        if not moved:
-            break
-    status, why = (("max_iterations", f"{max_iter} iterations") if moved
-                   else ("stalled", "no descent step"))
-    res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
+    status, why = (("optimal", "") if optimal else
+                   ("max_iterations", f"{max_iter} iterations") if moved else
+                   ("stalled", "no descent step"))
     return QpSolution(x if order is None else x[unorder], status, res,
                       max(len(history) - 2, 0), fx,
-                      message=f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
+                      message=why and f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
                       objective_history=history, schur_reused=qp.reused - reused)
 
 

@@ -393,9 +393,8 @@ class SweepTrialAborted(RuntimeError):
 def _sweep_trial(args):
     """One trial's excess per K, or the SweepTrialAborted of its first
     loop that aborted."""
-    g, cfg, k_values, seed = args
+    g, cfg, agents, k_values, seed = args
     rng = np.random.default_rng(seed)
-    agents = default_agents(g, cfg)
     x0 = draw_initial_states(g, cfg, rng)
     noise = draw_noise(g, cfg, rng)
 
@@ -417,24 +416,31 @@ def _sweep_trial(args):
             engine.close()
     except SweepTrialAborted as exc:
         return exc
+    except ValueError as exc:  # a centralized cost of zero, say: no ratio to pair
+        raise ValueError(f"sweep trial seed {seed}: {exc}") from None
 
 
-def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1):
+def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1, agents=None):
     """Paired ADMM-vs-centralized closed loops per trial, aggregated per K.
 
-    Returns rows (K, mean excess %, std %, num_trials). Each trial reuses
-    one centralized reference run across every K value, and one ADMM engine,
-    built after that run and rebound by each K's loop. Trials run in at
-    most min(n_jobs, num_trials, CPUs) worker processes. Every trial runs;
-    if a loop aborted, SweepTrialAborted names the first trial that did and
-    carries the rows over the trials that completed.
+    Returns rows (K, mean excess %, std %, num_trials). Each trial runs
+    `agents` (`default_agents` if None), as `run_closed_loop` does, and
+    reuses one centralized reference run across every K value, and one ADMM
+    engine, built after that run and rebound by each K's loop. Trials run
+    in at most min(n_jobs, num_trials, CPUs) worker processes. A trial
+    whose centralized cost is zero has no excess: ValueError naming its
+    seed. Every trial runs; if a loop aborted, SweepTrialAborted names the
+    first trial that did and carries the rows over the trials that
+    completed.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     seed0 = cfg.rng_seed if base_seed is None else base_seed
-    jobs = [(g, cfg, list(k_values), seed0 + trial) for trial in range(num_trials)]
+    if agents is None:
+        agents = default_agents(g, cfg)
+    jobs = [(g, cfg, agents, list(k_values), seed0 + trial) for trial in range(num_trials)]
     workers = min(n_jobs, num_trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from dmpc import ConfigError, ScenarioConfig, SimConfig, SolverFailure, parse_config, simulation
+from dmpc import (ConfigError, ScenarioConfig, SimConfig, SolverFailure, iteration_sweep,
+                  parse_config, simulation)
 from dmpc.cli import main
 
 
@@ -162,6 +163,11 @@ def test_agent_overrides():
     ("[graph]\nn 2\nedge 1 2\n[sim]\nvel_range -1 inf\n", "line 5: vel_range lower bound"),
     ("[graph]\nn 2\nedge 1 2\n[sim]\nvel_range nan 1\n", "line 5: vel_range lower bound"),
     ("[graph]\nn 2\nedge 1 2\n[output]\nformats\n", "line 5: formats expects one or more"),
+    # every error names its line, also one found once the whole document is read
+    ("[graph]\nn 2\nedge 1 2\n[sim]\nseed -1\n", "line 5: rng_seed must be nonnegative, got -1"),
+    ("[graph]\nedge 1 2\nedge 1 3\nn 2\n", "line 3: edge (1,3) out of range 1..2"),
+    ("[graph]\nn 2\nedge 1 2\n[agents]\nagent 5 1 1\n",
+     "line 5: agent override for out-of-range agent 5"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -358,6 +364,34 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[2:]] == ["1", "5"]
     assert all(row.split(",")[3:] == ["2", "0"] for row in lines[2:])
     assert "K=" in capsys.readouterr().out
+
+
+def test_sweep_runs_the_scenarios_agents(tmp_path):
+    override = GOOD + "\n[agents]\nagent 2 5.0 0.2\n"
+    rows = {}
+    for name, text in (("default", GOOD), ("override", override)):
+        out = tmp_path / name
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--k-list", "1,5", "--trials", "2"]) == 0
+        rows[name] = (out / "sweep.csv").read_text().splitlines()[2:]
+    cfg = parse_config(override)
+    expected = iteration_sweep(cfg.graph(), cfg.sim, [1, 5], 2, agents=cfg.agents())
+    assert rows["override"] == [f"{K},{mean:.17g},{std:.17g},{trials},0"
+                                for K, mean, std, trials in expected]
+    assert rows["override"] != rows["default"]
+
+
+def test_sweep_with_zero_centralized_cost_is_an_error(tmp_path):
+    # one agent has no neighbor to disagree with: every closed loop costs 0
+    text = "[graph]\nn 1\n[mpc]\nhorizon 1\n[sim]\nsteps 3\nseed 4\n"
+    assert main(["simulate", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out),
+              "--k-list", "1,5", "--trials", "2"])
+    assert str(exc.value) == "error: sweep trial seed 4: centralized cost is zero; ratio undefined"
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_k_list(tmp_path):

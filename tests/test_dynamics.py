@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmpc import LtiAgent, double_integrator_3d, prediction_matrices, rollout, step
+from dmpc import (LtiAgent, SimConfig, double_integrator_3d, path_graph, prediction_matrices,
+                  rollout, run_closed_loop, step)
 
 
 def test_double_integrator_structure():
@@ -29,6 +30,22 @@ def test_double_integrator_invalid_args():
         double_integrator_3d(0.0, 1.0)
     with pytest.raises(ValueError):
         double_integrator_3d(0.1, -1.0)
+
+
+@pytest.mark.parametrize("ts, mass, why", [
+    (np.inf, 1.0, "ts"), (np.nan, 1.0, "ts"), (0.0, 1.0, "ts"),
+    (0.1, np.inf, "mass"), (0.1, np.nan, "mass"), (0.1, -1.0, "mass"),
+])
+def test_double_integrator_needs_a_positive_finite_ts_and_mass(ts, mass, why):
+    # the config parser's messages
+    with pytest.raises(ValueError, match=f"^{why} must be positive and finite$"):
+        double_integrator_3d(ts, mass)
+
+
+def test_closed_loop_refuses_an_infinite_mass():
+    # B would be zero: every input 0, the agents unable to move
+    with pytest.raises(ValueError, match="^mass must be positive and finite$"):
+        run_closed_loop(path_graph(3), SimConfig(num_steps=3, mass=np.inf))
 
 
 def test_step_zero_maps_to_zero():

@@ -7,6 +7,7 @@ import pytest
 from dmpc import (BoxQp, InfoGraph, double_integrator_3d, enumerate_box_qp,
                   global_cost, path_graph, rollout, solve_box_qp,
                   solve_centralized)
+from dmpc import qp as qp_module
 from dmpc.problem import ZLayout, build_centralized_qp
 from kkt_oracle import dynamics_equalities, solve_equality_qp
 
@@ -264,3 +265,60 @@ def test_nonfinite_q_fails_cleanly(P, lower, upper, bad):
         for x0 in (None, np.zeros(3)):
             with pytest.raises(ValueError, match="finite"):
                 solve_box_qp(qp, x0=x0, q=q)
+
+
+# each exit of the Newton loop: optimal, max_iterations and stalled, a step
+# that raises f included
+def test_max_iter_zero_warm_start_on_an_optimal_face():
+    qp = BoxQp(np.eye(2), np.array([-3.0, 0.5]), -np.ones(2), np.ones(2))
+    sol = solve_box_qp(qp, max_iter=0, x0=np.array([1.0, 0.2]))
+    assert (sol.status, sol.iterations, sol.message) == ("optimal", 0, "")
+    assert np.array_equal(sol.x_star, [1.0, -0.5]) and len(sol.objective_history) == 1
+
+
+def test_max_iter_zero_start_inside_the_box():
+    qp = BoxQp(np.eye(2), np.array([-3.0, 0.5]), -np.ones(2), np.ones(2))
+    sol = solve_box_qp(qp, max_iter=0, x0=np.zeros(2))
+    assert (sol.status, sol.iterations, sol.kkt_residual) == ("max_iterations", 0, 1.0)
+    assert sol.message == "0 iterations; kkt residual 1.000e+00 above tol 1.000e-08"
+    assert np.array_equal(sol.x_star, [0.0, 0.0]) and sol.objective_history == [0.0]
+
+
+def test_max_iter_one_on_a_qp_of_two_newton_steps():
+    # from 0 the first step goes to the box's corner (1, -1); the second frees x1
+    qp = BoxQp(np.array([[1.0, 0.9], [0.9, 1.0]]), np.array([-3.0, -1.0]),
+               -np.ones(2), np.ones(2))
+    full = solve_box_qp(qp, x0=np.zeros(2))
+    assert full.status == "optimal" and full.iterations == 1
+    assert full.x_star == pytest.approx([1.0, 0.1], abs=1e-12)
+    sol = solve_box_qp(qp, max_iter=1, x0=np.zeros(2))
+    assert (sol.status, sol.iterations) == ("max_iterations", 0)
+    assert sol.objective_history == full.objective_history[:2]
+    assert np.array_equal(sol.x_star, [1.0, -1.0])
+
+
+def test_a_newton_point_that_stays_put_ends_stalled(monkeypatch):
+    # the Newton point is the start itself
+    monkeypatch.setattr(qp_module, "_newton_point", lambda *args: np.zeros(2))
+    qp = BoxQp(np.eye(2), np.array([-3.0, 0.5]), -np.ones(2), np.ones(2))
+    sol = solve_box_qp(qp, x0=np.zeros(2))
+    assert (sol.status, sol.iterations, sol.objective_history) == ("stalled", 0, [0.0, 0.0])
+    assert sol.message.startswith("no descent step; kkt residual 1.000e+00")
+
+
+def test_a_step_that_raises_f_within_the_slack_ends_stalled(monkeypatch):
+    # each Newton point moves 4 ulps further in from the bound the minimum
+    # sits on: f rises about 1.8e-15 a step, within the Armijo test's
+    # rounding slack of 1e-15 |f| = 2.5e-15, and x never reaches the optimum
+    newton_point, calls = qp_module._newton_point, []
+
+    def nudged(*args):
+        calls.append(None)
+        return newton_point(*args) - 4 * len(calls) * np.spacing(1.0)
+
+    monkeypatch.setattr(qp_module, "_newton_point", nudged)
+    qp = BoxQp(np.eye(1), np.array([-3.0]), -np.ones(1), np.ones(1))
+    sol = solve_box_qp(qp, tol=0.0, max_iter=200)
+    hist = np.asarray(sol.objective_history)
+    assert sol.status == "stalled" and len(hist) <= 4
+    assert np.diff(hist)[-1] > 0 and np.all(np.diff(hist)[:-1] <= 0)
