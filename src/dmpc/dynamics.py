@@ -45,6 +45,11 @@ class LtiAgent:
     def m(self):
         return self.B.shape[1]
 
+    @property
+    def noise_channel(self):
+        """The matrix through which noise enters: `noise_input`, else B."""
+        return self.B if self.noise_input is None else self.noise_input
+
 
 def double_integrator_3d(ts, mass, u_max=1.0):
     """Euler-discretized 3D double integrator.
@@ -77,7 +82,7 @@ def step(agent, x, u, w=None):
     out = agent.A @ x + agent.B @ u
     if w is not None:
         w = np.asarray(w, dtype=float)
-        channel = agent.noise_input if agent.noise_input is not None else agent.B
+        channel = agent.noise_channel
         if w.shape != (channel.shape[1],):
             raise ValueError(f"noise has shape {w.shape}, expected ({channel.shape[1]},)")
         out += channel @ w

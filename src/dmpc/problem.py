@@ -301,21 +301,21 @@ def condensed_maps(p, pred, states):
 
 
 def condensed_hessian(H, M, Mt, ends):
-    """The symmetrized diagonal blocks of the condensed Hessian M'HM, as
-    `diagonal_blocks` gives them, per column range of M ending at `ends`
-    (indices from the range's start; no block crosses two ranges of a
-    block-diagonal M). Mt is M' as CSR. M'(HM) is one sparse product; no
-    range is densified.
+    """The distinct diagonal blocks of the symmetric part of the condensed
+    Hessian M'HM, as `diagonal_blocks` gives them, per column range of M
+    ending at `ends` (indices from the range's start, classes by their first
+    block in the range; no block crosses two ranges of a block-diagonal M,
+    and ranges with a bit-equal block share its array). Mt is M' as CSR.
+    M'(HM) is one sparse product: set-up holds it, each distinct block once
+    and the one block being densified, never a dense range.
     """
     starts = np.concatenate([[0], ends])
     out = [[] for _ in ends]
-    for idx, Pb in diagonal_blocks(Mt @ (H @ M)):
-        Pb += Pb.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-        Pb *= 0.5
-        cuts = np.searchsorted(idx[:, 0], starts)
-        for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            out[r].append((idx[a:b] - starts[r], Pb[a:b]))
-    return [tuple(groups) for groups in out]
+    for idx, b in diagonal_blocks(Mt @ (H @ M)):
+        cuts = np.searchsorted(idx[:, 0], starts)  # the class's blocks, range by range
+        for r in np.flatnonzero(np.diff(cuts)):
+            out[r].append((idx[cuts[r]:cuts[r + 1]] - starts[r], b))
+    return [tuple(sorted(groups, key=lambda g: g[0][0, 0])) for groups in out]
 
 
 def condensed_bounds(p):

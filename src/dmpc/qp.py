@@ -33,51 +33,87 @@ from scipy.sparse.csgraph import connected_components
 # grid's centralized QP) and loses at 50 and below (every agent's QP)
 PIECEWISE_MIN = 100
 
+# the rows of a block or an inverse that set-up symmetrizes at one time: a
+# band of 32 x s entries is the largest temporary of a 1000-entry block's build,
+# and 32 rows symmetrized 2x faster than 64 on a 200-entry block
+_BAND = 32
+
 
 def diagonal_blocks(P):
-    """The connected components of the pattern of a dense or sparse P's
-    stored entries, grouped by size: a tuple of (idx, Pb), one per block
-    size s, ascending. idx (nb, s) holds each block's indices, ascending,
-    blocks ordered by first index; Pb stacks the (nb, s, s) blocks
-    P[idx_b, idx_b], filled by one scatter of P's stored entries."""
-    P, n = sparse.csr_array(P), P.shape[0]
+    """The diagonal blocks of a dense or sparse P, the connected components
+    of the pattern of its stored entries, as classes of bit-equal blocks of
+    P's symmetric part: a tuple of (idx, b) by first index, idx (k, s) the
+    indices of the class's k blocks (each row ascending, rows by first
+    index) and b the (s, s) block (P[i, i] + P[i, i]')/2 of each row i
+    (P[i, i] itself if that is symmetric). Blocks are taken by first index.
+    One whose stored entries (their places and bits) match an earlier
+    block's joins that block's class; any other is densified, symmetrized
+    `_BAND` rows at a time, and joins the class equal to it bit for bit
+    (found by its diagonal's bytes) or starts one. Besides P, set-up holds
+    each distinct block once, the one block being densified and a band of
+    it, P's stored entries' values and places in their blocks, rows block
+    by block, and a copy of those of each block densified, to match by."""
+    P = sparse.csr_array(P)
     _, labels = connected_components(P, directed=True, connection="weak")
     order = np.argsort(labels, kind="stable")  # each block's indices, ascending
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    blocks = np.lexsort((order[starts], sizes))  # by size, then by first index
-    loc = np.empty(n, dtype=np.intp)  # each index's position in its block
-    loc[order] = np.arange(n) - np.repeat(starts, sizes)
-    area = sizes[blocks] ** 2
-    base = np.empty_like(sizes)  # each block's offset in one buffer of all blocks
-    base[blocks] = np.cumsum(area) - area
-    at = np.repeat(base[labels] + loc * sizes[labels], np.diff(P.indptr))  # row starts
-    at += loc[P.indices]
-    buf = np.zeros(area.sum())
-    buf[at] = P.data
-    groups = []
-    for s in np.unique(sizes):
-        b = blocks[sizes[blocks] == s]
-        idx = order[starts[b][:, None] + np.arange(s)]
-        groups.append((idx, buf[base[b[0]]:base[b[0]] + b.size * s * s].reshape(-1, s, s)))
-    return tuple(groups)
+    loc = np.empty(order.size, dtype=np.intp)  # each index's position in its block
+    loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    cnt = np.diff(P.indptr)[order]  # each row's stored entries, rows block by block
+    off = np.concatenate([[0], np.cumsum(cnt)])  # where each row's entries start, so ordered
+    at = np.repeat(P.indptr[order] - off[:-1], cnt)
+    at += np.arange(at.size)  # P's entries in that order
+    data, flat = P.data[at], loc[P.indices[at]]
+    del at
+    flat += np.repeat(loc[order] * np.repeat(sizes, sizes), cnt)  # each entry's place, row-major
+    rows, classes = [], []
+    runs, seen = {}, {}  # a block's stored entries (places, bits) -> its class; a diagonal's too
+    by_first = np.argsort(order[starts])
+    for a, s in zip(starts[by_first], sizes[by_first]):
+        e = slice(off[a], off[a + s])
+        key = s, flat[e].tobytes(), data[e].tobytes()
+        if (k := runs.get(key)) is None:  # no block with these entries yet: densify this one
+            b = np.zeros((s, s))
+            b.reshape(-1)[flat[e]] = data[e]
+            for i in range(0, s, _BAND):  # (b + b')/2: the band's rows from the diagonal on
+                u = b[i:i + _BAND, i:] + b[i:, i:i + _BAND].T
+                u *= 0.5
+                b[i:i + _BAND, i:] = u
+                b[i:, i:i + _BAND] = u.T
+            same = seen.setdefault(b.diagonal().tobytes(), [])
+            k = runs[key] = next((k for k in same
+                                  if (classes[k].view(np.int64) == b.view(np.int64)).all()),
+                                 len(classes))
+            if k == len(classes):
+                same.append(k)
+                rows.append([])
+                classes.append(b)
+            del b, u  # before the next block's: one block being densified at a time
+        rows[k].append(order[a:a + s])
+    return tuple((np.array(r), b) for r, b in zip(rows, classes))
 
 
 class _Class:
-    """A distinct block b, its largest diagonal entry, `eig` (1 / the largest
-    diagonal entry of b^-1, within a factor s of b's smallest eigenvalue; a
-    singular b's smallest squared Cholesky pivot can pass 1e-8 of that entry;
-    -inf without a factor) and its inverse (dpotrf, dpotri; None unless `eig`
-    exceeds 1e-12 of the diagonal entry)."""
+    """A distinct block b, kept as given, its largest diagonal entry, `eig`
+    (1 / the largest diagonal entry of b^-1, within a factor s of b's
+    smallest eigenvalue; a singular b's smallest squared Cholesky pivot can
+    pass 1e-8 of that entry; -inf without a factor) and its inverse (None
+    unless `eig` exceeds 1e-12 of the diagonal entry). The inverse is one
+    Fortran-ordered copy of b: dpotrf factors into it, dpotri inverts over
+    the factor, and its lower triangle is filled from the upper one `_BAND`
+    rows at a time. Besides b, set-up holds that array and one band."""
 
     def __init__(self, b):
         self.P, self.inv, self.dmax, self.eig = b, None, b.diagonal().max(), -np.inf
-        c, info = dpotrf(b)
+        c, info = dpotrf(b)  # clean: c's strict lower triangle is zero
         if info == 0:
-            Sb, _ = dpotri(c)  # the upper triangle of b^-1; c has no zero pivot
-            self.eig = 1.0 / Sb.diagonal().max()
+            c, _ = dpotri(c, overwrite_c=1)  # the upper triangle of b^-1; c has no zero pivot
+            self.eig = 1.0 / c.diagonal().max()
             if self.eig > 1e-12 * self.dmax:
-                self.inv = Sb + np.triu(Sb, 1).T
+                for a in range(0, c.shape[0], _BAND):  # c + triu(c, 1)', one band of rows
+                    c[a:a + _BAND] += np.tril(c[:, a:a + _BAND].T, a - 1)
+                self.inv = c
 
 
 def _principal(m, J, s):
@@ -94,12 +130,13 @@ def _principal(m, J, s):
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
-    P comes dense, sparse or as `diagonal_blocks` gives it, and is kept as
-    classes, its distinct blocks found by their bytes in a table local to
-    the QP. Per class, by first index: `P`, its (s, s) block; `inv`, its
-    inverse (None for the whole QP unless P is positive definite and no
-    class's `eig` is at most 1e-12 of P's largest diagonal); `inv_rows`, the
-    inverse read through its transpose, from which Newton faces gather S_AA;
+    P comes as `diagonal_blocks` gives it, its classes, whose blocks the QP
+    keeps as given, one `_Class` each; or dense or sparse, which
+    `diagonal_blocks` splits (its symmetric part: P itself if symmetric).
+    Per class, by first index: `P`, its (s, s) block; `inv`, its inverse
+    (None for the whole QP unless P is positive definite and no class's
+    `eig` is at most 1e-12 of P's largest diagonal); `inv_rows`, the inverse
+    read through its transpose, from which Newton faces gather S_AA;
     `blocks`, the (k, s) indices of its k blocks. The solver's slab order
     puts the classes' blocks one after another: `order` is x's index at each entry
     and `unorder` its inverse (both None for x's own order); `slabs` holds
@@ -129,7 +166,7 @@ class BoxQp:
     def __init__(self, P, q, lower, upper):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
         n, groups = q.shape[0], P
-        if not isinstance(groups, tuple):  # a matrix; blocks come symmetrized
+        if not isinstance(groups, tuple):  # a matrix
             groups = groups if sparse.issparse(groups) else np.asarray(groups, dtype=float)
             if groups.shape != (n, n):
                 raise ValueError(f"P shape {groups.shape} inconsistent with q length {n}")
@@ -140,13 +177,7 @@ class BoxQp:
             raise ValueError(f"P's blocks do not cover q's {n} entries")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match q in length")
-        table, rows = {}, {}  # rows: class -> its blocks' indices
-        for i, b in sorted(((i, b) for idx, Pb in groups for i, b in zip(idx, Pb)),
-                           key=lambda ib: ib[0][0]):
-            key = b.tobytes()
-            cls = table[key] = table.get(key) or _Class(np.array(b))
-            rows.setdefault(cls, []).append(i)
-        classes, blocks = list(rows), tuple(np.array(r) for r in rows.values())
+        classes, blocks = [_Class(b) for _, b in groups], tuple(idx for idx, _ in groups)
         d = max([0.0] + [c.dmax for c in classes])
         invertible = all(c.inv is not None and c.eig > 1e-12 * d for c in classes)
         order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
@@ -326,13 +357,14 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     closed form, else 0; with `qp.inv`, a start within the box's band of a
     bound moves to the projected Newton point of that face. The Newton loop
     has one exit: each pass forms the KKT residual, then ends `optimal` at
-    or below tol (before any step only on the warm start's face), `stalled`
-    after a step that raised f (within the Armijo test's 1e-15 |f| rounding
-    slack) or left x and f as they were, or `max_iterations`; else it pins
-    the entries within the band whose gradient points out of the box,
-    minimizes over the free entries (`_newton_point`) and takes an Armijo
-    step along the projection arc. A full step lands on its face's Newton
-    point, whatever the start: a closer start saves iterations, not bits.
+    or below tol (before any step only on the warm start's face, or when
+    `max_iter` is 0), `stalled` after a step that raised f (within the
+    Armijo test's 1e-15 |f| rounding slack) or left x and f as they were,
+    or `max_iterations`; else it pins the entries within the band whose
+    gradient points out of the box, minimizes over the free entries
+    (`_newton_point`) and takes an Armijo step along the projection arc. A
+    full step lands on its face's Newton point, whatever the start: a closer
+    start saves iterations, not bits.
     `objective_history` holds the start objective and one entry per step;
     `iterations` counts those after the first, `schur_reused` the Newton
     points on the held factor. The solve runs in the slab order
@@ -386,8 +418,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     history = [fx]
     for it in range(max_iter + 1):
         res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
-        # a cold start is never optimal before its first step
-        if (optimal := res <= tol and (it or warm)) or not moved or it == max_iter:
+        # a cold start is never optimal before its first step, unless no step is allowed
+        if (optimal := res <= tol and (it or warm or not max_iter)) or not moved or it == max_iter:
             break
         at_lo = (x - lo <= band) & (grad >= 0)
         at_hi = (hi - x <= band) & (grad <= 0)

@@ -98,7 +98,9 @@ def draw_initial_states(g, cfg, rng):
 
 
 def draw_noise(g, cfg, rng, noise_dim=3):
-    """Gaussian accelerations, variance `noise_variance` per component."""
+    """Gaussian accelerations, variance `noise_variance` per component:
+    (steps, agents, noise_dim), noise_dim the width of the agents' noise
+    channel (3 for the stock agents)."""
     sigma = np.sqrt(cfg.noise_variance)
     return sigma * rng.standard_normal((cfg.num_steps, g.num_agents, noise_dim))
 
@@ -300,7 +302,7 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
         initial_states = draw_initial_states(g, cfg, rng)
     initial_states = checked_inputs(g, agents, cfg.horizon, initial_states)
     if noise is None:
-        noise = draw_noise(g, cfg, rng)
+        noise = draw_noise(g, cfg, rng, agents[0].noise_channel.shape[1])
     N = g.num_agents
     n, m = agents[0].n, agents[0].m
 
@@ -396,7 +398,7 @@ def _sweep_trial(args):
     g, cfg, agents, k_values, seed = args
     rng = np.random.default_rng(seed)
     x0 = draw_initial_states(g, cfg, rng)
-    noise = draw_noise(g, cfg, rng)
+    noise = draw_noise(g, cfg, rng, agents[0].noise_channel.shape[1])
 
     def loop(K, engine=None):
         run_cfg = (replace(cfg, solver_kind="centralized", rng_seed=seed) if K is None else

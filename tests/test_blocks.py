@@ -4,6 +4,7 @@ whose local P split by axis or, with axis-coupling inputs, do not split."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -52,10 +53,12 @@ def test_blocks_are_the_exact_partition(sizes, seed):
     P, parts = block_diagonal(np.random.default_rng(seed), sizes)
     blocks = diagonal_blocks(P)
     assert partition(blocks) == sorted(parts)
-    assert sorted(idx.shape[1] for idx, _ in blocks) == sorted(set(sizes))
-    for idx, Pb in blocks:
+    # random blocks: each its own class, classes by first index
+    assert sorted(idx.shape[1] for idx, _ in blocks) == sorted(sizes)
+    assert [idx[0, 0] for idx, _ in blocks] == sorted(min(part) for part in parts)
+    for idx, b in blocks:
         assert np.all(np.diff(idx, axis=1) > 0)
-        for i, b in zip(idx, Pb):
+        for i in idx:
             assert np.array_equal(b, P[np.ix_(i, i)])
 
 
@@ -64,13 +67,24 @@ def test_coupled_patterns_are_one_block():
     G = rng.standard_normal((7, 7))
     tri = 2.0 * np.eye(600) - np.eye(600, k=1) - np.eye(600, k=-1)
     for P in (G @ G.T, tri):
-        (idx, Pb), = diagonal_blocks(P)
+        (idx, b), = diagonal_blocks(P)
         assert np.array_equal(idx, np.arange(P.shape[0])[None, :])
-        assert np.array_equal(Pb[0], P)
+        assert np.array_equal(b, P)
     # one nonzero entry on either side of the diagonal joins two blocks
     P = np.eye(4)
     P[0, 3] = 1e-13
     assert partition(diagonal_blocks(P)) == [(0, 3), (1,), (2,)]
+
+
+def test_classes_are_of_symmetric_parts_and_alike_blocks_share_one():
+    # blocks 0 and 2 hold the same entries; block 1 holds other entries whose
+    # symmetric part is theirs; block 3 differs
+    a = np.array([[2.0, 1.5], [0.5, 2.0]])
+    P = sparse.block_diag([a, a.T, a, a + np.eye(2)]).toarray()
+    (idx, b), (idx2, b2) = diagonal_blocks(P)
+    assert idx.tolist() == [[0, 1], [2, 3], [4, 5]] and idx2.tolist() == [[6, 7]]
+    assert np.array_equal(b, [[2.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(b2, [[3.0, 1.0], [1.0, 3.0]])
 
 
 def test_empty_qp_has_no_blocks():

@@ -62,8 +62,8 @@ def with_open_and_pinned_entries(rng, qp):
     upper) and a quarter unbounded on one side or both; the entries of a
     singular block keep their finite box, so every QP has a minimizer."""
     lo, hi = qp.lower.copy(), qp.upper.copy()
-    spd = np.concatenate([i for idx, Pb in diagonal_blocks(qp.dense()) for i, b in zip(idx, Pb)
-                          if np.linalg.eigvalsh(b).min() > 1e-9])
+    spd = np.concatenate([i for idx, b in diagonal_blocks(qp.dense())
+                          if np.linalg.eigvalsh(b).min() > 1e-9 for i in idx])
     pick = rng.uniform(size=spd.size)
     hi[spd[pick < 0.25]] = lo[spd[pick < 0.25]]
     lo[spd[(pick > 0.75) & (pick < 0.9)]] = -np.inf

@@ -284,6 +284,19 @@ def test_max_iter_zero_start_inside_the_box():
     assert np.array_equal(sol.x_star, [0.0, 0.0]) and sol.objective_history == [0.0]
 
 
+def test_max_iter_zero_cold_start_at_the_optimum_is_optimal():
+    # P has no inverse, so there is no closed form and no warm face: the
+    # start x0 is the minimizer, and a solve that may take no step says so
+    qp = BoxQp(np.diag([1.0, 0.0]), np.array([-0.5, 1.0]), -np.ones(2), np.ones(2))
+    assert qp.inv is None
+    sol = solve_box_qp(qp, max_iter=0, x0=np.array([0.5, -1.0]))
+    assert (sol.status, sol.iterations, sol.kkt_residual, sol.message) == ("optimal", 0, 0.0, "")
+    assert np.array_equal(sol.x_star, [0.5, -1.0]) and sol.objective_history == [-1.125]
+    # with a step allowed, a cold start still takes one before it may end optimal
+    one = solve_box_qp(qp, max_iter=1, x0=np.array([0.5, -1.0]))
+    assert (one.status, one.iterations, one.objective_history) == ("optimal", 0, [-1.125, -1.125])
+
+
 def test_max_iter_one_on_a_qp_of_two_newton_steps():
     # from 0 the first step goes to the box's corner (1, -1); the second frees x1
     qp = BoxQp(np.array([[1.0, 0.9], [0.9, 1.0]]), np.array([-3.0, -1.0]),

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmpc import (InfoGraph, QpSolution, SimConfig, SweepTrialAborted, build_local_problems,
-                  draw_initial_states, draw_noise, iteration_sweep, path_graph,
-                  performance_ratio, run_closed_loop, solve_centralized)
+from dmpc import (InfoGraph, LtiAgent, QpSolution, SimConfig, SweepTrialAborted,
+                  build_local_problems, draw_initial_states, draw_noise, iteration_sweep,
+                  path_graph, performance_ratio, run_closed_loop, solve_centralized)
 from dmpc import admm, simulation
 from dmpc.simulation import _CentralizedCache, default_agents
 
@@ -274,6 +274,17 @@ def test_iteration_sweep_caps_its_process_pool(monkeypatch):
         rows = iteration_sweep(g, cfg, [1], num_trials=trials, n_jobs=n_jobs)
         assert rows[0][3] == trials
     assert RecordingPool.sizes == [2, 3, 2]
+
+
+@pytest.mark.parametrize("kind", ["admm", "centralized", "dual_decomp"])
+def test_default_noise_has_the_agents_noise_width(kind):
+    # 1-D double integrators: one input, so B, their noise channel, has one column
+    agent = LtiAgent(np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]]), u_max=1.0)
+    cfg = small_cfg(num_steps=3, noise_variance=0.01, solver_kind=kind)
+    x0 = [np.array([1.0, 0.0]), np.array([0.0, 0.5]), np.array([-1.0, 0.0])]
+    log = run_closed_loop(path_graph(3), cfg, agents=[agent] * 3, initial_states=x0)
+    assert log.aborted_at is None and log.states.shape == (4, 3, 2)
+    assert log.noise_draws.shape == (3, 3, 1) and np.all(log.noise_draws != 0.0)
 
 
 def test_centralized_setup_memory_on_a_grid():
