@@ -1,18 +1,19 @@
 """Convex QP solvers: box-constrained (closed form, then projected Newton)
 plus an enumeration oracle for tiny QPs.
 
-`BoxQp` keeps P only as classes, its distinct diagonal blocks, each checked
-and inverted once, with each class's k blocks of size s laid out as one
-(k, s) slab: a product with P or S = P^-1 is one (k, s)(s, s) product per
-class. The closed form is x_unc = -S q. A Newton step holding the active
-entries A at h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more
-than half the entries are held, or P has no inverse, it solves the free
-rows P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
+`BoxQp` keeps P in one layout, shape (k, s): k equal (s, s) blocks lying
+one after another in x's order, kept as one block and inverted once. Every
+condensed P is of that kind; any other P is kept as one dense block, k = 1
+and s = n. A product with P or S = P^-1 is one (k, s)(s, s) product. The
+closed form is x_unc = -S q. A Newton step holding the active entries A at
+h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more than half
+the entries are held, or P has no inverse, it solves the free rows
+P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
 the next, so each QP keeps the Cholesky factor of its last S_AA (`face`):
 the same A again costs one triangular solve pair, bit for bit the same.
 S_AA is block diagonal, one block per block of P that A meets: a QP whose
-blocks all have at least `PIECEWISE_MIN` entries factors it one such piece
-at a time (`BoxQp.pieces`), a smaller one as one dense |A| x |A| matrix.
+blocks have at least `PIECEWISE_MIN` entries factors it one such piece at a
+time (`BoxQp.pieces`), a smaller one as one dense |A| x |A| matrix.
 
 One solve path: a QP is built once and each solve passes its own q
 (`solve_box_qp(qp, q=q)`). A solve is straight-line numpy on what the QP
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.linalg.lapack import dposv, dpotrf, dpotri, dpotrs
 from scipy.sparse.csgraph import connected_components
 
@@ -94,26 +94,24 @@ def diagonal_blocks(P):
     return tuple((np.array(r), b) for r, b in zip(rows, classes))
 
 
-class _Class:
-    """A distinct block b, kept as given, its largest diagonal entry, `eig`
-    (1 / the largest diagonal entry of b^-1, within a factor s of b's
+def _inverse(b):
+    """The inverse of the block b, or None unless b is positive definite and
+    1 / the largest diagonal entry of b^-1 (within a factor s of b's
     smallest eigenvalue; a singular b's smallest squared Cholesky pivot can
-    pass 1e-8 of that entry; -inf without a factor) and its inverse (None
-    unless `eig` exceeds 1e-12 of the diagonal entry). The inverse is one
-    Fortran-ordered copy of b: dpotrf factors into it, dpotri inverts over
-    the factor, and its lower triangle is filled from the upper one `_BAND`
-    rows at a time. Besides b, set-up holds that array and one band."""
-
-    def __init__(self, b):
-        self.P, self.inv, self.dmax, self.eig = b, None, b.diagonal().max(), -np.inf
-        c, info = dpotrf(b)  # clean: c's strict lower triangle is zero
-        if info == 0:
-            c, _ = dpotri(c, overwrite_c=1)  # the upper triangle of b^-1; c has no zero pivot
-            self.eig = 1.0 / c.diagonal().max()
-            if self.eig > 1e-12 * self.dmax:
-                for a in range(0, c.shape[0], _BAND):  # c + triu(c, 1)', one band of rows
-                    c[a:a + _BAND] += np.tril(c[:, a:a + _BAND].T, a - 1)
-                self.inv = c
+    pass 1e-8 of that entry) exceeds 1e-12 of b's largest diagonal entry.
+    The inverse is one Fortran-ordered copy of b: dpotrf factors into it,
+    dpotri inverts over the factor, and its lower triangle is filled from
+    the upper one `_BAND` rows at a time. Besides b, it holds that array
+    and one band."""
+    c, info = dpotrf(b)  # clean: c's strict lower triangle is zero
+    if info or not b.size:
+        return None
+    c, _ = dpotri(c, overwrite_c=1)  # the upper triangle of b^-1; c has no zero pivot
+    if not 1.0 / c.diagonal().max() > 1e-12 * b.diagonal().max():
+        return None
+    for a in range(0, c.shape[0], _BAND):  # c + triu(c, 1)', one band of rows
+        c[a:a + _BAND] += np.tril(c[:, a:a + _BAND].T, a - 1)
+    return c
 
 
 def _principal(m, J, s):
@@ -130,38 +128,31 @@ def _principal(m, J, s):
 class BoxQp:
     """minimize 0.5 x'Px + q'x subject to lower <= x <= upper.
 
-    P comes as `diagonal_blocks` gives it, its classes, whose blocks the QP
-    keeps as given, one `_Class` each; or dense or sparse, which
-    `diagonal_blocks` splits (its symmetric part: P itself if symmetric).
-    Per class, by first index: `P`, its (s, s) block; `inv`, its inverse
-    (None for the whole QP unless P is positive definite and no class's
-    `eig` is at most 1e-12 of P's largest diagonal); `inv_rows`, the inverse
-    read through its transpose, from which Newton faces gather S_AA;
-    `blocks`, the (k, s) indices of its k blocks. The solver's slab order
-    puts the classes' blocks one after another: `order` is x's index at each entry
-    and `unorder` its inverse (both None for x's own order); `slabs` holds
-    each class's start, stop and shape (k, s); `box` the bounds in that
-    order, Newton's pin `band` (1e-9 of the box width if both bounds are
-    finite, else 1e-9) and the closed form's box, 1e-12 wider.
-    `infeasible`: no finite x meets the bounds (a lower bound exceeds its
-    upper bound, or an entry's bounds are both -inf or both +inf). `plan`:
-    what a solve reads, fixed when the QP is built (n, infeasible, order,
-    unorder, the (k, s) shape if P is one class else None, P and inv as
-    that one block or as the classes' tuples, slabs, box). The face slot,
-    one per QP object, so a `copy.copy` sharing all else has its own:
-    `face`, None or the pair (A's bytes, the Cholesky factor of S_AA that
-    dposv returned) of the last Newton face solved through S_AA, replaced
-    and read as one tuple, so a solve never pairs an A with another face's
-    factor; `reused`, the count of Newton points solved on a held factor.
-    `pieces`: None, or, when P has an inverse and every block at least
-    `PIECEWISE_MIN` entries, (each block's start in the slab order and n,
-    each block's class inverse, as in `inv_rows`); S_AA is then solved one
-    piece per block that A meets, and `face` holds (A's bytes, ((start,
-    stop, factor), ...)), each piece's place in A and its Cholesky factor.
+    P comes as `diagonal_blocks` gives it, its classes (ValueError unless
+    (s, s) blocks on (k, s) indices covering x's once each), or dense or
+    sparse, split by `diagonal_blocks` (its symmetric part: P if symmetric).
+    `shape` (k, s) and `P`: one class of k blocks lying one after another
+    in x's order keeps its (s, s) block, as given; any other P is one dense
+    block assembled from its classes, k = 1 and s = n. `inv`: the block's
+    inverse, or None (`_inverse`); `inv_rows`: its transpose, from which
+    Newton faces gather S_AA. `box`: the bounds, Newton's pin `band` (1e-9
+    of the box width if both bounds are finite, else 1e-9) and the closed
+    form's box, 1e-12 wider. `infeasible`: no finite x meets the bounds (a
+    lower bound above its upper bound, or both bounds at one infinity).
+    `plan`: what a solve reads, fixed when the QP is built (n, infeasible,
+    shape, P, inv, box). The face slot, one per QP object, so a `copy.copy`
+    sharing all else has its own: `face`, None or the pair (A's bytes, the
+    Cholesky factor of S_AA that dposv returned) of the last Newton face
+    solved through S_AA, replaced and read as one tuple, so a solve never
+    pairs an A with another face's factor; `reused`, the count of Newton
+    points solved on a held factor. `pieces`: None, or, with an inverse
+    and s at least `PIECEWISE_MIN`, each block's start and n: S_AA is then
+    solved one piece per block that A meets, and `face` holds (A's bytes,
+    ((start, stop, factor), ...)), each piece's place in A and its factor.
     """
 
-    __slots__ = ("P", "q", "lower", "upper", "blocks", "inv", "order", "unorder", "slabs",
-                 "box", "infeasible", "plan", "face", "reused", "pieces", "inv_rows")
+    __slots__ = ("P", "q", "lower", "upper", "shape", "inv", "inv_rows", "box", "infeasible",
+                 "plan", "face", "reused", "pieces")
 
     def __init__(self, P, q, lower, upper):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
@@ -173,69 +164,49 @@ class BoxQp:
             if n and abs(groups - groups.T).max() > 1e-12 * max(1.0, abs(groups).max()):
                 raise ValueError("P must be symmetric")
             groups = diagonal_blocks(groups)
-        elif sum(idx.size for idx, _ in groups) != n:
-            raise ValueError(f"P's blocks do not cover q's {n} entries")
+        elif any(b.shape != idx.shape[1:] * 2 for idx, b in groups) or not np.array_equal(
+                np.sort(np.concatenate([i.ravel() for i, _ in groups] + [[]])), np.arange(n)):
+            raise ValueError(f"P's blocks are not (s, s) blocks covering q's {n} entries once each")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError("bound vectors must match q in length")
-        classes, blocks = [_Class(b) for _, b in groups], tuple(idx for idx, _ in groups)
-        d = max([0.0] + [c.dmax for c in classes])
-        invertible = all(c.inv is not None and c.eig > 1e-12 * d for c in classes)
-        order = np.concatenate([b.ravel() for b in blocks] + [np.zeros(0, int)])
-        order = None if np.array_equal(order, np.arange(n)) else order
-        lo_s, hi_s = (lo, hi) if order is None else (lo[order], hi[order])
-        finite = np.isfinite(lo_s) & np.isfinite(hi_s)  # hi - lo only there: never inf - inf
-        band = 1e-9 * np.maximum(np.subtract(hi_s, lo_s, out=np.ones(n), where=finite), 1.0)
-        self.P, self.q, self.lower, self.upper = tuple(c.P for c in classes), q, lo, hi
-        self.blocks, self.order = blocks, order
-        self.unorder = None if order is None else np.argsort(order)
-        self.inv = tuple(c.inv for c in classes) if invertible else None
+        if len(groups) == 1 and np.array_equal(groups[0][0].ravel(), np.arange(n)):
+            (idx, b), = groups  # one class in x's order: every condensed P
+            shape = idx.shape
+        else:
+            b, shape = np.zeros((n, n)), (1, n)
+            for idx, m in groups:
+                b[idx[:, :, None], idx[:, None, :]] = m
+        finite = np.isfinite(lo) & np.isfinite(hi)  # hi - lo only there: never inf - inf
+        band = 1e-9 * np.maximum(np.subtract(hi, lo, out=np.ones(n), where=finite), 1.0)
+        self.P, self.q, self.lower, self.upper, self.shape = b, q, lo, hi, shape
+        self.inv = _inverse(b)
         # exactly symmetric and Fortran-ordered (dpotri): the transpose gathers rows faster
-        self.inv_rows = None if self.inv is None else tuple(m.T for m in self.inv)
-        self.slabs = tuple((e - b.size, e, b.shape)
-                           for b, e in zip(blocks, np.cumsum([b.size for b in blocks])))
-        self.box = lo_s, hi_s, band, lo_s - 1e-12, hi_s + 1e-12
+        self.inv_rows = None if self.inv is None else self.inv.T
+        self.box = lo, hi, band, lo - 1e-12, hi + 1e-12
         self.infeasible = bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())
-        self.face, self.reused, self.pieces = None, 0, None
-        smallest = min((s for _, _, (_, s) in self.slabs), default=0)
-        if self.inv is not None and smallest >= PIECEWISE_MIN:
-            self.pieces = (np.array([a + j * s for a, _, (k, s) in self.slabs
-                                     for j in range(k)] + [n]),
-                           tuple(m for (_, _, (k, _)), m in zip(self.slabs, self.inv_rows)
-                                 for _ in range(k)))
-        P, S, shape = self.P, self.inv, None
-        if len(P) == 1:  # one class: every product is one (k, s)(s, s) dot
-            P, S, shape = P[0], None if S is None else S[0], self.slabs[0][2]
-        self.plan = n, self.infeasible, order, self.unorder, shape, P, S, self.slabs, self.box
+        self.face, self.reused = None, 0
+        self.pieces = (np.arange(0, n + 1, shape[1])
+                       if self.inv is not None and shape[1] >= PIECEWISE_MIN else None)
+        self.plan = n, self.infeasible, shape, b, self.inv, self.box
 
     @property
     def dim(self):
         return self.q.shape[0]
 
-    def principal(self, mats, I):
-        """The principal submatrix on the sorted slab indices I of the
-        block-diagonal matrix whose class blocks are `mats`."""
-        if len(mats) == 1:
-            return _principal(mats[0], I, self.slabs[0][2][1])
-        cuts = I.searchsorted([lo for lo, _, _ in self.slabs] + [self.dim])
-        return block_diag(*(_principal(m, I[a:b] - lo, s) for (lo, _, (_, s)), m, a, b
-                            in zip(self.slabs, mats, cuts[:-1], cuts[1:])))
-
     def dense(self, inverse=False):
         """P, or with `inverse` P^-1 (None without one), as a dense n x n
-        array in x's order: for tests and `enumerate_box_qp`."""
-        mats = self.inv if inverse else self.P
-        if mats is None:
+        array: for tests and `enumerate_box_qp`."""
+        m = self.inv if inverse else self.P
+        if m is None:
             return None
-        D = np.zeros((self.dim, self.dim))
-        for idx, m in zip(self.blocks, mats):
-            D[idx[:, :, None], idx[:, None, :]] = m
+        (k, s), D = self.shape, np.zeros((self.dim, self.dim))
+        for a in range(0, k * s, max(s, 1)):  # an empty QP is one block of size 0
+            D[a:a + s, a:a + s] = m
         return D
 
     def gradient(self, x):
-        """P x + q, x in x's own order."""
-        x, o = np.asarray(x, dtype=float), self.order
-        g = _times(self.P, x if o is None else x[o], self.slabs)
-        return (g if o is None else g[self.unorder]) + self.q
+        """P x + q."""
+        return np.asarray(x, dtype=float).reshape(self.shape).dot(self.P).ravel() + self.q
 
     def objective(self, x):
         return 0.5 * x @ (self.gradient(x) + self.q)
@@ -243,15 +214,6 @@ class BoxQp:
     def kkt_residual(self, x):
         """Projected-gradient optimality measure, zero at a KKT point."""
         return np.abs(x - (x - self.gradient(x)).clip(self.lower, self.upper)).max(initial=0.0)
-
-
-def _times(mats, x, slabs):
-    """x, in the slab order, times the block-diagonal matrix whose class
-    blocks are `mats` (`P` or `inv`): one (k, s)(s, s) product per class."""
-    if len(mats) == 1:
-        return x.reshape(slabs[0][2]).dot(mats[0]).ravel()
-    return np.concatenate([x[a:b].reshape(shape).dot(m).ravel()
-                           for (a, b, shape), m in zip(slabs, mats)] + [x[:0]])
 
 
 @dataclass(slots=True)
@@ -267,8 +229,7 @@ class QpSolution:
 
 
 def _newton_point(qp, q, x_unc, active, cand):
-    """The minimizer with the active entries held at their values in `cand`,
-    every vector in the slab order.
+    """The minimizer with the active entries held at their values in `cand`.
 
     With P^-1 = S and at most half the entries held, it is x_unc + S[:, A] y,
     S_AA y = cand_A - x_unc[A] (x_unc = -S q). An A equal to the one in the
@@ -293,22 +254,23 @@ def _newton_point(qp, q, x_unc, active, cand):
             y, info = dpotrs(face[1], held - x_unc[A])
             qp.reused += 1
         else:
-            c, y, info = dposv(qp.principal(qp.inv_rows, A), held - x_unc[A])
+            c, y, info = dposv(_principal(qp.inv_rows, A, qp.shape[1]), held - x_unc[A])
             if info == 0:
                 qp.face = key, c
         if info == 0:
             Y = np.zeros(n)  # S[:, A] y = S Y with Y = y on A
             Y[A] = y
-            x = x_unc + _times(qp.inv, Y, qp.slabs)
+            x = x_unc + Y.reshape(qp.shape).dot(qp.inv).ravel()
             x[A] = held
             return x
     x = np.where(active, cand, 0.0)
     F = (~active).nonzero()[0]
     if not F.size:
         return x
-    a, b = qp.principal(qp.P, F), -q[F] - _times(qp.P, x, qp.slabs)[F]  # x is 0 on F
+    a = _principal(qp.P, F, qp.shape[1])
+    b = -q[F] - x.reshape(qp.shape).dot(qp.P).ravel()[F]  # x is 0 on F
     c, xf, info = dposv(a, b)
-    if info != 0 or qp.inv is None and not (  # near singular: as `_Class.eig`, from a^-1
+    if info != 0 or qp.inv is None and not (  # near singular: as in `_inverse`, from a^-1
             1.0 / dpotri(c)[0].diagonal().max() > 1e-12 * a.diagonal().max()):
         xf, *_ = np.linalg.lstsq(a, b, rcond=None)
         r = b - a @ xf  # in the null space of a: nonzero where the free rows have no minimum
@@ -332,9 +294,9 @@ def _solve_pieces(qp, A, key, r):
             y[a:b], _ = dpotrs(c, r[a:b])
         qp.reused += 1
         return y, 0
-    starts, mats = qp.pieces
+    starts, S = qp.pieces, qp.inv_rows
     cuts, held = A.searchsorted(starts), []
-    for lo, S, a, b in zip(starts, mats, cuts[:-1], cuts[1:]):
+    for lo, a, b in zip(starts, cuts[:-1], cuts[1:]):
         if a < b:
             J = A[a:b] - lo
             c, y[a:b], info = dposv(S.take(J, 0).take(J, 1), r[a:b])
@@ -349,7 +311,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
     `q` is the linear term of this solve (`qp.q` if None; ValueError unless
-    of q's shape). Checks in order: bounds that no finite x meets
+    of q's shape). Checks in order: tol and max_iter (ValueError unless tol
+    >= 0 and max_iter >= 0), bounds that no finite x meets
     (`infeasible_bounds`), an empty QP, a non-finite q (ValueError), the
     closed form x_unc = -`qp.inv` q if in the box (`iterations` 0, no
     objective history), then an x0 not of q's shape (ValueError), before
@@ -367,10 +330,12 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     start saves iterations, not bits.
     `objective_history` holds the start objective and one entry per step;
     `iterations` counts those after the first, `schur_reused` the Newton
-    points on the held factor. The solve runs in the slab order
-    (`BoxQp.order`), its products inline when P is one class.
+    points on the held factor. Every product with P or S is inline, one
+    (k, s)(s, s) dot in `BoxQp.shape`.
     """
-    n, infeasible, order, unorder, shape, P, S, slabs, box = qp.plan
+    n, infeasible, shape, P, S, box = qp.plan
+    if not tol >= 0 or max_iter < 0:  # nan fails tol >= 0
+        raise ValueError(f"tol and max_iter must be >= 0, got {tol} and {max_iter}")
     if q is None:
         q = qp.q
     elif (q := np.asarray(q, dtype=float)).shape != (n,):
@@ -380,29 +345,24 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
                           message="no finite x within the bounds")
     if n == 0:
         return QpSolution(np.zeros(0), "optimal", 0.0, 0, 0.0)
-    if order is not None:
-        q = q[order]
     if np.count_nonzero(np.isfinite(q)) < n:  # before any product with q can warn
         raise ValueError("q must contain only finite values")
     lo, hi, band, lo_tol, hi_tol = box
     if S is None:
         x_unc = np.zeros(n)
     else:
-        x_unc = -(q.reshape(shape).dot(S).ravel() if shape else _times(S, q, slabs))
+        x_unc = -q.reshape(shape).dot(S).ravel()
         if np.count_nonzero(x_unc >= lo_tol) == n and np.count_nonzero(x_unc <= hi_tol) == n:
             x = np.minimum(np.maximum(x_unc, lo), hi)
-            grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
+            grad = x.reshape(shape).dot(P).ravel() + q
             # max |x - project(x - grad)|
             res = np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x - grad, lo), hi)))
             if res <= tol:
-                return QpSolution(x if order is None else x[unorder], "optimal", res, 0,
-                                  0.5 * x.dot(grad + q))
+                return QpSolution(x, "optimal", res, 0, 0.5 * x.dot(grad + q))
     if x0 is None:
         x0 = x_unc
     elif (x0 := np.asarray(x0, dtype=float)).shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
-    elif order is not None:
-        x0 = x0[order]
     x = np.minimum(np.maximum(x0, lo), hi)
     reused, moved, prev = qp.reused, True, True  # the slot's count before this solve
     # an infinite bound is never within the band: x - -inf is inf, or nan
@@ -413,7 +373,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
         x = np.minimum(np.maximum(newton, lo), hi)
     # every point's gradient is formed once and serves its objective
     # 0.5 x'(grad + q) and its KKT residual
-    grad = (x.reshape(shape).dot(P).ravel() if shape else _times(P, x, slabs)) + q
+    grad = x.reshape(shape).dot(P).ravel() + q
     fx = 0.5 * x.dot(grad + q)
     history = [fx]
     for it in range(max_iter + 1):
@@ -430,7 +390,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
         newton = _newton_point(qp, q, x_unc, active, np.where(at_hi, hi, lo))
         xa = np.minimum(np.maximum(newton, lo), hi)  # the full step first
         for k in range(1, 54):  # then Armijo steps 1/2, 1/4, ... with a rounding slack
-            ga = (xa.reshape(shape).dot(P).ravel() if shape else _times(P, xa, slabs)) + q
+            ga = xa.reshape(shape).dot(P).ravel() + q
             fa = 0.5 * xa.dot(ga + q)
             if fa <= fx + 1e-4 * grad.dot(xa - x) + 1e-15 * abs(fx):
                 break
@@ -445,8 +405,7 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     status, why = (("optimal", "") if optimal else
                    ("max_iterations", f"{max_iter} iterations") if moved else
                    ("stalled", "no descent step"))
-    return QpSolution(x if order is None else x[unorder], status, res,
-                      max(len(history) - 2, 0), fx,
+    return QpSolution(x, status, res, max(len(history) - 2, 0), fx,
                       message=why and f"{why}; kkt residual {res:.3e} above tol {tol:.3e}",
                       objective_history=history, schur_reused=qp.reused - reused)
 

@@ -134,8 +134,9 @@ def _first_inputs(problems, plans):
 
 class _CentralizedCache(_Controller):
     """The centralized controller: the whole-network QP, validated and
-    inverted once; its P arrives as diagonal blocks and is kept as classes
-    (the three axes of the double integrator are one class). The gradient
+    inverted once; its P arrives as classes of diagonal blocks and is kept
+    as one block (the three axes of the double integrator are one class of
+    blocks in x's order). The gradient
     M'H c is linear in the measured states, c = C x0 with C stacking each
     member's Phi on its state rows, so G = M'HC is formed once, by sparse
     products, and each step's gradient is G x0."""
@@ -143,7 +144,7 @@ class _CentralizedCache(_Controller):
     def __init__(self, g, agents, T, initial_states, qp_tol):
         self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
         self.qp = BoxQp(P, np.zeros(self.M.shape[1]), *condensed_bounds(self.block))
-        del P  # the blocks are the QP's classes now
+        del P  # the QP holds its block now
         self.cols = input_columns(self.block)
         C = sparse.block_diag([np.vstack([self.pred[j][0], np.zeros((T * a.m, a.n))])
                                for j, a in zip(self.block.members, self.block.models)], "csr")
@@ -292,8 +293,10 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     unchecked, these agents and a config of equal horizon, rho, qp_tol and
     parallel_agents, else ValueError) instead of building one; it starts its
     QPs cold and leaves the engine's thread pool open. Inputs that do not fit
-    g raise ValueError. A SolverFailure ends the run early with `aborted_at`
-    and `abort_reason` set; any other exception propagates.
+    g raise ValueError, as do agents whose state, input or noise widths are
+    not agent 1's and noise not of shape (num_steps, N, noise width), all
+    before a controller is built. A SolverFailure ends the run early with
+    `aborted_at` and `abort_reason` set; any other exception propagates.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     if agents is None:
@@ -301,10 +304,17 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     if initial_states is None:
         initial_states = draw_initial_states(g, cfg, rng)
     initial_states = checked_inputs(g, agents, cfg.horizon, initial_states)
+    N, widths = g.num_agents, [(a.n, a.m, a.noise_channel.shape[1]) for a in agents]
+    for j, w in enumerate(widths[1:], start=2):
+        if w != widths[0]:
+            raise ValueError(f"agent {j} has (states, inputs, noise) widths {w}, agent 1 "
+                             f"{widths[0]}: a closed loop's agents share them")
+    n, m, w = widths[0]
+    shape = cfg.num_steps, N, w
     if noise is None:
-        noise = draw_noise(g, cfg, rng, agents[0].noise_channel.shape[1])
-    N = g.num_agents
-    n, m = agents[0].n, agents[0].m
+        noise = draw_noise(g, cfg, rng, w)
+    elif np.shape(noise) != shape:
+        raise ValueError(f"noise has shape {np.shape(noise)}, expected {shape}")
 
     states = np.zeros((cfg.num_steps + 1, N, n))
     inputs = np.zeros((cfg.num_steps, N, m))

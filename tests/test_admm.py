@@ -266,10 +266,9 @@ def test_dual_decomposition_runs_on_singular_subproblems(monkeypatch):
         solves.append((sol.status, kkt, kw["tol"]))
         return sol
 
-    def spy_newton_point(qp, q, x_unc, active, cand):  # every vector in the slab order
+    def spy_newton_point(qp, q, x_unc, active, cand):
         x = newton_point(qp, q, x_unc, active, cand)
-        o = np.arange(qp.dim) if qp.order is None else qp.order
-        P = qp.dense()[np.ix_(o, o)]
+        P = qp.dense()
         F = ~active
         a = P[np.ix_(F, F)]
         if np.linalg.matrix_rank(a) < a.shape[0]:

@@ -89,7 +89,7 @@ def test_classes_are_of_symmetric_parts_and_alike_blocks_share_one():
 
 def test_empty_qp_has_no_blocks():
     qp = BoxQp(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
-    assert qp.blocks == () and solve_box_qp(qp).status == "optimal"
+    assert qp.shape == (1, 0) and qp.inv is None and solve_box_qp(qp).status == "optimal"
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +142,7 @@ def test_closed_loop_x_updates_on_unlike_agents_are_kkt(monkeypatch):
 
     def spy(qp, **kw):
         sol = solve(qp, **kw)
-        seen.append((len(qp.blocks[0]), sol, kkt(qp, sol.x_star, kw["q"])))
+        seen.append((qp.shape[0], sol, kkt(qp, sol.x_star, kw["q"])))
         return sol
 
     monkeypatch.setattr(admm, "solve_box_qp", spy)
@@ -180,8 +180,7 @@ def triangle_with_axis_coupling_matches_centralized(seed):
     T = 4
     probs, maps, _ = build_local_problems(g, agents, T, x0)
     for cache in AdmmEngine(probs, maps, 1.0, 1e-8).caches:  # each holds a copy of agent 2's inputs
-        idx, = cache.qp.blocks
-        assert idx.shape == (1, 3 * 3 * T)
+        assert cache.qp.shape == (1, 3 * 3 * T)
     res = run_admm(probs, maps, rho=1.0, max_iter=5000, eps_primal=1e-8, eps_dual=1e-8,
                    qp_tol=1e-8)
     assert res.converged

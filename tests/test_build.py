@@ -1,8 +1,8 @@
-"""Set-up builds each QP from one copy of each distinct block of P. The
-classes, inverses and block indices it gives are bit for bit those of the
-reference build below, which densifies all of a product's blocks at once
-and groups them by their bytes; and its memory peak stays a few blocks
-above what it keeps."""
+"""Set-up builds each QP from one copy of each distinct block of P. Every
+QP the program builds is one class of blocks in x's order, whose block,
+inverse and shape are bit for bit those of the reference build below,
+which densifies all of a product's blocks at once and groups them by their
+bytes; and its memory peak stays a few blocks above what it keeps."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.csgraph import connected_components
 
-from dmpc import LtiAgent, SimConfig, build_local_problems, double_integrator_3d
+from dmpc import LtiAgent, SimConfig, admm, build_local_problems, double_integrator_3d, simulation
 from dmpc.admm import AdmmEngine
 from dmpc.problem import build_centralized_qp, condensing_matrix, predictions
 from dmpc.qp import BoxQp, diagonal_blocks
@@ -48,13 +48,12 @@ def reference_classes(A):
 
 
 def assert_same_qp(qp, A):
-    P, inv, blocks = reference_classes(A)
-    assert len(qp.P) == len(P)
-    assert all(same_bits(a, b) for a, b in zip(qp.P, P))
-    assert all(same_bits(a, b) for a, b in zip(qp.blocks, blocks))
+    (b,), inv, (idx,) = reference_classes(A)  # one class
+    assert np.array_equal(idx.ravel(), np.arange(A.shape[0]))  # in x's order
+    assert qp.shape == idx.shape and same_bits(qp.P, b)
     assert (qp.inv is None) == (inv is None)
     if inv is not None:
-        assert all(same_bits(a, b) for a, b in zip(qp.inv, inv))
+        assert same_bits(qp.inv, inv[0])
 
 
 def unlike_grid():
@@ -90,6 +89,31 @@ def test_every_qp_equals_the_reference_build(name, g, agents):
     assert_same_qp(central.qp, M.T.tocsr() @ (central.block.H @ M))
 
 
+@pytest.mark.parametrize("name, g, agents",
+                         [*cases(), ("grid10x10", grid(10, 10),
+                                     [double_integrator_3d(0.1, 1.0)] * 100)])
+def test_every_program_qp_is_one_class_in_x_order(monkeypatch, name, g, agents):
+    # no QP of the engine (rho 1 and 0) or of the centralized controller is
+    # kept as one dense block
+    seen = []
+
+    def spy(P, q, lower, upper):
+        seen.append((P, q.shape[0]))
+        return BoxQp(P, q, lower, upper)
+
+    monkeypatch.setattr(admm, "BoxQp", spy)
+    monkeypatch.setattr(simulation, "BoxQp", spy)
+    x0 = [np.zeros(a.n) for a in agents]
+    probs, maps, _ = build_local_problems(g, agents, 10, x0)
+    for rho in (1.0, 0.0):
+        AdmmEngine(probs, maps, rho)
+    _CentralizedCache(g, agents, 10, x0, 1e-8)
+    assert len(seen) >= 3
+    for P, n in seen:
+        (idx, _), = P
+        assert np.array_equal(idx.ravel(), np.arange(n))
+
+
 def test_alike_blocks_are_kept_once():
     # the three axis blocks of the centralized P are one class: one array, one inverse
     g, agents = grid(4, 5), [double_integrator_3d(0.1, 1.0)] * 20
@@ -97,8 +121,8 @@ def test_alike_blocks_are_kept_once():
     (idx, b), = P
     assert idx.shape == (3, 200) and b.shape == (200, 200)
     qp = BoxQp(P, np.zeros(600), -np.ones(600), np.ones(600))
-    assert qp.P[0] is b and qp.inv[0].flags.f_contiguous
-    assert not np.shares_memory(qp.inv[0], b)
+    assert qp.P is b and qp.shape == (3, 200) and qp.inv.flags.f_contiguous
+    assert not np.shares_memory(qp.inv, b)
 
 
 def peak_above_start(build):

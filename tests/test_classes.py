@@ -1,7 +1,7 @@
-"""The box QP's class storage: P kept only as its distinct diagonal blocks,
-checked on permuted block-diagonal P against oracles, shared across the
-agents of one network map, and without a dense n x n array in the
-centralized QP."""
+"""The box QP's one layout: P kept as one block of a class lying in x's
+order, else as one dense block, checked on permuted block-diagonal P
+against oracles; one inverse shared across the agents of one network map,
+and no dense n x n array in the centralized QP."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,12 @@ from dmpc import (BoxQp, InfoGraph, LtiAgent, build_local_problems,  # noqa: E40
                   double_integrator_3d, enumerate_box_qp, path_graph, solve_box_qp)
 from dmpc.admm import AdmmEngine  # noqa: E402
 from dmpc.problem import build_centralized_qp  # noqa: E402
+from dmpc.qp import diagonal_blocks  # noqa: E402
 
 
-def repeated_blocks(rng, kinds, singular):
-    """A block-diagonal P on randomly permuted indices: per (size, count) in
+def repeated_blocks(rng, kinds, singular, ordered=False):
+    """A block-diagonal P on randomly permuted indices, or with `ordered` on
+    blocks lying one after another in x's order: per (size, count) in
     `kinds` one random SPD block repeated `count` times, plus, if
     `singular`, a repeated block of rank one. Returns P and its distinct
     blocks."""
@@ -30,7 +32,7 @@ def repeated_blocks(rng, kinds, singular):
         g = rng.standard_normal((2, 1))
         bases.append((g @ g.T, 2))
     n = sum(b.shape[0] * count for b, count in bases)
-    perm = rng.permutation(n)
+    perm = np.arange(n) if ordered else rng.permutation(n)
     P = np.zeros((n, n))
     start = 0
     for b, count in bases:
@@ -48,16 +50,18 @@ def box_qp(rng, P):
 
 
 def check_classes(qp, P, distinct, singular):
-    """One class per distinct block, each block once among `blocks`, and P
-    and its inverse rebuilt from the classes."""
-    assert len(qp.P) == len(distinct)
-    assert sorted(i for idx in qp.blocks for i in idx.ravel()) == list(range(P.shape[0]))
+    """One class per distinct block; the QP keeps one class in x's order as
+    its block, any other P as one dense block; P and its inverse rebuilt
+    from the QP."""
+    classes, n = diagonal_blocks(P), P.shape[0]
+    assert len(classes) == len(distinct)
+    (idx, _), *rest = classes
+    in_order = not rest and np.array_equal(idx.ravel(), np.arange(n))
+    assert qp.shape == (idx.shape if in_order else (1, n))
     assert np.array_equal(qp.dense(), P)
     assert (qp.inv is None) == singular
     if not singular:
-        assert np.allclose(qp.dense(inverse=True) @ P, np.eye(P.shape[0]), atol=1e-9)
-    if qp.order is not None:  # the solver's slab order gathers each class's blocks
-        assert np.array_equal(qp.order, np.concatenate([idx.ravel() for idx in qp.blocks]))
+        assert np.allclose(qp.dense(inverse=True) @ P, np.eye(n), atol=1e-9)
 
 
 # (size, count) per distinct block, and whether a singular block joins them: n <= 8
@@ -107,32 +111,31 @@ def test_identical_agents_share_one_inverse():
     # path 5: both ends differ, the three middle agents are alike; every
     # agent's P splits into three identical axis blocks, one slab
     caches = network([double_integrator_3d(0.1, 1.0)] * 5)
-    assert [c.qp.blocks[0].shape for c in caches] == [(3, 20)] + [(3, 30)] * 3 + [(3, 20)]
-    assert all(c.qp.order is None and len(c.qp.inv) == 1 for c in caches)
-    middle = [c.qp.inv[0] for c in caches[1:4]]
+    assert [c.qp.shape for c in caches] == [(3, 20)] + [(3, 30)] * 3 + [(3, 20)]
+    middle = [c.qp.inv for c in caches[1:4]]
     assert middle[0] is middle[1] is middle[2]
-    assert len({id(c.qp.inv[0]) for c in caches}) == 3
+    assert len({id(c.qp.inv) for c in caches}) == 3
 
 
 def test_unlike_agents_form_classes_of_their_own():
     base = double_integrator_3d(0.1, 1.0, u_max=1.0)
     alike = network([base] * 4)
-    assert alike[1].qp.inv[0] is alike[2].qp.inv[0]
+    assert alike[1].qp.inv is alike[2].qp.inv
     # agent 4 heavier: agent 3, its neighbour, no longer shares agent 2's block
     heavy = network([base] * 3 + [double_integrator_3d(0.1, 2.0, u_max=1.0)])
-    assert heavy[1].qp.inv[0] is not heavy[2].qp.inv[0]
-    assert len({id(c.qp.inv[0]) for c in heavy}) == 4
+    assert heavy[1].qp.inv is not heavy[2].qp.inv
+    assert len({id(c.qp.inv) for c in heavy}) == 4
     # a smaller input bound leaves P, and so its inverse, bit for bit as it is; agent 3's
     # problem is one of its own by its box, and its QP with it
     low = network([base] * 3 + [double_integrator_3d(0.1, 1.0, u_max=0.3)])
-    assert low[1].qp.inv[0].tobytes() == low[2].qp.inv[0].tobytes()
+    assert low[1].qp.inv.tobytes() == low[2].qp.inv.tobytes()
     assert low[1].qp.box is not low[2].qp.box
     assert np.array_equal(np.unique(low[1].qp.upper), [1.0])
     assert np.array_equal(np.unique(low[2].qp.upper), [0.3, 1.0])
     # inputs acting across axes join the axes of agents 3 and 4 into one block
     mixed = network([base] * 3 + [LtiAgent(base.A, base.B @ MIX, u_max=1.0)])
-    assert [c.qp.blocks[0].shape for c in mixed] == [(3, 20), (3, 30), (1, 90), (1, 60)]
-    assert len({id(c.qp.inv[0]) for c in mixed}) == 4
+    assert [c.qp.shape for c in mixed] == [(3, 20), (3, 30), (1, 90), (1, 60)]
+    assert len({id(c.qp.inv) for c in mixed}) == 4
 
 
 def array_bytes(obj, seen):
@@ -162,12 +165,12 @@ def test_centralized_qp_of_a_10x10_grid_holds_no_dense_p():
     n = M.shape[1]
     qp = BoxQp(P, np.zeros(n), -np.ones(n), np.ones(n))
     del P
-    assert n == 3000 and [idx.shape for idx in qp.blocks] == [(3, 1000)]
+    assert n == 3000 and qp.shape == (3, 1000)
     nbytes, largest = array_bytes(qp, set())
     assert nbytes > 0  # the walk reached the QP's arrays
     assert largest < n * n  # dense P, its inverse or an n x n pattern took 72 MB each
     assert nbytes <= 50e6
-    # P's one (1000, 1000) class and its inverse, 8 MB each; blocks, q, bounds and box, 24 kB
-    # each; the starts of its three blocks and the end, 32 B, for Newton faces solved per block
-    assert qp.pieces[0].tolist() == [0, 1000, 2000, 3000]
-    assert (nbytes, largest) == (16_168_032, 1_000_000)
+    # P's one (1000, 1000) block and its inverse, 8 MB each; q, bounds and box, 24 kB each;
+    # the starts of its three blocks and the end, 32 B, for Newton faces solved per block
+    assert qp.pieces.tolist() == [0, 1000, 2000, 3000]
+    assert (nbytes, largest) == (16_144_032, 1_000_000)

@@ -20,7 +20,7 @@ from dmpc import (BoxQp, SimConfig, build_local_problems, draw_initial_states,  
                   path_graph, run_closed_loop, solve_box_qp)
 from dmpc import admm, qp as qp_module  # noqa: E402
 from dmpc.admm import AdmmEngine, QpCounters  # noqa: E402
-from dmpc.qp import _newton_point, diagonal_blocks  # noqa: E402
+from dmpc.qp import _newton_point, _principal, diagonal_blocks  # noqa: E402
 from dmpc.simulation import admm_engine, default_agents  # noqa: E402
 
 
@@ -106,8 +106,7 @@ def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
     rng = np.random.default_rng(4)
     P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
     qp = box_qp(rng, P)
-    o = np.arange(qp.dim) if qp.order is None else qp.order  # the solver's slab order
-    q, x_unc = qp.q[o], -(qp.dense(inverse=True) @ qp.q)[o]
+    q, x_unc = qp.q, -(qp.dense(inverse=True) @ qp.q)
     active = np.zeros(qp.dim, dtype=bool)
     active[rng.choice(qp.dim, qp.dim // 2, replace=False)] = True
     calls = []
@@ -125,22 +124,6 @@ def test_a_repeated_face_is_solved_on_the_held_factor(monkeypatch):
     active[active.nonzero()[0][0]] = False
     _newton_point(qp, q, x_unc, active, cand)
     assert calls == [1] and qp.face[0] == active.nonzero()[0].tobytes()
-
-
-def test_slab_order_round_trips_on_a_permuted_multi_class_qp(monkeypatch):
-    rng = np.random.default_rng(4)
-    P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
-    qp = box_qp(rng, P)
-    assert len(qp.P) == 2 and qp.order is not None
-    flipped = BoxQp(P, -qp.q, qp.lower, qp.upper)
-    # the inverse permutation is found once, when the QP is built
-    monkeypatch.setattr(qp_module.np, "argsort", None)
-    x = rng.standard_normal(qp.dim)
-    assert same_bits(x[qp.order][qp.unorder], x)
-    assert same_bits(x[qp.unorder][qp.order], x)
-    for ref in (qp, flipped):
-        sol = solve_box_qp(qp, tol=1e-10, q=ref.q)
-        assert sol.status == "optimal" and ref.kkt_residual(sol.x_star) <= 1e-10
 
 
 def test_threads_solving_copies_of_one_qp_get_fresh_results():
@@ -177,8 +160,8 @@ def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     assert held is not None and count == sum(s.schur_reused for s in sols) > 0
     a = BoxQp(P, qp.q, qp.lower, qp.upper)
     b = BoxQp(P, qp.q, qp.lower, qp.upper)
-    # QPs built apart share no class: each inverts its own, to the same bits
-    assert a.inv[0] is not b.inv[0] and same_bits(a.inv[0], b.inv[0])
+    # QPs built apart share no block: each inverts its own, to the same bits
+    assert a.inv is not b.inv and same_bits(a.inv, b.inv)
     assert (a.face, a.reused) == (b.face, b.reused) == (None, 0)  # a new QP's slot is empty
     # a solve fills its own QP's slot only
     solve_box_qp(a, tol=1e-10, q=0.3 * qp.q)
@@ -191,7 +174,7 @@ def test_solves_on_one_qp_share_its_slot_and_qps_built_apart_do_not():
     caches = AdmmEngine(probs, maps, 1.0, 1e-8).caches
     one, two = caches[1].qp, caches[2].qp
     assert one is not two
-    for name in ("inv", "plan", "box", "blocks"):
+    for name in ("P", "inv", "plan", "box"):
         assert getattr(one, name) is getattr(two, name)
     solve_box_qp(one, tol=1e-8, q=np.random.default_rng(0).standard_normal(one.dim))
     assert one.face is not None
@@ -286,7 +269,7 @@ def test_every_x_update_solves_on_its_agents_own_qp(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["grid4x5", "random-unlike"])
 def test_newton_gathers_read_the_class_inverses_through_their_transposes(scenario):
-    # dpotri leaves each class inverse Fortran-ordered; S_AA is gathered from
+    # dpotri leaves each QP's inverse Fortran-ordered; S_AA is gathered from
     # its transpose, a view whose rows are contiguous and whose entries are the
     # inverse's own, the inverse being exactly symmetric
     if scenario == "grid4x5":
@@ -298,9 +281,9 @@ def test_newton_gathers_read_the_class_inverses_through_their_transposes(scenari
     rng = np.random.default_rng(7)
     for cache in AdmmEngine(probs, maps, 1.0).caches:
         qp = cache.qp
-        for S, rows in zip(qp.inv, qp.inv_rows):
-            assert S.flags.f_contiguous and rows.flags.c_contiguous
-            assert np.shares_memory(S, rows)
+        S, rows, s = qp.inv, qp.inv_rows, qp.shape[1]
+        assert S.flags.f_contiguous and rows.flags.c_contiguous
+        assert np.shares_memory(S, rows)
         for size in (1, 5, 15, 25):
             A = np.sort(rng.choice(qp.dim, size, replace=False))
-            assert same_bits(qp.principal(qp.inv_rows, A), qp.principal(qp.inv, A))
+            assert same_bits(_principal(rows, A, s), _principal(S, A, s))

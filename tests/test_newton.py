@@ -68,9 +68,7 @@ def test_newton_point_solves_the_free_rows(n, few_held, seed):
     active = np.zeros(n, dtype=bool)
     active[rng.choice(n, a, replace=False)] = True
     cand = rng.uniform(-1.0, 1.0, n)
-    o = np.arange(n) if qp.order is None else qp.order  # the solver's slab order
-    x = np.empty(n)
-    x[o] = _newton_point(qp, qp.q[o], -(qp.dense(inverse=True) @ qp.q)[o], active[o], cand[o])
+    x = _newton_point(qp, qp.q, -(qp.dense(inverse=True) @ qp.q), active, cand)
     ref = cand.copy()
     F = ~active
     if F.any():

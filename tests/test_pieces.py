@@ -1,8 +1,8 @@
-"""Newton faces solved one block of P at a time: a QP whose blocks all have
-at least `PIECEWISE_MIN` entries factors S_AA as one piece per block that A
-meets, holds one factor per piece in its face slot, and gives the dense
-solve's Newton points to rounding; a QP of smaller blocks keeps the single
-dense factor."""
+"""Newton faces solved one block of P at a time: a QP of k blocks in x's
+order (`BoxQp.shape`) of at least `PIECEWISE_MIN` entries each factors S_AA
+as one piece per block that A meets, holds one factor per piece in its face
+slot, and gives the dense solve's Newton points to rounding; a QP of smaller
+blocks keeps the single dense factor."""
 
 from unittest import mock
 
@@ -28,12 +28,11 @@ def built(P, like, piecewise):
 
 
 def newton_inputs(rng, qp, held):
-    """q and x_unc in the slab order, a random active set of `held` entries
-    and a random candidate."""
-    o = np.arange(qp.dim) if qp.order is None else qp.order
+    """q and x_unc, a random active set of `held` entries and a random
+    candidate."""
     active = np.zeros(qp.dim, dtype=bool)
     active[rng.choice(qp.dim, held, replace=False)] = True
-    return qp.q[o], -(qp.dense(inverse=True) @ qp.q)[o], active, rng.uniform(-1.0, 1.0, qp.dim)
+    return qp.q, -(qp.dense(inverse=True) @ qp.q), active, rng.uniform(-1.0, 1.0, qp.dim)
 
 
 def check_pieces(qp, active):
@@ -42,7 +41,7 @@ def check_pieces(qp, active):
     A = active.nonzero()[0]
     key, pieces = qp.face
     assert key == A.tobytes()
-    starts, _ = qp.pieces
+    starts = qp.pieces
     met = [i for i in range(len(starts) - 1) if ((A >= starts[i]) & (A < starts[i + 1])).any()]
     assert len(pieces) == len(met)
     assert [a for a, _, _ in pieces] == [0] + [b for _, b, _ in pieces[:-1]]
@@ -51,19 +50,19 @@ def check_pieces(qp, active):
         assert c.shape == (b - a, b - a) and starts[i] <= A[a] and A[b - 1] < starts[i + 1]
 
 
-# (size, count) per distinct block: one class or several, n >= 2 so that a face exists
-kinds = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=1,
-                 max_size=3).filter(lambda k: sum(s * c for s, c in k) >= 2)
+# (size, count) of one class of blocks in x's order, the one layout with pieces: at least
+# two blocks, so that A can meet several
+kinds = st.tuples(st.integers(1, 6), st.integers(2, 4)).map(lambda k: [k])
 
 
 @settings(max_examples=60, deadline=None)
 @given(kinds, st.integers(0, 2**32 - 1))
 def test_per_block_newton_points_equal_the_dense_solve(kinds, seed):
     rng = np.random.default_rng(seed)
-    P, _ = repeated_blocks(rng, kinds, False)
+    P, _ = repeated_blocks(rng, kinds, False, ordered=True)
     dense = box_qp(rng, P)
     pieces = built(P, dense, True)
-    assert dense.pieces is None and pieces.pieces is not None
+    assert dense.pieces is None and len(pieces.pieces) == kinds[0][1] + 1 > 2
     q, x_unc, active, cand = newton_inputs(rng, dense, rng.integers(1, dense.dim // 2 + 1))
     x = _newton_point(pieces, q, x_unc, active, cand)
     ref = _newton_point(dense, q, x_unc, active, cand)
@@ -72,13 +71,14 @@ def test_per_block_newton_points_equal_the_dense_solve(kinds, seed):
     check_pieces(pieces, active)
 
 
-@pytest.mark.parametrize("kinds", [[(120, 3)], [(110, 2), (100, 1)]])
+@pytest.mark.parametrize("kinds", [[(120, 3)], [(100, 4)]])
 def test_large_blocks_take_the_per_block_path_and_match_the_dense_solve(kinds):
-    # at the module's own threshold: one class of three axis blocks, and two classes
+    # at the module's own threshold: three axis blocks, and four blocks of exactly the threshold
     rng = np.random.default_rng(7)
-    P, _ = repeated_blocks(rng, kinds, False)
+    P, _ = repeated_blocks(rng, kinds, False, ordered=True)
     qp = box_qp(rng, P)
-    assert qp.pieces is not None and min(s for s, _ in kinds) >= PIECEWISE_MIN
+    (s, k), = kinds
+    assert qp.shape == (k, s) and len(qp.pieces) == k + 1 and s >= PIECEWISE_MIN
     dense = built(P, qp, False)
     for _ in range(3):
         q, x_unc, active, cand = newton_inputs(rng, qp, rng.integers(1, qp.dim // 2 + 1))
@@ -93,7 +93,7 @@ def test_large_blocks_take_the_per_block_path_and_match_the_dense_solve(kinds):
 
 def test_a_repeated_face_is_solved_on_the_held_pieces(monkeypatch):
     rng = np.random.default_rng(4)
-    P, _ = repeated_blocks(rng, [(5, 3), (3, 2)], False)
+    P, _ = repeated_blocks(rng, [(5, 3)], False, ordered=True)
     qp = built(P, box_qp(rng, P), True)
     q, x_unc, active, cand = newton_inputs(rng, qp, qp.dim // 2)
     calls = []
@@ -102,7 +102,7 @@ def test_a_repeated_face_is_solved_on_the_held_pieces(monkeypatch):
     first = _newton_point(qp, q, x_unc, active, cand)
     held = qp.face
     met = len(held[1])
-    assert calls == ["dposv"] * met and qp.reused == 0
+    assert met > 1 and calls == ["dposv"] * met and qp.reused == 0
     calls.clear()
     again = _newton_point(qp, q, x_unc, active, cand)
     assert calls == ["dpotrs"] * met and qp.reused == 1 and qp.face is held
@@ -124,10 +124,10 @@ def test_small_block_qps_keep_one_dense_factor(monkeypatch):
 
     monkeypatch.setattr(qp_module, "_solve_pieces", never)
     rng = np.random.default_rng(1)
-    P, _ = repeated_blocks(rng, [(4, 2)], False)
+    P, _ = repeated_blocks(rng, [(4, 2)], False, ordered=True)
     qp = box_qp(rng, P)
     sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-0.3, 0.3, 0.3)]
-    assert qp.pieces is None and isinstance(qp.face[1], np.ndarray)
+    assert qp.shape == (2, 4) and qp.pieces is None and isinstance(qp.face[1], np.ndarray)
     assert qp.reused == sum(s.schur_reused for s in sols) > 0
     # the stock centralized QP: three axis blocks of 50 entries on path 5
     log = run_closed_loop(path_graph(5), SimConfig(num_steps=20, solver_kind="centralized"))
@@ -140,7 +140,7 @@ def test_a_centralized_loop_on_large_blocks_matches_the_dense_loop_to_rounding(m
     agents = default_agents(g, cfg)
     x0 = draw_initial_states(g, cfg, np.random.default_rng(2))
     central = _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol)
-    assert central.qp.pieces is not None and len(central.qp.pieces[1]) == 3
+    assert central.qp.shape == (3, 120) and central.qp.pieces.tolist() == [0, 120, 240, 360]
     calls, solve = [], qp_module._solve_pieces
     monkeypatch.setattr(qp_module, "_solve_pieces", lambda *a: calls.append(1) or solve(*a))
     log = run_closed_loop(g, cfg)

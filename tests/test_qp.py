@@ -70,6 +70,23 @@ def test_asymmetric_p_rejected():
               -np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("idx, s", [([[0, 1], [0, 1]], 2), ([[0, 1]], 2), ([[0, 1], [2, 4]], 2),
+                                    ([[0, 1, 2, 3, 3]], 5), ([[0, 1, 2, 3]], 2),
+                                    ([[0, 1], [2, 3]], 3)],
+                         ids=["twice", "too-few", "out-of-range", "too-many", "block-too-small",
+                              "block-too-large"])
+def test_blocks_that_do_not_cover_x_once_are_rejected(idx, s):
+    # [[0, 1], [0, 1]] was taken, and its solve left entries 2 and 3 unoptimized; a block
+    # not (s, s) for its (k, s) indices was taken, and its first solve raised a numpy error
+    with pytest.raises(ValueError, match=r"not \(s, s\) blocks covering q's 4 entries once each"):
+        BoxQp(((np.array(idx), np.eye(s)),), np.ones(4), -np.ones(4), np.ones(4))
+    # blocks on permuted indices cover x: kept as one dense block
+    b = np.array([[2.0, 1.0], [1.0, 2.0]])
+    qp = BoxQp(((np.array([[0, 2], [1, 3]]), b),), np.ones(4), -np.ones(4), np.ones(4))
+    assert qp.shape == (1, 4) and np.array_equal(qp.dense()[::2, ::2], b)
+    assert np.allclose(solve_box_qp(qp).x_star, -1.0 / 3.0)
+
+
 def test_agreement_with_active_set_oracle():
     rng = np.random.default_rng(42)
     for _ in range(120):
@@ -216,16 +233,26 @@ def test_q_of_a_solve_replaces_only_its_linear_term():
 
 
 @pytest.mark.parametrize("P", [np.eye(3), np.array([[2.0, 0, 1], [0, 1, 0], [1, 0, 2]])],
-                         ids=["own-order", "slab-order"])
+                         ids=["one-class", "dense"])
 def test_a_warm_start_of_the_wrong_shape_is_rejected(P):
     # the closed form lies outside the box, so Newton reads x0
     qp = BoxQp(P, np.full(3, 10.0), -np.ones(3), np.ones(3))
-    assert (qp.order is None) == (P[0, 2] == 0.0)
+    assert qp.shape == ((3, 1) if P[0, 2] == 0.0 else (1, 3))
     assert solve_box_qp(qp, x0=[0.5, 0.5, 0.5]).status == "optimal"
     for bad in ([0.5], 0.5, [0.1, 0.2], np.zeros(4), np.zeros((3, 1))):
         shape = re.escape(f"x0 has shape {np.shape(bad)}, expected (3,)")
         with pytest.raises(ValueError, match=shape):
             solve_box_qp(qp, x0=bad)
+
+
+@pytest.mark.parametrize("kw", [{"max_iter": -1}, {"tol": np.nan}, {"tol": -1.0}],
+                         ids=["max-iter", "nan-tol", "negative-tol"])
+def test_a_negative_max_iter_or_tol_and_a_nan_tol_are_rejected(kw):
+    # max_iter=-1 once raised UnboundLocalError; a nan or negative tol ended stalled
+    qp = BoxQp(np.eye(2), np.array([-3.0, 0.5]), -np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="tol and max_iter must be >= 0"):
+        solve_box_qp(qp, **kw)
+    assert solve_box_qp(qp, tol=0.0).status == "optimal"
 
 
 def test_closed_form_solution_fields():

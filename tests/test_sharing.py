@@ -91,9 +91,7 @@ def test_shared_pieces_equal_each_agent_built_alone(name, g, agents, rho):
         assert same_bits(M_all.indices[lo:hi] - cols.start, M.indices)
         assert same_bits(M_all.data[lo:hi], M.data)
         shared = cache.qp
-        assert len(shared.P) == len(qp.P)
-        assert all(same_bits(a, b) for a, b in zip(shared.P, qp.P))
-        assert all(same_bits(a, b) for a, b in zip(shared.blocks, qp.blocks))
+        assert shared.shape == qp.shape and same_bits(shared.P, qp.P)
         assert same_bits(shared.lower, qp.lower) and same_bits(shared.upper, qp.upper)
 
 

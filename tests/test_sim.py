@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -285,6 +286,28 @@ def test_default_noise_has_the_agents_noise_width(kind):
     log = run_closed_loop(path_graph(3), cfg, agents=[agent] * 3, initial_states=x0)
     assert log.aborted_at is None and log.states.shape == (4, 3, 2)
     assert log.noise_draws.shape == (3, 3, 1) and np.all(log.noise_draws != 0.0)
+
+
+@pytest.mark.parametrize("kind", ["admm", "centralized", "dual_decomp"])
+def test_unlike_widths_and_noise_of_the_wrong_shape_fail_before_set_up(monkeypatch, kind):
+    # both once ran into a raw numpy error: unlike widths at the first plant
+    # step, noise one step short after two steps
+    def never(*args):
+        raise AssertionError("a controller was built")
+
+    for name in ("_CentralizedCache", "_AdmmController", "_DualDecompController"):
+        monkeypatch.setattr(simulation, name, never)
+    one_d = LtiAgent(np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]]), u_max=1.0)
+    three_d = default_agents(path_graph(3), SimConfig())[0]
+    cfg = small_cfg(num_steps=3, solver_kind=kind)
+    with pytest.raises(ValueError, match=re.escape(
+            "agent 2 has (states, inputs, noise) widths (6, 3, 3), agent 1 (2, 1, 1)")):
+        run_closed_loop(path_graph(3), cfg, agents=[one_d, three_d, three_d],
+                        initial_states=[np.zeros(2), np.zeros(6), np.zeros(6)])
+    for steps in (2, 4):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise has shape ({steps}, 3, 3), expected (3, 3, 3)")):
+            run_closed_loop(path_graph(3), cfg, noise=np.zeros((steps, 3, 3)))
 
 
 def test_centralized_setup_memory_on_a_grid():
