@@ -146,20 +146,26 @@ def check_finite_states(states):
             raise ValueError(f"measured state of agent {j} is not finite")
 
 
+def check_states(states, widths, what="measured"):
+    """ValueError unless there is one state per agent, agent j's of shape
+    (widths[j - 1],), and every state is finite."""
+    if len(states) != len(widths):
+        raise ValueError(f"expected {len(widths)} {what} states, got {len(states)}")
+    for j, (x, n) in enumerate(zip(states, widths), start=1):
+        if np.shape(x) != (n,):
+            raise ValueError(f"{what} state of agent {j} has shape {np.shape(x)}, expected ({n},)")
+    check_finite_states(states)
+
+
 def checked_inputs(g, agents, T, initial_states):
     """The initial states as float arrays; ValueError unless they and the agents fit g, T >= 1."""
     N = g.num_agents
     if len(agents) != N:
         raise ValueError(f"expected {N} agent models, got {len(agents)}")
-    if len(initial_states) != N:
-        raise ValueError(f"expected {N} initial states, got {len(initial_states)}")
     if T < 1:
         raise ValueError("horizon must be >= 1")
     initial_states = [np.asarray(x, dtype=float) for x in initial_states]
-    for j, (a, x) in enumerate(zip(agents, initial_states), start=1):
-        if x.shape != (a.n,):
-            raise ValueError(f"initial state of agent {j} has shape {x.shape}, expected ({a.n},)")
-    check_finite_states(initial_states)
+    check_states(initial_states, [a.n for a in agents], "initial")
     return initial_states
 
 

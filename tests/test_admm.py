@@ -5,7 +5,7 @@ from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized,
                   z_update, dual_update, residuals)
-from dmpc.admm import DD_QP_TOL, AdmmEngine
+from dmpc.admm import DD_QP_TOL, AdmmEngine, AdmmState
 from dmpc.problem import ZLayout, copy_counts
 from kkt_oracle import dynamics_equalities, solve_equality_qp
 
@@ -330,6 +330,37 @@ def test_nonfinite_measured_state_is_rejected(bad):
     engine = AdmmEngine(probs, maps, rho=1.0)
     with pytest.raises(ValueError, match="agent 2"):
         engine.rebind_states(x_bad)
+
+
+@pytest.mark.parametrize("states, match", [
+    (lambda xs: xs[:2], "expected 3 measured states, got 2"),
+    (lambda xs: xs + xs[:1], "expected 3 measured states, got 4"),
+    (lambda xs: [xs[0], xs[1][:4], xs[2]], r"agent 2 has shape \(4,\), expected \(6,\)"),
+], ids=["two-states", "four-states", "short-state"])
+def test_rebind_needs_one_state_per_agent_of_its_width(states, match):
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=20)
+    engine = AdmmEngine(probs, maps, rho=1.0)
+    c = engine.c
+    with pytest.raises(ValueError, match=match):
+        engine.rebind_states(states(x0))
+    assert engine.c is c
+
+
+def test_run_rejects_a_negative_iteration_count():
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=20)
+    with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+        AdmmEngine(probs, maps, rho=1.0).run(-1)
+
+
+@pytest.mark.parametrize("name, delta", [("lam", -1), ("lam", 1), ("z", -1), ("z", 1)])
+def test_run_rejects_an_init_of_the_wrong_size(name, delta, monkeypatch):
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=20)
+    engine = AdmmEngine(probs, maps, rho=1.0)
+    init = AdmmState(lam=np.zeros(engine.E.size), z=np.zeros(z_dim))
+    setattr(init, name, np.zeros(getattr(init, name).size + delta))
+    monkeypatch.setattr(AdmmEngine, "x_update", lambda *a: pytest.fail("a QP round ran"))
+    with pytest.raises(ValueError, match=rf"init\.{name} has shape"):
+        engine.run(3, init=init)
 
 
 @pytest.mark.parametrize("rho", [-1.0, np.nan])

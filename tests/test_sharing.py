@@ -82,14 +82,15 @@ def test_shared_pieces_equal_each_agent_built_alone(name, g, agents, rho):
     x0 = [np.zeros(a.n) for a in agents]
     probs, maps, _ = build_local_problems(g, agents, 4, x0)
     engine = AdmmEngine(probs, maps, rho)
-    M_all = engine.M
+    Mt_all = engine.Mt  # agent i's block M_i' lies on rows u_slices[i], columns slices[i]
     for p, rows, cols, cache in zip(probs, engine.slices, engine.u_slices, engine.caches):
         H, M, qp = built_alone(g, p, rho)
         assert same_csr(p.H, H)
-        lo, hi = M_all.indptr[rows.start], M_all.indptr[rows.stop]
-        assert same_bits(M_all.indptr[rows.start:rows.stop + 1] - lo, M.indptr)
-        assert same_bits(M_all.indices[lo:hi] - cols.start, M.indices)
-        assert same_bits(M_all.data[lo:hi], M.data)
+        Mt, idx = M.T.tocsr(), Mt_all.indices.dtype  # the engine's indices are 32-bit
+        lo, hi = Mt_all.indptr[cols.start], Mt_all.indptr[cols.stop]
+        assert same_bits(Mt_all.indptr[cols.start:cols.stop + 1] - lo, Mt.indptr.astype(idx))
+        assert same_bits(Mt_all.indices[lo:hi] - int(rows.start), Mt.indices.astype(idx))
+        assert same_bits(Mt_all.data[lo:hi], Mt.data)
         shared = cache.qp
         assert shared.shape == qp.shape and same_bits(shared.P, qp.P)
         assert same_bits(shared.lower, qp.lower) and same_bits(shared.upper, qp.upper)

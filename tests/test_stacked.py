@@ -16,10 +16,11 @@ from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
                   double_integrator_3d, prediction_matrices, run_dual_decomposition)
 from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, dual_update,  # noqa: E402
                        residuals, z_update)
-from dmpc.problem import (ZLayout, build_centralized_qp, copy_counts,  # noqa: E402
-                          predictions)
+from dmpc.problem import (ZLayout, build_centralized_qp, condensing_matrix,  # noqa: E402
+                          copy_counts, predictions)
 from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
 from kkt_oracle import dynamics_equalities, solve_equality_qp  # noqa: E402
+from test_sharing import scenarios as alike_scenarios  # noqa: E402
 
 
 @st.composite
@@ -373,3 +374,53 @@ def test_rebound_engine_equals_engine_built_at_the_new_states(scenario):
     assert ra.lam.tobytes() == rb.lam.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ra.plans, rb.plans))
     assert ra.objective == rb.objective and ra.history == rb.history
+
+
+def stacked_map(probs, pred, rho):
+    """The network map M, M' and H + rho I, each stacked agent by agent into
+    a full-size CSR array of its own by scipy's block_diag."""
+    M = sparse.block_diag([condensing_matrix(p, pred) for p in probs], format="csr")
+    H_rho = sparse.block_diag([p.H + rho * sparse.eye_array(p.dim, format="csr") for p in probs],
+                              format="csr")
+    return M, M.T.tocsr(), H_rho
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize("name, g, agents", list(alike_scenarios()))
+def test_one_copy_of_the_network_map_gives_the_stacked_bits(name, g, agents, rho):
+    rng = np.random.default_rng(7)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, _ = build_local_problems(g, agents, 4, x0)
+    engine = AdmmEngine(probs, maps, rho, qp_tol=DD_QP_TOL)
+    Mt = engine.Mt
+    # one CSR copy with 32-bit indices, M its CSC view
+    assert Mt.format == "csr" and engine.M.format == "csc"
+    for a, b in zip((engine.M.data, engine.M.indices, engine.M.indptr),
+                    (Mt.data, Mt.indices, Mt.indptr)):
+        assert np.shares_memory(a, b)
+    assert Mt.indices.dtype == Mt.indptr.dtype == np.int32
+    # one H + rho I per distinct problem: agents share it exactly when they share H
+    assert len(engine.H_rho) == len(probs)
+    for p, H in zip(probs, engine.H_rho):
+        assert (H != p.H + rho * sparse.eye_array(p.dim)).nnz == 0
+        assert all((H is H2) == (p.H is p2.H) for p2, H2 in zip(probs, engine.H_rho))
+
+    M_ref, Mt_ref, H_ref = stacked_map(probs, engine.pred, rho)
+    assert (engine.M != M_ref).nnz == 0
+    q_static = Mt_ref @ (H_ref @ engine.c)
+    assert engine.q_static.tobytes() == q_static.tobytes()
+    v = rng.standard_normal(engine.E.size)
+    solved = []
+    solve = _AgentCache.solve
+
+    def spy(cache, q, k):
+        u = solve(cache, q, k)
+        solved.append((q.copy(), u))
+        return u
+
+    with mock.patch.object(_AgentCache, "solve", spy):
+        x_cat = engine.x_update(v, 1)
+    q = q_static + Mt_ref @ v
+    assert all(q[us].tobytes() == qi.tobytes() for us, (qi, _) in zip(engine.u_slices, solved))
+    x_ref = M_ref @ np.concatenate([u for _, u in solved]) + engine.c
+    assert x_cat.tobytes() == x_ref.tobytes()
