@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .problem import (check_states, condensed_bounds, condensed_hessian, condensed_maps,
-                      condensing_matrix, copy_counts, predictions)
+                      condensing_matrix, copy_counts, index_dtype, predictions)
 from .qp import BoxQp, solve_box_qp
 
 
@@ -91,7 +92,7 @@ def _block_diagonal(blocks):
     """CSR arrays stacked block-diagonally, from their index arrays, which
     stay 32-bit while the stack's shape and nonzeros fit."""
     shape = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
-    idx = np.int32 if max(*shape, sum(b.nnz for b in blocks)) < 2**31 else np.int64
+    idx = index_dtype(shape, sum(b.nnz for b in blocks))
     cols = np.cumsum([0] + [b.shape[1] for b in blocks], dtype=idx)
     nnz = np.cumsum([0] + [b.nnz for b in blocks], dtype=idx)
     return sparse.csr_array(
@@ -99,6 +100,15 @@ def _block_diagonal(blocks):
          np.concatenate([b.indices + c for b, c in zip(blocks, cols)], dtype=idx),
          np.concatenate([nnz[:1]] + [b.indptr[1:] + n for b, n in zip(blocks, nnz)], dtype=idx)),
         shape=shape)
+
+
+def _matvec(A, x):
+    """A @ x for a CSR or CSC array A and a float vector x, bit for bit
+    scipy's product without its dispatch: sparsetools' kernel adds each
+    product onto a zeroed output."""
+    out = np.zeros(A.shape[0])
+    getattr(_sparsetools, A.format + "_matvec")(*A.shape, A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def _cut(A, shapes):
@@ -208,12 +218,13 @@ class AdmmEngine:
     minimizes each local cost plus v_i'x_i + (rho/2)||x_i||^2, whose
     condensed linear term is q = M'((H + rho I)c + v) with H = diag(H_i):
     one product with M' per iteration, and per step one more after each
-    agent's H_i + rho I (`H_rho[i]`) has acted on its slice of c. Alike
+    agent's H_i + rho I (`H_rho[i]`) has acted on its slice of c, each
+    product a direct call of scipy's kernel (`_matvec`). Alike
     problems (H, member predictions, box) share one M_i, H_i + rho I and
     QP over the box and P_i = M_i'(H_i + rho I)M_i, the distinct P_i
     diagonal blocks of one sparse product of which only their own blocks
-    are densified. Built for the stock agents, an engine keeps 0.20 MB on
-    path 5, 0.90 MB on the 4x5 grid and 3.27 MB on the 10x10 grid. Each
+    are densified. Built for the stock agents, an engine keeps 0.19 MB on
+    path 5, 0.85 MB on the 4x5 grid and 3.22 MB on the 10x10 grid. Each
     x-update adds its QPs to the QpCounters `qps`, which a run resets.
     Set-up binds c to the problems' own states, which they keep;
     `rebind_states` rebinds it, so one engine serves any number of closed
@@ -268,8 +279,8 @@ class AdmmEngine:
     def _bind(self, states):
         """c and the static part of q, M'(H + rho I)c, for the states."""
         self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
-        self.q_static = self.Mt @ np.concatenate([H @ self.c[s]
-                                                  for H, s in zip(self.H_rho, self.slices)])
+        self.q_static = _matvec(self.Mt, np.concatenate([_matvec(H, self.c[s])
+                                                         for H, s in zip(self.H_rho, self.slices)]))
 
     def cold_start(self, faces=False):
         """Drop every agent's QP warm start and, with `faces`, the Newton
@@ -282,11 +293,14 @@ class AdmmEngine:
     def x_update(self, v, k, solve_all=map):
         """Every agent's x-update at iteration k for the stacked linear term v:
         the stacked local vectors."""
-        q = self.q_static + self.Mt @ v
-        us = list(solve_all(_AgentCache.solve, self.caches, [q[s] for s in self.u_slices],
-                            [k] * len(self.caches)))
+        q = self.q_static + _matvec(self.Mt, v)
+        u = np.empty(self.Mt.shape[0])  # the agents' minimizers, stacked
+        solved = solve_all(_AgentCache.solve, self.caches, [q[s] for s in self.u_slices],
+                           [k] * len(self.caches))
+        for s, u_i in zip(self.u_slices, solved):
+            u[s] = u_i
         self.qps.add(self.caches)
-        return self.M @ np.concatenate(us) + self.c
+        return _matvec(self.M, u) + self.c
 
     def close(self):
         """Shut down the thread pool of parallel agents, if any."""

@@ -17,6 +17,8 @@ class InfoGraph:
     num_agents: int
     weights: dict = field(default_factory=dict)  # (i, j) with i < j -> weight
     _adjacency: tuple = field(init=False, repr=False, compare=False)  # vertex -> neighbors
+    # per edge, in `weights` order: i - 1 and j - 1, as two read-only index arrays
+    edge_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_agents < 1:
@@ -39,6 +41,9 @@ class InfoGraph:
             adjacency[i].append(j)
             adjacency[j].append(i)
         object.__setattr__(self, "_adjacency", tuple(map(frozenset, adjacency)))
+        ends = np.array(list(canonical), dtype=np.intp).reshape(-1, 2).T.copy() - 1
+        ends.flags.writeable = False
+        object.__setattr__(self, "edge_index", tuple(ends))
 
     def weight(self, i, j):
         return self.weights[(min(i, j), max(i, j))]

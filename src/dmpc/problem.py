@@ -100,6 +100,12 @@ class LocalProblem:
         return 0.5 * x @ (self.H @ x)
 
 
+def index_dtype(shape, nnz):
+    """Index dtype of a sparse array of `shape` with `nnz` stored entries:
+    32-bit while the shape and nonzeros fit, else 64-bit."""
+    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+
+
 def _hessian(T, models, edges, inputs):
     """Sparse H of a block of `models`, from (row, col, value) triplets.
 
@@ -130,7 +136,10 @@ def _hessian(T, models, edges, inputs):
     rows.append(nz)
     cols.append(nz)
     vals.append(diag[nz])
-    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    vals = np.concatenate(vals)
+    idx = index_dtype((layout.dim, layout.dim), vals.size)
+    return sparse.csr_array((vals, (np.concatenate(rows, dtype=idx),
+                                    np.concatenate(cols, dtype=idx))),
                             shape=(layout.dim, layout.dim))
 
 
@@ -228,25 +237,40 @@ def copy_counts(maps, z_dim):
     return counts
 
 
+def _stacked(trajs, what):
+    """The agents' trajectories as one (N, ...) array (an array is taken as
+    it is); ValueError naming the first agent whose shape is not agent 1's."""
+    try:
+        return np.asarray(trajs)
+    except ValueError:
+        first = np.shape(trajs[0])
+        for j, x in enumerate(trajs, start=1):
+            if np.shape(x) != first:
+                raise ValueError(f"{what} trajectory of agent {j} has shape {np.shape(x)}, "
+                                 f"agent 1's {first}") from None
+        raise
+
+
 def global_cost(g, state_traj, input_traj):
     """Coupling-plus-energy cost of full trajectories.
 
-    sum_t sum_edges a_ij ||x_i(t)-x_j(t)||^2 + sum_t u(t)'u(t). State
-    trajectories are (S, n_i) arrays, inputs (S_u, m_i).
+    sum_t sum_edges a_ij ||x_i(t)-x_j(t)||^2 + sum_t u(t)'u(t) over (S, n)
+    state and (S_u, m) input trajectories, one shape per argument. Edge
+    differences come from one gather over `g.edge_index`; the row sums
+    are added in edge, then agent order: bit for bit the per-edge sum.
     """
     N = g.num_agents
     if len(state_traj) != N or len(input_traj) != N:
         raise ValueError("one trajectory per agent required")
-    steps = state_traj[0].shape[0]
-    for x in state_traj:
-        if x.shape[0] != steps:
-            raise ValueError("state trajectories must share their length")
+    X, U = _stacked(state_traj, "state"), _stacked(input_traj, "input")
+    i, j = g.edge_index
+    D = (X[i] - X[j]).reshape(i.size, X[0].size)  # no -1: a graph may have no edges
+    U = U.reshape(N, -1)
     total = 0.0
-    for (i, j), w in g.weights.items():
-        d = state_traj[i - 1] - state_traj[j - 1]
-        total += w * float(np.sum(d * d))
-    for u in input_traj:
-        total += float(np.sum(np.asarray(u) ** 2))
+    for w, s in zip(g.weights.values(), np.add.reduce(D * D, axis=1).tolist()):
+        total += w * s
+    for s in np.add.reduce(U * U, axis=1).tolist():
+        total += s
     return total
 
 
@@ -288,9 +312,11 @@ def condensing_matrix(p, pred):
         counts += [count, np.ones(cols.size, int)]
         indices += [cols[gcols], cols]
         data += [vals, np.ones(cols.size)]
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    M = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                         shape=(p.dim, sum(mdl.m for mdl in p.models) * p.T))
+    data = np.concatenate(data)
+    shape = p.dim, sum(mdl.m for mdl in p.models) * p.T
+    idx = index_dtype(shape, data.size)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=idx)
+    M = sparse.csr_array((data, np.concatenate(indices, dtype=idx), indptr), shape=shape)
     M.sort_indices()
     return M
 

@@ -106,7 +106,8 @@ def draw_noise(g, cfg, rng, noise_dim=3):
 
 
 def _stage_cost(g, states_now, inputs_now):
-    return global_cost(g, [x[None, :] for x in states_now], [u[None, :] for u in inputs_now])
+    """The step's cost from its (N, n) states and (N, m) inputs."""
+    return global_cost(g, states_now[:, None, :], inputs_now[:, None, :])
 
 
 class _Controller:
@@ -333,21 +334,21 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     else:
         controller = _DualDecompController(g, agents, cfg, initial_states)
 
+    u_max = np.array([[a.u_max] for a in agents], dtype=float)  # a column: agents may differ
+    u_min = -u_max
     try:
         for t in range(cfg.num_steps):
             try:
-                first_inputs, stats = controller.plan([states[t, j].copy() for j in range(N)])
+                first_inputs, stats = controller.plan(list(states[t].copy()))
             except SolverFailure as exc:
                 aborted_at, abort_reason = t, str(exc)
                 states, inputs, stage_costs = states[:t + 1], inputs[:t], stage_costs[:t]
                 break
             solver_stats.append(stats)
+            inputs[t] = np.minimum(np.maximum(first_inputs, u_min), u_max)
             for j in range(N):
-                u = np.clip(first_inputs[j], -agents[j].u_max, agents[j].u_max)
-                inputs[t, j] = u
-                states[t + 1, j] = step(agents[j], states[t, j], u, noise[t, j])
-            stage_costs[t] = _stage_cost(g, [states[t, j] for j in range(N)],
-                                         [inputs[t, j] for j in range(N)])
+                states[t + 1, j] = step(agents[j], states[t, j], inputs[t, j], noise[t, j])
+            stage_costs[t] = _stage_cost(g, states[t], inputs[t])
     finally:
         controller.close()
 

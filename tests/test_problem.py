@@ -130,6 +130,51 @@ def test_global_cost_matches_dense_laplacian_form():
     assert global_cost(g, states, inputs) == pytest.approx(ref, rel=1e-12)
 
 
+def per_edge_cost(g, state_traj, input_traj):
+    """The stage-cost oracle: one term per edge in `g.weights` order, then
+    one per agent's inputs, each a numpy sum added to a Python float."""
+    total = 0.0
+    for (i, j), w in g.weights.items():
+        d = state_traj[i - 1] - state_traj[j - 1]
+        total += w * float(np.sum(d * d))
+    for u in input_traj:
+        total += float(np.sum(np.asarray(u) ** 2))
+    return total
+
+
+def random_weighted_graph(rng, N):
+    pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.0, 1.0)
+    return InfoGraph(N, {e: float(rng.uniform(0.05, 3.0)) for e, k in zip(pairs, keep) if k})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_global_cost_is_the_per_edge_sum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    graphs = [InfoGraph(1), InfoGraph(4), InfoGraph(3, {(1, 3): 0.7})]
+    graphs += [random_weighted_graph(rng, int(rng.integers(1, 12))) for _ in range(40)]
+    for k, g in enumerate(graphs):
+        N, S = g.num_agents, k % 15 + 1  # S = 1..15
+        n, m, S_u = (int(v) for v in rng.integers(1, 8, 3))
+        states = [rng.standard_normal((S, n)) * rng.uniform(0.1, 10.0) for _ in range(N)]
+        inputs = [rng.standard_normal((S_u, m)) for _ in range(N)]
+        assert global_cost(g, states, inputs) == per_edge_cost(g, states, inputs)
+        # stacked arrays, as the closed loop hands them over, give the same bits
+        assert global_cost(g, np.stack(states), np.stack(inputs)) == \
+            per_edge_cost(g, states, inputs)
+
+
+def test_global_cost_names_the_first_agent_of_another_shape():
+    g = path_graph(4)
+    x, u = np.zeros((3, 6)), np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"state trajectory of agent 3 has shape \(3, 5\)"):
+        global_cost(g, [x, x, np.zeros((3, 5)), np.zeros((2, 6))], [u] * 4)
+    with pytest.raises(ValueError, match=r"input trajectory of agent 2 has shape \(2, 2\)"):
+        global_cost(g, [x] * 4, [u, np.zeros((2, 2)), u, np.zeros(6)])
+    with pytest.raises(ValueError, match="state trajectory of agent 4 has shape \\(18,\\)"):
+        global_cost(g, [x, x, x, np.zeros(18)], [u] * 4)
+
+
 def test_global_cost_dimension_mismatch():
     g = InfoGraph(2, {(1, 2): 1.0})
     with pytest.raises(ValueError):

@@ -108,6 +108,40 @@ def test_inputs_respect_saturation():
     assert np.max(np.abs(log.inputs)) <= 0.3 + 1e-12
 
 
+@pytest.mark.parametrize("kind", ["admm", "centralized"])
+def test_each_agent_is_clipped_to_its_own_u_max(monkeypatch, kind):
+    from dmpc import double_integrator_3d, step
+    from test_problem import per_edge_cost
+
+    g = InfoGraph(3, {(1, 2): 0.8, (2, 3): 1.7, (1, 3): 0.4})
+    agents = [double_integrator_3d(0.1, mass, u_max)
+              for mass, u_max in ((1.0, 0.5), (2.0, 1.0), (0.5, np.inf))]
+    u_max = np.array([0.5, 1.0, np.inf])
+    cls = simulation._AdmmController if kind == "admm" else simulation._CentralizedCache
+    plan, planned = cls.plan, []
+
+    def overshooting(self, measured):  # ten times the plan: every bound is met
+        first_inputs, stats = plan(self, measured)
+        planned.append([10.0 * u for u in first_inputs])
+        return planned[-1], stats
+
+    monkeypatch.setattr(cls, "plan", overshooting)
+    cfg = small_cfg(solver_kind=kind, pos_range=(-5.0, 5.0), noise_variance=0.1)
+    log = run_closed_loop(g, cfg, agents=agents)
+    assert log.aborted_at is None and len(planned) == cfg.num_steps
+    for t, first_inputs in enumerate(planned):
+        for j, (a, u) in enumerate(zip(agents, first_inputs)):
+            assert np.array_equal(log.inputs[t, j], np.clip(u, -a.u_max, a.u_max))
+            assert np.array_equal(log.states[t + 1, j],
+                                  step(a, log.states[t, j], log.inputs[t, j],
+                                       log.noise_draws[t, j]))
+        assert log.stage_costs[t] == per_edge_cost(g, log.states[t][:, None],
+                                                   log.inputs[t][:, None])
+    reach = np.abs(log.inputs).max(axis=(0, 2))
+    assert reach[0] == 0.5 and reach[1] == 1.0 and reach[2] > 1.0
+    assert np.all(np.abs(log.inputs) <= u_max[:, None])
+
+
 def test_total_cost_sums_stage_costs():
     g = path_graph(3)
     log = run_closed_loop(g, small_cfg(noise_variance=0.1))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
                   double_integrator_3d, prediction_matrices, run_dual_decomposition)
-from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, dual_update,  # noqa: E402
+from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, _matvec, dual_update,  # noqa: E402
                        residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, condensing_matrix,  # noqa: E402
                           copy_counts, predictions)
@@ -424,3 +424,32 @@ def test_one_copy_of_the_network_map_gives_the_stacked_bits(name, g, agents, rho
     assert all(q[us].tobytes() == qi.tobytes() for us, (qi, _) in zip(engine.u_slices, solved))
     x_ref = M_ref @ np.concatenate([u for _, u in solved]) + engine.c
     assert x_cat.tobytes() == x_ref.tobytes()
+
+
+def with_index_dtype(A, dtype):
+    """A's arrays with its index arrays cast to `dtype`, in A's format."""
+    return type(A)((A.data, A.indices.astype(dtype), A.indptr.astype(dtype)), shape=A.shape)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize("name, g, agents", list(alike_scenarios()))
+def test_direct_kernel_products_equal_scipys(name, g, agents, rho):
+    rng = np.random.default_rng(8)
+    x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
+    probs, maps, _ = build_local_problems(g, agents, 4, x0)
+    engine = AdmmEngine(probs, maps, rho, qp_tol=DD_QP_TOL)
+    for A in [engine.Mt, engine.M, *engine.H_rho]:
+        for dtype in (np.int32, np.int64):
+            B = with_index_dtype(A, dtype)
+            assert B.format == A.format and B.indices.dtype == dtype
+            x = rng.standard_normal(B.shape[1]) * 10.0 ** rng.integers(-3, 4, B.shape[1])
+            assert _matvec(B, x).tobytes() == (B @ x).tobytes()
+
+
+@pytest.mark.parametrize("name, g, agents", list(alike_scenarios()))
+def test_problems_and_maps_are_built_with_32_bit_indices(name, g, agents):
+    x0 = [np.zeros(a.n) for a in agents]
+    probs, _, _ = build_local_problems(g, agents, 4, x0)
+    block, pred, M, _ = build_centralized_qp(g, agents, 4, x0)
+    for A in [p.H for p in probs] + [condensing_matrix(probs[0], predictions(probs)), block.H, M]:
+        assert A.indices.dtype == A.indptr.dtype == np.int32
