@@ -229,12 +229,15 @@ class AdmmEngine:
     Set-up binds c to the problems' own states, which they keep;
     `rebind_states` rebinds it, so one engine serves any number of closed
     loops on the same agents. At rho = 0 it serves
-    `run_dual_decomposition`; `run` needs rho > 0.
+    `run_dual_decomposition`; `run` needs rho > 0. qp_tol must be positive
+    and finite.
     """
 
     def __init__(self, problems, maps, rho, qp_tol=1e-6, parallel=False):
         if not 0 <= rho < math.inf:  # nan too
             raise ValueError(f"rho must be nonnegative and finite, got {rho}")
+        if not 0 < qp_tol < math.inf:
+            raise ValueError(f"qp_tol must be positive and finite, got {qp_tol}")
         self.problems = list(problems)
         self.rho, self.qp_tol = rho, qp_tol
         self.E = np.concatenate([m.global_idx for m in maps])

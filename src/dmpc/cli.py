@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import ConfigError, parse_config
 from .admm import QpCounters
-from .simulation import SOLVER_KINDS, SweepTrialAborted, iteration_sweep, run_closed_loop
+from .simulation import SweepTrialAborted, iteration_sweep, run_closed_loop
 from . import verify as verify_mod
 
 
@@ -169,7 +169,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="run one closed-loop simulation")
     p_sim.add_argument("--config", required=True, help="scenario config path")
     p_sim.add_argument("--seed", type=int, help="override the RNG seed")
-    p_sim.add_argument("--solver", choices=SOLVER_KINDS)
+    p_sim.add_argument("--solver", help="admm, dual_decomp or centralized")
     p_sim.add_argument("--iters", type=int, help="override ADMM iteration budget")
     p_sim.add_argument("--out", help="override output directory")
     p_sim.set_defaults(func=cmd_simulate)

@@ -27,7 +27,7 @@ class LtiAgent:
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(f"B shape {B.shape} inconsistent with A {A.shape}")
         if not self.u_max > 0:
-            raise ValueError("u_max must be positive (or +inf)")
+            raise ValueError(f"u_max must be positive (or +inf), got {self.u_max}")
         if W is not None and W.shape != B.shape:
             raise ValueError("noise_input must match B in shape")
         for name, M in (("A", A), ("B", B), ("noise_input", W)):
@@ -59,15 +59,15 @@ def double_integrator_3d(ts, mass, u_max=1.0):
     the noise channel is B with unit mass.
     """
     if not 0 < ts < np.inf:  # nan fails as not positive
-        raise ValueError("ts must be positive and finite")
+        raise ValueError(f"ts must be positive and finite, got {ts}")
     if not 0 < mass < np.inf:  # an infinite mass would leave B zero
-        raise ValueError("mass must be positive and finite")
-    blk_a = np.array([[1.0, ts], [0.0, 1.0]])
-    blk_b = np.array([[0.0], [ts / mass]])
-    blk_w = np.array([[0.0], [ts]])
-    A = np.kron(np.eye(3), blk_a)
-    B = np.kron(np.eye(3), blk_b)
-    W = np.kron(np.eye(3), blk_w)
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    # per axis a [[1, ts], [0, 1]] block of A and [0; ts / mass] of B, set in place
+    pos, vel, axis = [0, 2, 4], [1, 3, 5], [0, 1, 2]
+    A, B, W = np.eye(6), np.zeros((6, 3)), np.zeros((6, 3))
+    A[pos, vel] = ts
+    B[vel, axis] = ts / mass
+    W[vel, axis] = ts
     return LtiAgent(A=A, B=B, u_max=u_max, noise_input=W)
 
 

@@ -1,9 +1,10 @@
 """Undirected weighted communication graphs and their Laplacians."""
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -22,18 +23,12 @@ class InfoGraph:
 
     def __post_init__(self):
         if self.num_agents < 1:
-            raise ValueError("num_agents must be >= 1")
+            raise ValueError(f"num_agents must be >= 1, got {self.num_agents}")
         canonical = {}
         for (i, j), w in self.weights.items():
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not (1 <= i <= self.num_agents and 1 <= j <= self.num_agents):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{self.num_agents}")
-            key = (min(i, j), max(i, j))
+            key = self.checked_edge(self.num_agents, i, j, w)
             if key in canonical:
                 raise ValueError(f"duplicate edge {key}")
-            if not 0 < w < np.inf:
-                raise ValueError(f"edge {key} has a weight that is not positive and finite: {w}")
             canonical[key] = float(w)
         object.__setattr__(self, "weights", canonical)
         adjacency = [[] for _ in range(self.num_agents + 1)]
@@ -44,6 +39,20 @@ class InfoGraph:
         ends = np.array(list(canonical), dtype=np.intp).reshape(-1, 2).T.copy() - 1
         ends.flags.writeable = False
         object.__setattr__(self, "edge_index", tuple(ends))
+
+    @staticmethod
+    def checked_edge(num_agents, i, j, w):
+        """The edge's key (min, max), or ValueError unless i != j, both lie in
+        1..num_agents and the weight is positive and finite."""
+        if i == j:
+            raise ValueError(f"self-loop on vertex {i}")
+        if not (1 <= i <= num_agents and 1 <= j <= num_agents):
+            raise ValueError(f"edge ({i},{j}) out of range 1..{num_agents}")
+        key = (min(i, j), max(i, j))
+        if not 0 < w < np.inf:  # nan fails as not positive
+            raise ValueError(f"edge weight must be {'finite' if w > 0 else 'positive'}, "
+                             f"got {w} on edge {key}")
+        return key
 
     def weight(self, i, j):
         return self.weights[(min(i, j), max(i, j))]
@@ -67,18 +76,10 @@ class InfoGraph:
         return lap
 
     def is_connected(self):
-        """Breadth-first reachability from vertex 1 covers all vertices."""
-        if self.num_agents == 1:
-            return True
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for u in self.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.num_agents
+        """One connected component holds every vertex."""
+        n, (i, j) = self.num_agents, self.edge_index
+        adjacency = sparse.coo_array((np.ones(i.size), (i, j)), shape=(n, n))
+        return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
 def path_graph(n, weight=1.0):

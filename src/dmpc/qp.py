@@ -311,8 +311,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     """Closed form if it lies in the box, else projected Newton (Bertsekas 1982).
 
     `q` is the linear term of this solve (`qp.q` if None; ValueError unless
-    of q's shape). Checks in order: tol and max_iter (ValueError unless tol
-    >= 0 and max_iter >= 0), bounds that no finite x meets
+    of q's shape). Checks in order: tol and max_iter (ValueError unless
+    0 <= tol < inf and max_iter >= 0), bounds that no finite x meets
     (`infeasible_bounds`), an empty QP, a non-finite q (ValueError), the
     closed form x_unc = -`qp.inv` q if in the box (`iterations` 0, no
     objective history), then an x0 not of q's shape (ValueError), before
@@ -334,8 +334,8 @@ def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):
     (k, s)(s, s) dot in `BoxQp.shape`.
     """
     n, infeasible, shape, P, S, box = qp.plan
-    if not tol >= 0 or max_iter < 0:  # nan fails tol >= 0
-        raise ValueError(f"tol and max_iter must be >= 0, got {tol} and {max_iter}")
+    if not 0 <= tol < np.inf or max_iter < 0:  # nan fails 0 <= tol
+        raise ValueError(f"tol and max_iter must be >= 0, tol finite, got {tol} and {max_iter}")
     if q is None:
         q = qp.q
     elif (q := np.asarray(q, dtype=float)).shape != (n,):

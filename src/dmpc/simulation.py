@@ -39,29 +39,30 @@ class SimConfig:
     parallel_agents: bool = False
 
     def __post_init__(self):
+        """The one check of each setting, whether it comes from a config file,
+        a command-line flag or a call; ts, mass and u_max must build an agent."""
         if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.solver_kind not in SOLVER_KINDS:
-            raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
+            raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}, "
+                             f"got {self.solver_kind!r}")
         if self.solver_kind != "centralized" and self.admm_iterations < 1:
-            raise ValueError("admm_iterations must be >= 1")
-        if not 0 < self.rho < math.inf:  # nan too
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+            raise ValueError(f"admm_iterations must be >= 1, got {self.admm_iterations}")
+        for name in ("rho", "qp_tol"):
+            if not 0 < getattr(self, name) < math.inf:  # nan too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.noise_variance < math.inf:
-            raise ValueError(f"noise_variance must be nonnegative and finite, "
-                             f"got {self.noise_variance}")
-        if not self.qp_tol > 0:
-            raise ValueError("qp_tol must be positive")
+            raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         for name in ("pos_range", "vel_range"):
             lo, hi = getattr(self, name)
-            if not all(map(math.isfinite, (lo, hi))):
-                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
-            if lo > hi:
-                raise ValueError(f"{name} lower bound exceeds upper")
+            if not -math.inf < lo <= hi < math.inf:  # nan too
+                raise ValueError(f"{name} lower bound exceeds upper, or a bound is not finite, "
+                                 f"got {(lo, hi)}")
+        double_integrator_3d(self.ts, self.mass, self.u_max)
 
 
 @dataclass

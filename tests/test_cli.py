@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from dmpc import (ConfigError, ScenarioConfig, SimConfig, SolverFailure, iteration_sweep,
                   parse_config, simulation)
 from dmpc.cli import main
+from dmpc.config import _SETTINGS
+from dmpc.graph import InfoGraph
 
 
 GOOD = """\
@@ -144,7 +147,7 @@ def test_agent_overrides():
     ("[graph]\nn 2\nedge 1 2 inf\n", "line 3: edge weight must be finite, got inf"),
     ("[graph]\nn 2\nedge 1 3\n", "out of range"),
     ("[graph]\nn 0\n", ">= 1"),
-    ("[graph]\nn 2\nedge 1 2\n[mpc]\nsolver quantum\n", "solver must be"),
+    ("[graph]\nn 2\nedge 1 2\n[mpc]\nsolver quantum\n", "solver_kind must"),
     ("[graph]\nn 2\nedge 1 2\n[mpc]\nwarm_start maybe\n", "boolean"),
     ("[graph]\nn 2\nedge 1 2\n[sim]\npos_range 3 1\n", "lower bound exceeds"),
     ("[graph]\nn 2\nedge 1 2\n[output]\nformats xml\n", "unknown output format"),
@@ -195,6 +198,107 @@ def test_parse_error_reports_line_number():
         parse_config("[graph]\nn 2\nedge 1 2\nbogus_key 1\n")
     assert exc.value.line_no == 4
     assert "line 4" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[graph]\nn 2\nedge 1 2\n[sim]\nseed 1\nseed 2\n",
+     "line 6: 'seed' is set twice, first on line 5"),
+    ("[graph]\nn 2\nedge 1 2\nn 3\n", "line 4: 'n' is set twice, first on line 2"),
+    ("[sim]\npos_range -1 1\n[graph]\nn 2\n[sim]\npos_range = -2 2\n",
+     "line 6: 'pos_range' is set twice, first on line 2"),
+])
+def test_a_repeated_setting_is_refused_on_its_second_line(text, message):
+    # once silently last-wins: a second `n` changed the agent count
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message and exc.value.line_no == int(message.split()[1][:-1])
+
+
+SYNTAX_ONLY = ("out_dir", "formats", "warm_start")  # settings no object checks
+
+
+def _refusal(text, owner):
+    return pytest.param(text, owner, id=text.splitlines()[-1])
+
+
+def _owner_refusals():
+    """(document, what the owner raises for the same value through the library)
+    for each refused value of each setting, edge weight and override that
+    configures a SimConfig, the graph or an agent."""
+    cases = []
+    head = "[graph]\nn 2\nedge 1 2\n"
+    for section, key, name, *_ in _SETTINGS:
+        if name in SYNTAX_ONLY:
+            continue
+        kind = int if name == "num_agents" else type(getattr(SimConfig, name))
+        convert = {tuple: lambda lo, hi: (float(lo), float(hi)), str: str.lower}.get(kind, kind)
+        values = {tuple: [("3", "1"), ("nan", "1"), ("-inf", "1"), ("-1", "inf"), ("0", "nan")],
+                  str: [("x",)]}.get(kind, [(v,) for v in ("0", "-1", "nan", "inf")])
+        for tokens in values:
+            try:
+                value = convert(*tokens)
+            except ValueError:  # not of the setting's type: a syntax error
+                continue
+            try:
+                InfoGraph(value) if name == "num_agents" else SimConfig(**{name: value})
+            except ValueError as exc:
+                text = (f"[graph]\nn {' '.join(tokens)}\n" if name == "num_agents" else
+                        head + f"[{section}]\n{key} {' '.join(tokens)}\n")
+                cases.append(_refusal(text, exc))
+    for w in ("0", "-1", "nan", "inf"):
+        try:
+            InfoGraph(2, {(1, 2): float(w)})
+        except ValueError as exc:
+            cases.append(_refusal(f"[graph]\nn 2\nedge 2 1 {w}\n", exc))
+    for i, j in ((1, 1), (1, 3), (0, 1)):
+        try:
+            InfoGraph(2, {(i, j): 1.0})
+        except ValueError as exc:
+            cases.append(_refusal(f"[graph]\nn 2\nedge {i} {j}\n", exc))
+    for mass, u_max in (("0", "1"), ("-1", "1"), ("nan", "1"), ("inf", "1"),
+                        ("1", "0"), ("1", "-1"), ("1", "nan"), ("inf", "0")):
+        try:
+            SimConfig(mass=float(mass), u_max=float(u_max))
+        except ValueError as exc:
+            cases.append(_refusal(head + f"[agents]\nagent 2 {mass} {u_max}\n", exc))
+    return cases
+
+
+OWNER_REFUSALS = _owner_refusals()
+
+
+def test_every_owned_setting_has_refusals():
+    keys = {case.values[0].splitlines()[-1].split()[0] for case in OWNER_REFUSALS}
+    owned = {key for _, key, name, *_ in _SETTINGS if name not in SYNTAX_ONLY}
+    assert keys == owned | {"edge", "agent"} and len(OWNER_REFUSALS) >= 50
+
+
+@pytest.mark.parametrize("text, owner", OWNER_REFUSALS)
+def test_a_file_refuses_a_value_in_its_owners_words(text, owner):
+    # one rule per value: the document gives the library's message, with its line
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"line {len(text.splitlines())}: {owner}"
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--seed", "-1", "rng_seed"), ("--iters", "0", "admm_iterations"),
+    ("--solver", "x", "solver_kind")])
+def test_a_flag_is_refused_in_its_owners_words(tmp_path, flag, value, field):
+    with pytest.raises(ValueError) as owner:
+        SimConfig(**{field: value if flag == "--solver" else int(value)})
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_config(tmp_path), flag, value])
+    assert str(exc.value) == f"error: {flag}: {owner.value}"
+
+
+def test_readme_example_config_parses_to_the_defaults_it_shows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.defaults_applied == []  # it names every key of _SETTINGS
+    default = parse_config(f"[graph]\nn {cfg.num_agents}\n")
+    assert (cfg.sim, cfg.out_dir, cfg.formats) == (default.sim, default.out_dir, default.formats)
 
 
 def write_config(tmp_path, text=GOOD):

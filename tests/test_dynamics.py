@@ -38,13 +38,14 @@ def test_double_integrator_invalid_args():
 ])
 def test_double_integrator_needs_a_positive_finite_ts_and_mass(ts, mass, why):
     # the config parser's messages
-    with pytest.raises(ValueError, match=f"^{why} must be positive and finite$"):
+    value = ts if why == "ts" else mass
+    with pytest.raises(ValueError, match=f"^{why} must be positive and finite, got {value}$"):
         double_integrator_3d(ts, mass)
 
 
 def test_closed_loop_refuses_an_infinite_mass():
     # B would be zero: every input 0, the agents unable to move
-    with pytest.raises(ValueError, match="^mass must be positive and finite$"):
+    with pytest.raises(ValueError, match="^mass must be positive and finite, got inf$"):
         run_closed_loop(path_graph(3), SimConfig(num_steps=3, mass=np.inf))
 
 

@@ -95,7 +95,8 @@ def test_invalid_graphs_rejected():
 
 @pytest.mark.parametrize("w", [np.inf, np.nan, -np.inf, -1.0])
 def test_weights_must_be_positive_and_finite(w):
-    with pytest.raises(ValueError, match=r"edge \(1, 2\) has a weight that is not positive"):
+    with pytest.raises(ValueError,
+                       match=r"edge weight must be (positive|finite), got .* on edge \(1, 2\)$"):
         InfoGraph(3, {(2, 1): w})
 
 

@@ -255,6 +255,13 @@ def test_a_negative_max_iter_or_tol_and_a_nan_tol_are_rejected(kw):
     assert solve_box_qp(qp, tol=0.0).status == "optimal"
 
 
+def test_an_infinite_tol_is_rejected():
+    # every Newton pass would end optimal at tol = inf, whatever its KKT residual
+    qp = BoxQp(np.eye(2), np.array([-3.0, 0.5]), -np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="tol and max_iter must be >= 0, tol finite, got inf"):
+        solve_box_qp(qp, tol=np.inf)
+
+
 def test_closed_form_solution_fields():
     rng = np.random.default_rng(32)
     G = rng.standard_normal((6, 6))

@@ -48,7 +48,7 @@ def test_config_rejects_bad_fields(name, value):
     ("pos_range", (0.0, np.nan)), ("pos_range", (-np.inf, 1.0)), ("vel_range", (-1.0, np.inf))])
 def test_config_and_engine_reject_non_finite_settings(name, value):
     # the config parser refuses these too; the library's own entry points must as well
-    with pytest.raises(ValueError, match=f"{name} must be [a-z ]*finite"):
+    with pytest.raises(ValueError, match=f"{name} [a-z ,]*finite"):
         SimConfig(**{name: value})
     if name == "rho":
         g = path_graph(3)
@@ -56,6 +56,20 @@ def test_config_and_engine_reject_non_finite_settings(name, value):
                                               [np.zeros(6)] * 3)
         with pytest.raises(ValueError, match="rho must be [a-z ]*finite"):
             admm.AdmmEngine(probs, maps, value)
+
+
+@pytest.mark.parametrize("qp_tol", [np.inf, np.nan, 0.0, -1.0])
+def test_config_and_engine_refuse_a_qp_tol_not_positive_and_finite(qp_tol):
+    # at inf every QP of a stock loop ended optimal at KKT residuals up to 1.5;
+    # an engine refused -1 only at its first solve, in solve_box_qp's words
+    message = f"^qp_tol must be positive and finite, got {qp_tol}$"
+    with pytest.raises(ValueError, match=message):
+        SimConfig(qp_tol=qp_tol)
+    g = path_graph(3)
+    probs, maps, _ = build_local_problems(g, default_agents(g, SimConfig()), 4,
+                                          [np.zeros(6)] * 3)
+    with pytest.raises(ValueError, match=message):
+        admm.AdmmEngine(probs, maps, 1.0, qp_tol=qp_tol)
 
 
 @pytest.mark.parametrize("name, value", BAD_FIELDS)
