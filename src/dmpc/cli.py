@@ -109,27 +109,17 @@ def cmd_simulate(args):
     return 0
 
 
-def _check_jobs(args):
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be >= 1")
-
-
 def cmd_sweep(args):
     cfg = _load(args.config, args)
     try:
         k_values = [int(v) for v in args.k_list.split(",") if v]
     except ValueError:
         raise SystemExit(f"error: bad --k-list {args.k_list!r}")
-    if not k_values or any(k < 1 for k in k_values):
-        raise SystemExit("error: --k-list needs positive integers")
-    if args.trials < 1:
-        raise SystemExit("error: --trials must be >= 1")
-    _check_jobs(args)
     aborted = ()
     try:
         rows = iteration_sweep(cfg.graph(), cfg.sim, k_values, args.trials,
                                n_jobs=args.jobs, agents=cfg.agents())
-    except ValueError as exc:  # a trial whose centralized cost is zero
+    except ValueError as exc:  # an argument refused, or a trial whose centralized cost is zero
         raise SystemExit(f"error: {exc}")
     except SweepTrialAborted as exc:
         rows, aborted = exc.rows, [f"error: {e}" for e in exc.aborted]
@@ -151,9 +141,12 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    _check_jobs(args)
+    try:
+        suites = verify_mod.run_suites(args.level, n_jobs=args.jobs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     all_ok = True
-    for name, ok, detail in verify_mod.run_suites(args.level, n_jobs=args.jobs):
+    for name, ok, detail in suites:
         status = "PASS" if ok else "FAIL"
         print(f"{status} {name}: {detail}")
         all_ok &= ok

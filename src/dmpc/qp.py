@@ -8,12 +8,12 @@ and s = n. A product with P or S = P^-1 is one (k, s)(s, s) product. The
 closed form is x_unc = -S q. A Newton step holding the active entries A at
 h goes to x_unc + S[:, A] solve(S_AA, h - x_unc[A]); when more than half
 the entries are held, or P has no inverse, it solves the free rows
-P_FF x_F = -q_F - P_FA h instead. Active sets repeat from one solve to
-the next, so each QP keeps the Cholesky factor of its last S_AA (`face`):
-the same A again costs one triangular solve pair, bit for bit the same.
-S_AA is block diagonal, one block per block of P that A meets: a QP whose
-blocks have at least `PIECEWISE_MIN` entries factors it one such piece at a
-time (`BoxQp.pieces`), a smaller one as one dense |A| x |A| matrix.
+P_FF x_F = -q_F - P_FA h instead. S_AA is block diagonal and is solved
+one piece of A at a time: A cut at the block starts if P's blocks have at
+least `PIECEWISE_MIN` entries (`BoxQp.pieces`), else one piece, all of A.
+Active sets repeat from one solve to the next, so each QP keeps its last
+face's factors (`face`): the same A again costs one triangular solve pair
+a piece, bit for bit the same.
 
 One solve path: a QP is built once and each solve passes its own q
 (`solve_box_qp(qp, q=q)`). A solve is straight-line numpy on what the QP
@@ -28,9 +28,9 @@ from scipy import sparse
 from scipy.linalg.lapack import dposv, dpotrf, dpotri, dpotrs
 from scipy.sparse.csgraph import connected_components
 
-# the smallest block of P for which a QP solves its Schur faces one block at a
-# time: one dposv per piece beats the dense factor at blocks of 200 (the 4x5
-# grid's centralized QP) and loses at 50 and below (every agent's QP)
+# the smallest block of P for which a QP cuts its Newton faces at its block
+# starts: one dposv per block beats one over all of A at blocks of 200 (the
+# 4x5 grid's centralized QP) and loses at 50 and below (every agent's QP)
 PIECEWISE_MIN = 100
 
 # the rows of a block or an inverse that set-up symmetrizes at one time: a
@@ -119,8 +119,8 @@ def _principal(m, J, s):
     indices J into a stack of blocks of size s, zero between two blocks."""
     loc = J % s
     out = m.take(loc, 0).take(loc, 1)
-    blk = J - loc
-    if J.size and blk[0] != blk[-1]:  # J spans more than one block
+    if J.size and J[0] // s != J[-1] // s:  # J spans more than one block
+        blk = J - loc
         np.putmask(out, blk[:, None] != blk, 0.0)
     return out
 
@@ -140,15 +140,15 @@ class BoxQp:
     form's box, 1e-12 wider. `infeasible`: no finite x meets the bounds (a
     lower bound above its upper bound, or both bounds at one infinity).
     `plan`: what a solve reads, fixed when the QP is built (n, infeasible,
-    shape, P, inv, box). The face slot, one per QP object, so a `copy.copy`
-    sharing all else has its own: `face`, None or the pair (A's bytes, the
-    Cholesky factor of S_AA that dposv returned) of the last Newton face
-    solved through S_AA, replaced and read as one tuple, so a solve never
-    pairs an A with another face's factor; `reused`, the count of Newton
-    points solved on a held factor. `pieces`: None, or, with an inverse
-    and s at least `PIECEWISE_MIN`, each block's start and n: S_AA is then
-    solved one piece per block that A meets, and `face` holds (A's bytes,
-    ((start, stop, factor), ...)), each piece's place in A and its factor.
+    shape, P, inv, box). `pieces`: with an inverse and s at least
+    `PIECEWISE_MIN`, each block's start and n, where Newton cuts A into one
+    piece per block it meets; else None: A is one piece. The face slot, one
+    per QP object, so a `copy.copy` sharing all else has its own: `face`,
+    None or the pair (A's bytes, ((start, stop, factor), ...)) of the last
+    Newton face solved through S_AA, each piece's place in A and the
+    Cholesky factor of its block of S_AA, replaced and read as one tuple, so
+    a solve never pairs an A with another face's factors; `reused`, the
+    count of Newton points solved on a held face.
     """
 
     __slots__ = ("P", "q", "lower", "upper", "shape", "inv", "inv_rows", "box", "infeasible",
@@ -231,13 +231,13 @@ class QpSolution:
 def _newton_point(qp, q, x_unc, active, cand):
     """The minimizer with the active entries held at their values in `cand`.
 
-    With P^-1 = S and at most half the entries held, it is x_unc + S[:, A] y,
-    S_AA y = cand_A - x_unc[A] (x_unc = -S q). An A equal to the one in the
-    QP's face slot is solved by dpotrs on the factor held there; any other
-    goes to dposv, whose factor then replaces the slot's. dposv is dpotrf
-    then dpotrs, so both give y bit for bit alike. A QP with `pieces` does
-    the same one piece of S_AA at a time (`_solve_pieces`). Otherwise it
-    solves the free rows, P_FF x_F = -q_F - P_FA cand_A, by LAPACK dposv. A
+    With P^-1 = S and at most half the entries held, it is x_unc + S Y, Y = y
+    on A, S_AA y = cand_A - x_unc[A] (x_unc = -S q), one piece of A at a
+    time (cut at `qp.pieces`, else all of A): for the face slot's A by dpotrs
+    on each piece's held factor, for any other by dposv on each piece's
+    block of S_AA (`_principal`), whose factors, if all exist, replace the
+    slot's. dposv is dpotrf then dpotrs: both give y bit for bit alike.
+    Otherwise it solves the free rows, P_FF x_F = -q_F - P_FA cand_A, by dposv. A
     singular P_FF, or a near singular one without an inverse, gets the
     minimum-norm least-squares solution, moved by any residual r (in the
     null space) over 1e-8 d, d the largest diagonal entry, so the box stops
@@ -248,18 +248,24 @@ def _newton_point(qp, q, x_unc, active, cand):
         if not A.size:
             return x_unc.copy()
         held, key, face = cand[A], A.tobytes(), qp.face
-        if qp.pieces is not None:
-            y, info = _solve_pieces(qp, A, key, held - x_unc[A])
-        elif face is not None and face[0] == key:
-            y, info = dpotrs(face[1], held - x_unc[A])
+        r, Y = held - x_unc[A], np.zeros(n)
+        if face is not None and face[0] == key:
+            for a, b, c in face[1]:
+                Y[A[a:b]], info = dpotrs(c, r[a:b])
             qp.reused += 1
         else:
-            c, y, info = dposv(_principal(qp.inv_rows, A, qp.shape[1]), held - x_unc[A])
-            if info == 0:
-                qp.face = key, c
+            factors, spans = [], ((0, A.size),) if qp.pieces is None else itertools.pairwise(
+                A.searchsorted(qp.pieces).tolist())  # A's cuts at the block starts
+            for a, b in spans:
+                if a < b:
+                    J = A[a:b]
+                    c, Y[J], info = dposv(_principal(qp.inv_rows, J, qp.shape[1]), r[a:b])
+                    if info != 0:
+                        break
+                    factors.append((a, b, c))
+            else:
+                qp.face = key, tuple(factors)
         if info == 0:
-            Y = np.zeros(n)  # S[:, A] y = S Y with Y = y on A
-            Y[A] = y
             x = x_unc + Y.reshape(qp.shape).dot(qp.inv).ravel()
             x[A] = held
             return x
@@ -278,33 +284,6 @@ def _newton_point(qp, q, x_unc, active, cand):
             xf += r / (1e-8 * (a.diagonal().max() or 1.0))
     x[F] = xf
     return x
-
-
-def _solve_pieces(qp, A, key, r):
-    """(y, info) for S_AA y = r on a QP with `pieces`: one solve per block
-    of P that A meets, on S_b[A_b, A_b] gathered by two `take`s (3x faster
-    than one np.ix_ index at 10-60 of 200 entries). A face equal to the one
-    held in the slot runs dpotrs on each piece's held factor and counts one
-    reuse; any other dposv's each piece and, if every piece has a factor,
-    holds them all. info is that of the first piece whose dposv fails,
-    else 0."""
-    face, y = qp.face, np.empty_like(r)
-    if face is not None and face[0] == key:
-        for a, b, c in face[1]:
-            y[a:b], _ = dpotrs(c, r[a:b])
-        qp.reused += 1
-        return y, 0
-    starts, S = qp.pieces, qp.inv_rows
-    cuts, held = A.searchsorted(starts), []
-    for lo, a, b in zip(starts, cuts[:-1], cuts[1:]):
-        if a < b:
-            J = A[a:b] - lo
-            c, y[a:b], info = dposv(S.take(J, 0).take(J, 1), r[a:b])
-            if info != 0:
-                return y, info
-            held.append((a, b, c))
-    qp.face = key, tuple(held)
-    return y, 0
 
 
 def solve_box_qp(qp, tol=1e-8, max_iter=5000, x0=None, q=None):

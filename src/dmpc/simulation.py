@@ -1,6 +1,7 @@
 """Receding-horizon closed-loop simulation and iteration-budget sweeps."""
 
 import math
+import operator
 import os
 import time
 from array import array
@@ -18,6 +19,17 @@ from .problem import (ZLayout, _model_key, build_centralized_qp, build_local_pro
 from .qp import BoxQp, solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
+
+
+def check_count(name, value, least=1):
+    """ValueError naming `name` and `value` unless `operator.index` takes
+    `value` and, unless `least` is None, it is at least `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -41,10 +53,10 @@ class SimConfig:
     def __post_init__(self):
         """The one check of each setting, whether it comes from a config file,
         a command-line flag or a call; ts, mass and u_max must build an agent."""
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        check_count("num_steps", self.num_steps)
+        check_count("horizon", self.horizon)
+        for name in ("admm_iterations", "rng_seed"):  # their bounds follow
+            check_count(name, getattr(self, name), None)
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}, "
                              f"got {self.solver_kind!r}")
@@ -437,24 +449,26 @@ def _sweep_trial(args):
 def iteration_sweep(g, cfg, k_values, num_trials, base_seed=None, n_jobs=1, agents=None):
     """Paired ADMM-vs-centralized closed loops per trial, aggregated per K.
 
-    Returns rows (K, mean excess %, std %, num_trials). Each trial runs
-    `agents` (`default_agents` if None), as `run_closed_loop` does, and
-    reuses one centralized reference run across every K value, and one ADMM
-    engine, built after that run and rebound by each K's loop. Trials run
-    in at most min(n_jobs, num_trials, CPUs) worker processes. A trial
-    whose centralized cost is zero has no excess: ValueError naming its
-    seed. Every trial runs; if a loop aborted, SweepTrialAborted names the
-    first trial that did and carries the rows over the trials that
-    completed.
+    Before any loop, `check_count` takes each of the one or more budgets in
+    `k_values`, `num_trials` and `n_jobs`. Returns rows (K, mean excess %,
+    std %, num_trials). Each trial runs `agents` (`default_agents` if None),
+    as `run_closed_loop` does, with one centralized reference run for every
+    K and one ADMM engine, built after it and rebound by each K's loop.
+    Trials run in at most min(n_jobs, num_trials, CPUs) worker processes. A
+    trial whose centralized cost is zero has no excess: ValueError naming
+    its seed. Every trial runs; if a loop aborted, SweepTrialAborted names
+    the first that did and carries the rows over the trials that completed.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
+    if not (k_values := list(k_values)):
+        raise ValueError("k_values must hold at least one budget, got []")
+    for i, K in enumerate(k_values):
+        check_count(f"k_values[{i}]", K)
+    check_count("num_trials", num_trials)
+    check_count("n_jobs", n_jobs)
     seed0 = cfg.rng_seed if base_seed is None else base_seed
     if agents is None:
         agents = default_agents(g, cfg)
-    jobs = [(g, cfg, agents, list(k_values), seed0 + trial) for trial in range(num_trials)]
+    jobs = [(g, cfg, agents, k_values, seed0 + trial) for trial in range(num_trials)]
     workers = min(n_jobs, num_trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:

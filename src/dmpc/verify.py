@@ -7,8 +7,8 @@ from .graph import InfoGraph, path_graph
 from .problem import ZLayout, build_local_problems, global_cost
 from .qp import BoxQp, enumerate_box_qp, solve_box_qp
 from .admm import run_admm
-from .simulation import (SimConfig, draw_initial_states, iteration_sweep, run_closed_loop,
-                         solve_centralized)
+from .simulation import (SimConfig, check_count, draw_initial_states, iteration_sweep,
+                         run_closed_loop, solve_centralized)
 
 
 def random_connected_graph(rng, n_max=4):
@@ -143,17 +143,17 @@ def budget_sweep(k_values=(1, 2, 5, 10, 30), num_trials=20, seed=100, n_jobs=1):
 
 
 def run_suites(level="fast", n_jobs=1):
-    """Execute the verification suites for the given level; yields results."""
+    """An iterator running the suites of `level`, yielding (name, ok, detail);
+    ValueError at once for an unknown level or an n_jobs `check_count` refuses."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}; expected 'fast' or 'full'")
-    yield ("qp_vs_active_set",) + qp_audit()
-    yield ("admm_vs_centralized",) + admm_vs_centralized(
-        num_scenarios=10 if level == "full" else 4)
-    yield ("cost_decomposition",) + cost_decomposition(
-        num_assignments=1000 if level == "full" else 200)
-    yield ("dual_average_zero",) + dual_average_zero(
-        num_steps=250 if level == "full" else 20)
-    if level == "full":
-        yield ("consensus_achievement",) + consensus_achievement()
-        ok, detail, _ = budget_sweep(n_jobs=n_jobs)
-        yield ("iteration_budget_sweep", ok, detail)
+    check_count("n_jobs", n_jobs)
+    full = level == "full"
+    suites = [("qp_vs_active_set", qp_audit),
+              ("admm_vs_centralized", lambda: admm_vs_centralized(10 if full else 4)),
+              ("cost_decomposition", lambda: cost_decomposition(1000 if full else 200)),
+              ("dual_average_zero", lambda: dual_average_zero(250 if full else 20))]
+    if full:
+        suites += [("consensus_achievement", consensus_achievement),
+                   ("iteration_budget_sweep", lambda: budget_sweep(n_jobs=n_jobs)[:2])]
+    return ((name, *run()) for name, run in suites)

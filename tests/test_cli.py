@@ -500,25 +500,30 @@ def test_sweep_with_zero_centralized_cost_is_an_error(tmp_path):
 
 def test_sweep_rejects_bad_k_list(tmp_path):
     cfg_path = write_config(tmp_path)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", cfg_path, "--k-list", "1,zero"])
-    with pytest.raises(SystemExit):
-        main(["sweep", "--config", cfg_path, "--k-list", "0,5"])
+    assert str(exc.value) == "error: bad --k-list '1,zero'"
+    # the values are the library's to refuse, in its words
+    for k_list, error in (("0,5", "k_values[0] must be >= 1, got 0"),
+                          (",", "k_values must hold at least one budget, got []")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg_path, "--k-list", k_list])
+        assert str(exc.value) == f"error: {error}"
 
 
 def test_sweep_rejects_bad_trials(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", write_config(tmp_path), "--trials", "0"])
-    assert str(exc.value).startswith("error: ") and "--trials" in str(exc.value)
+    assert str(exc.value) == "error: num_trials must be >= 1, got 0"
 
 
 def test_sweep_and_verify_reject_bad_jobs(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
-    assert str(exc.value) == "error: --jobs must be >= 1"
+    assert str(exc.value) == "error: n_jobs must be >= 1, got 0"
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--jobs", "-2"])
-    assert str(exc.value) == "error: --jobs must be >= 1"
+    assert str(exc.value) == "error: n_jobs must be >= 1, got -2"
 
 
 def test_sweep_reports_an_aborted_trial(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
-"""Newton faces solved one block of P at a time: a QP of k blocks in x's
-order (`BoxQp.shape`) of at least `PIECEWISE_MIN` entries each factors S_AA
-as one piece per block that A meets, holds one factor per piece in its face
-slot, and gives the dense solve's Newton points to rounding; a QP of smaller
-blocks keeps the single dense factor."""
+"""Newton faces solved one piece of A at a time: a QP of k blocks in x's
+order (`BoxQp.shape`) of at least `PIECEWISE_MIN` entries each cuts A into
+one piece per block that A meets, holds one factor per piece in its face
+slot, and gives the one-piece solve's Newton points to rounding; a QP of
+smaller blocks solves all of A as one piece."""
 
 from unittest import mock
 
@@ -22,7 +22,7 @@ from dmpc.simulation import _CentralizedCache, default_agents, draw_initial_stat
 
 
 def built(P, like, piecewise):
-    """A QP on P with `like`'s q and box, on the per-block path or the dense one."""
+    """A QP on P with `like`'s q and box, cutting A at its blocks or not."""
     with mock.patch.object(qp_module, "PIECEWISE_MIN", 1 if piecewise else np.inf):
         return BoxQp(P, like.q, like.lower, like.upper)
 
@@ -37,17 +37,47 @@ def newton_inputs(rng, qp, held):
 
 def check_pieces(qp, active):
     """The face slot holds one (start, stop, factor) per block of P that the
-    active set meets, the pieces tiling A in order."""
+    active set meets (one spanning A if the QP has no `pieces`), the pieces
+    tiling A in order."""
     A = active.nonzero()[0]
     key, pieces = qp.face
     assert key == A.tobytes()
-    starts = qp.pieces
+    starts = [0, qp.dim] if qp.pieces is None else qp.pieces
     met = [i for i in range(len(starts) - 1) if ((A >= starts[i]) & (A < starts[i + 1])).any()]
     assert len(pieces) == len(met)
     assert [a for a, _, _ in pieces] == [0] + [b for _, b, _ in pieces[:-1]]
     assert pieces[-1][1] == A.size
     for (a, b, c), i in zip(pieces, met):
         assert c.shape == (b - a, b - a) and starts[i] <= A[a] and A[b - 1] < starts[i + 1]
+
+
+def lapack_calls(monkeypatch, seen=lambda a, b: None):
+    """The names of the dposv and dpotrs calls `_newton_point` makes, in
+    order; `seen` gets each call's matrix and right-hand side."""
+    calls = []
+    for name, fn in (("dposv", dposv), ("dpotrs", dpotrs)):
+        def spy(a, b, name=name, fn=fn):
+            calls.append(name)
+            seen(a, b)
+            return fn(a, b)
+        monkeypatch.setattr(qp_module, name, spy)
+    return calls
+
+
+def newton_faces(monkeypatch):
+    """The pieces of each face that a Newton point of the solves that follow
+    solves through S_AA, each checked by `check_pieces`."""
+    faces, newton = [], qp_module._newton_point
+
+    def spy(qp, q, x_unc, active, cand):
+        x = newton(qp, q, x_unc, active, cand)
+        if qp.face is not None and qp.face[0] == active.nonzero()[0].tobytes():
+            check_pieces(qp, active)
+            faces.append(qp.face[1])
+        return x
+
+    monkeypatch.setattr(qp_module, "_newton_point", spy)
+    return faces
 
 
 # (size, count) of one class of blocks in x's order, the one layout with pieces: at least
@@ -67,8 +97,8 @@ def test_per_block_newton_points_equal_the_dense_solve(kinds, seed):
     x = _newton_point(pieces, q, x_unc, active, cand)
     ref = _newton_point(dense, q, x_unc, active, cand)
     assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
-    assert isinstance(dense.face[1], np.ndarray)
     check_pieces(pieces, active)
+    check_pieces(dense, active)
 
 
 @pytest.mark.parametrize("kinds", [[(120, 3)], [(100, 4)]])
@@ -96,13 +126,12 @@ def test_a_repeated_face_is_solved_on_the_held_pieces(monkeypatch):
     P, _ = repeated_blocks(rng, [(5, 3)], False, ordered=True)
     qp = built(P, box_qp(rng, P), True)
     q, x_unc, active, cand = newton_inputs(rng, qp, qp.dim // 2)
-    calls = []
-    monkeypatch.setattr(qp_module, "dposv", lambda *a: calls.append("dposv") or dposv(*a))
-    monkeypatch.setattr(qp_module, "dpotrs", lambda *a: calls.append("dpotrs") or dpotrs(*a))
+    calls = lapack_calls(monkeypatch)
     first = _newton_point(qp, q, x_unc, active, cand)
     held = qp.face
-    met = len(held[1])
+    met = np.unique(active.nonzero()[0] // 5).size  # the blocks of 5 that A meets
     assert met > 1 and calls == ["dposv"] * met and qp.reused == 0
+    check_pieces(qp, active)
     calls.clear()
     again = _newton_point(qp, q, x_unc, active, cand)
     assert calls == ["dpotrs"] * met and qp.reused == 1 and qp.face is held
@@ -119,19 +148,24 @@ def test_a_repeated_face_is_solved_on_the_held_pieces(monkeypatch):
 
 
 def test_small_block_qps_keep_one_dense_factor(monkeypatch):
-    def never(*args):
-        raise AssertionError("a small-block QP gathered a piece")
-
-    monkeypatch.setattr(qp_module, "_solve_pieces", never)
     rng = np.random.default_rng(1)
     P, _ = repeated_blocks(rng, [(4, 2)], False, ordered=True)
     qp = box_qp(rng, P)
+    assert qp.shape == (2, 4) and qp.pieces is None
+    q, x_unc, active, cand = newton_inputs(rng, qp, 3)  # A meets both blocks
+    sizes = []
+    calls = lapack_calls(monkeypatch, lambda a, b: sizes.append(b.size))
+    first = _newton_point(qp, q, x_unc, active, cand)
+    assert calls == ["dposv"] and sizes == [3] and qp.reused == 0  # one piece spanning A
+    check_pieces(qp, active)
+    again = _newton_point(qp, q, x_unc, active, cand)
+    assert calls == ["dposv", "dpotrs"] and qp.reused == 1 and same_bits(again, first)
     sols = [solve_box_qp(qp, tol=1e-10, q=s * qp.q) for s in (-0.3, 0.3, 0.3)]
-    assert qp.shape == (2, 4) and qp.pieces is None and isinstance(qp.face[1], np.ndarray)
-    assert qp.reused == sum(s.schur_reused for s in sols) > 0
+    assert len(qp.face[1]) == 1 and qp.reused == 1 + sum(s.schur_reused for s in sols) > 1
     # the stock centralized QP: three axis blocks of 50 entries on path 5
+    faces = newton_faces(monkeypatch)
     log = run_closed_loop(path_graph(5), SimConfig(num_steps=20, solver_kind="centralized"))
-    assert log.aborted_at is None
+    assert log.aborted_at is None and faces and {len(pieces) for pieces in faces} == {1}
 
 
 def test_a_centralized_loop_on_large_blocks_matches_the_dense_loop_to_rounding(monkeypatch):
@@ -141,12 +175,14 @@ def test_a_centralized_loop_on_large_blocks_matches_the_dense_loop_to_rounding(m
     x0 = draw_initial_states(g, cfg, np.random.default_rng(2))
     central = _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol)
     assert central.qp.shape == (3, 120) and central.qp.pieces.tolist() == [0, 120, 240, 360]
-    calls, solve = [], qp_module._solve_pieces
-    monkeypatch.setattr(qp_module, "_solve_pieces", lambda *a: calls.append(1) or solve(*a))
+    faces = newton_faces(monkeypatch)
     log = run_closed_loop(g, cfg)
-    assert calls  # the saturated first steps take Newton points
+    # the saturated first steps take Newton points, some on faces that meet several blocks
+    assert max(len(pieces) for pieces in faces) > 1
     with mock.patch.object(qp_module, "PIECEWISE_MIN", np.inf):
+        faces.clear()
         ref = run_closed_loop(g, cfg)
+    assert faces and {len(pieces) for pieces in faces} == {1}
     assert np.max(np.abs(log.states - ref.states)) <= 1e-12
     assert np.max(np.abs(log.inputs - ref.inputs)) <= 1e-12
     assert abs(log.total_cost - ref.total_cost) <= 1e-12 * ref.total_cost

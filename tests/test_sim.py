@@ -11,6 +11,7 @@ from dmpc import (InfoGraph, LtiAgent, QpSolution, SimConfig, SweepTrialAborted,
                   path_graph, performance_ratio, run_closed_loop, solve_centralized)
 from dmpc import admm, simulation
 from dmpc.simulation import _CentralizedCache, default_agents
+from dmpc.verify import run_suites
 
 
 def small_cfg(**overrides):
@@ -70,6 +71,17 @@ def test_config_and_engine_refuse_a_qp_tol_not_positive_and_finite(qp_tol):
                                           [np.zeros(6)] * 3)
     with pytest.raises(ValueError, match=message):
         admm.AdmmEngine(probs, maps, 1.0, qp_tol=qp_tol)
+
+
+@pytest.mark.parametrize("name", ["num_steps", "horizon", "admm_iterations", "rng_seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("kind", ["admm", "centralized"])
+def test_config_refuses_a_count_that_is_not_an_integer(name, value, kind):
+    # it used to build, and the loop then died in a TypeError
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SimConfig(solver_kind=kind, **{name: value})
+    assert getattr(SimConfig(solver_kind=kind, **{name: np.int32(3)}), name) == 3
 
 
 @pytest.mark.parametrize("name, value", BAD_FIELDS)
@@ -256,6 +268,34 @@ def test_iteration_sweep_rows_and_ordering():
         iteration_sweep(g, cfg, [1], num_trials=0)
     with pytest.raises(ValueError):
         iteration_sweep(g, cfg, [1], num_trials=1, n_jobs=0)
+
+
+@pytest.mark.parametrize("k_values, args, error", [
+    ([], {}, "k_values must hold at least one budget, got []"),
+    ([0], {}, "k_values[0] must be >= 1, got 0"),
+    ([2.5], {}, "k_values[0] must be an integer, got 2.5"),
+    ([1, 5, -3], {}, "k_values[2] must be >= 1, got -3"),
+    ([1], {"num_trials": 0}, "num_trials must be >= 1, got 0"),
+    ([1], {"num_trials": 2.0}, "num_trials must be an integer, got 2.0"),
+    ([1], {"n_jobs": 0}, "n_jobs must be >= 1, got 0"),
+    ([1], {"n_jobs": 1.5}, "n_jobs must be an integer, got 1.5")])
+def test_iteration_sweep_refuses_its_arguments_before_any_loop(monkeypatch, k_values, args,
+                                                              error):
+    loops, run = [], simulation.run_closed_loop
+    monkeypatch.setattr(simulation, "run_closed_loop",
+                        lambda *a, **kw: loops.append(1) or run(*a, **kw))
+    with pytest.raises(ValueError) as exc:
+        iteration_sweep(path_graph(3), SimConfig(num_steps=3, horizon=3), k_values,
+                        **{"num_trials": 1, **args})
+    assert str(exc.value) == error and loops == []
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+@pytest.mark.parametrize("n_jobs", [0, -2, 1.5])
+def test_run_suites_refuses_n_jobs_at_every_level(level, n_jobs):
+    # refused when called, before any suite runs, as the sweep refuses it
+    with pytest.raises(ValueError, match="^n_jobs must be "):
+        run_suites(level, n_jobs=n_jobs)
 
 
 def test_iteration_sweep_names_the_aborted_trial(monkeypatch):
