@@ -214,8 +214,9 @@ def build_centralized_qp(g, agents, T, initial_states):
 
     Every agent is a member of the block, so its vector is laid out as z;
     each edge is stamped once at weight 2w, the sum of its two local
-    halves. Returns (block, pred, M, P), M sparse and P the blocks
-    `condensed_hessian` gives; the gradient M'(H c) is formed per solve.
+    halves. Returns (block, pred, M, P), P the blocks `condensed_hessian`
+    gives and M the CSC view of M' in CSR, so M.T serves a product with M'
+    as it is; the gradient M'H c = G x0 needs G = M'HC (`state_map`) once.
     """
     initial_states = checked_inputs(g, agents, T, initial_states)
     members = tuple(range(1, g.num_agents + 1))
@@ -226,7 +227,8 @@ def build_centralized_qp(g, agents, T, initial_states):
                          x0=tuple(initial_states[j - 1] for j in members))
     pred = predictions([block])
     M = condensing_matrix(block, pred)
-    return block, pred, M, condensed_hessian(block.H, M, M.T.tocsr(), [M.shape[1]])[0]
+    Mt = M.T.tocsr()
+    return block, pred, Mt.T, condensed_hessian(block.H, M, Mt, [M.shape[1]])[0]
 
 
 def copy_counts(maps, z_dim):
@@ -274,18 +276,23 @@ def global_cost(g, state_traj, input_traj):
     return total
 
 
+def _row_nonzeros(A):
+    """The nonzeros of dense A as (count per row, column, value), row by row."""
+    rows, cols = np.nonzero(A)
+    return np.count_nonzero(A, axis=1), cols, A[rows, cols]
+
+
 def predictions(problems):
-    """Per member agent: Phi and the nonzeros of Gam as (count per row,
-    column, value), row by row; the dense Gam is not kept. Computed once per
-    distinct model (`_model_key`), whose members share the one entry."""
+    """Per member agent: Phi and the nonzeros of Gam (`_row_nonzeros`); the
+    dense Gam is not kept. Computed once per distinct model (`_model_key`),
+    whose members share the one entry."""
     pred, by_model = {}, {}
     for p in problems:
         for j, mdl in zip(p.members, p.models):
             key = _model_key(mdl), p.T
             if key not in by_model:
                 Phi, Gam = prediction_matrices(mdl, p.T)
-                rows, cols = np.nonzero(Gam)
-                by_model[key] = Phi, (np.count_nonzero(Gam, axis=1), cols, Gam[rows, cols])
+                by_model[key] = Phi, _row_nonzeros(Gam)
             pred[j] = by_model[key]
     return pred
 
@@ -301,6 +308,15 @@ def input_columns(p):
     return [slot[:m, k] * p.T + np.arange(p.T)[:, None] for k, m in enumerate(ms)]
 
 
+def _csr_from_rows(shape, counts, indices, data):
+    """A CSR array of `shape` from its row counts, column indices and values,
+    each a list of arrays in row order, its indices 32-bit while they fit."""
+    data = np.concatenate(data)
+    idx = index_dtype(shape, data.size)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=idx)
+    return sparse.csr_array((data, np.concatenate(indices, dtype=idx), indptr), shape=shape)
+
+
 def condensing_matrix(p, pred):
     """M of the affine map local_vector = M @ condensed_inputs + c, the
     inputs in the order of `input_columns`: a CSR array built row by row,
@@ -312,13 +328,27 @@ def condensing_matrix(p, pred):
         counts += [count, np.ones(cols.size, int)]
         indices += [cols[gcols], cols]
         data += [vals, np.ones(cols.size)]
-    data = np.concatenate(data)
-    shape = p.dim, sum(mdl.m for mdl in p.models) * p.T
-    idx = index_dtype(shape, data.size)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=idx)
-    M = sparse.csr_array((data, np.concatenate(indices, dtype=idx), indptr), shape=shape)
+    M = _csr_from_rows((p.dim, sum(mdl.m for mdl in p.models) * p.T), counts, indices, data)
     M.sort_indices()
     return M
+
+
+def state_map(p, pred):
+    """C of c = C x0, x0 the members' measured states stacked member by
+    member: a CSR array built row by row as `condensing_matrix` builds M,
+    per member the nonzeros of its Phi (from `pred`) on its state rows and
+    none on its input rows, taken once per distinct model. `condensed_maps`
+    gives c itself."""
+    counts, indices, data, col, nonzeros = [], [], [], 0, {}
+    for j, mdl in zip(p.members, p.models):
+        if id(pred[j]) not in nonzeros:
+            nonzeros[id(pred[j])] = _row_nonzeros(pred[j][0])
+        count, cols, vals = nonzeros[id(pred[j])]
+        counts += [count, np.zeros(mdl.m * p.T, int)]
+        indices.append(cols + col)
+        data.append(vals)
+        col += mdl.n
+    return _csr_from_rows((p.dim, col), counts, indices, data)
 
 
 def condensed_maps(p, pred, states):

@@ -154,3 +154,21 @@ def test_centralized_setup_peak_on_a_grid():
     x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
     peak, _ = peak_above_start(lambda: _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol))
     assert peak < 2.5e6
+
+
+def test_centralized_controller_keeps_at_most_a_megabyte_on_a_grid():
+    # 4x5 grid, T = 10: P's block and its inverse are 0.64 MB; the gradient
+    # map G = M'HC, 600 x 120, is 6.5% nonzero and kept sparse (0.58 MB dense)
+    g = grid(4, 5)
+    cfg = SimConfig()
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        central = _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.0e6
+    assert central.G.shape == (600, 120) and central.G.nnz < 0.07 * 600 * 120

@@ -74,10 +74,11 @@ def test_config_and_engine_refuse_a_qp_tol_not_positive_and_finite(qp_tol):
 
 
 @pytest.mark.parametrize("name", ["num_steps", "horizon", "admm_iterations", "rng_seed"])
-@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", None, True, False, np.True_])
 @pytest.mark.parametrize("kind", ["admm", "centralized"])
 def test_config_refuses_a_count_that_is_not_an_integer(name, value, kind):
-    # it used to build, and the loop then died in a TypeError
+    # it used to build, and the loop then died in a TypeError; a bool used to
+    # build and keep True, as operator.index takes it as 1
     message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         SimConfig(solver_kind=kind, **{name: value})
@@ -278,7 +279,10 @@ def test_iteration_sweep_rows_and_ordering():
     ([1], {"num_trials": 0}, "num_trials must be >= 1, got 0"),
     ([1], {"num_trials": 2.0}, "num_trials must be an integer, got 2.0"),
     ([1], {"n_jobs": 0}, "n_jobs must be >= 1, got 0"),
-    ([1], {"n_jobs": 1.5}, "n_jobs must be an integer, got 1.5")])
+    ([1], {"n_jobs": 1.5}, "n_jobs must be an integer, got 1.5"),
+    ([True], {}, "k_values[0] must be an integer, got True"),
+    ([1], {"num_trials": True}, "num_trials must be an integer, got True"),
+    ([1], {"n_jobs": np.True_}, "n_jobs must be an integer, got np.True_")])
 def test_iteration_sweep_refuses_its_arguments_before_any_loop(monkeypatch, k_values, args,
                                                               error):
     loops, run = [], simulation.run_closed_loop
@@ -442,6 +446,31 @@ def test_a_nonfinite_state_is_rejected_naming_its_agent(kind):
             solve_centralized(g, agents, cfg.horizon, x0)
         else:
             run_closed_loop(g, cfg, agents=agents, initial_states=x0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_one_nonfinite_state_entry_is_named_by_the_centralized_controller(bad):
+    # a sparse G takes each state entry into some rows of q only, where a
+    # dense G spread it into all of them (inf * 0 is nan): every entry, a
+    # single velocity component too, must still reach q and be named; agent
+    # 5 has no edge, so its states reach no row of q and are checked apart
+    g = InfoGraph(5, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 2.0})
+    cfg = small_cfg(num_steps=2, solver_kind="centralized")
+    agents = default_agents(g, cfg)
+    x0 = draw_initial_states(g, cfg, np.random.default_rng(0))
+    central = _CentralizedCache(g, agents, cfg.horizon, x0, cfg.qp_tol)
+    assert central.unseen.tolist() == list(range(24, 30))
+    for j in range(1, 6):
+        for k in range(6):
+            states = np.array(x0)
+            states[j - 1, k] = bad
+            with pytest.raises(ValueError, match=f"^measured state of agent {j} is not finite$"):
+                central.plan(states)
+    x0[2][3] = bad  # a velocity component
+    with pytest.raises(ValueError, match="^measured state of agent 3 is not finite$"):
+        run_closed_loop(g, cfg, agents=agents, initial_states=x0)
+    with pytest.raises(ValueError, match="^measured state of agent 3 is not finite$"):
+        solve_centralized(g, agents, cfg.horizon, x0)
 
 
 MALFORMED = {  # on path 3: the agent models and initial states given, and the error

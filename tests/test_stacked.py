@@ -266,14 +266,18 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     H, M = central.block.H.toarray(), central.M.toarray()
     P = M.T @ H @ M
     assert close(central.qp.dense(), 0.5 * (P + P.T), 1e-12)
-    # G maps the stacked measured states to the gradient M'H c, c = C x0
+    # G maps the stacked measured states to the gradient M'H c, c = C x0; it
+    # is kept sparse, in CSR with 32-bit indices, and densified only here
     C = np.zeros((central.block.dim, sum(a.n for a in agents)))
     col = 0
     for off, j, a in zip(central.block.member_offsets, central.block.members, agents):
         Phi = central.pred[j][0]
         C[off:off + Phi.shape[0], col:col + a.n] = Phi
         col += a.n
-    assert close(central.G, M.T @ H @ C, 1e-12)
+    G = central.G
+    assert isinstance(G, sparse.csr_array)
+    assert G.indices.dtype == G.indptr.dtype == np.int32
+    assert close(G.toarray(), M.T @ H @ C, 1e-12)
 
 
 def dense_map(p):
