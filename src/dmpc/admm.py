@@ -233,13 +233,15 @@ class AdmmEngine:
     and finite.
     """
 
+    record = None  # what it was built from, if `simulation.admm_engine` built it
+
     def __init__(self, problems, maps, rho, qp_tol=1e-6, parallel=False):
         if not 0 <= rho < math.inf:  # nan too
             raise ValueError(f"rho must be nonnegative and finite, got {rho}")
         if not 0 < qp_tol < math.inf:
             raise ValueError(f"qp_tol must be positive and finite, got {qp_tol}")
         self.problems = list(problems)
-        self.rho, self.qp_tol = rho, qp_tol
+        self.rho = rho
         self.E = np.concatenate([m.global_idx for m in maps])
         self.counts = copy_counts(maps, self.E.max() + 1)
         self.pred = predictions(self.problems)

@@ -46,20 +46,17 @@ def _load(config_path, args):
 
 
 def _write_trajectory_csv(path, cfg, log):
+    steps, N, m = log.inputs.shape
     n = log.states.shape[2]
-    m = log.inputs.shape[2]
     header = ["t", "agent"] + [f"x{i}" for i in range(n)] + \
         [f"u{i}" for i in range(m)] + ["stage_cost"]
+    rows = np.column_stack([np.repeat(np.arange(steps), N), np.tile(np.arange(1, N + 1), steps),
+                            log.states[:steps].reshape(steps * N, n),
+                            log.inputs.reshape(steps * N, m), np.repeat(log.stage_costs, N)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_config_comment(cfg) + "\n")
         fh.write(",".join(header) + "\n")
-        for t in range(log.inputs.shape[0]):
-            for j in range(log.states.shape[1]):
-                row = [str(t), str(j + 1)]
-                row += [_fmt(v) for v in log.states[t, j]]
-                row += [_fmt(v) for v in log.inputs[t, j]]
-                row.append(_fmt(log.stage_costs[t]))
-                fh.write(",".join(row) + "\n")
+        np.savetxt(fh, rows, fmt=["%d", "%d"] + ["%.17g"] * (n + m + 1), delimiter=",")
 
 
 def _timing_summary(times):

@@ -120,11 +120,6 @@ def draw_noise(g, cfg, rng, noise_dim=3):
     return sigma * rng.standard_normal((cfg.num_steps, g.num_agents, noise_dim))
 
 
-def _stage_cost(g, states_now, inputs_now):
-    """The step's cost from its (N, n) states and (N, m) inputs."""
-    return global_cost(g, states_now[:, None, :], inputs_now[:, None, :])
-
-
 class _Controller:
     """A solver kind of the closed loop, built before its first step; plan(measured),
     the (N, n) measured states, returns (first_inputs, stats), stats as in
@@ -195,29 +190,25 @@ class _CentralizedCache(_Controller):
                        "wall_time": time.perf_counter() - t0}
 
 
+def _engine_record(g, agents, cfg):
+    """What `admm_engine` builds an engine from, field by field: the weighted
+    edges in `g.weights` order, each agent's A, B and u_max, and cfg's."""
+    kinds = {}  # agents alike share one key: a record of N stock agents keeps one
+    keys = tuple(kinds.setdefault(key, key) for key in ((_model_key(a), a.u_max) for a in agents))
+    return {"agent count": g.num_agents, "edges": tuple(g.weights.items()), "agents": keys,
+            "horizon": cfg.horizon, "rho": cfg.rho, "qp_tol": cfg.qp_tol,
+            "parallel_agents": cfg.parallel_agents}
+
+
 def admm_engine(g, agents, cfg, initial_states):
     """The ADMM engine of a closed loop on `cfg`: the agents' local problems
     at horizon cfg.horizon, built at `initial_states`, and their QPs at
-    cfg.rho and cfg.qp_tol, with a thread pool if cfg.parallel_agents."""
+    cfg.rho and cfg.qp_tol, with a thread pool if cfg.parallel_agents; its
+    `record` holds what it was built from, which a run given it must match."""
     problems, maps, _ = build_local_problems(g, agents, cfg.horizon, initial_states)
-    return AdmmEngine(problems, maps, cfg.rho, qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
-
-
-def _check_engine(engine, g, agents, cfg):
-    """Raise ValueError unless `engine` is one `admm_engine` builds for g, agents
-    and cfg; not g's edge weights, which would cost an H lookup per edge a loop."""
-    for name, have, want in (("agent count", len(engine.problems), g.num_agents),
-                             ("horizon", engine.problems[0].T, cfg.horizon),
-                             ("rho", engine.rho, cfg.rho), ("qp_tol", engine.qp_tol, cfg.qp_tol),
-                             ("parallel_agents", engine.pool is not None, cfg.parallel_agents)):
-        if have != want:
-            raise ValueError(f"engine {name} is {have}, the run's is {want}")
-    kinds = [(_model_key(a), a.u_max) for a in agents]
-    for i, p in enumerate(engine.problems, start=1):
-        if p.members != (members := tuple(sorted(g.neighbors(i) | {i}))):
-            raise ValueError(f"engine members of agent {i} are {p.members}, the run's {members}")
-        if any((_model_key(m), m.u_max) != kinds[j - 1] for j, m in zip(p.members, p.models)):
-            raise ValueError(f"engine models in agent {i}'s neighbourhood differ from the run's")
+    engine = AdmmEngine(problems, maps, cfg.rho, qp_tol=cfg.qp_tol, parallel=cfg.parallel_agents)
+    engine.record = _engine_record(g, agents, cfg)
+    return engine
 
 
 class _AdmmController(_Controller):
@@ -229,8 +220,12 @@ class _AdmmController(_Controller):
         self.owns_engine = engine is None
         if engine is None:
             engine = admm_engine(g, agents, cfg, initial_states)
+        elif engine.record is None:
+            raise ValueError("the engine has no record: build it with admm_engine")
         else:
-            _check_engine(engine, g, agents, cfg)
+            run = _engine_record(g, agents, cfg)
+            if differ := [name for name, value in run.items() if engine.record[name] != value]:
+                raise ValueError(f"the engine's {', '.join(differ)} differ from the run's")
             engine.cold_start(faces=True)
         self.engine = engine
         self.shift = _shift_indices(ZLayout(agents, cfg.horizon), self.engine.E)
@@ -311,13 +306,13 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
 
     Pre-drawn `initial_states` / `noise` override the seeded generator so
     paired comparisons consume byte-identical randomness. An ADMM loop runs
-    on `engine` if given (one `admm_engine` built for g, with edge weights
-    unchecked, these agents and a config of equal horizon, rho, qp_tol and
-    parallel_agents, else ValueError) instead of building one; it starts its
-    QPs cold and leaves the engine's thread pool open. Inputs that do not fit
-    g raise ValueError, as do agents whose state, input or noise widths are
-    not agent 1's and noise not of shape (num_steps, N, noise width), all
-    before a controller is built. A SolverFailure ends the run early with
+    on `engine` if given (built by `admm_engine` from a record equal to the
+    run's, else ValueError naming each field that differs) instead of
+    building one; it starts its QPs cold and leaves the engine's thread pool
+    open. Inputs that do not fit g raise ValueError, as do agents whose
+    state, input or noise widths are not agent 1's and noise not of shape
+    (num_steps, N, noise width) or not finite, all before a controller is
+    built. A SolverFailure ends the run early with
     `aborted_at` and `abort_reason` set; any other exception propagates.
     """
     rng = np.random.default_rng(cfg.rng_seed)
@@ -337,14 +332,16 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
         noise = draw_noise(g, cfg, rng, w)
     elif np.shape(noise) != shape:
         raise ValueError(f"noise has shape {np.shape(noise)}, expected {shape}")
+    if not np.isfinite(noise).all():  # no array kept through the loop
+        t, j = np.argwhere(~np.isfinite(noise).all(axis=2))[0]
+        raise ValueError(f"noise of step {t} is not finite for agent {j + 1}")
 
     states = np.zeros((cfg.num_steps + 1, N, n))
     inputs = np.zeros((cfg.num_steps, N, m))
     stage_costs = np.zeros(cfg.num_steps)
     solver_stats = []
     aborted_at = abort_reason = None
-    for j, x in enumerate(initial_states):
-        states[0, j] = x
+    states[0] = initial_states
 
     if engine is not None and cfg.solver_kind != "admm":
         raise ValueError(f"a {cfg.solver_kind} loop runs on no ADMM engine")
@@ -369,7 +366,7 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
             inputs[t] = np.minimum(np.maximum(first_inputs, u_min), u_max)
             for j in range(N):
                 states[t + 1, j] = step(agents[j], states[t, j], inputs[t, j], noise[t, j])
-            stage_costs[t] = _stage_cost(g, states[t], inputs[t])
+            stage_costs[t] = global_cost(g, states[t, :, None], inputs[t, :, None])
     finally:
         controller.close()
 

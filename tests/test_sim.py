@@ -402,6 +402,23 @@ def test_unlike_widths_and_noise_of_the_wrong_shape_fail_before_set_up(monkeypat
             run_closed_loop(path_graph(3), cfg, noise=np.zeros((steps, 3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["admm", "centralized", "dual_decomp"])
+def test_nonfinite_noise_fails_before_set_up(monkeypatch, kind, bad):
+    # a nan draw once ran step 0 and failed on the measured state at step 1,
+    # with no log; an inf draw first raised numpy's invalid-value
+    # RuntimeWarning in the plant step
+    def never(*args):
+        raise AssertionError("a controller was built")
+
+    for name in ("_CentralizedCache", "_AdmmController", "_DualDecompController"):
+        monkeypatch.setattr(simulation, name, never)
+    noise = np.zeros((3, 3, 3))
+    noise[2, 0, 1] = noise[1, 2, 0] = noise[1, 2, 2] = bad
+    with pytest.raises(ValueError, match="^noise of step 1 is not finite for agent 3$"):
+        run_closed_loop(path_graph(3), small_cfg(num_steps=3, solver_kind=kind), noise=noise)
+
+
 def test_centralized_setup_memory_on_a_grid():
     # 4x5 grid, T = 10: a dense 1920 x 1920 trajectory Hessian alone is 29.5 MB,
     # and a dense 1920 x 600 condensing map M, or its product HM, 9.2 MB each
