@@ -2,8 +2,7 @@
 
 from .graph import InfoGraph, path_graph
 from .dynamics import LtiAgent, double_integrator_3d, prediction_matrices, rollout, step
-from .problem import (LocalIndexMap, LocalProblem, ZLayout, build_local_problems,
-                      global_cost)
+from .problem import LocalProblem, ZLayout, build_local_problems, global_cost
 from .qp import BoxQp, QpSolution, enumerate_box_qp, solve_box_qp
 from .admm import (AdmmEngine, AdmmState, SolverFailure, dual_update, residuals,
                    run_admm, run_dual_decomposition, z_update)

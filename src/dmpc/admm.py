@@ -27,9 +27,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .problem import (check_states, condensed_bounds, condensed_hessian, condensed_maps,
-                      condensing_matrix, copy_counts, index_dtype, predictions)
-from .qp import BoxQp, solve_box_qp
+from .problem import _block_diagonal, check_states, condensed_maps, condensed_qps, copy_counts
+from .qp import solve_box_qp
 
 
 class SolverFailure(RuntimeError):
@@ -88,20 +87,6 @@ def residuals(diff, dz, counts, rho):
     return math.sqrt(diff @ diff), rho * math.sqrt(np.add.reduce(counts * dz * dz))
 
 
-def _block_diagonal(blocks):
-    """CSR arrays stacked block-diagonally, from their index arrays, which
-    stay 32-bit while the stack's shape and nonzeros fit."""
-    shape = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
-    idx = index_dtype(shape, sum(b.nnz for b in blocks))
-    cols = np.cumsum([0] + [b.shape[1] for b in blocks], dtype=idx)
-    nnz = np.cumsum([0] + [b.nnz for b in blocks], dtype=idx)
-    return sparse.csr_array(
-        (np.concatenate([b.data for b in blocks]),
-         np.concatenate([b.indices + c for b, c in zip(blocks, cols)], dtype=idx),
-         np.concatenate([nnz[:1]] + [b.indptr[1:] + n for b, n in zip(blocks, nnz)], dtype=idx)),
-        shape=shape)
-
-
 def _matvec(A, x):
     """A @ x for a CSR or CSC array A and a float vector x, bit for bit
     scipy's product without its dispatch: sparsetools' kernel adds each
@@ -109,17 +94,6 @@ def _matvec(A, x):
     out = np.zeros(A.shape[0])
     getattr(_sparsetools, A.format + "_matvec")(*A.shape, A.indptr, A.indices, A.data, x, out)
     return out
-
-
-def _cut(A, shapes):
-    """The diagonal blocks, of the given shapes in order, of block-diagonal CSR A."""
-    blocks, r, c = [], 0, 0
-    for m, n in shapes:
-        lo, hi = A.indptr[r], A.indptr[r + m]
-        blocks.append(sparse.csr_array((A.data[lo:hi], A.indices[lo:hi] - c,
-                                        A.indptr[r:r + m + 1] - lo), shape=(m, n)))
-        r, c = r + m, c + n
-    return blocks
 
 
 class QpCounters:
@@ -210,7 +184,7 @@ class AdmmEngine:
     """ADMM over a fixed set of subproblems, on one network map.
 
     x_cat and lam_cat stack the agents' local vectors in agent order;
-    E = concat(global_idx) maps each entry to its z component, which
+    E = concat(maps) maps each entry to its z component, which
     `counts` copies share. Agent i's local vector is x_i = M_i u_i + c_i
     over its condensed inputs u_i, so x = M u + c with M = diag(M_i); only
     c depends on the measured states. The map is kept once: `Mt` is M' in
@@ -219,16 +193,15 @@ class AdmmEngine:
     condensed linear term is q = M'((H + rho I)c + v) with H = diag(H_i):
     one product with M' per iteration, and per step one more after each
     agent's H_i + rho I (`H_rho[i]`) has acted on its slice of c, each
-    product a direct call of scipy's kernel (`_matvec`). Alike
-    problems (H, member predictions, box) share one M_i, H_i + rho I and
-    QP over the box and P_i = M_i'(H_i + rho I)M_i, the distinct P_i
-    diagonal blocks of one sparse product of which only their own blocks
-    are densified. Built for the stock agents, an engine keeps 0.19 MB on
-    path 5, 0.85 MB on the 4x5 grid and 3.22 MB on the 10x10 grid. Each
-    x-update adds its QPs to the QpCounters `qps`, which a run resets.
-    Set-up binds c to the problems' own states, which they keep;
-    `rebind_states` rebinds it, so one engine serves any number of closed
-    loops on the same agents. At rho = 0 it serves
+    product a direct call of scipy's kernel (`_matvec`). Alike problems
+    (H, member predictions, box) share one M_i', H_i + rho I and QP over
+    the box and P_i = M_i'(H_i + rho I)M_i, which `condensed_qps` builds
+    for the distinct problems at once. Built for the stock agents, an
+    engine keeps 0.19 MB on path 5, 0.85 MB on the 4x5 grid and 3.22 MB on
+    the 10x10 grid. Each x-update adds its QPs to the QpCounters `qps`,
+    which a run resets. Set-up binds c to the problems' own states, which
+    they keep; `rebind_states` rebinds it, so one engine serves any number
+    of closed loops on the same agents. At rho = 0 it serves
     `run_dual_decomposition`; `run` needs rho > 0. qp_tol must be positive
     and finite.
     """
@@ -242,23 +215,15 @@ class AdmmEngine:
             raise ValueError(f"qp_tol must be positive and finite, got {qp_tol}")
         self.problems = list(problems)
         self.rho = rho
-        self.E = np.concatenate([m.global_idx for m in maps])
+        self.E = np.concatenate(maps)
         self.counts = copy_counts(maps, self.E.max() + 1)
-        self.pred = predictions(self.problems)
         kinds, kind = {}, []  # key -> (kind number, first problem of the kind)
         for p in self.problems:
-            key = id(p.H), tuple((id(self.pred[j]), m.u_max) for j, m in zip(p.members, p.models))
+            key = id(p.H), tuple((id(pred), m.u_max) for pred, m in zip(p.pred, p.models))
             kind.append(kinds.setdefault(key, (len(kinds), p))[0])
         distinct = [p for _, p in kinds.values()]
-        boxes = [condensed_bounds(p) for p in distinct]
-        M = _block_diagonal([condensing_matrix(p, self.pred) for p in distinct])
-        Mt = M.T.tocsr()
         H_rho = [p.H + rho * sparse.eye_array(p.dim, format="csr") for p in distinct]
-        P = condensed_hessian(_block_diagonal(H_rho), M, Mt,
-                              np.cumsum([lo.size for lo, _ in boxes]))
-        del M  # only M' is kept: its blocks stack the network map
-        qps = [BoxQp(Pk, np.zeros(lo.size), lo, hi) for Pk, (lo, hi) in zip(P, boxes)]
-        Mts = _cut(Mt, [(lo.size, p.dim) for p, (lo, _) in zip(distinct, boxes)])  # each M_i'
+        Mts, qps = condensed_qps(distinct, H_rho)  # only M' is kept: its blocks stack the map
         Mts = [Mts[k] for k in kind]
         ends = np.cumsum([b.shape[1] for b in Mts])
         self.slices = [slice(e - b.shape[1], e) for b, e in zip(Mts, ends)]
@@ -283,7 +248,7 @@ class AdmmEngine:
 
     def _bind(self, states):
         """c and the static part of q, M'(H + rho I)c, for the states."""
-        self.c = np.concatenate([condensed_maps(p, self.pred, states) for p in self.problems])
+        self.c = np.concatenate([condensed_maps(p, states) for p in self.problems])
         self.q_static = _matvec(self.Mt, np.concatenate([_matvec(H, self.c[s])
                                                          for H, s in zip(self.H_rho, self.slices)]))
 

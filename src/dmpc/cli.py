@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from .config import _PARSERS, ConfigError, parse_config
 from .admm import QpCounters
 from .simulation import SweepTrialAborted, iteration_sweep, run_closed_loop
 from . import verify as verify_mod
@@ -30,10 +30,13 @@ def _load(config_path, args):
         raise SystemExit(f"error: cannot read config: {exc}")
     except ConfigError as exc:
         raise SystemExit(f"error: {config_path}: {exc}")
-    for arg, name in (("seed", "rng_seed"), ("solver", "solver_kind"), ("iters", "admm_iterations")):
+    # each flag overrides one setting, its value converted as the file's would be
+    for arg, key in (("seed", ("sim", "seed")), ("solver", ("mpc", "solver")),
+                     ("iters", ("mpc", "admm_iters"))):
         if getattr(args, arg, None) is not None:
+            name, convert, _ = _PARSERS[key]
             try:
-                cfg.sim = replace(cfg.sim, **{name: getattr(args, arg)})
+                cfg.sim = replace(cfg.sim, **{name: convert(getattr(args, arg))})
             except ValueError as exc:
                 raise SystemExit(f"error: --{arg}: {exc}")
     if getattr(args, "out", None) is not None:

@@ -1,10 +1,24 @@
 """Undirected weighted communication graphs and their Laplacians."""
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+
+
+def check_count(name, value, least=1):
+    """ValueError naming `name` and `value` unless `operator.index` takes
+    `value`, a bool aside, and, unless `least` is None, it is at least `least`."""
+    try:
+        operator.index(value)  # it refuses np.bool_, not bool
+        if isinstance(value, bool):
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -22,8 +36,7 @@ class InfoGraph:
     edge_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_agents < 1:
-            raise ValueError(f"num_agents must be >= 1, got {self.num_agents}")
+        check_count("num_agents", self.num_agents)
         canonical = {}
         for (i, j), w in self.weights.items():
             key = self.checked_edge(self.num_agents, i, j, w)
@@ -84,4 +97,5 @@ class InfoGraph:
 
 def path_graph(n, weight=1.0):
     """Path 1-2-...-n with uniform edge weight."""
+    check_count("num_agents", n)  # before range(1, n) takes it
     return InfoGraph(n, {(i, i + 1): weight for i in range(1, n)})

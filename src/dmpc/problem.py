@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import prediction_matrices
-from .qp import diagonal_blocks
+from .qp import BoxQp, diagonal_blocks
 
 
 class ZLayout:
@@ -52,14 +52,6 @@ class ZLayout:
 
 
 @dataclass(frozen=True)
-class LocalIndexMap:
-    """Map from an agent's local copies into the global consensus vector."""
-
-    owner: int
-    global_idx: np.ndarray  # local offset -> z offset
-
-
-@dataclass(frozen=True)
 class LocalProblem:
     """Agent `owner`'s quadratic subproblem over its copy vector.
 
@@ -76,6 +68,7 @@ class LocalProblem:
     models: tuple           # LtiAgent per member
     x0: tuple               # measured initial state per member
     H: sparse.csr_array     # symmetric, PSD
+    pred: tuple             # per member (Phi, nonzeros of Gam): `_predictions`
 
     @property
     def dim(self):
@@ -148,6 +141,18 @@ def _model_key(mdl):
     return mdl.A.shape, mdl.B.shape, mdl.A.tobytes(), mdl.B.tobytes()
 
 
+def _predictions(models, T):
+    """Per model: Phi and the nonzeros of Gam (`_row_nonzeros`); the dense
+    Gam is not kept. Computed once per distinct model (`_model_key`), whose
+    models share the one pair."""
+    by_model = {}
+    for mdl in models:
+        if (key := _model_key(mdl)) not in by_model:
+            Phi, Gam = prediction_matrices(mdl, T)
+            by_model[key] = Phi, _row_nonzeros(Gam)
+    return tuple(by_model[_model_key(mdl)] for mdl in models)
+
+
 def check_finite_states(states):
     """Raise ValueError naming the first agent whose measured state is not finite."""
     for j, x in enumerate(states, start=1):
@@ -179,7 +184,8 @@ def checked_inputs(g, agents, T, initial_states):
 
 
 def build_local_problems(g, agents, T, initial_states):
-    """Construct every agent's subproblem, its selector map, and dim(z).
+    """Construct every agent's subproblem, its selector map (the z index of
+    each entry of its local vector), and dim(z).
 
     The edge coupling a_ij ||x_i - x_j||^2 is split half to each endpoint's
     subproblem; input energy is charged once, to the owning agent. Agents alike
@@ -187,6 +193,7 @@ def build_local_problems(g, agents, T, initial_states):
     """
     initial_states = checked_inputs(g, agents, T, initial_states)
     layout = ZLayout(agents, T)
+    pred = _predictions(agents, T)
     kinds, hessians = {}, {}
     kind = [kinds.setdefault((_model_key(a), a.u_max), len(kinds)) for a in agents]
     problems, maps = [], []
@@ -199,13 +206,12 @@ def build_local_problems(g, agents, T, initial_states):
                tuple(w for *_, w in edges))  # in the order the owner's diagonal sums them
         if key not in hessians:
             hessians[key] = _hessian(T, models, edges, [pos[i]])
-        prob = LocalProblem(owner=i, T=T, members=members, models=models, H=hessians[key],
-                            x0=tuple(initial_states[j - 1] for j in members))
+        problems.append(LocalProblem(owner=i, T=T, members=members, models=models,
+                                     x0=tuple(initial_states[j - 1] for j in members),
+                                     H=hessians[key], pred=tuple(pred[j - 1] for j in members)))
         # a member's block of the local vector is its block of z
-        gidx = np.concatenate([layout.starts[j - 1] + np.arange(m.n * (T + 1) + m.m * T)
-                               for j, m in zip(members, models)])
-        problems.append(prob)
-        maps.append(LocalIndexMap(owner=i, global_idx=gidx))
+        maps.append(np.concatenate([layout.starts[j - 1] + np.arange(m.n * (T + 1) + m.m * T)
+                                    for j, m in zip(members, models)]))
     return problems, maps, layout.dim
 
 
@@ -214,9 +220,9 @@ def build_centralized_qp(g, agents, T, initial_states):
 
     Every agent is a member of the block, so its vector is laid out as z;
     each edge is stamped once at weight 2w, the sum of its two local
-    halves. Returns (block, pred, M, P), P the blocks `condensed_hessian`
-    gives and M the CSC view of M' in CSR, so M.T serves a product with M'
-    as it is; the gradient M'H c = G x0 needs G = M'HC (`state_map`) once.
+    halves. Returns (block, M, qp), qp the box QP `condensed_qps` gives and
+    M the CSC view of its M' in CSR, so M.T serves a product with M' as it
+    is; the gradient M'H c = G x0 needs G = M'HC (`state_map`) once.
     """
     initial_states = checked_inputs(g, agents, T, initial_states)
     members = tuple(range(1, g.num_agents + 1))
@@ -224,16 +230,15 @@ def build_centralized_qp(g, agents, T, initial_states):
     H = _hessian(T, models, [(i - 1, j - 1, 2.0 * w) for (i, j), w in g.weights.items()],
                  range(len(members)))
     block = LocalProblem(owner=None, T=T, members=members, models=models, H=H,
-                         x0=tuple(initial_states[j - 1] for j in members))
-    pred = predictions([block])
-    M = condensing_matrix(block, pred)
-    Mt = M.T.tocsr()
-    return block, pred, Mt.T, condensed_hessian(block.H, M, Mt, [M.shape[1]])[0]
+                         x0=tuple(initial_states[j - 1] for j in members),
+                         pred=_predictions(models, T))
+    (Mt,), (qp,) = condensed_qps([block], [block.H])
+    return block, Mt.T, qp
 
 
 def copy_counts(maps, z_dim):
     """How many local copies map to each z component."""
-    counts = np.bincount(np.concatenate([m.global_idx for m in maps]), minlength=z_dim)
+    counts = np.bincount(np.concatenate(maps), minlength=z_dim)
     if np.any(counts == 0):
         raise RuntimeError("z component with no mapped copies: construction bug")
     return counts
@@ -282,21 +287,6 @@ def _row_nonzeros(A):
     return np.count_nonzero(A, axis=1), cols, A[rows, cols]
 
 
-def predictions(problems):
-    """Per member agent: Phi and the nonzeros of Gam (`_row_nonzeros`); the
-    dense Gam is not kept. Computed once per distinct model (`_model_key`),
-    whose members share the one entry."""
-    pred, by_model = {}, {}
-    for p in problems:
-        for j, mdl in zip(p.members, p.models):
-            key = _model_key(mdl), p.T
-            if key not in by_model:
-                Phi, Gam = prediction_matrices(mdl, p.T)
-                by_model[key] = Phi, _row_nonzeros(Gam)
-            pred[j] = by_model[key]
-    return pred
-
-
 def input_columns(p):
     """Each member's (T, m) columns of the condensed variable, which holds
     input component 0 of every member (t = 0..T-1, member by member), then
@@ -317,14 +307,30 @@ def _csr_from_rows(shape, counts, indices, data):
     return sparse.csr_array((data, np.concatenate(indices, dtype=idx), indptr), shape=shape)
 
 
-def condensing_matrix(p, pred):
+def _block_diagonal(blocks):
+    """CSR arrays stacked block-diagonally, from their index arrays, which
+    stay 32-bit while the stack's shape and nonzeros fit; one is kept as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    shape = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    idx = index_dtype(shape, sum(b.nnz for b in blocks))
+    cols = np.cumsum([0] + [b.shape[1] for b in blocks], dtype=idx)
+    nnz = np.cumsum([0] + [b.nnz for b in blocks], dtype=idx)
+    return sparse.csr_array(
+        (np.concatenate([b.data for b in blocks]),
+         np.concatenate([b.indices + c for b, c in zip(blocks, cols)], dtype=idx),
+         np.concatenate([nnz[:1]] + [b.indptr[1:] + n for b, n in zip(blocks, nnz)], dtype=idx)),
+        shape=shape)
+
+
+def condensing_matrix(p):
     """M of the affine map local_vector = M @ condensed_inputs + c, the
     inputs in the order of `input_columns`: a CSR array built row by row,
-    per member the nonzeros of its Gam (from `pred`) on its state rows and
-    an identity on its input rows, which follow them."""
+    per member the nonzeros of its Gam (from `p.pred`) on its state rows
+    and an identity on its input rows, which follow them."""
     counts, indices, data = [], [], []
-    for j, cols in zip(p.members, input_columns(p)):
-        (count, gcols, vals), cols = pred[j][1], cols.reshape(-1)
+    for pred, cols in zip(p.pred, input_columns(p)):
+        (count, gcols, vals), cols = pred[1], cols.reshape(-1)
         counts += [count, np.ones(cols.size, int)]
         indices += [cols[gcols], cols]
         data += [vals, np.ones(cols.size)]
@@ -333,17 +339,17 @@ def condensing_matrix(p, pred):
     return M
 
 
-def state_map(p, pred):
+def state_map(p):
     """C of c = C x0, x0 the members' measured states stacked member by
     member: a CSR array built row by row as `condensing_matrix` builds M,
-    per member the nonzeros of its Phi (from `pred`) on its state rows and
-    none on its input rows, taken once per distinct model. `condensed_maps`
-    gives c itself."""
+    per member the nonzeros of its Phi (from `p.pred`) on its state rows
+    and none on its input rows, taken once per distinct model.
+    `condensed_maps` gives c itself."""
     counts, indices, data, col, nonzeros = [], [], [], 0, {}
-    for j, mdl in zip(p.members, p.models):
-        if id(pred[j]) not in nonzeros:
-            nonzeros[id(pred[j])] = _row_nonzeros(pred[j][0])
-        count, cols, vals = nonzeros[id(pred[j])]
+    for pred, mdl in zip(p.pred, p.models):
+        if id(pred) not in nonzeros:
+            nonzeros[id(pred)] = _row_nonzeros(pred[0])
+        count, cols, vals = nonzeros[id(pred)]
         counts += [count, np.zeros(mdl.m * p.T, int)]
         indices.append(cols + col)
         data.append(vals)
@@ -351,33 +357,47 @@ def state_map(p, pred):
     return _csr_from_rows((p.dim, col), counts, indices, data)
 
 
-def condensed_maps(p, pred, states):
+def condensed_maps(p, states):
     """c of the affine map local_vector = M @ condensed_inputs + c for
     measured states, agent j's at states[j - 1]: each member's Phi x0 on its
     state rows, zero on its input rows."""
     c = np.zeros(p.dim)
-    for off, j in zip(p.member_offsets, p.members):
-        Phi = pred[j][0]
+    for off, j, (Phi, _) in zip(p.member_offsets, p.members, p.pred):
         c[off:off + Phi.shape[0]] = Phi @ states[j - 1]
     return c
 
 
-def condensed_hessian(H, M, Mt, ends):
-    """The distinct diagonal blocks of the symmetric part of the condensed
-    Hessian M'HM, as `diagonal_blocks` gives them, per column range of M
-    ending at `ends` (indices from the range's start, classes by their first
-    block in the range; no block crosses two ranges of a block-diagonal M,
-    and ranges with a bit-equal block share its array). Mt is M' as CSR.
-    M'(HM) is one sparse product: set-up holds it, each distinct block once
-    and the one block being densified, never a dense range.
+def condensed_qps(problems, H):
+    """Each problem's M' (CSR) and its box QP over the condensed inputs with
+    P = M'H[k]M, H[k] the Hessian of problems[k], and q = 0. One M stacks
+    the problems' maps block-diagonally (`_block_diagonal`), is transposed
+    once, and M'(HM) is one sparse product whose diagonal blocks
+    (`diagonal_blocks`) are the only ones densified: set-up holds the
+    product, each distinct block once and the one block being densified,
+    never a dense P. No block crosses two problems, and problems with a
+    bit-equal block share its array.
     """
-    starts = np.concatenate([[0], ends])
-    out = [[] for _ in ends]
+    boxes = [condensed_bounds(p) for p in problems]
+    M, H = _block_diagonal([condensing_matrix(p) for p in problems]), _block_diagonal(H)
+    Mt = M.T.tocsr()
+    starts = np.cumsum([0] + [lo.size for lo, _ in boxes])
+    P = [[] for _ in problems]
     for idx, b in diagonal_blocks(Mt @ (H @ M)):
-        cuts = np.searchsorted(idx[:, 0], starts)  # the class's blocks, range by range
+        cuts = np.searchsorted(idx[:, 0], starts)  # the class's blocks, problem by problem
         for r in np.flatnonzero(np.diff(cuts)):
-            out[r].append((idx[cuts[r]:cuts[r + 1]] - starts[r], b))
-    return [tuple(sorted(groups, key=lambda g: g[0][0, 0])) for groups in out]
+            P[r].append((idx[cuts[r]:cuts[r + 1]] - starts[r], b))
+    del M, H  # not held through the inversions
+    qps = [BoxQp(tuple(sorted(groups, key=lambda g: g[0][0, 0])), np.zeros(lo.size), lo, hi)
+           for groups, (lo, hi) in zip(P, boxes)]
+    if len(problems) == 1:
+        return [Mt], qps
+    Mts, c = [], 0  # each M_i', the diagonal blocks of Mt
+    for p, r, s in zip(problems, starts, starts[1:]):
+        lo, hi = Mt.indptr[r], Mt.indptr[s]
+        Mts.append(sparse.csr_array((Mt.data[lo:hi], Mt.indices[lo:hi] - c,
+                                     Mt.indptr[r:s + 1] - lo), shape=(s - r, p.dim)))
+        c += p.dim
+    return Mts, qps
 
 
 def condensed_bounds(p):

@@ -1,7 +1,6 @@
 """Receding-horizon closed-loop simulation and iteration-budget sweeps."""
 
 import math
-import operator
 import os
 import time
 from array import array
@@ -13,25 +12,13 @@ import numpy as np
 from .admm import (DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, _matvec,
                    run_dual_decomposition)
 from .dynamics import double_integrator_3d, step
+from .graph import check_count
 from .problem import (ZLayout, _model_key, build_centralized_qp, build_local_problems,
-                      check_finite_states, checked_inputs, condensed_bounds, condensed_maps,
-                      global_cost, input_columns, state_map)
-from .qp import BoxQp, solve_box_qp
+                      check_finite_states, checked_inputs, condensed_maps, global_cost,
+                      input_columns, state_map)
+from .qp import solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
-
-
-def check_count(name, value, least=1):
-    """ValueError naming `name` and `value` unless `operator.index` takes
-    `value`, a bool aside, and, unless `least` is None, it is at least `least`."""
-    try:
-        operator.index(value)  # it refuses np.bool_, not bool
-        if isinstance(value, bool):
-            raise TypeError
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -59,6 +46,9 @@ class SimConfig:
         check_count("horizon", self.horizon)
         for name in ("admm_iterations", "rng_seed"):  # their bounds follow
             check_count(name, getattr(self, name), None)
+        for name in ("warm_start", "parallel_agents"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be True or False, got {getattr(self, name)!r}")
         if self.solver_kind not in SOLVER_KINDS:
             raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}, "
                              f"got {self.solver_kind!r}")
@@ -145,9 +135,9 @@ def _first_inputs(problems, plans):
 
 
 class _CentralizedCache(_Controller):
-    """The centralized controller: the whole-network QP, validated and
-    inverted once; its P arrives as classes of diagonal blocks and is kept
-    as one block (the three axes of the double integrator are one class of
+    """The centralized controller: the whole-network QP of
+    `build_centralized_qp`, validated and inverted once; its P is kept as
+    one block (the three axes of the double integrator are one class of
     blocks in x's order). The gradient M'H c is linear in the measured
     states x0, stacked agent by agent: c = C x0 (`state_map`), so G = M'HC
     is formed once, by a sparse product with the build's M', and kept in
@@ -155,12 +145,10 @@ class _CentralizedCache(_Controller):
     step's gradient is one kernel call, G x0, and its plan one gather."""
 
     def __init__(self, g, agents, T, initial_states, qp_tol):
-        self.block, self.pred, self.M, P = build_centralized_qp(g, agents, T, initial_states)
-        self.qp = BoxQp(P, np.zeros(self.M.shape[1]), *condensed_bounds(self.block))
-        del P  # the QP holds its block now
+        self.block, self.M, self.qp = build_centralized_qp(g, agents, T, initial_states)
         self.cols = input_columns(self.block)
         self.first = np.concatenate([cols[0] for cols in self.cols])  # each agent's u(0)
-        self.G = self.M.T @ (self.block.H @ state_map(self.block, self.pred))
+        self.G = self.M.T @ (self.block.H @ state_map(self.block))
         self.unseen = np.flatnonzero(np.bincount(self.G.indices, minlength=self.G.shape[1]) == 0)
         self.qp_tol = qp_tol
         self.warm = None
@@ -384,7 +372,7 @@ def solve_centralized(g, agents, T, initial_states, tol=1e-8):
     """
     central = _CentralizedCache(g, agents, T, initial_states, tol)
     u = central.solve(np.concatenate(initial_states, dtype=float))
-    c = condensed_maps(central.block, central.pred, initial_states)
+    c = condensed_maps(central.block, initial_states)
     return [u[cols] for cols in central.cols], float(central.block.cost(central.M @ u + c))
 
 

@@ -3,11 +3,11 @@
 import numpy as np
 
 from .dynamics import double_integrator_3d, rollout
-from .graph import InfoGraph, path_graph
+from .graph import InfoGraph, check_count, path_graph
 from .problem import ZLayout, build_local_problems, global_cost
 from .qp import BoxQp, enumerate_box_qp, solve_box_qp
 from .admm import run_admm
-from .simulation import (SimConfig, check_count, draw_initial_states, iteration_sweep,
+from .simulation import (SimConfig, draw_initial_states, iteration_sweep,
                          run_closed_loop, solve_centralized)
 
 
@@ -88,7 +88,7 @@ def cost_decomposition(num_assignments=1000, seed=11):
             problems, maps, z_dim = build_local_problems(g, agents, T, x0)
             layout = ZLayout(agents, T)
         z = rng.standard_normal(z_dim)
-        local_sum = sum(p.cost(z[m.global_idx]) for p, m in zip(problems, maps))
+        local_sum = sum(p.cost(z[m]) for p, m in zip(problems, maps))
         states, inputs = layout.decode(z)
         ref = global_cost(g, states, inputs)
         worst = max(worst, abs(local_sum - ref) / max(abs(ref), 1e-12))

@@ -39,10 +39,10 @@ def test_x_update_matches_kkt_when_boxes_inactive():
     rho = 1.3
     z = 0.1 * rng.standard_normal(z_dim)
     lams = [0.1 * rng.standard_normal(p.dim) for p in probs]
-    v = np.concatenate([lam - rho * z[m.global_idx] for m, lam in zip(maps, lams)])
+    v = np.concatenate([lam - rho * z[m] for m, lam in zip(maps, lams)])
     x_cat = AdmmEngine(probs, maps, rho, qp_tol=1e-9).x_update(v, 1)
     for p, m, lam, x_new in zip(probs, maps, lams, per_agent(probs, x_cat)):
-        z_loc = z[m.global_idx]
+        z_loc = z[m]
         # KKT oracle of the augmented cost f(x) + lam'(x - Ez) + (rho/2)||x - Ez||^2
         A_eq, b_eq = dynamics_equalities(p)
         x_ref = solve_equality_qp(p.H + rho * np.eye(p.dim), lam - rho * z_loc,
@@ -64,7 +64,7 @@ def test_x_update_fixed_point_at_convergence():
 
 def stacked(maps, vectors):
     """Per-agent vectors as the engine stacks them, with the index map E."""
-    return np.concatenate(vectors), np.concatenate([m.global_idx for m in maps])
+    return np.concatenate(vectors), np.concatenate(maps)
 
 
 def test_z_update_averages_copies():
@@ -86,7 +86,7 @@ def test_z_update_matches_second_pass():
     z = z_update(*stacked(maps, xs), copy_counts(maps, z_dim))
     # brute-force recomputation per component
     for c in rng.integers(0, z_dim, size=40):
-        copies = [x[np.flatnonzero(m.global_idx == c)] for m, x in zip(maps, xs)]
+        copies = [x[np.flatnonzero(m == c)] for m, x in zip(maps, xs)]
         vals = np.concatenate(copies)
         assert z[c] == pytest.approx(np.mean(vals), rel=1e-12, abs=1e-12)
 
@@ -95,7 +95,7 @@ def test_dual_update_rules():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=7, n=2, T=1)
     rho = 2.0
     z = np.zeros(z_dim)
-    xs = [z[m.global_idx].copy() for m in maps]
+    xs = [z[m].copy() for m in maps]
     x_cat, E = stacked(maps, xs)
     lam_cat = np.zeros(x_cat.size)
     lam, diff = dual_update(lam_cat, x_cat, z[E], rho)
@@ -119,11 +119,11 @@ def test_dual_average_is_zero_after_each_iteration():
 def test_residuals_examples():
     g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=9, n=2, T=1)
     counts = copy_counts(maps, z_dim)
-    E = np.concatenate([m.global_idx for m in maps])
+    E = np.concatenate(maps)
     rho = 1.5
     z = np.zeros(z_dim)
     z_prev = z.copy()
-    xs = [z[m.global_idx].copy() for m in maps]
+    xs = [z[m].copy() for m in maps]
     assert residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho) == (0.0, 0.0)
     xs[0][3] += 0.25
     rp, rd = residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho)
@@ -135,7 +135,7 @@ def test_residuals_examples():
     z = rng.standard_normal(z_dim)
     z_prev = rng.standard_normal(z_dim)
     rp, rd = residuals(np.concatenate(xs) - z[E], z - z_prev, counts, rho)
-    rp_ref = np.sqrt(sum(np.sum((x - z[m.global_idx]) ** 2)
+    rp_ref = np.sqrt(sum(np.sum((x - z[m]) ** 2)
                          for x, m in zip(xs, maps)))
     rd_ref = rho * np.sqrt(np.sum(counts * (z - z_prev) ** 2))
     assert rp == pytest.approx(rp_ref, rel=1e-12)

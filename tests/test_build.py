@@ -12,9 +12,9 @@ from scipy import sparse
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.csgraph import connected_components
 
-from dmpc import LtiAgent, SimConfig, admm, build_local_problems, double_integrator_3d, simulation
+from dmpc import LtiAgent, SimConfig, build_local_problems, double_integrator_3d, problem
 from dmpc.admm import AdmmEngine
-from dmpc.problem import build_centralized_qp, condensing_matrix, predictions
+from dmpc.problem import build_centralized_qp, condensing_matrix
 from dmpc.qp import BoxQp, diagonal_blocks
 from dmpc.simulation import _CentralizedCache, default_agents, draw_initial_states
 from dmpc.verify import random_connected_graph
@@ -81,7 +81,7 @@ def test_every_qp_equals_the_reference_build(name, g, agents):
     for rho in (0.0, 1.0):
         engine = AdmmEngine(probs, maps, rho)
         for p, cache in zip(probs, engine.caches):
-            M = condensing_matrix(p, predictions([p]))
+            M = condensing_matrix(p)
             H = p.H + rho * sparse.eye_array(p.dim, format="csr")
             assert_same_qp(cache.qp, M.T.tocsr() @ (H @ M))
     central = _CentralizedCache(g, agents, 5, x0, 1e-8)
@@ -101,8 +101,7 @@ def test_every_program_qp_is_one_class_in_x_order(monkeypatch, name, g, agents):
         seen.append((P, q.shape[0]))
         return BoxQp(P, q, lower, upper)
 
-    monkeypatch.setattr(admm, "BoxQp", spy)
-    monkeypatch.setattr(simulation, "BoxQp", spy)
+    monkeypatch.setattr(problem, "BoxQp", spy)  # `condensed_qps` builds every QP
     x0 = [np.zeros(a.n) for a in agents]
     probs, maps, _ = build_local_problems(g, agents, 10, x0)
     for rho in (1.0, 0.0):
@@ -117,12 +116,15 @@ def test_every_program_qp_is_one_class_in_x_order(monkeypatch, name, g, agents):
 def test_alike_blocks_are_kept_once():
     # the three axis blocks of the centralized P are one class: one array, one inverse
     g, agents = grid(4, 5), [double_integrator_3d(0.1, 1.0)] * 20
-    P = build_centralized_qp(g, agents, 10, [np.zeros(6)] * 20)[3]
+    block, M, built = build_centralized_qp(g, agents, 10, [np.zeros(6)] * 20)
+    P = diagonal_blocks(M.T @ (block.H @ M))
     (idx, b), = P
     assert idx.shape == (3, 200) and b.shape == (200, 200)
     qp = BoxQp(P, np.zeros(600), -np.ones(600), np.ones(600))
     assert qp.P is b and qp.shape == (3, 200) and qp.inv.flags.f_contiguous
     assert not np.shares_memory(qp.inv, b)
+    assert built.shape == (3, 200) and same_bits(built.P, b) and same_bits(built.inv, qp.inv)
+    assert built.inv.flags.f_contiguous and not np.shares_memory(built.inv, built.P)
 
 
 def peak_above_start(build):

@@ -161,10 +161,8 @@ def test_centralized_qp_of_a_10x10_grid_holds_no_dense_p():
     right = {(v, v + 1): 1.0 for v in range(1, 101) if v % 10}
     g = InfoGraph(100, {**right, **{(v, v + 10): 1.0 for v in range(1, 91)}})
     agents = [double_integrator_3d(0.1, 1.0)] * g.num_agents
-    block, _, M, P = build_centralized_qp(g, agents, 10, [np.zeros(6)] * g.num_agents)
+    block, M, qp = build_centralized_qp(g, agents, 10, [np.zeros(6)] * g.num_agents)
     n = M.shape[1]
-    qp = BoxQp(P, np.zeros(n), -np.ones(n), np.ones(n))
-    del P
     assert n == 3000 and qp.shape == (3, 1000)
     nbytes, largest = array_bytes(qp, set())
     assert nbytes > 0  # the walk reached the QP's arrays

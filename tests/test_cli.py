@@ -374,6 +374,19 @@ def test_simulate_solver_and_seed_overrides(tmp_path):
     assert summary["config"]["sim"]["seed"] == 123
 
 
+def test_a_flag_value_is_converted_as_the_files_is(tmp_path):
+    # --solver Centralized exited 1, while "solver Centralized" in the file ran
+    runs = {}
+    for name, flags, text in (("flag", ["--solver", "Centralized"], GOOD),
+                              ("file", [], GOOD + "\n[mpc]\nsolver Centralized\n")):
+        out = tmp_path / name
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out),
+                     *flags]) == 0
+        assert json.loads((out / "summary.json").read_text())["solver"] == "centralized"
+        runs[name] = (out / "trajectory.csv").read_text().split("\n", 1)[1]
+    assert runs["flag"] == runs["file"]
+
+
 PATH5 = "[graph]\nn 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n"
 
 

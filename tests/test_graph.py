@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,19 @@ def test_invalid_graphs_rejected():
         InfoGraph(3, {(1, 2): 1.0, (2, 1): 1.0})
     with pytest.raises(ValueError):
         InfoGraph(0)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None, np.True_])
+def test_num_agents_must_be_an_integer(n):
+    # True used to build a graph of num_agents True, 2.5 to raise range's TypeError
+    message = f"^num_agents must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        InfoGraph(n)
+    with pytest.raises(ValueError, match=message):
+        path_graph(n)
+    assert InfoGraph(np.int64(3)).num_agents == 3
+    with pytest.raises(ValueError, match="^num_agents must be >= 1, got -1$"):
+        InfoGraph(-1)
 
 
 @pytest.mark.parametrize("w", [np.inf, np.nan, -np.inf, -1.0])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dmpc import (BoxQp, InfoGraph, build_local_problems, double_integrator_3d,
-                  global_cost, path_graph, solve_box_qp)
+from dmpc import (InfoGraph, build_local_problems, double_integrator_3d, global_cost,
+                  path_graph, solve_box_qp)
 from dmpc.admm import AdmmEngine
-from dmpc.problem import (ZLayout, build_centralized_qp, condensed_bounds, condensed_hessian,
-                          condensed_maps, condensing_matrix, copy_counts, predictions)
+from dmpc.problem import (ZLayout, build_centralized_qp, condensed_maps, condensed_qps,
+                          copy_counts)
 from dmpc.verify import random_connected_graph
 from kkt_oracle import dynamics_equalities, solve_equality_qp
 
@@ -50,7 +50,7 @@ def test_consensus_assignment_has_zero_cost():
     for j in range(1, 4):
         s0 = layout.state_offset(j, 0)
         z[s0:s0 + 5 * 6] = np.tile(common, 5)
-    total = sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps))
+    total = sum(p.cost(z[m]) for p, m in zip(probs, maps))
     assert abs(total) <= 1e-12
 
 
@@ -96,7 +96,7 @@ def test_cost_decomposition_identity_random():
     layout = ZLayout(agents, 5)
     for _ in range(25):
         z = rng.standard_normal(z_dim)
-        local = sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps))
+        local = sum(p.cost(z[m]) for p, m in zip(probs, maps))
         states, inputs = layout.decode(z)
         ref = global_cost(g, states, inputs)
         assert abs(local - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -187,12 +187,10 @@ def test_global_cost_dimension_mismatch():
 def condensed_qp(p):
     """Condensed box QP of `p` at its own measured states from the core
     routines, and its (M, c)."""
-    pred = predictions([p])
-    M = condensing_matrix(p, pred)
-    c = condensed_maps(p, pred, {j - 1: x for j, x in zip(p.members, p.x0)})
-    qp = BoxQp(condensed_hessian(p.H, M, M.T.tocsr(), [M.shape[1]])[0], M.T @ (p.H @ c),
-               *condensed_bounds(p))
-    return qp, (M, c)
+    (Mt,), (qp,) = condensed_qps([p], [p.H])
+    c = condensed_maps(p, {j - 1: x for j, x in zip(p.members, p.x0)})
+    qp.q = Mt @ (p.H @ c)
+    return qp, (Mt.T, c)
 
 
 def test_condense_single_agent_one_step():
@@ -243,12 +241,12 @@ def test_augment_value_matches_term_by_term():
     rho = 1.7
     # agent 0's q from the engine's network map, with a zero linear term for agent 1
     engine = AdmmEngine(probs, maps, rho, qp_tol=1e-9)
-    v = np.concatenate([lam - rho * z[m.global_idx], np.zeros(probs[1].dim)])
+    v = np.concatenate([lam - rho * z[m], np.zeros(probs[1].dim)])
     q = (engine.q_static + engine.Mt @ v)[engine.u_slices[0]]
     M, c, P = engine.M[:p.dim, engine.u_slices[0]], engine.c[:p.dim], engine.caches[0].qp.dense()
 
     def augmented(x):
-        d = x - z[m.global_idx]
+        d = x - z[m]
         return p.cost(x) + lam @ d + 0.5 * rho * (d @ d)
 
     # constant terms are dropped from the condensed quadratic; compare
@@ -272,6 +270,6 @@ def test_centralized_hessian_is_sum_of_local_hessians():
         probs, maps, z_dim = build_local_problems(g, agents, T, x0)
         total = np.zeros((z_dim, z_dim))
         for p, m in zip(probs, maps):
-            total[np.ix_(m.global_idx, m.global_idx)] += p.H
+            total[np.ix_(m, m)] += p.H
         block = build_centralized_qp(g, agents, T, x0)[0]
         assert np.max(np.abs(block.H - total)) <= 1e-12

@@ -42,7 +42,7 @@ def test_converged_admm_equals_centralized_on_random_graphs(scenario, mixed):
     z = rng.standard_normal(res.z.size)
     states, inputs = ZLayout(agents, T).decode(z)
     ref = global_cost(g, states, inputs)
-    assert abs(sum(p.cost(z[m.global_idx]) for p, m in zip(probs, maps)) - ref) <= 1e-9 * ref
+    assert abs(sum(p.cost(z[m]) for p, m in zip(probs, maps)) - ref) <= 1e-9 * ref
     plans_c, cost_c = solve_centralized(g, agents, T, x0, tol=1e-10)
     _, u_admm = ZLayout(agents, T).decode(res.z)
     # criterion 1's tolerances

@@ -11,8 +11,7 @@ from scipy import sparse
 from dmpc import InfoGraph, LtiAgent, build_local_problems, double_integrator_3d, path_graph
 from dmpc import problem
 from dmpc.admm import AdmmEngine
-from dmpc.problem import (_hessian, build_centralized_qp, condensed_bounds, condensed_hessian,
-                          condensing_matrix, predictions)
+from dmpc.problem import _hessian, build_centralized_qp, condensed_qps, condensing_matrix
 from dmpc.qp import BoxQp
 from dmpc.verify import random_connected_graph
 
@@ -69,11 +68,8 @@ def built_alone(g, p, rho):
     i = p.owner
     H = _hessian(p.T, p.models, [(pos[i], pos[j], g.weight(i, j)) for j in g.neighbors(i)],
                  [pos[i]])
-    M = condensing_matrix(p, predictions([p]))
     H_rho = H + rho * sparse.eye_array(H.shape[0], format="csr")
-    P = condensed_hessian(H_rho, M, M.T.tocsr(), [M.shape[1]])[0]
-    lo, hi = condensed_bounds(p)
-    return H, M, BoxQp(P, np.zeros(lo.shape[0]), lo, hi)
+    return H, condensing_matrix(p), condensed_qps([p], [H_rho])[1][0]
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
@@ -115,6 +111,22 @@ def test_one_prediction_per_distinct_model(monkeypatch):
     calls.clear()
     build_centralized_qp(g, agents, 5, [np.zeros(6)] * 20)
     assert len(calls) == 2
+
+
+def test_condensed_qps_keeps_sharing_across_problems():
+    # agents 1 and 3 differ only in their box: their kinds are two problems
+    # with two QPs, but one bit-equal P block, kept as one array
+    light, low = double_integrator_3d(0.1, 1.0), double_integrator_3d(0.1, 1.0, u_max=0.5)
+    g = InfoGraph(4, {(1, 2): 1.0, (3, 4): 1.0})
+    probs, maps, _ = build_local_problems(g, [light, light, low, low], 4, [np.zeros(6)] * 4)
+    Mts, qps = condensed_qps(probs, [p.H for p in probs])
+    assert len(Mts) == len(qps) == 4 and len({id(qp) for qp in qps}) == 4
+    assert qps[0].P is qps[2].P and qps[1].P is qps[3].P and qps[0].P is not qps[1].P
+    assert same_csr(Mts[0], Mts[2]) and same_csr(Mts[1], Mts[3])
+    assert np.all(qps[0].upper == 1.0) and np.all(qps[2].upper == 0.5)
+    # the engine groups them as the same four kinds, so keeps the sharing
+    caches = AdmmEngine(probs, maps, 0.0).caches
+    assert caches[0].qp.P is caches[2].qp.P and caches[1].qp.P is caches[3].qp.P
 
 
 def hessian_ids(g, agents):

@@ -85,6 +85,17 @@ def test_config_refuses_a_count_that_is_not_an_integer(name, value, kind):
     assert getattr(SimConfig(solver_kind=kind, **{name: np.int32(3)}), name) == 3
 
 
+@pytest.mark.parametrize("name", ["warm_start", "parallel_agents"])
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None, np.True_])
+def test_config_refuses_a_flag_that_is_not_a_bool(name, value):
+    # "no" used to build and run warm, "false" to start a thread pool
+    message = f"^{name} must be True or False, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{name: value})
+    for flag in (True, False):
+        assert getattr(SimConfig(**{name: flag}), name) is flag
+
+
 @pytest.mark.parametrize("name, value", BAD_FIELDS)
 def test_dual_decomp_config_rejects_bad_fields(name, value):
     with pytest.raises(ValueError, match=name):

@@ -17,7 +17,7 @@ from dmpc import (AdmmEngine, InfoGraph, build_local_problems,  # noqa: E402
 from dmpc.admm import (DD_QP_TOL, AdmmResult, _AgentCache, _matvec, dual_update,  # noqa: E402
                        residuals, z_update)
 from dmpc.problem import (ZLayout, build_centralized_qp, condensing_matrix,  # noqa: E402
-                          copy_counts, predictions)
+                          copy_counts)
 from dmpc.simulation import _CentralizedCache, _shift_indices, _shift_warm_state  # noqa: E402
 from kkt_oracle import dynamics_equalities, solve_equality_qp  # noqa: E402
 from test_sharing import scenarios as alike_scenarios  # noqa: E402
@@ -41,7 +41,7 @@ def scenarios(draw, max_agents=6, max_horizon=4):
 def reference_z(xs, maps, z_dim):
     acc = np.zeros(z_dim)
     for m, x in zip(maps, xs):
-        np.add.at(acc, m.global_idx, x)
+        np.add.at(acc, m, x)
     return acc / copy_counts(maps, z_dim)
 
 
@@ -63,17 +63,17 @@ def test_stacked_updates_equal_per_agent_loops(scenario):
     lams = [rng.standard_normal(p.dim) for p in probs]
     z_prev = rng.standard_normal(z_dim)
     counts = copy_counts(maps, z_dim)
-    E = np.concatenate([m.global_idx for m in maps])
+    E = np.concatenate(maps)
 
     z = z_update(np.concatenate(xs), E, counts)
     assert z.tobytes() == reference_z(xs, maps, z_dim).tobytes()
 
     lam, diff = dual_update(np.concatenate(lams), np.concatenate(xs), z[E], rho)
-    ref = [lam_i + rho * (x - z[m.global_idx]) for lam_i, x, m in zip(lams, xs, maps)]
+    ref = [lam_i + rho * (x - z[m]) for lam_i, x, m in zip(lams, xs, maps)]
     assert lam.tobytes() == np.concatenate(ref).tobytes()
 
     rp, rd = residuals(diff, z - z_prev, counts, rho)
-    rp_ref = np.sqrt(sum(float((x - z[m.global_idx]) @ (x - z[m.global_idx]))
+    rp_ref = np.sqrt(sum(float((x - z[m]) @ (x - z[m]))
                          for x, m in zip(xs, maps)))
     rd_ref = rho * np.sqrt(np.sum(counts * (z - z_prev) ** 2))
     assert rp == pytest.approx(rp_ref, rel=1e-12)
@@ -175,7 +175,7 @@ def test_warm_shift_gathers_equal_per_block_shift(scenario):
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, maps, z_dim = build_local_problems(g, agents, T, x0)
-    E = np.concatenate([m.global_idx for m in maps])
+    E = np.concatenate(maps)
     z, lam = rng.standard_normal(z_dim), rng.standard_normal(E.size)
     result = AdmmResult(plans=[], z=z, lam=lam, history=[], converged=False, objective=0.0)
     state = _shift_warm_state(result, *_shift_indices(ZLayout(agents, T), E))
@@ -245,7 +245,7 @@ def test_sparse_hessians_equal_dense_stamping(scenario):
     # criterion 6, cost decomposition: sum_i E_i' H_i E_i = H
     total = np.zeros((z_dim, z_dim))
     for p, m in zip(probs, maps):
-        total[np.ix_(m.global_idx, m.global_idx)] += p.H.toarray()
+        total[np.ix_(m, m)] += p.H.toarray()
     assert close(total, block.H.toarray(), 1e-12)
 
 
@@ -270,8 +270,7 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
     # is kept sparse, in CSR with 32-bit indices, and densified only here
     C = np.zeros((central.block.dim, sum(a.n for a in agents)))
     col = 0
-    for off, j, a in zip(central.block.member_offsets, central.block.members, agents):
-        Phi = central.pred[j][0]
+    for off, (Phi, _), a in zip(central.block.member_offsets, central.block.pred, agents):
         C[off:off + Phi.shape[0], col:col + a.n] = Phi
         col += a.n
     G = central.G
@@ -283,7 +282,7 @@ def test_condensed_terms_equal_dense_hessian_formulas(scenario):
 def dense_map(p):
     """Agent p's condensing map built dense, member by member: [Gam; I] on
     the member's state and input rows and its own input columns, Gam from
-    `prediction_matrices`, not from the nonzeros `predictions` keeps. The
+    `prediction_matrices`, not from the nonzeros a problem's `pred` keeps. The
     columns are component-major: input component 0 of every member over the
     horizon, member by member, then component 1, and so on."""
     M = np.zeros((p.dim, sum(mdl.m for mdl in p.models) * p.T))
@@ -309,7 +308,6 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-2.0, 2.0, a.n) for a in agents]
     probs, maps, z_dim = build_local_problems(g, agents, T, x0)
-    pred = predictions(probs)
     engine = AdmmEngine(probs, maps, rho, qp_tol=1e-8)
     dense = [dense_map(p) for p in probs]
     # each agent's block is its dense map, and there is nothing outside the blocks
@@ -334,8 +332,8 @@ def test_network_map_equals_per_agent_dense_maps(scenario):
         x_cat = engine.x_update(v, 1)
     for p, s, D, (q, u) in zip(probs, agent_slices(probs), dense, solved):
         c = np.zeros(p.dim)
-        for pos, j in enumerate(p.members):
-            c[p.state_slice(pos, 0).start:p.input_slice(pos, 0).start] = pred[j][0] @ x1[j - 1]
+        for pos, (j, (Phi, _)) in enumerate(zip(p.members, p.pred)):
+            c[p.state_slice(pos, 0).start:p.input_slice(pos, 0).start] = Phi @ x1[j - 1]
         H = p.H.toarray()
         q_static = D.T @ (H @ c) + rho * (D.T @ c)
         assert close(q, q_static + D.T @ v[s], 1e-12)
@@ -380,10 +378,10 @@ def test_rebound_engine_equals_engine_built_at_the_new_states(scenario):
     assert ra.objective == rb.objective and ra.history == rb.history
 
 
-def stacked_map(probs, pred, rho):
+def stacked_map(probs, rho):
     """The network map M, M' and H + rho I, each stacked agent by agent into
     a full-size CSR array of its own by scipy's block_diag."""
-    M = sparse.block_diag([condensing_matrix(p, pred) for p in probs], format="csr")
+    M = sparse.block_diag([condensing_matrix(p) for p in probs], format="csr")
     H_rho = sparse.block_diag([p.H + rho * sparse.eye_array(p.dim, format="csr") for p in probs],
                               format="csr")
     return M, M.T.tocsr(), H_rho
@@ -409,7 +407,7 @@ def test_one_copy_of_the_network_map_gives_the_stacked_bits(name, g, agents, rho
         assert (H != p.H + rho * sparse.eye_array(p.dim)).nnz == 0
         assert all((H is H2) == (p.H is p2.H) for p2, H2 in zip(probs, engine.H_rho))
 
-    M_ref, Mt_ref, H_ref = stacked_map(probs, engine.pred, rho)
+    M_ref, Mt_ref, H_ref = stacked_map(probs, rho)
     assert (engine.M != M_ref).nnz == 0
     q_static = Mt_ref @ (H_ref @ engine.c)
     assert engine.q_static.tobytes() == q_static.tobytes()
@@ -454,6 +452,6 @@ def test_direct_kernel_products_equal_scipys(name, g, agents, rho):
 def test_problems_and_maps_are_built_with_32_bit_indices(name, g, agents):
     x0 = [np.zeros(a.n) for a in agents]
     probs, _, _ = build_local_problems(g, agents, 4, x0)
-    block, pred, M, _ = build_centralized_qp(g, agents, 4, x0)
-    for A in [p.H for p in probs] + [condensing_matrix(probs[0], predictions(probs)), block.H, M]:
+    block, M, _ = build_centralized_qp(g, agents, 4, x0)
+    for A in [p.H for p in probs] + [condensing_matrix(probs[0]), block.H, M]:
         assert A.indices.dtype == A.indptr.dtype == np.int32
