@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
-from .problem import _block_diagonal, check_states, condensed_maps, condensed_qps, copy_counts
+from .problem import (_block_diagonal, _matvec, check_states, condensed_maps, condensed_qps,
+                      copy_counts)
 from .qp import solve_box_qp
 
 
@@ -85,15 +85,6 @@ def residuals(diff, dz, counts, rho):
     """Primal: copy disagreement ||x - E z||, from diff = x - E z.
     Dual: scaled z motion rho ||E dz||, from dz = z - z_prev."""
     return math.sqrt(diff @ diff), rho * math.sqrt(np.add.reduce(counts * dz * dz))
-
-
-def _matvec(A, x):
-    """A @ x for a CSR or CSC array A and a float vector x, bit for bit
-    scipy's product without its dispatch: sparsetools' kernel adds each
-    product onto a zeroed output."""
-    out = np.zeros(A.shape[0])
-    getattr(_sparsetools, A.format + "_matvec")(*A.shape, A.indptr, A.indices, A.data, x, out)
-    return out
 
 
 class QpCounters:

@@ -72,26 +72,37 @@ def double_integrator_3d(ts, mass, u_max=1.0):
 
 
 def step(agent, x, u, w=None):
-    """One plant update A x + B u (+ noise through the noise channel)."""
+    """One plant update A x + B u (+ noise w through the noise channel): of
+    one agent, or of several agents of this model given as rows of x, u and
+    w, one broadcast product of each 2-D matrix over the rows."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (agent.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({agent.n},)")
-    if u.shape != (agent.m,):
-        raise ValueError(f"input has shape {u.shape}, expected ({agent.m},)")
-    out = agent.A @ x + agent.B @ u
+    if x.ndim not in (1, 2) or x.shape[-1] != agent.n:
+        raise ValueError(f"state has shape {x.shape}, expected ({agent.n},) or (rows, {agent.n})")
+    rows = x.shape[:-1]
+    if u.shape != rows + (agent.m,):
+        raise ValueError(f"input has shape {u.shape}, expected {rows + (agent.m,)}")
+    out = np.matmul(agent.A, x[..., None]) + np.matmul(agent.B, u[..., None])
     if w is not None:
         w = np.asarray(w, dtype=float)
         channel = agent.noise_channel
-        if w.shape != (channel.shape[1],):
-            raise ValueError(f"noise has shape {w.shape}, expected ({channel.shape[1]},)")
-        out += channel @ w
-    return out
+        if w.shape != rows + (channel.shape[1],):
+            raise ValueError(f"noise has shape {w.shape}, expected {rows + (channel.shape[1],)}")
+        out += np.matmul(channel, w[..., None])
+    return out[..., 0]
 
 
 def rollout(agent, x0, u_seq):
-    """Noiseless forward simulation; returns T+1 states including x0."""
+    """Noiseless forward simulation from x0, of shape (n,), under u_seq, of
+    shape (T, m) or empty; returns the T+1 states including x0."""
     x0 = np.asarray(x0, dtype=float)
+    u_seq = np.asarray(u_seq, dtype=float)
+    if u_seq.shape == (0,):  # an empty list: no steps
+        u_seq = u_seq.reshape(0, agent.m)
+    if x0.shape != (agent.n,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({agent.n},)")
+    if u_seq.ndim != 2 or u_seq.shape[1] != agent.m:
+        raise ValueError(f"u_seq has shape {u_seq.shape}, expected (T, {agent.m})")
     states = np.empty((len(u_seq) + 1, agent.n))
     states[0] = x0
     for t, u in enumerate(u_seq):

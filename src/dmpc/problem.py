@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
+from scipy.sparse._sputils import get_index_dtype
 
 from .dynamics import prediction_matrices
 from .qp import BoxQp, diagonal_blocks
@@ -97,6 +99,30 @@ def index_dtype(shape, nnz):
     """Index dtype of a sparse array of `shape` with `nnz` stored entries:
     32-bit while the shape and nonzeros fit, else 64-bit."""
     return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+
+
+def _matvec(A, x):
+    """A @ x for a CSR or CSC array A and a float vector x, bit for bit
+    scipy's product without its dispatch: sparsetools' kernel adds each
+    product onto a zeroed output."""
+    out = np.zeros(A.shape[0])
+    getattr(_sparsetools, A.format + "_matvec")(*A.shape, A.indptr, A.indices, A.data, x, out)
+    return out
+
+
+def _matmat(A, B):
+    """A @ B for CSR arrays A and B, a CSR array bit for bit scipy's product
+    without its dispatch: sparsetools' count of the product's nonzeros, then
+    its kernel, with scipy's index dtype (32-bit while the operands' indices
+    are and the product's nonzeros fit)."""
+    arrays = A.indptr, A.indices, B.indptr, B.indices
+    shape, idx = (A.shape[0], B.shape[1]), get_index_dtype(arrays)
+    nnz = _sparsetools.csr_matmat_maxnnz(*shape, *(a.astype(idx, copy=False) for a in arrays))
+    idx = get_index_dtype(arrays, maxval=nnz)
+    Ap, Aj, Bp, Bj = (a.astype(idx, copy=False) for a in arrays)
+    indptr, indices, data = np.empty(shape[0] + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    _sparsetools.csr_matmat(*shape, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
+    return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
 def _hessian(T, models, edges, inputs):
@@ -382,7 +408,7 @@ def condensed_qps(problems, H):
     Mt = M.T.tocsr()
     starts = np.cumsum([0] + [lo.size for lo, _ in boxes])
     P = [[] for _ in problems]
-    for idx, b in diagonal_blocks(Mt @ (H @ M)):
+    for idx, b in diagonal_blocks(_matmat(Mt, _matmat(H, M))):
         cuts = np.searchsorted(idx[:, 0], starts)  # the class's blocks, problem by problem
         for r in np.flatnonzero(np.diff(cuts)):
             P[r].append((idx[cuts[r]:cuts[r + 1]] - starts[r], b))

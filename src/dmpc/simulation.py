@@ -9,13 +9,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, _matvec,
-                   run_dual_decomposition)
+from .admm import DD_QP_TOL, AdmmEngine, AdmmState, SolverFailure, run_dual_decomposition
 from .dynamics import double_integrator_3d, step
 from .graph import check_count
-from .problem import (ZLayout, _model_key, build_centralized_qp, build_local_problems,
-                      check_finite_states, checked_inputs, condensed_maps, global_cost,
-                      input_columns, state_map)
+from .problem import (ZLayout, _matmat, _matvec, _model_key, build_centralized_qp,
+                      build_local_problems, check_finite_states, checked_inputs, condensed_maps,
+                      global_cost, input_columns, state_map)
 from .qp import solve_box_qp
 
 SOLVER_KINDS = ("admm", "dual_decomp", "centralized")
@@ -148,7 +147,7 @@ class _CentralizedCache(_Controller):
         self.block, self.M, self.qp = build_centralized_qp(g, agents, T, initial_states)
         self.cols = input_columns(self.block)
         self.first = np.concatenate([cols[0] for cols in self.cols])  # each agent's u(0)
-        self.G = self.M.T @ (self.block.H @ state_map(self.block))
+        self.G = _matmat(self.M.T, _matmat(self.block.H, state_map(self.block)))
         self.unseen = np.flatnonzero(np.bincount(self.G.indices, minlength=self.G.shape[1]) == 0)
         self.qp_tol = qp_tol
         self.warm = None
@@ -292,8 +291,12 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
                     track_dual_average=False, engine=None):
     """Simulate the receding-horizon loop for cfg.num_steps plant updates.
 
-    Pre-drawn `initial_states` / `noise` override the seeded generator so
-    paired comparisons consume byte-identical randomness. An ADMM loop runs
+    Pre-drawn `initial_states` / `noise` (an array or nested lists, taken
+    as float64) override the seeded generator so paired comparisons consume
+    byte-identical randomness. Each step advances the plant with one `step`
+    call per group of agents alike in A, B and noise channel (u_max may
+    differ), on the group's rows; agents all alike are one group, advanced
+    without a gather. An ADMM loop runs
     on `engine` if given (built by `admm_engine` from a record equal to the
     run's, else ValueError naming each field that differs) instead of
     building one; it starts its QPs cold and leaves the engine's thread pool
@@ -318,8 +321,8 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
     shape = cfg.num_steps, N, w
     if noise is None:
         noise = draw_noise(g, cfg, rng, w)
-    elif np.shape(noise) != shape:
-        raise ValueError(f"noise has shape {np.shape(noise)}, expected {shape}")
+    elif (noise := np.asarray(noise, dtype=float)).shape != shape:
+        raise ValueError(f"noise has shape {noise.shape}, expected {shape}")
     if not np.isfinite(noise).all():  # no array kept through the loop
         t, j = np.argwhere(~np.isfinite(noise).all(axis=2))[0]
         raise ValueError(f"noise of step {t} is not finite for agent {j + 1}")
@@ -342,6 +345,11 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
 
     u_max = np.array([[a.u_max] for a in agents], dtype=float)  # a column: agents may differ
     u_min = -u_max
+    plants = {}  # agents alike in A, B and noise channel share one plant update; u_max may differ
+    for j, a in enumerate(agents):
+        plants.setdefault((_model_key(a), a.noise_channel.tobytes()), []).append(j)
+    plants = [(agents[rows[0]], slice(None) if len(rows) == N else np.array(rows))
+              for rows in plants.values()]  # the byte keys are not kept through the loop
     try:
         for t in range(cfg.num_steps):
             try:
@@ -352,8 +360,8 @@ def run_closed_loop(g, cfg, agents=None, initial_states=None, noise=None,
                 break
             solver_stats.append(stats)
             inputs[t] = np.minimum(np.maximum(first_inputs, u_min), u_max)
-            for j in range(N):
-                states[t + 1, j] = step(agents[j], states[t, j], inputs[t, j], noise[t, j])
+            for agent, rows in plants:
+                states[t + 1, rows] = step(agent, states[t, rows], inputs[t, rows], noise[t, rows])
             stage_costs[t] = global_cost(g, states[t, :, None], inputs[t, :, None])
     finally:
         controller.close()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,34 @@ def test_step_dimension_mismatch():
         step(a, np.zeros(6), np.zeros(3), np.zeros(2))
 
 
+def test_step_on_rows_equals_one_call_per_row():
+    heavy = double_integrator_3d(0.1, 2.0)
+    a = LtiAgent(A=heavy.A, B=heavy.B, noise_input=np.arange(18.0).reshape(6, 3) / 10.0)
+    rng = np.random.default_rng(5)
+    x, u, w = rng.standard_normal((4, 6)), rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    rows = step(a, x, u, w)
+    assert rows.shape == (4, 6)
+    for k in range(4):
+        assert np.array_equal(rows[k], step(a, x[k], u[k], w[k]))
+        assert np.array_equal(step(a, x, u)[k], step(a, x[k], u[k]))
+    assert step(a, np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 6)
+
+
+@pytest.mark.parametrize("x, u, w, what", [
+    ((3, 6), (2, 3), None, re.escape("input has shape (2, 3), expected (3, 3)")),
+    ((3, 6), (3,), None, re.escape("input has shape (3,), expected (3, 3)")),
+    ((3, 6), (3, 3), (2, 3), re.escape("noise has shape (2, 3), expected (3, 3)")),
+    ((6,), (1, 3), None, re.escape("input has shape (1, 3), expected (3,)")),
+    ((6,), (3,), (1, 3), re.escape("noise has shape (1, 3), expected (3,)")),
+    ((2, 3, 6), (2, 3, 3), None, "state has shape"),
+    ((), (3,), None, "state has shape"),
+])
+def test_step_needs_as_many_input_and_noise_rows_as_state_rows(x, u, w, what):
+    a = double_integrator_3d(0.1, 1.0)
+    with pytest.raises(ValueError, match=what):
+        step(a, np.zeros(x), np.zeros(u), None if w is None else np.zeros(w))
+
+
 def test_step_is_linear():
     a = double_integrator_3d(0.1, 1.0)
     rng = np.random.default_rng(0)
@@ -99,6 +129,20 @@ def test_rollout_empty_and_zero():
     x0 = np.arange(6.0)
     assert np.array_equal(rollout(a, x0, []), x0[None, :])
     assert np.allclose(rollout(a, np.zeros(6), np.zeros((4, 3))), 0.0)
+
+
+@pytest.mark.parametrize("x0, u_seq, what", [
+    (1.0, np.zeros((2, 3)), "x0 has shape (), expected (6,)"),
+    ([2.0], [], "x0 has shape (1,), expected (6,)"),
+    (np.zeros(6), np.zeros(3), "u_seq has shape (3,), expected (T, 3)"),
+    (np.zeros(6), np.zeros((2, 2)), "u_seq has shape (2, 2), expected (T, 3)"),
+    (np.zeros(6), np.zeros((2, 1, 3)), "u_seq has shape (2, 1, 3), expected (T, 3)"),
+])
+def test_rollout_refuses_a_misshaped_x0_or_input_sequence(x0, u_seq, what):
+    # the first two once broadcast x0 to every state entry; the third failed
+    # inside the plant step on an input of shape ()
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        rollout(double_integrator_3d(0.1, 1.0), x0, u_seq)
 
 
 def test_rollout_matches_repeated_steps():

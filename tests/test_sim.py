@@ -558,3 +558,49 @@ def test_parallel_loop_records_every_solve_time():
     assert log.aborted_at is None
     assert log.solve_times.size == g.num_agents * cfg.admm_iterations * cfg.num_steps
     assert np.all(log.solve_times > 0)
+
+
+def _mixed_agents():
+    """Seven agents on a path: three masses interleaved, agent 3 unlike agent
+    1 only in u_max, agent 5 alike agent 1 in A and B but with its own noise
+    channel. Plants: {1, 3, 7}, {2, 6}, {4}, {5}."""
+    from dmpc import double_integrator_3d
+
+    light, heavy, nimble = (double_integrator_3d(0.1, mass) for mass in (1.0, 2.0, 0.5))
+    own_noise = LtiAgent(A=light.A, B=light.B, u_max=1.0, noise_input=2.0 * light.noise_input)
+    return [light, heavy, replace(light, u_max=0.5), nimble, own_noise, heavy, light]
+
+
+@pytest.mark.parametrize("kind", ["admm", "centralized", "dual_decomp"])
+def test_grouped_plant_is_each_agents_own_update_bit_for_bit(monkeypatch, kind):
+    agents = _mixed_agents()
+    g = path_graph(len(agents))
+    plant, calls = simulation.step, []
+
+    def counted(agent, x, u, w=None):
+        calls.append((next(j for j, a in enumerate(agents) if a is agent), len(x)))
+        return plant(agent, x, u, w)
+
+    monkeypatch.setattr(simulation, "step", counted)
+    cfg = small_cfg(num_steps=4, solver_kind=kind, noise_variance=0.1)
+    log = run_closed_loop(g, cfg, agents=agents)
+    assert log.aborted_at is None
+    # one update a step per plant, on its rows: u_max does not split a plant,
+    # a noise channel does
+    assert calls == [(0, 3), (1, 2), (3, 1), (4, 1)] * cfg.num_steps
+    for t in range(cfg.num_steps):
+        for j, a in enumerate(agents):
+            x, u, w = log.states[t, j], log.inputs[t, j], log.noise_draws[t, j]
+            assert np.array_equal(log.states[t + 1, j], a.A @ x + a.B @ u + a.noise_channel @ w)
+
+
+def test_noise_given_as_lists_runs_as_the_equal_array():
+    # lists once passed the checks and failed at step 0 on a tuple index
+    g, cfg = path_graph(3), small_cfg(num_steps=3, horizon=3, solver_kind="centralized")
+    noise = np.random.default_rng(2).standard_normal((3, 3, 3)) * 0.1
+    listed, arrayed = (run_closed_loop(g, cfg, noise=n) for n in (noise.tolist(), noise))
+    assert listed.noise_draws.dtype == np.float64
+    assert np.array_equal(listed.noise_draws, arrayed.noise_draws)
+    assert np.array_equal(listed.states, arrayed.states)
+    assert np.array_equal(listed.inputs, arrayed.inputs)
+    assert listed.total_cost == arrayed.total_cost
