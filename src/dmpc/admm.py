@@ -74,11 +74,12 @@ def z_update(x_cat, E, counts):
     return np.bincount(E, weights=x_cat, minlength=counts.shape[0]) / counts
 
 
-def dual_update(lam_cat, x_cat, zE, rho):
+def dual_update(lam_cat, x_cat, zE, rho, out=(None, None)):
     """lam <- lam + rho (x - E z) for every agent at once, with x and z at
-    the new iterate and zE = z[E]. Returns the new duals and x - E z."""
-    diff = x_cat - zE
-    return lam_cat + rho * diff, diff
+    the new iterate and zE = z[E]. Returns the new duals and x - E z,
+    written to the arrays `out` if given (the first may be lam_cat)."""
+    diff = np.subtract(x_cat, zE, out=out[1])
+    return np.add(lam_cat, rho * diff, out=out[0]), diff
 
 
 def residuals(diff, dz, counts, rho):
@@ -154,6 +155,8 @@ class _AgentCache:
     that turn the agent's linear term into q and its minimizer into a local
     vector live in the engine's network map."""
 
+    __slots__ = ("owner", "qp_tol", "qp", "warm", "last", "seconds")
+
     def __init__(self, owner, qp, qp_tol):
         self.owner = owner
         self.qp_tol = qp_tol
@@ -189,12 +192,14 @@ class AdmmEngine:
     the box and P_i = M_i'(H_i + rho I)M_i, which `condensed_qps` builds
     for the distinct problems at once. Built for the stock agents, an
     engine keeps 0.19 MB on path 5, 0.85 MB on the 4x5 grid and 3.22 MB on
-    the 10x10 grid. Each x-update adds its QPs to the QpCounters `qps`,
-    which a run resets. Set-up binds c to the problems' own states, which
-    they keep; `rebind_states` rebinds it, so one engine serves any number
-    of closed loops on the same agents. At rho = 0 it serves
-    `run_dual_decomposition`; `run` needs rho > 0. qp_tol must be positive
-    and finite.
+    the 10x10 grid. A run holds four arrays of E's size, updated in place:
+    the duals (a copy of init's), x, z[E] and v, then x - E z; an
+    iteration adds q, the minimizers, z and rho (x - E z). Each x-update
+    adds its QPs to the QpCounters `qps`, which a run resets. Set-up binds
+    c to the problems' own states, which they keep; `rebind_states`
+    rebinds it in place, so one engine serves any number of closed loops
+    on the same agents. At rho = 0 it serves `run_dual_decomposition`;
+    `run` needs rho > 0. qp_tol must be positive and finite.
     """
 
     record = None  # what it was built from, if `simulation.admm_engine` built it
@@ -226,6 +231,7 @@ class AdmmEngine:
         self.widths = [p.models[p.members.index(p.owner)].n for p in self.problems]
         self.caches = [_AgentCache(p.owner, qps[k], qp_tol) for p, k in zip(self.problems, kind)]
         self.qps = QpCounters()
+        self.c, self.q_static = np.empty(self.E.size), np.empty(self.Mt.shape[0])
         self._bind({j - 1: x for p in self.problems for j, x in zip(p.members, p.x0)})
         workers = min(len(self.problems), os.cpu_count() or 1)
         self.pool = ThreadPoolExecutor(max_workers=workers) if parallel else None
@@ -238,10 +244,13 @@ class AdmmEngine:
         self._bind(states)
 
     def _bind(self, states):
-        """c and the static part of q, M'(H + rho I)c, for the states."""
-        self.c = np.concatenate([condensed_maps(p, states) for p in self.problems])
-        self.q_static = _matvec(self.Mt, np.concatenate([_matvec(H, self.c[s])
-                                                         for H, s in zip(self.H_rho, self.slices)]))
+        """c and the static part of q, M'(H + rho I)c, for the states,
+        written over the arrays of the last binding."""
+        c, Hc = self.c, np.empty(self.E.size)
+        for p, H, s in zip(self.problems, self.H_rho, self.slices):
+            c[s] = condensed_maps(p, states)
+            _matvec(H, c[s], Hc[s])
+        _matvec(self.Mt, Hc, self.q_static)
 
     def cold_start(self, faces=False):
         """Drop every agent's QP warm start and, with `faces`, the Newton
@@ -251,17 +260,18 @@ class AdmmEngine:
             if faces:
                 cache.qp.face = None
 
-    def x_update(self, v, k, solve_all=map):
+    def x_update(self, v, k, solve_all=map, out=None):
         """Every agent's x-update at iteration k for the stacked linear term v:
-        the stacked local vectors."""
-        q = self.q_static + _matvec(self.Mt, v)
+        the stacked local vectors, written to `out` if given."""
+        q = _matvec(self.Mt, v)
+        q += self.q_static
         u = np.empty(self.Mt.shape[0])  # the agents' minimizers, stacked
         solved = solve_all(_AgentCache.solve, self.caches, [q[s] for s in self.u_slices],
                            [k] * len(self.caches))
         for s, u_i in zip(self.u_slices, solved):
             u[s] = u_i
         self.qps.add(self.caches)
-        return _matvec(self.M, u) + self.c
+        return np.add(_matvec(self.M, u, out), self.c, out=out)
 
     def close(self):
         """Shut down the thread pool of parallel agents, if any."""
@@ -270,8 +280,9 @@ class AdmmEngine:
 
     def run(self, max_iter, eps_primal=0.0, eps_dual=0.0, init=None,
             track_dual_average=False):
-        """Up to max_iter iterations from `init` (lam = 0, z = 0 if None);
-        a run of zero iterations returns the copies of z as its plans.
+        """Up to max_iter iterations from `init` (lam = 0, z = 0 if None),
+        which it leaves as it is; a run of zero iterations returns the
+        copies of z as its plans.
         ValueError for max_iter < 0 or an init whose lam is not of E's size
         or whose z is not of `counts`' size."""
         if not self.rho > 0:
@@ -279,28 +290,30 @@ class AdmmEngine:
         if max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {max_iter}")
         E, counts, rho = self.E, self.counts, self.rho
-        if init is None:
-            init = AdmmState(lam=np.zeros(E.size), z=np.zeros(counts.size))
-        for name, value, size in (("lam", init.lam, E.size), ("z", init.z, counts.size)):
-            if np.shape(value) != (size,):
-                raise ValueError(f"init.{name} has shape {np.shape(value)}, expected ({size},)")
-        lam_cat, z = init.lam, init.z
-        x_cat = zE = z[E]
+        if init is not None:
+            for name, value, size in (("lam", init.lam, E.size), ("z", init.z, counts.size)):
+                if np.shape(value) != (size,):
+                    raise ValueError(f"init.{name} has shape {np.shape(value)}, expected ({size},)")
+        # lam, x = M u + c, z[E] and v, then x - E z: allocated once, updated in place
+        lam_cat = np.zeros(E.size) if init is None else np.array(init.lam, dtype=float)
+        z = np.zeros(counts.size) if init is None else np.asarray(init.z, dtype=float)
+        zE, x_cat, w = z[E], z[E], np.empty(E.size)
         solve_all = map if self.pool is None else self.pool.map
         qps = self.qps = QpCounters()
         history = []
         max_viol = 0.0 if track_dual_average else None
         converged = False
         for k in range(1, max_iter + 1):
-            x_cat = self.x_update(lam_cat - rho * zE, k, solve_all)
+            np.subtract(lam_cat, np.multiply(zE, rho, out=w), out=w)
+            self.x_update(w, k, solve_all, x_cat)
             z_prev = z
             z = z_update(x_cat, E, counts)
-            zE = z[E]
-            lam_cat, diff = dual_update(lam_cat, x_cat, zE, rho)
+            np.take(z, E, out=zE, mode="wrap")  # E is in range: no buffered copy
+            dual_update(lam_cat, x_cat, zE, rho, (lam_cat, w))
             if track_dual_average:
                 lam_sum = np.bincount(E, weights=lam_cat, minlength=counts.size)
                 max_viol = max(max_viol, float(np.max(np.abs(lam_sum), initial=0.0)))
-            rp, rd = residuals(diff, z - z_prev, counts, rho)
+            rp, rd = residuals(w, z - z_prev, counts, rho)
             history.append((k, rp, rd))
             if rp <= eps_primal and rd <= eps_dual:
                 converged = True

@@ -101,11 +101,12 @@ def index_dtype(shape, nnz):
     return np.int32 if max(*shape, nnz) < 2**31 else np.int64
 
 
-def _matvec(A, x):
+def _matvec(A, x, out=None):
     """A @ x for a CSR or CSC array A and a float vector x, bit for bit
     scipy's product without its dispatch: sparsetools' kernel adds each
-    product onto a zeroed output."""
-    out = np.zeros(A.shape[0])
+    product onto a zeroed output, `out` (contiguous) if given."""
+    out = np.empty(A.shape[0]) if out is None else out
+    out.fill(0.0)
     getattr(_sparsetools, A.format + "_matvec")(*A.shape, A.indptr, A.indices, A.data, x, out)
     return out
 
@@ -398,23 +399,26 @@ def condensed_qps(problems, H):
     P = M'H[k]M, H[k] the Hessian of problems[k], and q = 0. One M stacks
     the problems' maps block-diagonally (`_block_diagonal`), is transposed
     once, and M'(HM) is one sparse product whose diagonal blocks
-    (`diagonal_blocks`) are the only ones densified: set-up holds the
-    product, each distinct block once and the one block being densified,
-    never a dense P. No block crosses two problems, and problems with a
-    bit-equal block share its array.
+    (`diagonal_blocks`) are the only ones densified, never a dense P; M and
+    the stacked H are dropped before that block search, the product after
+    it. No block crosses two problems; problems with a bit-equal block
+    share its array and its one inverse.
     """
     boxes = [condensed_bounds(p) for p in problems]
-    M, H = _block_diagonal([condensing_matrix(p) for p in problems]), _block_diagonal(H)
+    M = _block_diagonal([condensing_matrix(p) for p in problems])
     Mt = M.T.tocsr()
+    blocks = _matmat(Mt, _matmat(_block_diagonal(H), M))  # P, until its blocks are found
+    del M
     starts = np.cumsum([0] + [lo.size for lo, _ in boxes])
     P = [[] for _ in problems]
-    for idx, b in diagonal_blocks(_matmat(Mt, _matmat(H, M))):
+    for idx, b in diagonal_blocks(blocks):
         cuts = np.searchsorted(idx[:, 0], starts)  # the class's blocks, problem by problem
         for r in np.flatnonzero(np.diff(cuts)):
             P[r].append((idx[cuts[r]:cuts[r + 1]] - starts[r], b))
-    del M, H  # not held through the inversions
-    qps = [BoxQp(tuple(sorted(groups, key=lambda g: g[0][0, 0])), np.zeros(lo.size), lo, hi)
-           for groups, (lo, hi) in zip(P, boxes)]
+    del blocks
+    inverses = {}
+    qps = [BoxQp(tuple(sorted(groups, key=lambda g: g[0][0, 0])), np.zeros(lo.size), lo, hi,
+                 inverses) for groups, (lo, hi) in zip(P, boxes)]
     if len(problems) == 1:
         return [Mt], qps
     Mts, c = [], 0  # each M_i', the diagonal blocks of Mt

@@ -22,6 +22,7 @@ fixed when it was built (`BoxQp.plan`); it changes only the face slot.
 
 import itertools
 from dataclasses import dataclass, field
+from hashlib import sha256
 
 import numpy as np
 from scipy import sparse
@@ -45,14 +46,14 @@ def diagonal_blocks(P):
     P's symmetric part: a tuple of (idx, b) by first index, idx (k, s) the
     indices of the class's k blocks (each row ascending, rows by first
     index) and b the (s, s) block (P[i, i] + P[i, i]')/2 of each row i
-    (P[i, i] itself if that is symmetric). Blocks are taken by first index.
-    One whose stored entries (their places and bits) match an earlier
-    block's joins that block's class; any other is densified, symmetrized
-    `_BAND` rows at a time, and joins the class equal to it bit for bit
-    (found by its diagonal's bytes) or starts one. Besides P, set-up holds
-    each distinct block once, the one block being densified and a band of
-    it, P's stored entries' values and places in their blocks, rows block
-    by block, and a copy of those of each block densified, to match by."""
+    (P[i, i] itself if that is symmetric). Blocks are taken by first index,
+    each gathering its stored entries (their places and bits) from P. One
+    whose entries match an earlier block's, by their digests, joins that
+    block's class; any other is densified, symmetrized `_BAND` rows at a
+    time, and joins the class equal to it bit for bit (found by its
+    diagonal's bytes) or starts one. Besides P, set-up holds each distinct
+    block once, the stored entries of one block and that block densified
+    and a band of it: no array the size of P's stored entries."""
     P = sparse.csr_array(P)
     _, labels = connected_components(P, directed=True, connection="weak")
     order = np.argsort(labels, kind="stable")  # each block's indices, ascending
@@ -60,22 +61,23 @@ def diagonal_blocks(P):
     starts = np.cumsum(sizes) - sizes
     loc = np.empty(order.size, dtype=np.intp)  # each index's position in its block
     loc[order] = np.arange(order.size) - np.repeat(starts, sizes)
-    cnt = np.diff(P.indptr)[order]  # each row's stored entries, rows block by block
-    off = np.concatenate([[0], np.cumsum(cnt)])  # where each row's entries start, so ordered
-    at = np.repeat(P.indptr[order] - off[:-1], cnt)
-    at += np.arange(at.size)  # P's entries in that order
-    data, flat = P.data[at], loc[P.indices[at]]
-    del at
-    flat += np.repeat(loc[order] * np.repeat(sizes, sizes), cnt)  # each entry's place, row-major
     rows, classes = [], []
-    runs, seen = {}, {}  # a block's stored entries (places, bits) -> its class; a diagonal's too
+    runs, seen = {}, {}  # a block's stored entries' digests -> its class; a diagonal's bytes too
     by_first = np.argsort(order[starts])
-    for a, s in zip(starts[by_first], sizes[by_first]):
-        e = slice(off[a], off[a + s])
-        key = s, flat[e].tobytes(), data[e].tobytes()
+    for a, s in zip(starts[by_first].tolist(), sizes[by_first].tolist()):
+        block = order[a:a + s]
+        first, cnt = P.indptr[block], P.indptr[block + 1] - P.indptr[block]
+        if block[-1] - block[0] == s - 1:  # one range of rows: its entries are one run of P's
+            e = slice(first[0], first[0] + cnt.sum())
+        else:  # the block's stored entries in P, row by row
+            e = np.repeat(first - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        data, flat = P.data[e], loc[P.indices[e]]
+        flat += np.repeat(np.arange(0, s * s, s), cnt)  # each entry's place, row-major
+        key = s, sha256(flat).digest(), sha256(data).digest()
         if (k := runs.get(key)) is None:  # no block with these entries yet: densify this one
             b = np.zeros((s, s))
-            b.reshape(-1)[flat[e]] = data[e]
+            b.reshape(-1)[flat] = data
+            del data, flat
             for i in range(0, s, _BAND):  # (b + b')/2: the band's rows from the diagonal on
                 u = b[i:i + _BAND, i:] + b[i:, i:i + _BAND].T
                 u *= 0.5
@@ -90,7 +92,7 @@ def diagonal_blocks(P):
                 rows.append([])
                 classes.append(b)
             del b, u  # before the next block's: one block being densified at a time
-        rows[k].append(order[a:a + s])
+        rows[k].append(block)
     return tuple((np.array(r), b) for r, b in zip(rows, classes))
 
 
@@ -154,7 +156,7 @@ class BoxQp:
     __slots__ = ("P", "q", "lower", "upper", "shape", "inv", "inv_rows", "box", "infeasible",
                  "plan", "face", "reused", "pieces")
 
-    def __init__(self, P, q, lower, upper):
+    def __init__(self, P, q, lower, upper, inverses=None):
         q, lo, hi = (np.asarray(v, dtype=float) for v in (q, lower, upper))
         n, groups = q.shape[0], P
         if not isinstance(groups, tuple):  # a matrix
@@ -179,7 +181,8 @@ class BoxQp:
         finite = np.isfinite(lo) & np.isfinite(hi)  # hi - lo only there: never inf - inf
         band = 1e-9 * np.maximum(np.subtract(hi, lo, out=np.ones(n), where=finite), 1.0)
         self.P, self.q, self.lower, self.upper, self.shape = b, q, lo, hi, shape
-        self.inv = _inverse(b)
+        inverses = {} if inverses is None else inverses  # id(b) -> inverse, for QPs sharing b
+        self.inv = inverses[id(b)] = inverses[id(b)] if id(b) in inverses else _inverse(b)
         # exactly symmetric and Fortran-ordered (dpotri): the transpose gathers rows faster
         self.inv_rows = None if self.inv is None else self.inv.T
         self.box = lo, hi, band, lo - 1e-12, hi + 1e-12

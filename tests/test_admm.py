@@ -5,6 +5,7 @@ from dmpc import (InfoGraph, LtiAgent, build_local_problems, double_integrator_3
                   global_cost, path_graph, rollout, run_admm,
                   run_dual_decomposition, solve_centralized,
                   z_update, dual_update, residuals)
+from dmpc import admm
 from dmpc.admm import DD_QP_TOL, AdmmEngine, AdmmState
 from dmpc.problem import ZLayout, copy_counts
 from kkt_oracle import dynamics_equalities, solve_equality_qp
@@ -149,6 +150,44 @@ def test_run_admm_zero_iterations_returns_initialization():
     assert np.allclose(res.z, 0.0)
     for x in res.plans:
         assert np.allclose(x, 0.0)
+
+
+def test_run_leaves_its_init_and_calls_each_stage_once_an_iteration(monkeypatch):
+    # a run updates its own arrays in place: the caller's init is never
+    # changed, and a second run from it neither changes the first's result
+    # nor differs from it; the z-average, dual step and residuals are one
+    # call each of the dmpc.admm function per iteration, as perfbench wraps them
+    g, agents, T, x0, probs, maps, z_dim = make_scenario(seed=23)
+    engine = AdmmEngine(probs, maps, rho=1.0)
+    rng = np.random.default_rng(24)
+    init = AdmmState(lam=rng.standard_normal(engine.E.size), z=rng.standard_normal(z_dim))
+    before = init.lam.tobytes(), init.z.tobytes()
+    stages = ("z_update", "dual_update", "residuals")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counted(*args, name=name, real=getattr(admm, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(admm, name, counted)
+
+    def result_bytes(res):
+        return ([x.tobytes() for x in res.plans], res.z.tobytes(), res.lam.tobytes(),
+                res.history, res.objective)
+
+    first = engine.run(7, init=init)
+    assert calls == dict.fromkeys(stages, 7) and len(first.history) == 7
+    assert (init.lam.tobytes(), init.z.tobytes()) == before
+    kept = result_bytes(first)
+    engine.cold_start(faces=True)  # as on an engine built afresh
+    second = engine.run(7, init=init)
+    assert calls == dict.fromkeys(stages, 14)
+    assert (init.lam.tobytes(), init.z.tobytes()) == before
+    assert result_bytes(first) == kept == result_bytes(second)
+    # no iteration: the plans are the copies of z, the duals those given
+    none = engine.run(0, init=init)
+    assert calls == dict.fromkeys(stages, 14) and none.history == []
+    assert np.concatenate(none.plans).tobytes() == init.z[engine.E].tobytes()
+    assert none.lam.tobytes() == before[0] and none.lam is not init.lam
 
 
 def test_run_admm_consensus_at_rest_is_immediate():

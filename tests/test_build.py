@@ -97,9 +97,9 @@ def test_every_program_qp_is_one_class_in_x_order(monkeypatch, name, g, agents):
     # kept as one dense block
     seen = []
 
-    def spy(P, q, lower, upper):
+    def spy(P, q, lower, upper, inverses=None):
         seen.append((P, q.shape[0]))
-        return BoxQp(P, q, lower, upper)
+        return BoxQp(P, q, lower, upper, inverses)
 
     monkeypatch.setattr(problem, "BoxQp", spy)  # `condensed_qps` builds every QP
     x0 = [np.zeros(a.n) for a in agents]

@@ -122,6 +122,8 @@ def test_condensed_qps_keeps_sharing_across_problems():
     Mts, qps = condensed_qps(probs, [p.H for p in probs])
     assert len(Mts) == len(qps) == 4 and len({id(qp) for qp in qps}) == 4
     assert qps[0].P is qps[2].P and qps[1].P is qps[3].P and qps[0].P is not qps[1].P
+    # a shared block is inverted once: its QPs hold one inverse array
+    assert qps[0].inv is qps[2].inv and qps[1].inv is qps[3].inv and qps[0].inv is not qps[1].inv
     assert same_csr(Mts[0], Mts[2]) and same_csr(Mts[1], Mts[3])
     assert np.all(qps[0].upper == 1.0) and np.all(qps[2].upper == 0.5)
     # the engine groups them as the same four kinds, so keeps the sharing
